@@ -13,6 +13,7 @@ import sys
 
 from .cohomology import (
     cohomology_basis,
+    graded_pieces,
     kernel_forgetful_check,
     verify_iso,
 )
@@ -224,15 +225,16 @@ def cmd_cohomology(args, parser):
 
 def cmd_verify_iso(args, parser):
     g = _read_graph(args, parser)
+    pieces = graded_pieces(g, args.max_degree, args.forgetful)
     try:
-        rep = verify_iso(g, max_degree=args.max_degree, forgetful=args.forgetful)
+        rep = verify_iso(g, args.max_degree, args.forgetful, pieces)
     except AssumptionViolation as exc:
         return _emit(
             {"ok": False, "error": str(exc), "assumption": exc.assumption}, 1
         )
     rep["degrees"] = {str(k): v for k, v in rep["degrees"].items()}
     rep["kernel_forgetful_ok"] = (
-        kernel_forgetful_check(g, min(args.max_degree, 3))
+        kernel_forgetful_check(g, min(args.max_degree, 3), pieces)
         if not args.forgetful
         else None
     )

@@ -15,7 +15,8 @@ full theory and n variables for the x-forgetful one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
+from typing import NamedTuple
 
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
@@ -27,16 +28,12 @@ from .hyperplanes import (
     minimal_empty_families,
 )
 from .intlinalg import (
-    hnf_nonzero_rows,
+    hermite_normal_form,
     kernel_basis,
     rank_ffge,
     same_lattice,
 )
-from .polynomials import (
-    IntPolynomial,
-    divide_exact_by_linear,
-    graded_piece_basis,
-)
+from .polynomials import IntPolynomial, graded_piece_basis
 
 
 @dataclass
@@ -165,20 +162,90 @@ def chi_class(g: GkmGraph) -> CohomologyClass:
     return vector_class(view, {v: g.residual for v in g.vertices})
 
 
-def class_satisfies_congruences(view, cls: CohomologyClass) -> bool:
-    for eid in view.canonical_edges():
-        e = view.darts[eid]
-        alpha = view.axial(eid)
-        diff = cls[e.source] - cls[e.target]
-        if diff.is_zero():
-            continue
-        if divide_exact_by_linear(diff, alpha) is None:
+class _LabelMap(NamedTuple):
+    content: int
+    monos: list  # column order: the degree-k monomials in t
+    restrict: list  # rows of the s_1-free monomials: restriction to ker alpha
+    residue: list  # rows of the other monomials, which need content | entry
+
+
+def _label_map(maps, alpha, degree):
+    """The action of the label ``alpha`` on degree-``degree`` coefficient
+    vectors, computed once per (label, degree) and kept in ``maps``.
+
+    The transform U of the Hermite form of the column alpha is unimodular
+    with U alpha = (content, 0, ..., 0), so the substitution
+    t_j = sum_i U[i][j] s_i turns alpha into content * s_1.  The map sends
+    the coefficients of a polynomial in t to its coefficients in s; alpha
+    divides the polynomial exactly when every s_1-free entry is 0 and every
+    entry is a multiple of the content.  A zero label divides only 0.
+    """
+    key = (alpha, degree)
+    lmap = maps.get(key)
+    if lmap is None:
+        n = len(alpha)
+        h, u = hermite_normal_form([[a] for a in alpha], transform=True)
+        content = h[0][0]
+        images = [
+            IntPolynomial.linear_form([u[i][j] for i in range(n)])
+            for j in range(n)
+        ]
+        one = IntPolynomial.constant(n, 1)
+        monos = graded_piece_basis(n, degree)
+        columns = [
+            prod((images[j] ** e for j, e in enumerate(m)), start=one)
+            for m in monos
+        ]
+        restrict, residue = [], []
+        for target in monos:
+            row = [col.coefficient(target) for col in columns]
+            (residue if target[0] and content else restrict).append(row)
+        lmap = maps[key] = _LabelMap(content, monos, restrict, residue)
+    return lmap
+
+
+def _dot(row, vec):
+    return sum(a * b for a, b in zip(row, vec))
+
+
+def _label_divides(maps, alpha, terms) -> bool:
+    """Does the linear form ``alpha`` divide the polynomial with the given
+    ``{monomial: coefficient}`` terms?  It does when it divides each
+    homogeneous component."""
+    components = {}
+    for m, c in terms.items():
+        components.setdefault(sum(m), {})[m] = c
+    for d, part in components.items():
+        lmap = _label_map(maps, alpha, d)
+        vec = [part.get(m, 0) for m in lmap.monos]
+        if any(_dot(row, vec) for row in lmap.restrict):
+            return False
+        if lmap.content > 1 and any(
+            _dot(row, vec) % lmap.content for row in lmap.residue
+        ):
             return False
     return True
 
 
-def assert_congruences(view, cls: CohomologyClass, what="class"):
-    if not class_satisfies_congruences(view, cls):
+def class_satisfies_congruences(view, cls: CohomologyClass, maps=None) -> bool:
+    """Does every edge label divide the difference of the values across
+    the edge?  ``maps`` keeps the label maps for later calls."""
+    maps = {} if maps is None else maps
+    for eid in view.canonical_edges():
+        e = view.darts[eid]
+        here, there = cls[e.source].terms, cls[e.target].terms
+        if here == there:
+            continue
+        diff = dict(here)
+        for m, c in there.items():
+            diff[m] = diff.get(m, 0) - c
+        if not _label_divides(maps, view.axial(eid), diff):
+            return False
+    return True
+
+
+def assert_congruences(view, cls: CohomologyClass, what="class", maps=None):
+    if not class_satisfies_congruences(view, cls, maps):
         raise CongruenceFailure(f"{what} violates a congruence relation")
 
 
@@ -204,52 +271,58 @@ def _vector_to_class(vec, view, monos):
     return CohomologyClass(values, view.nvars)
 
 
+def _edge_row(ncols, source, target, row):
+    out = [0] * ncols
+    for i, a in enumerate(row):
+        out[source + i] += a
+        out[target + i] -= a
+    return out
+
+
 def cohomology_basis(g, degree: int, forgetful: bool = False):
     """Hermite-reduced Z-basis of the degree-2k graded piece.
 
-    Unknowns are the vertexwise monomial coefficients together with one
-    quotient witness per edge; the constraints say that across every edge
-    the difference of values is the witness times the edge label.  Returns
-    ``(classes, rank)``.
+    The unknowns are the vertexwise coefficients of the degree-k monomials.
+    An edge pq with label alpha asks that alpha divide phi(p) - phi(q)
+    (Goresky-Kottwitz-MacPherson).  Through the label's map (see
+    ``_label_map``) that is linear: the restriction rows R of alpha enter
+    the system as +R on p and -R on q.  Only a label with content c > 1
+    adds more: each of its other rows r gives the congruence
+    r (phi(p) - phi(q)) = c y with one extra unknown y.  The extra unknowns
+    are determined by phi and their columns come last, so the
+    Hermite-reduced kernel, cut to the phi columns, is already the
+    Hermite-reduced basis of the graded piece.  Each class is checked
+    again against the same label maps.  Returns ``(classes, rank)``.
     """
     if degree < 0:
         raise GkmError("degree must be nonnegative")
     view = _as_view(forgetful_graph(g) if forgetful else g)
-    nvars = view.nvars
-    monos = graded_piece_basis(nvars, degree)
-    lower = graded_piece_basis(nvars, degree - 1) if degree > 0 else []
-    lower_index = {m: i for i, m in enumerate(lower)}
-    vertex_index = {v: i for i, v in enumerate(view.vertices)}
-    edges = view.canonical_edges()
-    nphi = len(view.vertices) * len(monos)
-    nwit = len(edges) * len(lower)
-    mono_index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for ei, eid in enumerate(edges):
+    monos = graded_piece_basis(view.nvars, degree)
+    width = len(monos)
+    offset = {v: i * width for i, v in enumerate(view.vertices)}
+    nphi = len(view.vertices) * width
+    maps = {}
+    rows, mod_rows = [], []
+    for eid in view.canonical_edges():
         e = view.darts[eid]
-        alpha = view.axial(eid)
-        for m in monos:
-            row = [0] * (nphi + nwit)
-            row[vertex_index[e.source] * len(monos) + mono_index[m]] += 1
-            row[vertex_index[e.target] * len(monos) + mono_index[m]] -= 1
-            for i, a in enumerate(alpha):
-                if a == 0 or m[i] == 0:
-                    continue
-                m_low = tuple(
-                    x - 1 if j == i else x for j, x in enumerate(m)
-                )
-                row[nphi + ei * len(lower) + lower_index[m_low]] -= a
-            rows.append(row)
-    if rows:
-        kern = kernel_basis(rows)
-    else:
-        kern = kernel_basis([], ncols=nphi + nwit)
-    phi_part = [k[:nphi] for k in kern]
-    reduced = hnf_nonzero_rows(phi_part) if phi_part else []
-    classes = [_vector_to_class(r, view, monos) for r in reduced]
+        lmap = _label_map(maps, view.axial(eid), degree)
+        source, target = offset[e.source], offset[e.target]
+        rows.extend(_edge_row(nphi, source, target, r) for r in lmap.restrict)
+        if lmap.content > 1:
+            mod_rows.extend(
+                (_edge_row(nphi, source, target, r), lmap.content)
+                for r in lmap.residue
+            )
+    nmod = len(mod_rows)
+    system = [row + [0] * nmod for row in rows]
+    for i, (row, content) in enumerate(mod_rows):
+        row.extend(-content if j == i else 0 for j in range(nmod))
+        system.append(row)
+    kern = kernel_basis(system, ncols=nphi + nmod)
+    classes = [_vector_to_class(k, view, monos) for k in kern]
     for cls in classes:
-        assert_congruences(view, cls, what="solver output")
-    return classes, len(reduced)
+        assert_congruences(view, cls, what="solver output", maps=maps)
+    return classes, len(classes)
 
 
 # -- Thom classes as cohomology classes ------------------------------------------
@@ -422,10 +495,6 @@ def localize_ring_element(poly, gen_order, tau_values, vertex):
 # -- graded verification ------------------------------------------------------------
 
 
-def _monomials_of_degree(ngens, k):
-    return graded_piece_basis(ngens, k)
-
-
 def _reduced_full_relations(ring: PresentationRing):
     """Relations of Z[G] after eliminating Hbar_i = X - H_i.
 
@@ -491,7 +560,18 @@ def _evaluate_monomials(gen_values, vertex_order, nvars, k):
     return out
 
 
-def verify_iso(g: GkmGraph, max_degree: int = 4, forgetful: bool = False):
+def graded_pieces(g: GkmGraph, max_degree: int, forgetful: bool = False):
+    """The solver's graded pieces ``cohomology_basis(g, k, forgetful)`` for
+    k = 0..max_degree, as a list of ``(classes, rank)``."""
+    return [
+        cohomology_basis(g, k, forgetful=forgetful)
+        for k in range(max_degree + 1)
+    ]
+
+
+def verify_iso(
+    g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=None
+):
     """Graded-rank comparison between the solver and the presentation ring.
 
     For each degree k <= max_degree the report records the solver rank, the
@@ -499,8 +579,12 @@ def verify_iso(g: GkmGraph, max_degree: int = 4, forgetful: bool = False):
     span of evaluated generator monomials; the theorems predict all three
     are equal.  Also reports the assumption status (assumption (2) may
     fail, in which case a strict deficit is the expected outcome).
+    ``pieces`` are the ``graded_pieces`` of the same theory when the
+    caller has solved them already.
     """
     ring = presentation_ring(g, forgetful=forgetful, require_assumptions=False)
+    if pieces is None:
+        pieces = graded_pieces(g, max_degree, forgetful)
     hyperplanes = all_hyperplanes(g)
     assumptions = check_assumptions(g, hyperplanes)
     view = _as_view(forgetful_graph(g) if forgetful else g)
@@ -515,10 +599,10 @@ def verify_iso(g: GkmGraph, max_degree: int = 4, forgetful: bool = False):
         gen_values = {n: ring.values[n] for n in gen_names}
     per_degree = {}
     for k in range(max_degree + 1):
-        _, solver_rank = cohomology_basis(g, k, forgetful=forgetful)
+        _, solver_rank = pieces[k]
         nmono = comb(len(gen_names) + k - 1, k)
         if forgetful:
-            monos = _monomials_of_degree(len(gen_names), k)
+            monos = graded_piece_basis(len(gen_names), k)
             in_ideal = 0
             alive = []
             for m in monos:
@@ -558,14 +642,20 @@ def verify_iso(g: GkmGraph, max_degree: int = 4, forgetful: bool = False):
 # -- kernel of the forgetful map -----------------------------------------------------
 
 
-def kernel_forgetful_check(g: GkmGraph, max_degree: int = 3) -> bool:
+def kernel_forgetful_check(
+    g: GkmGraph, max_degree: int = 3, pieces=None
+) -> bool:
     """Degreewise check that the kernel of the forgetful map on classes is
-    exactly chi times the previous graded piece."""
+    exactly chi times the previous graded piece.  ``pieces`` are the
+    full-theory ``graded_pieces`` up to at least ``max_degree`` when the
+    caller has solved them already."""
+    if pieces is None:
+        pieces = graded_pieces(g, max_degree)
     chi = chi_class(g)
     nfull = g.rank + 1
     prev_basis = []
     for k in range(max_degree + 1):
-        classes, _ = cohomology_basis(g, k, forgetful=False)
+        classes, _ = pieces[k]
         monos = graded_piece_basis(nfull, k)
         fmonos = graded_piece_basis(g.rank, k)
         # forgetful image: substitute x = 0

@@ -1,10 +1,17 @@
 """CLI surface: subcommands, exit codes, byte-stable JSON output."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import gkmgraphs.cohomology as cohomology
 from gkmgraphs.cli import main
+from gkmgraphs.fixtures import KlmSpec, gen_klm
+from gkmgraphs.graph import serialize
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 
 
 def run(capsys, *argv):
@@ -79,6 +86,43 @@ def test_verify_iso_ok_and_failing(capsys):
     )
     assert code == 1
     assert json.loads(out)["assumption"] == 1
+
+
+def test_verify_iso_solves_each_graded_piece_once(monkeypatch, capsys):
+    """The rank comparison and the kernel check share one solve per
+    degree."""
+    calls = []
+    real = cohomology.cohomology_basis
+
+    def counting(g, degree, forgetful=False):
+        calls.append((degree, forgetful))
+        return real(g, degree, forgetful=forgetful)
+
+    monkeypatch.setattr(cohomology, "cohomology_basis", counting)
+    code, _ = run(
+        capsys, "verify-iso", "--fixture", "fig2_left", "--max-degree", "2"
+    )
+    assert code == 0
+    assert sorted(calls) == [(0, False), (1, False), (2, False)]
+
+
+@pytest.mark.parametrize(
+    "rung, flags",
+    [((3, 2, 2), []), ((4, 4, 4), ["--forgetful"])],
+    ids=["L322", "L444-forgetful"],
+)
+def test_cohomology_output_matches_the_benchmark_reference(
+    tmp_path, capsys, rung, flags
+):
+    """Byte for byte the stdout recorded in the benchmark's reference."""
+    path = tmp_path / "klm.json"
+    path.write_text(serialize(gen_klm(KlmSpec(*rung))))
+    argv = ["cohomology", str(path), "--max-degree", "3", *flags]
+    code, out = run(capsys, *argv)
+    key = " ".join(["cohomology", "@%d%d%d" % rung, *argv[2:]])
+    ref = json.loads(REFERENCE.read_text())["commands"][key]
+    assert code == ref["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
 
 
 def test_gen_klm_roundtrip_through_file(tmp_path, capsys):

@@ -1,9 +1,14 @@
 """Solver, forgetful theory, presentation rings and the graded comparison."""
 
 import random
+from dataclasses import replace
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import gkmgraphs.cohomology as cohomology
 from gkmgraphs.cohomology import (
     chi_class,
     class_satisfies_congruences,
@@ -18,11 +23,13 @@ from gkmgraphs.cohomology import (
     thom_class_full,
     verify_iso,
     _as_view,
+    _label_divides,
 )
-from gkmgraphs.errors import AssumptionViolation
+from gkmgraphs.errors import AssumptionViolation, CongruenceFailure
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
+from gkmgraphs.graph import GkmGraph
 from gkmgraphs.hyperplanes import all_hyperplanes, choose_positive_halfspace
-from gkmgraphs.polynomials import IntPolynomial
+from gkmgraphs.polynomials import IntPolynomial, divide_exact_by_linear
 
 
 def test_rank_zero_is_one_for_every_valid_graph():
@@ -45,6 +52,131 @@ def test_solver_output_satisfies_congruences():
         classes, _ = cohomology_basis(g, k)
         for cls in classes:
             assert class_satisfies_congruences(view, cls)
+
+
+def _doubled(fixture_id, dart_ids):
+    """The fixture with the labels of the given darts doubled.  The stored
+    connection is dropped: it no longer fits the doubled labels."""
+    g = fixture(fixture_id)
+    darts = [
+        replace(d, axial=tuple(2 * a for a in d.axial)) if d.id in dart_ids
+        else d
+        for d in g.darts.values()
+    ]
+    return GkmGraph(g.rank, darts)
+
+
+# Bases recorded from the earlier solver, which had one quotient unknown
+# per edge and lower-degree monomial: degrees 0..3, one tuple of vertex
+# values per class.
+DOUBLED_SPHERE_BASES = {
+    False: [
+        [("1", "1")],
+        [("t1", "t1"), ("t2", "t2"), ("t3", "t3")],
+        [("t1^2", "t1^2"), ("t1*t2", "t1*t2"), ("t1*t3", "t1*t3"),
+         ("t2^2", "t2^2"), ("t2*t3", "t2*t3"), ("t3^2", "t3^2"),
+         ("0", "2*t1*t2")],
+        [("t1^3", "t1^3"), ("t1^2*t2", "t1^2*t2"), ("t1^2*t3", "t1^2*t3"),
+         ("t1*t2^2", "t1*t2^2"), ("t1*t2*t3", "t1*t2*t3"),
+         ("t1*t3^2", "t1*t3^2"), ("t2^3", "t2^3"), ("t2^2*t3", "t2^2*t3"),
+         ("t2*t3^2", "t2*t3^2"), ("t3^3", "t3^3"), ("0", "2*t1^2*t2"),
+         ("0", "2*t1*t2^2"), ("0", "2*t1*t2*t3")],
+    ],
+    True: [
+        [("1", "1")],
+        [("t1", "t1"), ("t2", "t2")],
+        [("t1^2", "t1^2"), ("t1*t2", "t1*t2"), ("t2^2", "t2^2"),
+         ("0", "2*t1*t2")],
+        [("t1^3", "t1^3"), ("t1^2*t2", "t1^2*t2"), ("t1*t2^2", "t1*t2^2"),
+         ("t2^3", "t2^3"), ("0", "2*t1^2*t2"), ("0", "2*t1*t2^2")],
+    ],
+}
+
+DOUBLED_LINE_FORGETFUL_BASES = [
+    [("1", "1", "1", "1", "1")],
+] + [
+    [(t, t, "0", "0", "0"), ("0", f"2*{t}", "0", "0", "0"),
+     ("0", "0", t, "0", "0"), ("0", "0", "0", t, "0"),
+     ("0", "0", "0", "0", t)]
+    for t in ("t1", "t1^2", "t1^3")
+]
+
+
+@pytest.mark.parametrize("forgetful", [False, True])
+def test_non_primitive_label_bases(forgetful):
+    """An edge label of content 2 keeps a mod-2 condition beside its
+    restriction rows; the bases are the recorded ones."""
+    g = _doubled("fig11_sphere", ("bot:eL", "top:eL"))
+    for k, expected in enumerate(DOUBLED_SPHERE_BASES[forgetful]):
+        classes, rank = cohomology_basis(g, k, forgetful=forgetful)
+        assert [tuple(c.to_strings().values()) for c in classes] == expected
+        assert rank == len(expected)
+
+
+def test_rank_one_forgetful_bases_with_a_non_primitive_label():
+    """With one variable ker alpha = 0, so a piece of degree k >= 1 has no
+    restriction rows; only the doubled label adds a condition (mod 2)."""
+    g = _doubled("fig8_line5", ("p1:e", "p2:w"))
+    for k, expected in enumerate(DOUBLED_LINE_FORGETFUL_BASES):
+        classes, rank = cohomology_basis(g, k, forgetful=True)
+        assert [tuple(c.to_strings().values()) for c in classes] == expected
+        assert rank == len(expected)
+
+
+@st.composite
+def _label_and_poly(draw):
+    n = draw(st.integers(2, 4))
+    base = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+    alpha = tuple(draw(st.integers(1, 3)) * a for a in base)
+    content = gcd(*alpha)
+    factor = draw(st.sampled_from([alpha, tuple(a // content for a in alpha)]))
+    monos = st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: sum(m) <= 2)
+    quotient = IntPolynomial(
+        n, draw(st.dictionaries(monos, st.integers(-3, 3), max_size=4))
+    )
+    noise_monos = st.tuples(*[st.integers(0, 3)] * n).filter(
+        lambda m: sum(m) <= 3
+    )
+    noise = IntPolynomial(
+        n, draw(st.dictionaries(noise_monos, st.integers(-2, 2), max_size=2))
+    )
+    return alpha, IntPolynomial.linear_form(factor) * quotient + noise
+
+
+@settings(max_examples=200, deadline=None)
+@given(_label_and_poly())
+def test_label_map_divisibility_agrees_with_exact_division(case):
+    """The label-map test against exact division, an independent oracle."""
+    alpha, f = case
+    expected = divide_exact_by_linear(f, alpha) is not None
+    assert _label_divides({}, alpha, f.terms) == expected
+
+
+@pytest.mark.parametrize(
+    "graph, degree, forgetful",
+    [
+        (lambda: fixture("fig2_left"), 0, False),
+        (lambda: fixture("fig2_left"), 2, False),
+        (lambda: fixture("fig7_pentagon"), 1, True),
+        (lambda: _doubled("fig11_sphere", ("bot:eL", "top:eL")), 1, False),
+    ],
+    ids=["fig2-0", "fig2-2", "fig7-1-forgetful", "doubled-sphere-1"],
+)
+def test_solver_check_rejects_a_corrupted_kernel(
+    monkeypatch, graph, degree, forgetful
+):
+    """One coefficient off in the kernel must not reach the output."""
+    real = cohomology.kernel_basis
+
+    def corrupted(*args, **kwargs):
+        kern = real(*args, **kwargs)
+        first = list(kern[0])
+        first[0] += 1
+        return [tuple(first)] + kern[1:]
+
+    monkeypatch.setattr(cohomology, "kernel_basis", corrupted)
+    with pytest.raises(CongruenceFailure, match="solver output"):
+        cohomology_basis(graph(), degree, forgetful=forgetful)
 
 
 def test_degree_one_rank_matches_presentation_both_ways():
