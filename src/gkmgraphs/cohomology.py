@@ -22,6 +22,7 @@ from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
 from .hyperplanes import (
     Halfspace,
+    _name_key,
     all_hyperplanes,
     check_assumptions,
     choose_positive_halfspace,
@@ -360,14 +361,6 @@ def thom_class_forgetful(g: GkmGraph, hyperplane, halfspace) -> CohomologyClass:
 # -- presentation rings -----------------------------------------------------------
 
 
-def _name_key(name):
-    i = 0
-    while i < len(name) and not name[i].isdigit():
-        i += 1
-    head, tail = name[:i], name[i:]
-    return (head, int(tail)) if tail.isdigit() else (name, -1)
-
-
 @dataclass
 class PresentationRing:
     forgetful: bool
@@ -480,16 +473,6 @@ def localize(f) -> dict:
     if isinstance(f, CohomologyClass):
         return dict(f.values)
     raise GkmError("localize expects a CohomologyClass")
-
-
-def localize_ring_element(poly, gen_order, tau_values, vertex):
-    """rho_p on a polynomial in the hyperplane generators: kill the
-    generators whose hyperplane misses the vertex, send survivors to
-    their Thom value at the vertex."""
-    images = []
-    for name in gen_order:
-        images.append(tau_values[name].values[vertex])
-    return poly.substitute(images)
 
 
 # -- graded verification ------------------------------------------------------------

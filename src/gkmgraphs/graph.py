@@ -235,6 +235,17 @@ def graph_from_dict(obj) -> GkmGraph:
         rank = int(obj["rank"])
     except (TypeError, ValueError):
         raise ParseError("rank must be an integer", field="rank") from None
+    for key in ("vertices", "darts"):
+        if not isinstance(obj[key], list):
+            raise ParseError(f"{key} must be an array", field=key)
+    connection = obj.get("connection")
+    if connection is not None and not (
+        isinstance(connection, dict)
+        and all(isinstance(m, dict) for m in connection.values())
+    ):
+        raise ParseError(
+            "connection must be an object of objects", field="connection"
+        )
     darts = []
     for i, rec in enumerate(obj["darts"]):
         try:
@@ -265,7 +276,7 @@ def graph_from_dict(obj) -> GkmGraph:
             field="vertices",
         )
     meta = {k: obj[k] for k in META_KEYS if k in obj}
-    return GkmGraph(rank, darts, connection=obj.get("connection"), meta=meta)
+    return GkmGraph(rank, darts, connection=connection, meta=meta)
 
 
 def load_graph(text: str) -> GkmGraph:

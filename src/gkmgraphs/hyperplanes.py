@@ -141,6 +141,15 @@ def _check_pair_set(g, vertex, dart_ids):
             )
 
 
+def _name_key(name):
+    """Sort key of hyperplane names: X2 before X10, L-names by number."""
+    i = 0
+    while i < len(name) and not name[i].isdigit():
+        i += 1
+    head, tail = name[:i], name[i:]
+    return (head, int(tail)) if tail.isdigit() else (name, -1)
+
+
 def all_hyperplanes(g: GkmGraph):
     """All hyperplanes, deduplicated and deterministically named."""
     dec = pair_decomposition(g)

@@ -14,28 +14,12 @@ from .errors import DimensionError
 Vec = tuple[int, ...]
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
 def vec_scale(c: int, u: Vec) -> Vec:
     return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
-def vec_dot(u: Vec, v: Vec) -> int:
-    return sum(a * b for a, b in zip(u, v, strict=True))
 
 
 def is_multiple_of(u: Vec, v: Vec) -> int | None:

@@ -256,10 +256,6 @@ def coords_varnames(n, with_residual):
     return names
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a * b
-
-
 def graded_piece_basis(nvars: int, degree: int):
     """All exponent tuples of the given total degree, lex-descending.
 

@@ -4,15 +4,24 @@ The hyperplane complex has one vertex per hyperplane and a face for every
 family with nonempty common intersection; its facets biject with the graph
 vertices.  A shelling order of the facets yields minimal new faces mu_i,
 and the monomials x_{mu_i} form a free module basis over the polynomial
-ring in n variables.  Coefficients of a ring element in that basis fall
-out of iterated localization at facet vertices followed by exact division
-by the localized basis monomial.
+ring in n variables (the standard basis of a Stanley-Reisner ring over a
+linear system of parameters).
+
+Expansion in that basis never leaves the n equivariant variables.  Each
+context caches the localization map of every facet point p: the images
+tau_L(p) of the generators, nonzero exactly for the n hyperplanes through
+p, and the values x_{mu_i}(p).  A ring element is localized once per
+facet; running down the shelling order, the coefficient a_i is the exact
+quotient of the i-th localization by x_{mu_i}(p_i), and a_i * x_{mu_i}(p)
+is subtracted from the localizations at the facets that contain mu_i.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 from math import comb
 
 from .cohomology import thom_class_forgetful
@@ -26,22 +35,15 @@ from .errors import (
 )
 from .graph import GkmGraph
 from .hyperplanes import (
+    _name_key,
     all_hyperplanes,
     choose_positive_halfspace,
     nonempty_intersection_table,
 )
 from .intlinalg import solve_integer, vec_sub
-from .polynomials import IntPolynomial, divide_exact
+from .polynomials import IntPolynomial, coords_varnames, divide_exact
 
 DEFAULT_SEARCH_BUDGET = 10**6
-
-
-def _name_key(name):
-    i = 0
-    while i < len(name) and not name[i].isdigit():
-        i += 1
-    head, tail = name[:i], name[i:]
-    return (head, int(tail)) if tail.isdigit() else (name, -1)
 
 
 @dataclass
@@ -51,9 +53,6 @@ class SimplicialComplex:
     facets: list  # maximal faces in canonical order
     facet_vertex: dict  # facet -> graph vertex id
     dim: int
-
-    def is_face(self, s):
-        return frozenset(s) in self.faces
 
 
 @dataclass
@@ -327,13 +326,100 @@ class ShellingContext:
             keep[mono] = c
         return IntPolynomial(self.ngens, keep)
 
+    @cached_property
+    def localizations(self) -> FacetLocalizations:
+        """The localization maps of the facet points, built on first use."""
+        return FacetLocalizations(self)
+
+
+class FacetLocalizations:
+    """Localization at the facet points, in shelling order, in the n
+    equivariant variables.
+
+    ``images[k]`` maps each generator index whose Thom value at the k-th
+    facet point is nonzero to that value.  Building it checks the lift
+    identity sum_L lambda(L)_j tau_L(p) = e_j at every point, which is
+    what makes a_i * x_{mu_i} localize to a_i * x_{mu_i}(p).
+    """
+
+    def __init__(self, ctx: ShellingContext):
+        n = ctx.graph.rank
+        self.nvars = n
+        self.points = [ctx.facet_point(sigma) for sigma in ctx.shelling.order]
+        self.images = []
+        for p in self.points:
+            images = {}
+            for g, name in enumerate(ctx.names):
+                value = ctx.taus[name].values[p]
+                if not value.is_zero():
+                    images[g] = value
+            for j in range(n):
+                total = IntPolynomial.zero(n)
+                for g, value in images.items():
+                    total = total + ctx.lambdas[ctx.names[g]][j] * value
+                if total != IntPolynomial.variable(n, j):
+                    raise InconsistentLambda(
+                        f"the characteristic covectors do not lift e{j + 1} "
+                        f"at {p!r}: sum of lambda_{j + 1}(L) tau_L is "
+                        f"{total.to_string(coords_varnames(n, False))}"
+                    )
+            self.images.append(images)
+        basis = module_basis(ctx)
+        self.mus = [tuple(ctx.gen_index(name) for name in mu) for mu in basis]
+        self.divisors = [
+            [ctx.taus[name].values[p].linear_coeffs() for name in mu]
+            for p, mu in zip(self.points, basis)
+        ]
+        # the facets containing mu_i: in a shelling, i and some later ones
+        self.carriers = [
+            [
+                k
+                for k, images in enumerate(self.images)
+                if all(g in images for g in mu)
+            ]
+            for mu in self.mus
+        ]
+        self._basis_values = {}
+
+    def localize(self, poly: IntPolynomial, k) -> IntPolynomial:
+        """rho at the k-th facet point; monomials with a generator that
+        vanishes there are skipped."""
+        images = self.images[k]
+        out = IntPolynomial.zero(self.nvars)
+        for mono, c in poly.terms.items():
+            term = IntPolynomial.constant(self.nvars, c)
+            for g, e in enumerate(mono):
+                if e:
+                    if g not in images:
+                        break
+                    term = term * images[g] ** e
+            else:
+                out = out + term
+        return out
+
+    def basis_value(self, i, k) -> IntPolynomial:
+        """x_{mu_i} at the k-th facet point, for k among its carriers."""
+        key = (i, k)
+        value = self._basis_values.get(key)
+        if value is None:
+            value = IntPolynomial.constant(self.nvars, 1)
+            for g in self.mus[i]:
+                value = value * self.images[k][g]
+            self._basis_values[key] = value
+        return value
+
 
 def nonempty_families_complement(complex_: SimplicialComplex, names):
     """Minimal non-faces of the complex: supports that force a monomial
-    into the vanishing ideal."""
+    into the vanishing ideal.
+
+    Every face has at most dim + 1 members, so a minimal non-face, all of
+    whose proper subsets are faces, has at most dim + 2.
+    """
     out = []
-    for size in range(1, len(names) + 1):
-        for f in _all_subsets_of_size(names, size):
+    for size in range(1, min(len(names), complex_.dim + 2) + 1):
+        for c in combinations(sorted(names), size):
+            f = frozenset(c)
             if f in complex_.faces:
                 continue
             if all(
@@ -341,12 +427,6 @@ def nonempty_families_complement(complex_: SimplicialComplex, names):
             ):
                 out.append(f)
     return out
-
-
-def _all_subsets_of_size(names, size):
-    from itertools import combinations
-
-    return [frozenset(c) for c in combinations(sorted(names), size)]
 
 
 def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
@@ -408,38 +488,40 @@ class BasisExpansion:
 def express_in_basis(ctx: ShellingContext, poly: IntPolynomial) -> BasisExpansion:
     """Coefficients a_i with poly = sum a_i * x_{mu_i}.
 
-    Iterates over the shelling order: localize the remainder at the facet
-    point, divide exactly by the localized basis monomial, lift the
-    coefficient back into the ring and subtract.  The final remainder must
-    localize to zero at every facet point (injectivity of localization),
-    which is asserted.
+    The input, reduced modulo the Stanley-Reisner ideal, is localized once
+    at every facet point through the cached facet localizations; the
+    expansion then runs on those localizations alone (see ``_expand``).
     """
     if poly.nvars != ctx.ngens:
         raise GkmError("polynomial is not in the hyperplane generators")
     r = ctx.reduce_mod_ideal(poly)
-    basis = module_basis(ctx)
+    maps = ctx.localizations
+    locs = [maps.localize(r, k) for k in range(len(maps.points))]
+    return _expand(maps, locs)
+
+
+def _expand(maps: FacetLocalizations, locs) -> BasisExpansion:
+    """Coefficients from the localizations ``locs`` of a ring element at
+    the facet points, in shelling order (consumed).
+
+    Down the shelling order: a_i is the exact quotient of locs[i] by the
+    factors of x_{mu_i}(p_i), and a_i * x_{mu_i}(p_k) is subtracted at every
+    facet k containing mu_i.  Every localization must end at zero
+    (injectivity of localization), which is asserted.
+    """
     coeffs = {}
-    for i, sigma in enumerate(ctx.shelling.order):
-        p = ctx.facet_point(sigma)
-        num = ctx.localize_at(r, p)
+    for i, num in enumerate(locs):
         if num.is_zero():
             continue
-        factors = [
-            ctx.taus[name].values[p].linear_coeffs()
-            for name in basis[i]
-        ]
-        a = divide_exact(num, factors)
-        if a.is_zero():
-            continue
+        a = divide_exact(num, maps.divisors[i])
         coeffs[i] = a
-        lifted = ctx.lift_coefficient(a) * ctx.monomial_poly(basis[i])
-        r = ctx.reduce_mod_ideal(r - lifted)
-    for sigma in ctx.shelling.order:
-        if not ctx.localize_at(r, ctx.facet_point(sigma)).is_zero():
-            raise InexactDivision(
-                "expansion remainder does not localize to zero; the input "
-                "is not in the ring or the shelling is invalid"
-            )
+        for k in maps.carriers[i]:
+            locs[k] = locs[k] - a * maps.basis_value(i, k)
+    if any(not r.is_zero() for r in locs):
+        raise InexactDivision(
+            "expansion remainder does not localize to zero; the input "
+            "is not in the ring or the shelling is invalid"
+        )
     return BasisExpansion(coeffs)
 
 
@@ -450,6 +532,8 @@ def ordinary_cohomology(ctx: ShellingContext):
     """Graded Z-basis (the x_{mu_i}) and the full structure-constant
     table, both equivariant and with the polynomial part killed."""
     basis = module_basis(ctx)
+    maps = ctx.localizations
+    zero = IntPolynomial.zero(ctx.graph.rank)
     degrees = [len(b) for b in basis]
     ranks = {}
     for d in degrees:
@@ -458,8 +542,16 @@ def ordinary_cohomology(ctx: ShellingContext):
     ordinary = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            f = ctx.monomial_poly(basis[i]) * ctx.monomial_poly(basis[j])
-            expansion = express_in_basis(ctx, f)
+            both = set(maps.carriers[i]).intersection(maps.carriers[j])
+            expansion = _expand(
+                maps,
+                [
+                    maps.basis_value(i, k) * maps.basis_value(j, k)
+                    if k in both
+                    else zero
+                    for k in range(len(maps.points))
+                ],
+            )
             key = f"{basis_monomial_name(basis[i])}*{basis_monomial_name(basis[j])}"
             eq = {}
             ord_ = {}

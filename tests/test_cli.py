@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,25 @@ def test_validate_bad_file(tmp_path, capsys):
     code, out = run(capsys, "validate", str(p))
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("vertices", None), ("darts", 5), ("connection", 5)],
+    ids=["vertices-null", "darts-int", "connection-int"],
+)
+def test_malformed_field_is_a_json_error(tmp_path, capsys, field, value):
+    """A field of the wrong type in an otherwise valid L(2,1,2) file is
+    reported as a parse error, not a traceback."""
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    doc[field] = value
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(p))
+    assert code == 1
+    result = json.loads(out)
+    assert result["ok"] is False
+    assert field in result["error"]
 
 
 def test_assumptions_exit_codes(capsys):
@@ -106,23 +126,52 @@ def test_verify_iso_solves_each_graded_piece_once(monkeypatch, capsys):
     assert sorted(calls) == [(0, False), (1, False), (2, False)]
 
 
-@pytest.mark.parametrize(
-    "rung, flags",
-    [((3, 2, 2), []), ((4, 4, 4), ["--forgetful"])],
-    ids=["L322", "L444-forgetful"],
-)
-def test_cohomology_output_matches_the_benchmark_reference(
-    tmp_path, capsys, rung, flags
-):
-    """Byte for byte the stdout recorded in the benchmark's reference."""
-    path = tmp_path / "klm.json"
-    path.write_text(serialize(gen_klm(KlmSpec(*rung))))
-    argv = ["cohomology", str(path), "--max-degree", "3", *flags]
+def run_reference(tmp_path, capsys, key):
+    """Run one command of the benchmark reference, ``@KLM`` standing for
+    the generated L(k,l,m) file, and compare exit code and stdout bytes."""
+    argv = []
+    for tok in shlex.split(key):
+        if tok.startswith("@"):
+            path = tmp_path / f"L{tok[1:]}.json"
+            path.write_text(serialize(gen_klm(KlmSpec(*map(int, tok[1:])))))
+            tok = str(path)
+        argv.append(tok)
     code, out = run(capsys, *argv)
-    key = " ".join(["cohomology", "@%d%d%d" % rung, *argv[2:]])
     ref = json.loads(REFERENCE.read_text())["commands"][key]
     assert code == ref["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "cohomology @322 --max-degree 3",
+        "cohomology @444 --max-degree 3 --forgetful",
+    ],
+    ids=["L322", "L444-forgetful"],
+)
+def test_cohomology_output_matches_the_benchmark_reference(
+    tmp_path, capsys, key
+):
+    """Byte for byte the stdout recorded in the benchmark's reference."""
+    run_reference(tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "structure-constants --fixture fig7_pentagon",
+        "structure-constants --fixture fig8_line5",
+        'express @555 --poly "X1*Y2*Z3-2*X3^2"',
+    ],
+    ids=["fig7", "fig8", "L555-express"],
+)
+def test_shelling_output_matches_the_benchmark_reference(
+    tmp_path, capsys, key
+):
+    """Expansion on the cached facet localizations reproduces the recorded
+    structure constants and coefficients byte for byte."""
+    run_reference(tmp_path, capsys, key)
 
 
 def test_gen_klm_roundtrip_through_file(tmp_path, capsys):

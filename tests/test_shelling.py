@@ -1,7 +1,12 @@
 """Complex construction, shellings, characteristic covectors, module
 bases, expansion and structure constants."""
 
+from functools import lru_cache
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmgraphs.cohomology import cohomology_basis
 from gkmgraphs.errors import InconsistentLambda, NotShellable
@@ -18,6 +23,7 @@ from gkmgraphs.shelling import (
     hilbert_rank,
     klm_canonical_order,
     module_basis,
+    nonempty_families_complement,
     ordinary_cohomology,
     relation_for_hyperplane,
     shelling_context,
@@ -26,6 +32,13 @@ from gkmgraphs.shelling import (
 
 def klm_ctx(k, l, m):
     return shelling_context(gen_klm(KlmSpec(k, l, m)))
+
+
+@lru_cache(maxsize=None)
+def named_ctx(name):
+    if name.startswith("L"):
+        return klm_ctx(*map(int, name[1:]))
+    return shelling_context(fixture(name))
 
 
 def test_complex_of_disjoint_points():
@@ -170,6 +183,22 @@ def test_shelling_interval_partition_and_ordering_facts():
                     assert j >= i
 
 
+@pytest.mark.parametrize("name", ["fig7_pentagon", "fig8_line5", "L212"])
+def test_minimal_nonfaces_match_the_enumeration_of_all_subsets(name):
+    ctx = named_ctx(name)
+    faces = ctx.complex.faces
+    brute = [
+        frozenset(c)
+        for size in range(1, len(ctx.names) + 1)
+        for c in combinations(sorted(ctx.names), size)
+        if frozenset(c) not in faces
+        and all(frozenset(c) - {n} in faces for n in c)
+    ]
+    assert brute
+    assert nonempty_families_complement(ctx.complex, ctx.names) == brute
+    assert ctx.min_nonfaces == brute
+
+
 def test_characteristic_functions_of_klm():
     ctx = klm_ctx(2, 1, 2)
     assert ctx.lambdas == {
@@ -274,6 +303,49 @@ def test_expansion_reconstructs_under_localization():
     for sigma in ctx.shelling.order:
         p = ctx.facet_point(sigma)
         assert ctx.localize_at(f, p) == ctx.localize_at(recon, p)
+
+
+@st.composite
+def ring_elements(draw):
+    """A context and a polynomial of degree <= 3 in its generators."""
+    name = draw(st.sampled_from(["L212", "L322", "fig7_pentagon", "fig8_line5"]))
+    ctx = named_ctx(name)
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(ctx.names), max_size=3),
+                st.integers(-5, 5),
+            ),
+            max_size=5,
+        )
+    )
+    poly = IntPolynomial.zero(ctx.ngens)
+    for gens, c in terms:
+        poly = poly + c * ctx.monomial_poly(gens)
+    return ctx, poly
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_elements())
+def test_expansion_agrees_with_the_ring_path(case):
+    """sum lift(a_i) * x_{mu_i}, formed in the ring of hyperplane
+    generators, localizes to the input at every vertex."""
+    ctx, f = case
+    exp = express_in_basis(ctx, f)
+    basis = module_basis(ctx)
+    recon = IntPolynomial.zero(ctx.ngens)
+    for i, c in exp.coefficients.items():
+        recon = recon + ctx.lift_coefficient(c) * ctx.monomial_poly(basis[i])
+    for v in ctx.graph.vertices:
+        assert ctx.localize_at(recon, v) == ctx.localize_at(f, v)
+
+
+def test_expansion_rejects_a_lambda_that_does_not_lift(monkeypatch):
+    ctx = klm_ctx(2, 1, 2)
+    lam = ctx.lambdas["X1"]
+    monkeypatch.setitem(ctx.lambdas, "X1", (lam[0] + 1,) + lam[1:])
+    with pytest.raises(InconsistentLambda):
+        express_in_basis(ctx, poly_of(ctx, ("Z1", 2)))
 
 
 def test_localization_matrix_is_triangular_with_nonzero_diagonal():
