@@ -2,7 +2,9 @@
 built-in fixture) and writes one JSON document to stdout.
 
 Exit status: 0 on success, 1 when a validation / assumption / verification
-check fails (the JSON names the failing check), 2 on usage errors.
+check fails (the JSON names the failing check), 2 on usage errors.  Any
+other exception is reported as ``{"ok": false, "error": ..., "internal":
+true}`` with exit status 1 (its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -389,6 +391,21 @@ def main(argv=None):
         return args.func(args, parser)
     except (ParseError, GkmError) as exc:
         return _emit({"ok": False, "error": str(exc)}, 1)
+    except Exception as exc:
+        # last resort: a fault of the program is still one JSON document on
+        # stdout; the traceback goes to stderr for the bug report (imported
+        # here, as only this path needs the module)
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        return _emit(
+            {
+                "ok": False,
+                "error": f"{type(exc).__name__}: {exc}",
+                "internal": True,
+            },
+            1,
+        )
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
 from .hyperplanes import (
+    AssumptionReport,
     Halfspace,
     _name_key,
     all_hyperplanes,
@@ -369,6 +370,8 @@ class PresentationRing:
     monomial_relations: list  # list of frozensets of generator names
     values: dict = field(repr=False)  # gen name -> CohomologyClass
     hyperplane_of: dict = field(default_factory=dict)
+    # the report the ring was built under; not part of the presentation
+    assumptions: AssumptionReport = field(default=None, repr=False)
 
     def to_dict(self):
         return {
@@ -426,7 +429,7 @@ def presentation_ring(
         )
         return PresentationRing(
             True, list(order), [], families, values,
-            {name: name for name in order},
+            {name: name for name in order}, report,
         )
     values = {"X": chi_class(g)}
     hyperplane_of = {}
@@ -448,7 +451,7 @@ def presentation_ring(
     ]
     families = minimal_empty_families(named_sets)
     return PresentationRing(
-        False, generators, linear, families, values, hyperplane_of
+        False, generators, linear, families, values, hyperplane_of, report
     )
 
 
@@ -568,8 +571,7 @@ def verify_iso(
     ring = presentation_ring(g, forgetful=forgetful, require_assumptions=False)
     if pieces is None:
         pieces = graded_pieces(g, max_degree, forgetful)
-    hyperplanes = all_hyperplanes(g)
-    assumptions = check_assumptions(g, hyperplanes)
+    assumptions = ring.assumptions
     view = _as_view(forgetful_graph(g) if forgetful else g)
     nvars = view.nvars
     vertex_order = list(view.vertices)

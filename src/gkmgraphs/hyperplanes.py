@@ -234,29 +234,46 @@ def nonempty_intersection_table(named_vertex_sets):
 
 
 def minimal_empty_families(named_vertex_sets):
-    """Inclusion-minimal name families whose members have no common vertex."""
-    nonempty = nonempty_intersection_table(named_vertex_sets)
+    """Inclusion-minimal nonempty name families whose members have no
+    common vertex, ordered by size and then by sorted names.
+
+    A family has no common vertex exactly when, for every vertex v, it
+    holds a name whose set misses v.  So the families sought are the
+    minimal transversals of the hypergraph whose edges are, per vertex,
+    the names that miss it.  Berge's incremental algorithm (Berge,
+    *Hypergraphs*, 1989) builds them edge by edge on bitmasks of names and
+    never lists a nonempty family.  One extra edge of all names, a vertex
+    in no set, rules out the empty family without changing the others; so
+    a name with an empty set comes out as a singleton, and with no
+    vertices at all every singleton does.
+    """
     names = sorted(named_vertex_sets)
-    out = set()
-    for fam, verts in nonempty.items():
-        idx = max(names.index(n) for n in fam)
-        for j in range(len(names)):
-            if names[j] in fam:
-                continue
-            cand = fam | {names[j]}
-            if cand in nonempty or j < idx:
-                # nonempty, or will be found from its own max-index parent
-                continue
-            if verts & frozenset(named_vertex_sets[names[j]]):
-                continue
-            if all(
-                (cand - {n}) in nonempty or len(cand) == 1 for n in cand
-            ):
-                out.add(cand)
-    for name in names:
-        if not named_vertex_sets[name]:
-            out.add(frozenset([name]))
-    return sorted(out, key=lambda f: (len(f), sorted(f)))
+    everything = (1 << len(names)) - 1
+    inside = {}  # vertex -> mask of the names whose set contains it
+    for i, name in enumerate(names):
+        for v in named_vertex_sets[name]:
+            inside[v] = inside.get(v, 0) | (1 << i)
+    edges = {everything & ~mask for mask in inside.values()} | {everything}
+    transversals = [0]
+    for edge in sorted(edges):
+        kept = [t for t in transversals if t & edge]
+        bits = [1 << i for i in range(len(names)) if edge >> i & 1]
+        # (t|x) & edge == x, so a kept transversal inside t|x holds x; two
+        # grown sets are never nested, so no second minimization is needed
+        holders = {x: [h for h in kept if h & x] for x in bits}
+        grown = [
+            t | x
+            for t in transversals
+            if not t & edge
+            for x in bits
+            if not any(h & (t | x) == h for h in holders[x])
+        ]
+        transversals = kept + grown
+    families = [
+        frozenset(names[i] for i in range(len(names)) if t >> i & 1)
+        for t in transversals
+    ]
+    return sorted(families, key=lambda f: (len(f), sorted(f)))
 
 
 # -- halfspaces -----------------------------------------------------------------

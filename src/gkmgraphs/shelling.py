@@ -21,7 +21,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import comb
 
 from .cohomology import thom_class_forgetful
@@ -38,6 +37,7 @@ from .hyperplanes import (
     _name_key,
     all_hyperplanes,
     choose_positive_halfspace,
+    minimal_empty_families,
     nonempty_intersection_table,
 )
 from .intlinalg import solve_integer, vec_sub
@@ -270,14 +270,7 @@ class ShellingContext:
     lambdas: dict  # name -> covector
     taus: dict  # name -> forgetful Thom class (CohomologyClass)
     orientation: dict  # name -> recorded normal dart of the positive side
-    min_nonfaces: list = None  # monomial ideal generators (as name sets)
-
-    def __post_init__(self):
-        if self.min_nonfaces is None:
-            self.min_nonfaces = [
-                frozenset(f)
-                for f in nonempty_families_complement(self.complex, self.names)
-            ]
+    min_nonfaces: list  # minimal non-faces: monomial ideal generators
 
     @property
     def ngens(self):
@@ -409,26 +402,6 @@ class FacetLocalizations:
         return value
 
 
-def nonempty_families_complement(complex_: SimplicialComplex, names):
-    """Minimal non-faces of the complex: supports that force a monomial
-    into the vanishing ideal.
-
-    Every face has at most dim + 1 members, so a minimal non-face, all of
-    whose proper subsets are faces, has at most dim + 2.
-    """
-    out = []
-    for size in range(1, min(len(names), complex_.dim + 2) + 1):
-        for c in combinations(sorted(names), size):
-            f = frozenset(c)
-            if f in complex_.faces:
-                continue
-            if all(
-                (f - {n}) in complex_.faces for n in f
-            ):
-                out.append(f)
-    return out
-
-
 def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
     """Discover hyperplanes, fix orientations, find a shelling.
 
@@ -455,8 +428,11 @@ def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
         taus[name] = thom_class_forgetful(g, by_name[name], pos)
         first = sorted(pos.normals)[0]
         orientation[name] = pos.normals[first]
+    min_nonfaces = minimal_empty_families(
+        {h.name: h.vertices for h in hyperplanes}
+    )
     return ShellingContext(
-        g, names, complex_, shelling, lambdas, taus, orientation
+        g, names, complex_, shelling, lambdas, taus, orientation, min_nonfaces
     )
 
 

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+import gkmgraphs.cli as cli
 import gkmgraphs.cohomology as cohomology
+import gkmgraphs.hyperplanes as hyperplanes
 from gkmgraphs.cli import main
 from gkmgraphs.fixtures import KlmSpec, gen_klm
 from gkmgraphs.graph import serialize
@@ -56,6 +58,7 @@ def test_malformed_field_is_a_json_error(tmp_path, capsys, field, value):
     result = json.loads(out)
     assert result["ok"] is False
     assert field in result["error"]
+    assert "internal" not in result
 
 
 def test_assumptions_exit_codes(capsys):
@@ -126,6 +129,47 @@ def test_verify_iso_solves_each_graded_piece_once(monkeypatch, capsys):
     assert sorted(calls) == [(0, False), (1, False), (2, False)]
 
 
+@pytest.mark.parametrize("forgetful", [False, True], ids=["full", "forgetful"])
+def test_verify_iso_finds_hyperplanes_and_assumptions_once(
+    monkeypatch, capsys, forgetful
+):
+    """The rank comparison reads the assumption report that the
+    presentation ring was built under."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("all_hyperplanes", "check_assumptions"):
+        wrapped = counting(name, getattr(hyperplanes, name))
+        monkeypatch.setattr(hyperplanes, name, wrapped)
+        monkeypatch.setattr(cohomology, name, wrapped)
+    argv = ["verify-iso", "--fixture", "fig2_left", "--max-degree", "2"]
+    code, _ = run(capsys, *argv, *(["--forgetful"] if forgetful else []))
+    assert code == 0
+    assert sorted(calls) == ["all_hyperplanes", "check_assumptions"]
+
+
+def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
+    def broken(args, parser):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code = main(["validate", "--fixture", "fig2_left"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {
+        "ok": False,
+        "error": "RuntimeError: simulated fault",
+        "internal": True,
+    }
+    assert "Traceback" in captured.err
+
+
 def run_reference(tmp_path, capsys, key):
     """Run one command of the benchmark reference, ``@KLM`` standing for
     the generated L(k,l,m) file, and compare exit code and stdout bytes."""
@@ -137,6 +181,7 @@ def run_reference(tmp_path, capsys, key):
             tok = str(path)
         argv.append(tok)
     code, out = run(capsys, *argv)
+    assert "internal" not in json.loads(out)
     ref = json.loads(REFERENCE.read_text())["commands"][key]
     assert code == ref["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
@@ -171,6 +216,21 @@ def test_shelling_output_matches_the_benchmark_reference(
 ):
     """Expansion on the cached facet localizations reproduces the recorded
     structure constants and coefficients byte for byte."""
+    run_reference(tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "verify-iso @322 --max-degree 3",
+        "verify-iso @433 --max-degree 1",
+        "verify-iso @555 --max-degree 2 --forgetful",
+    ],
+    ids=["L322", "L433", "L555-forgetful"],
+)
+def test_verify_output_matches_the_benchmark_reference(tmp_path, capsys, key):
+    """The presentation ring with its monomial ideal found as minimal
+    transversals reproduces the recorded rank comparison byte for byte."""
     run_reference(tmp_path, capsys, key)
 
 

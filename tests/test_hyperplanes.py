@@ -1,6 +1,10 @@
 """Hyperplane discovery, halfspace pairs, Thom classes, assumptions."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gkmgraphs.errors import AssumptionOneViolation, GkmError
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
@@ -257,6 +261,56 @@ def test_minimal_empty_families_on_disjoint_points():
     )
     assert all(len(f) == 2 for f in fams)
     assert len(fams) == 10  # all pairs of the five distinct points
+
+
+def _brute_minimal_empty_families(sets):
+    names = sorted(sets)
+
+    def empty(family):
+        return not frozenset.intersection(*(sets[n] for n in family))
+
+    return [
+        frozenset(c)
+        for size in range(1, len(names) + 1)
+        for c in combinations(names, size)
+        if empty(c)
+        and (size == 1 or not any(empty(set(c) - {n}) for n in c))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from("abcdefg"),
+        st.frozensets(st.integers(0, 5)),
+        max_size=7,
+    )
+)
+@example({"a": frozenset(), "b": frozenset({1})})
+@example({"a": frozenset(), "b": frozenset(), "c": frozenset()})
+def test_minimal_empty_families_match_the_enumeration_of_all_families(sets):
+    """Minimal transversals equal the inclusion-minimal families with no
+    common point, in (size, sorted names) order; a name with an empty set
+    is a singleton family and lies in no larger one."""
+    assert minimal_empty_families(sets) == _brute_minimal_empty_families(
+        sets
+    )
+
+
+def test_minimal_empty_families_of_the_halfspaces_of_l555():
+    """The full theory's monomial ideal on L(5,5,5), whose nonempty
+    halfspace families are far too many to list."""
+    g = gen_klm(KlmSpec(5, 5, 5))
+    sets = {}
+    for i, h in enumerate(all_hyperplanes(g)):
+        pos, neg = halfspace_pair(g, h)
+        sets[f"H{i + 1}"] = pos.vertices
+        sets[f"Hbar{i + 1}"] = neg.vertices
+    fams = minimal_empty_families(sets)
+    assert len(fams) == 155
+    assert all(
+        not frozenset.intersection(*(sets[n] for n in f)) for f in fams
+    )
 
 
 def test_choose_positive_halfspace_respects_metadata():

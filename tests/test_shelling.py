@@ -23,7 +23,6 @@ from gkmgraphs.shelling import (
     hilbert_rank,
     klm_canonical_order,
     module_basis,
-    nonempty_families_complement,
     ordinary_cohomology,
     relation_for_hyperplane,
     shelling_context,
@@ -195,7 +194,6 @@ def test_minimal_nonfaces_match_the_enumeration_of_all_subsets(name):
         and all(frozenset(c) - {n} in faces for n in c)
     ]
     assert brute
-    assert nonempty_families_complement(ctx.complex, ctx.names) == brute
     assert ctx.min_nonfaces == brute
 
 
