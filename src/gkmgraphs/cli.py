@@ -4,7 +4,8 @@ built-in fixture) and writes one JSON document to stdout.
 Exit status: 0 on success, 1 when a validation / assumption / verification
 check fails (the JSON names the failing check), 2 on usage errors.  Any
 other exception is reported as ``{"ok": false, "error": ..., "internal":
-true}`` with exit status 1 (its traceback goes to stderr).
+true}`` with exit status 1 (its traceback goes to stderr).  A reader of
+stdout that went away gives exit status 1 and nothing on stderr.
 """
 
 from __future__ import annotations
@@ -13,24 +14,11 @@ import argparse
 import json
 import sys
 
-from .cohomology import (
-    cohomology_basis,
-    graded_pieces,
-    kernel_forgetful_check,
-    verify_iso,
-)
 from .errors import AssumptionViolation, GkmError, NotShellable, ParseError
-from .fixtures import KlmSpec, fixture, gen_klm
-from .graph import load_graph, serialize, validate_axial
-from .hyperplanes import all_hyperplanes, check_assumptions
-from .polynomials import IntPolynomial, coords_varnames
-from .shelling import (
-    basis_monomial_name,
-    express_in_basis,
-    module_basis,
-    ordinary_cohomology,
-    shelling_context,
-)
+
+# Each command imports the package modules it calls, so a short command
+# such as ``validate`` or ``gen klm`` does not pay for loading the solver
+# and the shelling code.
 
 
 def _emit(obj, code=0):
@@ -41,6 +29,8 @@ def _emit(obj, code=0):
 
 def _read_graph(args, parser):
     if getattr(args, "fixture", None):
+        from .fixtures import fixture
+
         try:
             return fixture(args.fixture)
         except GkmError as exc:
@@ -54,6 +44,8 @@ def _read_graph(args, parser):
                 text = fh.read()
         except OSError as exc:
             parser.error(f"cannot read {source}: {exc}")
+    from .graph import load_graph
+
     return load_graph(text)
 
 
@@ -72,6 +64,8 @@ def _add_source(sub):
 
 
 def _poly_varnames(g):
+    from .polynomials import coords_varnames
+
     return coords_varnames(g.rank, False)
 
 
@@ -147,6 +141,8 @@ class _PolyParser:
         return p
 
     def _atom(self):
+        from .polynomials import IntPolynomial
+
         tok = self._next()
         if tok == "(":
             p = self._expr()
@@ -165,6 +161,8 @@ class _PolyParser:
 
 
 def cmd_validate(args, parser):
+    from .graph import validate_axial
+
     try:
         g = _read_graph(args, parser)
     except (ParseError, GkmError) as exc:
@@ -174,6 +172,8 @@ def cmd_validate(args, parser):
 
 
 def cmd_hyperplanes(args, parser):
+    from .hyperplanes import all_hyperplanes
+
     g = _read_graph(args, parser)
     hps = all_hyperplanes(g)
     return _emit(
@@ -193,6 +193,8 @@ def cmd_hyperplanes(args, parser):
 
 
 def cmd_assumptions(args, parser):
+    from .hyperplanes import check_assumptions
+
     g = _read_graph(args, parser)
     report = check_assumptions(g)
     out = report.to_dict()
@@ -206,8 +208,10 @@ def cmd_assumptions(args, parser):
 
 
 def cmd_cohomology(args, parser):
+    from .cohomology import cohomology_basis
+    from .polynomials import coords_varnames
+
     g = _read_graph(args, parser)
-    nvars = g.rank if args.forgetful else g.rank + 1
     varnames = coords_varnames(g.rank, not args.forgetful)
     degrees = {}
     for k in range(args.max_degree + 1):
@@ -226,6 +230,8 @@ def cmd_cohomology(args, parser):
 
 
 def cmd_verify_iso(args, parser):
+    from .cohomology import graded_pieces, kernel_forgetful_check, verify_iso
+
     g = _read_graph(args, parser)
     pieces = graded_pieces(g, args.max_degree, args.forgetful)
     try:
@@ -244,6 +250,8 @@ def cmd_verify_iso(args, parser):
 
 
 def _context_or_fail(g, parser):
+    from .shelling import shelling_context
+
     try:
         return shelling_context(g)
     except (AssumptionViolation, NotShellable, GkmError) as exc:
@@ -251,6 +259,8 @@ def _context_or_fail(g, parser):
 
 
 def cmd_basis(args, parser):
+    from .shelling import basis_monomial_name, module_basis
+
     g = _read_graph(args, parser)
     ctx = _context_or_fail(g, parser)
     if isinstance(ctx, Exception):
@@ -265,6 +275,8 @@ def cmd_basis(args, parser):
 
 
 def cmd_structure_constants(args, parser):
+    from .shelling import ordinary_cohomology
+
     g = _read_graph(args, parser)
     ctx = _context_or_fail(g, parser)
     if isinstance(ctx, Exception):
@@ -281,6 +293,8 @@ def cmd_structure_constants(args, parser):
 
 
 def cmd_express(args, parser):
+    from .shelling import express_in_basis
+
     g = _read_graph(args, parser)
     ctx = _context_or_fail(g, parser)
     if isinstance(ctx, Exception):
@@ -300,6 +314,9 @@ def cmd_express(args, parser):
 
 
 def cmd_gen_klm(args, parser):
+    from .fixtures import KlmSpec, gen_klm
+    from .graph import serialize
+
     try:
         g = gen_klm(KlmSpec(args.k, args.l, args.m))
     except GkmError as exc:
@@ -388,7 +405,24 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        code = _run(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away: point the descriptor at devnull,
+        # so that the flush at exit is quiet too, and fail with nothing on
+        # stderr (the recipe of the ``signal`` module documentation)
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args, parser):
+    try:
         return args.func(args, parser)
+    except BrokenPipeError:
+        raise
     except (ParseError, GkmError) as exc:
         return _emit({"ok": False, "error": str(exc)}, 1)
     except Exception as exc:

@@ -417,7 +417,9 @@ def presentation_ring(
     pos = {}
     neg = {}
     for name in order:
-        pos[name], neg[name] = choose_positive_halfspace(g, by_name[name])
+        pos[name], neg[name] = choose_positive_halfspace(
+            g, by_name[name], report.pairs[name]
+        )
     if forgetful:
         view = _as_view(forgetful_graph(g))
         values = {

@@ -4,9 +4,13 @@ arrangement family.
 The five figure fixtures ship as canonical JSON files under ``data/``.  The
 arrangement generator builds the graph from scratch: the direction of a dart
 fixes the non-residual part of its label, and the residual coefficients are
-the solution of an integer linear system collecting the pair, opposite and
-congruence constraints (pinned at the bottom-left vertex so that the
-(1,1,1) arrangement reproduces the triangle fixture).
+the unique solution of a sparse integer system collecting the pair,
+opposite and congruence constraints, pinned at the bottom-left vertex so
+that the (1,1,1) arrangement reproduces the triangle fixture.  Each row has
+at most three unknowns, so the system is solved by propagation, one
+unknown per row from the pinned vertex outwards, and every row is checked
+on the result.  ``local_model(n)`` and the line counts of ``gen_klm`` are
+capped, so an oversized request is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import GkmError, StructuralError
-from .graph import Dart, GkmGraph, load_graph
-from .intlinalg import is_multiple_of, solve_integer, vec_sub
+from .graph import Dart, GkmGraph, load_graph, validate_axial
+from .intlinalg import is_multiple_of, vec_sub
 
 FIXTURE_IDS = (
     "fig2_left",
@@ -29,12 +33,22 @@ FIXTURE_IDS = (
 
 _LOCAL_MODEL_RE = re.compile(r"^local_model\((\d+)\)$")
 
+# Size caps, refused up front: far above every test and benchmark input
+# (local_model(6), L(5,5,5)), and low enough that validating the largest
+# accepted graph takes seconds, not hours.
+LOCAL_MODEL_MAX_N = 32
+KLM_MAX_LINES = 30
+
 
 def fixture(fixture_id: str) -> GkmGraph:
     """Load a built-in graph by id (``fig2_left``, ..., ``local_model(n)``)."""
     m = _LOCAL_MODEL_RE.match(fixture_id)
     if m:
-        return local_model(int(m.group(1)))
+        digits = m.group(1).lstrip("0")
+        if len(digits) > len(str(LOCAL_MODEL_MAX_N)):
+            # refused before int(), which is itself slow on a huge string
+            raise GkmError(f"local model needs n <= {LOCAL_MODEL_MAX_N}")
+        return local_model(int(digits or "0"))
     if fixture_id not in FIXTURE_IDS:
         raise GkmError(
             f"unknown fixture {fixture_id!r}; known: "
@@ -53,6 +67,8 @@ def local_model(n: int) -> GkmGraph:
     """One vertex with 2n legs labeled e_1..e_n and x-e_1..x-e_n."""
     if n < 1:
         raise GkmError("local model needs n >= 1")
+    if n > LOCAL_MODEL_MAX_N:
+        raise GkmError(f"local model needs n <= {LOCAL_MODEL_MAX_N}")
     darts = []
     for i in range(n):
         plus = tuple(int(j == i) for j in range(n)) + (0,)
@@ -91,6 +107,8 @@ class KlmSpec:
     def __post_init__(self):
         if min(self.k, self.l, self.m) < 1:
             raise GkmError("k, l, m must all be at least 1")
+        if max(self.k, self.l, self.m) > KLM_MAX_LINES:
+            raise GkmError(f"k, l, m must all be at most {KLM_MAX_LINES}")
 
 
 class _Line:
@@ -127,6 +145,34 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
     """GKM graph of k horizontal, l vertical and m diagonal lines in
     general position, fully validated."""
     lines = _klm_lines(spec)
+    dart_dirs, dart_rows = _klm_darts(lines)
+    rows, rhs = _residual_system(lines, dart_dirs, dart_rows)
+    residual = solve_by_propagation(rows, rhs)
+    darts = []
+    for did in sorted(dart_dirs):
+        src, tgt, opp = dart_rows[did]
+        f1, f2 = _DIRECTIONS[dart_dirs[did]][1]
+        darts.append(Dart(did, src, tgt, opp, (f1, f2, residual[did])))
+    meta = {
+        "hyperplane_names": {
+            line.name: sorted(set(line.vertex_ids)) for line in lines
+        },
+        "positive_normals": _positive_normals(lines),
+    }
+    g = GkmGraph(2, darts, meta=meta)
+    g.connection  # derive and cache so serialization carries it
+    report = validate_axial(g)
+    if not report.ok:
+        raise StructuralError(
+            "generated arrangement graph fails validation: "
+            + ", ".join(report.failed_checks())
+        )
+    return g
+
+
+def _klm_darts(lines):
+    """Direction suffix and (source, target, opposite) of every dart, both
+    keyed by dart id."""
     dart_dirs = {}  # dart id -> direction suffix
     dart_rows = {}  # dart id -> (source, target, opposite)
     for line in lines:
@@ -148,29 +194,7 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
                 prv,
                 f"{prv}:{line.plus}" if prv else None,
             )
-    residual = _solve_residual_coefficients(lines, dart_dirs, dart_rows)
-    darts = []
-    for did in sorted(dart_dirs):
-        src, tgt, opp = dart_rows[did]
-        f1, f2 = _DIRECTIONS[dart_dirs[did]][1]
-        darts.append(Dart(did, src, tgt, opp, (f1, f2, residual[did])))
-    meta = {
-        "hyperplane_names": {
-            line.name: sorted(set(line.vertex_ids)) for line in lines
-        },
-        "positive_normals": _positive_normals(lines),
-    }
-    g = GkmGraph(2, darts, meta=meta)
-    g.connection  # derive and cache so serialization carries it
-    from .graph import validate_axial
-
-    report = validate_axial(g)
-    if not report.ok:
-        raise StructuralError(
-            "generated arrangement graph fails validation: "
-            + ", ".join(report.failed_checks())
-        )
-    return g
+    return dart_dirs, dart_rows
 
 
 def _positive_normals(lines):
@@ -197,19 +221,28 @@ def _positive_normals(lines):
     return out
 
 
-def _solve_residual_coefficients(lines, dart_dirs, dart_rows):
-    """Residual (x) coefficients of all darts, as the solution of the
-    integer system of pair, opposite and congruence constraints."""
-    index = {did: i for i, did in enumerate(sorted(dart_dirs))}
+def _residual_system(lines, dart_dirs, dart_rows):
+    """The sparse system of pair, opposite and congruence constraints on
+    the residual (x) coefficients of all darts: rows ``{dart id:
+    coefficient}`` and their right-hand sides.
+
+    Every row has at most three unknowns, and the two pin rows fix the
+    bottom-left vertex; from there some row always has one open unknown,
+    so ``solve_by_propagation`` finds the unique solution one unknown per
+    row, with no dense elimination.
+    """
     rows, rhs = [], []
 
     def row(entries, b):
-        r = [0] * len(index)
+        r = {}
         for did, c in entries:
-            r[index[did]] += c
-        rows.append(r)
+            r[did] = r.get(did, 0) + c
+        rows.append({did: c for did, c in r.items() if c})
         rhs.append(b)
 
+    darts_at = {}  # vertex -> its dart ids
+    for did, (src, _, _) in dart_rows.items():
+        darts_at.setdefault(src, []).append(did)
     for line in lines:
         for v in line.vertex_ids:
             row([(f"{v}:{line.plus}", 1), (f"{v}:{line.minus}", 1)], 1)
@@ -223,12 +256,8 @@ def _solve_residual_coefficients(lines, dart_dirs, dart_rows):
         w = forget[eid]
         tangent_at_src = {eid, _sibling(eid, src, dart_dirs)}
         tangent_at_tgt = {opp, _sibling(opp, tgt, dart_dirs)}
-        cross_src = [
-            d for d in dart_dirs if dart_rows[d][0] == src and d not in tangent_at_src
-        ]
-        cross_tgt = [
-            d for d in dart_dirs if dart_rows[d][0] == tgt and d not in tangent_at_tgt
-        ]
+        cross_src = [d for d in darts_at[src] if d not in tangent_at_src]
+        cross_tgt = [d for d in darts_at[tgt] if d not in tangent_at_tgt]
         for d in cross_src:
             images = [
                 d2
@@ -247,11 +276,55 @@ def _solve_residual_coefficients(lines, dart_dirs, dart_rows):
     row([(f"{first_x.vertex_ids[0]}:{first_x.plus}", 1)], 0)
     first_y = next(ln for ln in lines if ln.kind == "Y")
     row([(f"{first_y.vertex_ids[0]}:{first_y.plus}", 1)], 0)
+    return rows, rhs
 
-    sol = solve_integer(rows, rhs)
-    if sol is None:
-        raise StructuralError("residual coefficient system has no solution")
-    return {did: sol[i] for did, i in index.items()}
+
+def solve_by_propagation(rows, rhs):
+    """The unique integer solution of the sparse rows ``{unknown:
+    coefficient}`` = ``rhs``, keyed by unknown.
+
+    A row with exactly one open unknown fixes it by exact division; the
+    rows it appears in lose one open unknown, and the rows left with one
+    go on the stack (a sparse triangular solve; Davis, *Direct Methods for
+    Sparse Linear Systems*, 2006, ch. 3).  When every unknown is fixed
+    this way the pivot rows form a triangular system, so the solution is
+    unique.  Raises StructuralError when a division leaves a remainder,
+    when propagation stalls with an unknown still open, or when any row
+    fails on the solution.
+    """
+    rows_of = {}  # unknown -> indices of the rows it appears in
+    for i, r in enumerate(rows):
+        for u in r:
+            rows_of.setdefault(u, []).append(i)
+    open_count = [len(r) for r in rows]
+    rest = list(rhs)  # right-hand side minus the fixed unknowns' part
+    stack = [i for i, c in enumerate(open_count) if c == 1]
+    sol = {}
+    while stack:
+        i = stack.pop()
+        if open_count[i] != 1:
+            continue  # its last unknown was fixed through another row
+        u = next(u for u in rows[i] if u not in sol)
+        q, r = divmod(rest[i], rows[i][u])
+        if r:
+            raise StructuralError(
+                f"residual coefficient system has no integer solution at {u}"
+            )
+        sol[u] = q
+        for j in rows_of[u]:
+            rest[j] -= rows[j][u] * q
+            open_count[j] -= 1
+            if open_count[j] == 1:
+                stack.append(j)
+    if len(sol) != len(rows_of):
+        raise StructuralError(
+            "residual coefficient system is not determined by propagation "
+            f"({len(rows_of) - len(sol)} unknowns left open)"
+        )
+    for r, b in zip(rows, rhs):
+        if sum(c * sol[u] for u, c in r.items()) != b:
+            raise StructuralError("residual coefficient system has no solution")
+    return sol
 
 
 def _sibling(dart_id, vertex, dart_dirs):

@@ -151,13 +151,24 @@ def _name_key(name):
 
 
 def all_hyperplanes(g: GkmGraph):
-    """All hyperplanes, deduplicated and deterministically named."""
+    """All hyperplanes, deduplicated and deterministically named.
+
+    Seeds are every (vertex, pair); one closure runs per hyperplane.  A
+    seed (w, p) is skipped when a hyperplane already found keeps exactly
+    the darts at w outside p: by the uniqueness of ``hyperplane_through``
+    its closure would rebuild that hyperplane, through the same checks.
+    """
     dec = pair_decomposition(g)
     seen = {}
+    covered = set()  # (vertex, excluded darts) of the hyperplanes found
     for v in g.vertices:
         for pair in dec.pairs[v]:
+            if (v, frozenset(pair)) in covered:
+                continue
             h = hyperplane_through(g, v, pair)
             seen.setdefault(h.label, h)
+            for w in h.vertices:
+                covered.add((w, frozenset(g.darts_at(w)) - h.dart_ids))
     ordered = sorted(seen.values(), key=Hyperplane.sort_key)
     names = g.meta.get("hyperplane_names") or {}
     by_vertexset = {frozenset(vs): name for name, vs in names.items()}
@@ -600,15 +611,16 @@ def assert_class_congruences(g: GkmGraph, values):
             )
 
 
-def choose_positive_halfspace(g: GkmGraph, hyperplane: Hyperplane):
+def choose_positive_halfspace(g: GkmGraph, hyperplane: Hyperplane, pair=None):
     """Fix the orientation of a hyperplane's halfspace pair.
 
     Graphs generated from arrangements carry the choice in their metadata;
     otherwise the sort-order first halfspace is the positive one.  The
     Thom class of the hyperplane flips sign with this choice, so reports
-    record which convention was used.
+    record which convention was used.  ``pair`` is the hyperplane's
+    ``halfspace_pair`` when the caller has already built it.
     """
-    pos, neg = halfspace_pair(g, hyperplane)
+    pos, neg = pair if pair is not None else halfspace_pair(g, hyperplane)
     recorded = (g.meta.get("positive_normals") or {}).get(hyperplane.name)
     if recorded is not None:
         if recorded in neg.normals.values():
@@ -628,6 +640,9 @@ def choose_positive_halfspace(g: GkmGraph, hyperplane: Hyperplane):
 class AssumptionReport:
     assumption1: dict
     assumption2: dict
+    # hyperplane name -> its halfspace_pair, for the hyperplanes that pass
+    # assumption (1); kept for the caller, not part of the report
+    pairs: dict = field(default_factory=dict, repr=False)
 
     @property
     def ok1(self):
@@ -655,9 +670,10 @@ def check_assumptions(g: GkmGraph, hyperplanes=None) -> AssumptionReport:
     if hyperplanes is None:
         hyperplanes = all_hyperplanes(g)
     a1 = {}
+    pairs = {}
     for h in hyperplanes:
         try:
-            halfspace_pair(g, h)
+            pairs[h.name] = halfspace_pair(g, h)
             a1[h.name] = {"ok": True}
         except AssumptionOneViolation as exc:
             a1[h.name] = {"ok": False, "check": exc.check, "reason": str(exc)}
@@ -679,4 +695,4 @@ def check_assumptions(g: GkmGraph, hyperplanes=None) -> AssumptionReport:
                 "components": inter.component_count,
                 "vertices": sorted(inter.vertices),
             }
-    return AssumptionReport(a1, a2)
+    return AssumptionReport(a1, a2, pairs)

@@ -1,20 +1,42 @@
 """CLI surface: subcommands, exit codes, byte-stable JSON output."""
 
 import hashlib
+import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gkmgraphs
 import gkmgraphs.cli as cli
 import gkmgraphs.cohomology as cohomology
+import gkmgraphs.fixtures as fixtures
 import gkmgraphs.hyperplanes as hyperplanes
 from gkmgraphs.cli import main
 from gkmgraphs.fixtures import KlmSpec, gen_klm
 from gkmgraphs.graph import serialize
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+SRC = Path(gkmgraphs.__file__).resolve().parents[1]
+
+
+def run_child(args, stdout=subprocess.PIPE, **kwargs):
+    """Run ``python`` with the package's source tree on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        **kwargs,
+    )
 
 
 def run(capsys, *argv):
@@ -134,24 +156,28 @@ def test_verify_iso_finds_hyperplanes_and_assumptions_once(
     monkeypatch, capsys, forgetful
 ):
     """The rank comparison reads the assumption report that the
-    presentation ring was built under."""
+    presentation ring was built under, and the ring orients the halfspace
+    pairs that the report built: one ``halfspace_pair`` per hyperplane."""
     calls = []
 
     def counting(name, real):
         def wrapper(*args, **kwargs):
-            calls.append(name)
+            calls.append(name if name != "halfspace_pair" else args[1].name)
             return real(*args, **kwargs)
 
         return wrapper
 
-    for name in ("all_hyperplanes", "check_assumptions"):
+    for name in ("all_hyperplanes", "check_assumptions", "halfspace_pair"):
         wrapped = counting(name, getattr(hyperplanes, name))
         monkeypatch.setattr(hyperplanes, name, wrapped)
-        monkeypatch.setattr(cohomology, name, wrapped)
+        if hasattr(cohomology, name):
+            monkeypatch.setattr(cohomology, name, wrapped)
     argv = ["verify-iso", "--fixture", "fig2_left", "--max-degree", "2"]
     code, _ = run(capsys, *argv, *(["--forgetful"] if forgetful else []))
     assert code == 0
-    assert sorted(calls) == ["all_hyperplanes", "check_assumptions"]
+    assert sorted(calls) == [
+        "L1", "L2", "L3", "all_hyperplanes", "check_assumptions"
+    ]
 
 
 def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
@@ -170,17 +196,23 @@ def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
     assert "Traceback" in captured.err
 
 
-def run_reference(tmp_path, capsys, key):
+def run_reference(tmp_path, capsys, key, monkeypatch=None):
     """Run one command of the benchmark reference, ``@KLM`` standing for
-    the generated L(k,l,m) file, and compare exit code and stdout bytes."""
-    argv = []
-    for tok in shlex.split(key):
-        if tok.startswith("@"):
-            path = tmp_path / f"L{tok[1:]}.json"
-            path.write_text(serialize(gen_klm(KlmSpec(*map(int, tok[1:])))))
-            tok = str(path)
-        argv.append(tok)
-    code, out = run(capsys, *argv)
+    the generated L(k,l,m) file, and compare exit code and stdout bytes.
+    A key ``A | B`` feeds the stdout of ``A`` to ``B`` on stdin (through
+    ``monkeypatch``)."""
+    out = ""
+    for stage in key.split(" | "):
+        argv = []
+        for tok in shlex.split(stage):
+            if tok.startswith("@"):
+                path = tmp_path / f"L{tok[1:]}.json"
+                path.write_text(serialize(gen_klm(KlmSpec(*map(int, tok[1:])))))
+                tok = str(path)
+            argv.append(tok)
+        if out:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        code, out = run(capsys, *argv)
     assert "internal" not in json.loads(out)
     ref = json.loads(REFERENCE.read_text())["commands"][key]
     assert code == ref["exit"]
@@ -232,6 +264,90 @@ def test_verify_output_matches_the_benchmark_reference(tmp_path, capsys, key):
     """The presentation ring with its monomial ideal found as minimal
     transversals reproduces the recorded rank comparison byte for byte."""
     run_reference(tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "gen klm --k 5 --l 5 --m 5",
+        "hyperplanes @555",
+        "assumptions @555",
+        "validate @555",
+        "gen klm --k 2 --l 1 --m 2 | basis",
+    ],
+    ids=["gen555", "hyperplanes555", "assumptions555", "validate555", "gen212-basis"],
+)
+def test_front_output_matches_the_benchmark_reference(
+    tmp_path, capsys, monkeypatch, key
+):
+    """The generator's propagated residual coefficients and the hyperplanes
+    found with one closure each reproduce the recorded output byte for
+    byte."""
+    run_reference(tmp_path, capsys, key, monkeypatch)
+
+
+def test_short_commands_load_only_what_they_call(tmp_path):
+    """Neither importing the CLI nor ``validate`` on a file loads the
+    solver, polynomial, hyperplane or shelling code."""
+    path = tmp_path / "L212.json"
+    path.write_text(serialize(gen_klm(KlmSpec(2, 1, 2))))
+    script = (
+        "import io, json, sys\n"
+        "import gkmgraphs.cli as cli\n"
+        "loaded = [sorted(sys.modules)]\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = cli.main(['validate', sys.argv[1]])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps([code, loaded[0], sorted(sys.modules)]))\n"
+    )
+    child = run_child(["-c", script, str(path)], text=True, check=True)
+    code, at_import, after_validate = json.loads(child.stdout)
+    assert code == 0
+    for name in ("cohomology", "shelling", "polynomials", "hyperplanes"):
+        assert f"gkmgraphs.{name}" not in at_import
+        assert f"gkmgraphs.{name}" not in after_validate
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--fixture", "local_model(6)"],
+        ["assumptions", "--fixture", "fig2_right"],
+        ["gen", "klm", "--k", "2", "--l", "1", "--m", "2"],
+    ],
+    ids=["validate", "assumptions-failing", "gen"],
+)
+def test_a_closed_stdout_is_not_a_traceback(argv):
+    """A reader that went away before the output was written: exit 1 and
+    nothing on stderr, not a chain of BrokenPipeError tracebacks."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = run_child(["-m", "gkmgraphs.cli", *argv], stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 1
+    assert child.stderr == b""
+
+
+def test_oversized_inputs_are_refused_up_front(monkeypatch, capsys):
+    """Sizes above the caps are usage errors, raised before any dart is
+    built."""
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(fixtures, "Dart", no_building)
+    n = fixtures.LOCAL_MODEL_MAX_N + 1
+    top = str(fixtures.KLM_MAX_LINES + 1)
+    for argv in (
+        ["validate", "--fixture", f"local_model({n})"],
+        ["gen", "klm", "--k", "1", "--l", top, "--m", "1"],
+    ):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 2
+    assert "at most" in capsys.readouterr().err
 
 
 def test_gen_klm_roundtrip_through_file(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Built-in fixtures and the arrangement generator."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
-from gkmgraphs.errors import GkmError
+import gkmgraphs.fixtures as fixtures
+from gkmgraphs.errors import GkmError, StructuralError
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
 from gkmgraphs.graph import validate_axial
+from gkmgraphs.intlinalg import lattice_rank, solve_integer
 
 
 def label_preserving_isomorphism(a, b):
@@ -102,3 +104,55 @@ def test_klm_metadata_names_cover_all_lines():
     for name, verts in names.items():
         assert all(name in v.split(".") for v in verts)
     assert sorted(g.meta["positive_normals"]) == sorted(names)
+
+
+def test_fixture_sizes_are_capped():
+    n = fixtures.LOCAL_MODEL_MAX_N
+    assert len(local_model(n).leg_ids()) == 2 * n
+    for fid in (f"local_model({n + 1})", "local_model(" + "9" * 5000 + ")"):
+        with pytest.raises(GkmError, match=f"n <= {n}"):
+            fixture(fid)
+    top = fixtures.KLM_MAX_LINES
+    KlmSpec(top, top, top)
+    for spec in ((top + 1, 1, 1), (1, 1, top + 1)):
+        with pytest.raises(GkmError, match=f"at most {top}"):
+            KlmSpec(*spec)
+
+
+def residual_system(spec):
+    lines = fixtures._klm_lines(spec)
+    dart_dirs, dart_rows = fixtures._klm_darts(lines)
+    rows, rhs = fixtures._residual_system(lines, dart_dirs, dart_rows)
+    return sorted(dart_dirs), rows, rhs
+
+
+def dense(unknowns, rows):
+    return [[r.get(u, 0) for u in unknowns] for r in rows]
+
+
+def test_propagation_matches_the_dense_solve():
+    """On every L(k,l,m) with k, l, m <= 4 the propagated residual
+    coefficients are the integer solution of the dense system."""
+    for spec in product(range(1, 5), repeat=3):
+        unknowns, rows, rhs = residual_system(KlmSpec(*spec))
+        sol = fixtures.solve_by_propagation(rows, rhs)
+        assert tuple(sol[u] for u in unknowns) == solve_integer(
+            dense(unknowns, rows), rhs
+        ), spec
+
+
+def test_propagation_refuses_a_system_without_a_unique_solution():
+    unknowns, rows, rhs = residual_system(KlmSpec(2, 1, 2))
+    # inconsistent: the first pair row asks for a residual sum of 2
+    bumped = [rhs[0] + 1] + rhs[1:]
+    assert solve_integer(dense(unknowns, rows), bumped) is None
+    with pytest.raises(StructuralError):
+        fixtures.solve_by_propagation(rows, bumped)
+    # underdetermined: without the two pin rows the kernel is nonzero
+    free, free_rhs = rows[:-2], rhs[:-2]
+    assert lattice_rank(dense(unknowns, free)) < len(unknowns)
+    with pytest.raises(StructuralError, match="not determined"):
+        fixtures.solve_by_propagation(free, free_rhs)
+    # no integer solution: a division with a remainder
+    with pytest.raises(StructuralError, match="no integer solution"):
+        fixtures.solve_by_propagation([{"a": 2}], [1])

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gkmgraphs.hyperplanes as hyperplanes
 from gkmgraphs.errors import AssumptionOneViolation, GkmError
-from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
+from gkmgraphs.fixtures import (
+    FIXTURE_IDS,
+    KlmSpec,
+    fixture,
+    gen_klm,
+    local_model,
+)
 from gkmgraphs.graph import pair_decomposition
 from gkmgraphs.hyperplanes import (
     Halfspace,
+    Hyperplane,
     all_hyperplanes,
     check_assumptions,
     choose_positive_halfspace,
@@ -91,6 +99,38 @@ def test_hyperplane_uniqueness_from_any_seed():
             seen.setdefault(h.label, set()).add((h.vertices, h.dart_ids))
     assert len(seen) == 5
     assert all(len(s) == 1 for s in seen.values())
+
+
+@pytest.mark.parametrize(
+    "source",
+    list(FIXTURE_IDS) + ["111", "212", "222", "322", "333", "433", "444"],
+)
+def test_all_hyperplanes_runs_one_closure_per_hyperplane(monkeypatch, source):
+    """Skipping the seeds of hyperplanes already found leaves the list of
+    the exhaustive seed loop unchanged, with one closure per hyperplane."""
+    if source.isdigit():
+        g = gen_klm(KlmSpec(*map(int, source)))
+    else:
+        g = fixture(source)
+    dec = pair_decomposition(g)
+    exhaustive = {}
+    for v in g.vertices:
+        for pair in dec.pairs[v]:
+            h = hyperplane_through(g, v, pair)
+            exhaustive.setdefault(h.label, h)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return hyperplane_through(*args)
+
+    monkeypatch.setattr(hyperplanes, "hyperplane_through", counting)
+    found = all_hyperplanes(g)
+    assert len(calls) == len(found)
+    assert [(h.label, h.vertices, h.dart_ids) for h in found] == [
+        (h.label, h.vertices, h.dart_ids)
+        for h in sorted(exhaustive.values(), key=Hyperplane.sort_key)
+    ]
 
 
 def test_halfspace_pair_thom_values_on_the_vertical_line():
