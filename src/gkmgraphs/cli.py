@@ -63,6 +63,19 @@ def _add_source(sub):
     )
 
 
+def _degree(text):
+    """The ``--max-degree`` type: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, not {text!r}"
+        )
+    return value
+
+
 def _poly_varnames(g):
     from .polynomials import coords_varnames
 
@@ -356,7 +369,7 @@ def build_parser():
         "cohomology", help="graded ranks and bases from the congruence solver"
     )
     _add_source(p)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_degree, default=4)
     p.add_argument("--forgetful", action="store_true")
     p.set_defaults(func=cmd_cohomology)
 
@@ -365,7 +378,7 @@ def build_parser():
         help="compare solver ranks with the presentation ring degreewise",
     )
     _add_source(p)
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_degree, default=4)
     p.add_argument("--forgetful", action="store_true")
     p.set_defaults(func=cmd_verify_iso)
 

@@ -32,7 +32,7 @@ from .hyperplanes import (
 from .intlinalg import (
     hermite_normal_form,
     kernel_basis,
-    rank_ffge,
+    rank,
     same_lattice,
 )
 from .polynomials import IntPolynomial, graded_piece_basis
@@ -523,7 +523,7 @@ def _ideal_rank_full(rels, ngens, k):
             for mm, c in shift.items():
                 row[mono_index[mm]] = c
             rows.append(row)
-    return rank_ffge(rows) if rows else 0
+    return rank(rows)
 
 
 def _evaluate_monomials(gen_values, vertex_order, nvars, k):
@@ -607,7 +607,7 @@ def verify_iso(
             pres_rank = nmono - ideal_rank
             evaluated = _evaluate_monomials(gen_values, vertex_order, nvars, k)
             vectors = [vec for _, vec in evaluated]
-        image_rank = rank_ffge(vectors) if vectors else 0
+        image_rank = rank(vectors)
         per_degree[k] = {
             "solver_rank": solver_rank,
             "presentation_rank": pres_rank,

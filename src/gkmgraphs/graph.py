@@ -227,14 +227,18 @@ def serialize(g: GkmGraph) -> str:
     return json.dumps(g.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
+def _is_int(value) -> bool:
+    """Is ``value`` a JSON integer?  JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def graph_from_dict(obj) -> GkmGraph:
     for key in ("rank", "vertices", "darts"):
         if key not in obj:
             raise ParseError(f"missing field {key!r}", field=key)
-    try:
-        rank = int(obj["rank"])
-    except (TypeError, ValueError):
-        raise ParseError("rank must be an integer", field="rank") from None
+    rank = obj["rank"]
+    if not _is_int(rank):
+        raise ParseError("rank must be an integer", field="rank")
     for key in ("vertices", "darts"):
         if not isinstance(obj[key], list):
             raise ParseError(f"{key} must be an array", field=key)
@@ -249,6 +253,9 @@ def graph_from_dict(obj) -> GkmGraph:
     darts = []
     for i, rec in enumerate(obj["darts"]):
         try:
+            axial = rec["axial"]
+            if not isinstance(axial, list) or not all(map(_is_int, axial)):
+                raise TypeError("axial must be an array of integers")
             darts.append(
                 Dart(
                     id=str(rec["id"]),
@@ -259,7 +266,7 @@ def graph_from_dict(obj) -> GkmGraph:
                         if rec.get("opposite") is None
                         else str(rec["opposite"])
                     ),
-                    axial=tuple(int(a) for a in rec["axial"]),
+                    axial=tuple(axial),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,10 +1,14 @@
 """Exact linear algebra over the integers.
 
-Matrices are plain ``list[list[int]]`` in row-major order and vectors are
-tuples of python ints, so every computation is arbitrary precision.  The two
-workhorses are the row Hermite normal form (with optional unimodular
-transform) and a fraction-free echelon rank; kernels, solving and lattice
-membership are built on top of them.
+The public functions take plain ``list[list[int]]`` matrices in row-major
+order and return lists, or tuples for vectors, of python ints, so every
+computation is arbitrary precision.  Inside, one routine does all the work:
+integer row echelon form on sparse rows (``{column: value}`` dicts with a
+column -> rows index for the pivot search), in the manner of sparse integer
+elimination (Dumas, Saunders and Villard 2001).  The matrices of the solver
+are mostly zeros, and sparse rows never touch them.  The Hermite normal
+form (with optional unimodular transform), kernels, exact rank, solving
+and lattice comparison are built on it.
 """
 
 from __future__ import annotations
@@ -44,6 +48,116 @@ def _check_rect(rows):
                 raise DimensionError("ragged matrix")
 
 
+def _sparse(rows):
+    return [{j: a for j, a in enumerate(r) if a} for r in rows]
+
+
+def _dense(row, ncols):
+    out = [0] * ncols
+    for j, a in row.items():
+        out[j] = a
+    return out
+
+
+def _identity(n):
+    return [{i: 1} for i in range(n)]
+
+
+def _subtract(row, q, pivot, i=None, index=None):
+    """row -= q * pivot, in place, on sparse rows, for q != 0; with
+    ``index`` (column -> numbers of the rows nonzero there), keep it up to
+    date for row i."""
+    for j, b in pivot.items():
+        a = row.get(j, 0) - q * b
+        if a:
+            if index is not None and j not in row:
+                index[j].add(i)
+            row[j] = a
+        else:
+            del row[j]
+            if index is not None:
+                index[j].discard(i)
+
+
+def _echelon(rows, ncols, track=None, reduce=True):
+    """Row echelon form of the sparse rows, in place.
+
+    Column by column, the row with the smallest absolute value in the
+    column (the first in the current row order on a tie) is moved up to
+    the pivot position and every other row below the pivots is reduced by
+    it, until only one nonzero is left there: a gcd computation spread
+    over the rows.  Pivots end positive.  With ``reduce``, the entries
+    above each pivot are then reduced into [0, pivot), which makes the
+    result the Hermite normal form.  The rows of ``track`` undergo the
+    same row operations, so the identity becomes the unimodular transform.
+
+    Returns ``(order, rank)``: ``order`` lists the row numbers in echelon
+    order, and its first ``rank`` rows are the nonzero ones.
+    """
+    m = len(rows)
+    # Rows stay where they are stored; their positions are swapped as in
+    # dense elimination and break ties.  So the transform, which is not
+    # unique when the rank is deficient, and the solution that
+    # ``solve_integer`` picks are those of dense elimination.
+    order = list(range(m))  # order[k]: the row at position k
+    place = list(range(m))  # place[i]: the position of row i
+    index = {}  # column -> the rows below the pivots nonzero there
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in index:
+                index[j].add(i)
+            else:
+                index[j] = {i}
+    rank = 0
+    pivot_cols = []
+    for col in range(ncols):
+        if rank == m:
+            break
+        below = index.get(col)
+        if not below:
+            continue
+        while True:
+            best = min(below, key=lambda i: (abs(rows[i][col]), place[i]))
+            k, other = place[best], order[rank]
+            order[rank], order[k] = best, other
+            place[best], place[other] = rank, k
+            if len(below) == 1:
+                break
+            pivot = rows[best]
+            p = pivot[col]
+            for i in [i for i in below if i != best]:
+                q = rows[i][col] // p
+                _subtract(rows[i], q, pivot, i, index)
+                if track is not None:
+                    _subtract(track[i], q, track[best])
+        pivot = rows[best]
+        for j in pivot:
+            index[j].discard(best)
+        if pivot[col] < 0:
+            for j in pivot:
+                pivot[j] = -pivot[j]
+            if track is not None:
+                t = track[best]
+                for j in t:
+                    t[j] = -t[j]
+        pivot_cols.append(col)
+        rank += 1
+    if reduce:
+        # from the last pivot row up, so that each row is reduced by rows
+        # that are final already: far fewer row operations than reducing
+        # at each pivot as it is found, and the same (unique) result
+        for t in range(rank - 2, -1, -1):
+            i = order[t]
+            row = rows[i]
+            for col, j in zip(pivot_cols[t + 1 :], order[t + 1 : rank]):
+                q = row.get(col, 0) // rows[j][col]
+                if q:
+                    _subtract(row, q, rows[j])
+                    if track is not None:
+                        _subtract(track[i], q, track[j])
+    return order, rank
+
+
 def hermite_normal_form(rows, transform=False):
     """Row Hermite normal form of an integer matrix.
 
@@ -55,101 +169,46 @@ def hermite_normal_form(rows, transform=False):
     """
     _check_rect(rows)
     m = len(rows)
-    h = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)] if transform else None
-    pivot_row = 0
-    ncols = len(h[0]) if m else 0
-    for col in range(ncols):
-        if pivot_row == m:
-            break
-        # eliminate column `col` below pivot_row by repeated smallest-pivot
-        # reduction (a gcd computation spread over the rows)
-        while True:
-            candidates = [i for i in range(pivot_row, m) if h[i][col] != 0]
-            if not candidates:
-                break
-            best = min(candidates, key=lambda i: abs(h[i][col]))
-            if best != pivot_row:
-                h[pivot_row], h[best] = h[best], h[pivot_row]
-                if transform:
-                    u[pivot_row], u[best] = u[best], u[pivot_row]
-            p = h[pivot_row][col]
-            done = True
-            for i in range(pivot_row + 1, m):
-                if h[i][col] != 0:
-                    q = h[i][col] // p
-                    h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                    if transform:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-                    if h[i][col] != 0:
-                        done = False
-            if done:
-                break
-        if h[pivot_row][col] != 0:
-            if h[pivot_row][col] < 0:
-                h[pivot_row] = [-a for a in h[pivot_row]]
-                if transform:
-                    u[pivot_row] = [-a for a in u[pivot_row]]
-            p = h[pivot_row][col]
-            for i in range(pivot_row):
-                q = h[i][col] // p
-                if q:
-                    h[i] = [a - q * b for a, b in zip(h[i], h[pivot_row])]
-                    if transform:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
-            pivot_row += 1
+    ncols = len(rows[0]) if m else 0
+    h = _sparse(rows)
+    u = _identity(m) if transform else None
+    order, _ = _echelon(h, ncols, u)
+    hnf = [_dense(h[i], ncols) for i in order]
     if transform:
-        return h, u
-    return h
+        return hnf, [_dense(u[i], m) for i in order]
+    return hnf
 
 
 def hnf_nonzero_rows(rows):
-    return [r for r in hermite_normal_form(rows) if any(a != 0 for a in r)]
+    _check_rect(rows)
+    ncols = len(rows[0]) if rows else 0
+    h = _sparse(rows)
+    order, rank = _echelon(h, ncols)
+    return [_dense(h[i], ncols) for i in order[:rank]]
+
+
+def rank(rows) -> int:
+    """Exact rank of an integer matrix."""
+    _check_rect(rows)
+    if not rows:
+        return 0
+    return _echelon(_sparse(rows), len(rows[0]), reduce=False)[1]
 
 
 def lattice_rank(vectors) -> int:
-    """Rank of the subgroup of Z^n generated by the given vectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    _check_rect(vectors)
-    return len(hnf_nonzero_rows(vectors))
-
-
-def rank_ffge(rows) -> int:
-    """Matrix rank by fraction-free (Bareiss) Gaussian elimination.
-
-    Independent of the HNF code path on purpose: it doubles as an oracle in
-    the tests and as the cheap rank routine for wide matrices.
-    """
-    _check_rect(rows)
-    a = [list(r) for r in rows if any(x != 0 for x in r)]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        for i in range(rank + 1, len(a)):
-            row = a[i]
-            f = row[col]
-            a[i] = [(p * row[j] - f * a[rank][j]) // prev for j in range(ncols)]
-        prev = p
-        rank += 1
-        if rank == len(a):
-            break
-    return rank
+    """Rank of the subgroup of Z^n generated by the given vectors: the rank
+    of the matrix with these rows."""
+    return rank(list(vectors))
 
 
 def kernel_basis(rows, ncols=None):
     """Z-basis of {v : M v = 0}, Hermite-reduced, as a list of tuples.
 
-    ``ncols`` is required when the matrix has no rows.
+    The transpose is brought to echelon form with its transform U; the
+    rows of U at the zero rows of the echelon form span the kernel.  Any
+    unimodular U gives the same kernel lattice, so this elimination skips
+    the reduction above the pivots, and only the kernel is reduced to its
+    Hermite form.  ``ncols`` is required when the matrix has no rows.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -158,13 +217,11 @@ def kernel_basis(rows, ncols=None):
         return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     _check_rect(rows)
     n = len(rows[0])
-    transposed = [[rows[i][j] for i in range(len(rows))] for j in range(n)]
-    h, u = hermite_normal_form(transposed, transform=True)
-    kernel = [u[i] for i in range(n) if all(a == 0 for a in h[i])]
-    if not kernel:
-        return []
-    reduced = hnf_nonzero_rows(kernel)
-    return [tuple(r) for r in reduced]
+    u = _identity(n)
+    order, r = _echelon(_sparse(zip(*rows)), len(rows), u, reduce=False)
+    kernel = [u[i] for i in order[r:]]
+    order, _ = _echelon(kernel, n)
+    return [tuple(_dense(kernel[i], n)) for i in order]
 
 
 def solve_integer(rows, rhs):
@@ -174,46 +231,27 @@ def solve_integer(rows, rhs):
         return ()
     _check_rect(rows)
     n = len(rows[0])
-    m = len(rows)
-    transposed = [[rows[i][j] for i in range(m)] for j in range(n)]
-    h, u = hermite_normal_form(transposed, transform=True)
-    # M z = rhs with z = U^T y becomes H^T y = rhs; H is in row-HNF so H^T is
-    # solved by forward substitution on its pivot columns.
-    y = [0] * n
+    h = _sparse(zip(*rows))
+    u = _identity(n)
+    order, r = _echelon(h, len(rows), u)
+    # M z = rhs with z = U^T y becomes H^T y = rhs; H is in row echelon
+    # form, so H^T is solved by forward substitution on its pivot columns.
     residual = list(rhs)
-    for i in range(n):
-        col = next((j for j in range(m) if h[i][j] != 0), None)
-        if col is None:
-            continue
-        if residual[col] % h[i][col] != 0:
+    z = [0] * n
+    for i in order[:r]:
+        row = h[i]
+        col = min(row)
+        y, rem = divmod(residual[col], row[col])
+        if rem:
             return None
-        y[i] = residual[col] // h[i][col]
-        if y[i]:
-            residual = [residual[j] - y[i] * h[i][j] for j in range(m)]
+        if y:
+            for j, a in row.items():
+                residual[j] -= y * a
+            for j, a in u[i].items():
+                z[j] += y * a
     if any(residual):
         return None
-    z = [0] * n
-    for i in range(n):
-        if y[i]:
-            for j in range(n):
-                z[j] += y[i] * u[i][j]
     return tuple(z)
-
-
-def in_row_span(vec, hnf_rows) -> bool:
-    """Membership of vec in the lattice spanned by Hermite-reduced rows."""
-    residual = list(vec)
-    for row in hnf_rows:
-        col = next((j for j, a in enumerate(row) if a != 0), None)
-        if col is None:
-            continue
-        if residual[col] == 0:
-            continue
-        if residual[col] % row[col] != 0:
-            return False
-        q = residual[col] // row[col]
-        residual = [a - q * b for a, b in zip(residual, row)]
-    return not any(residual)
 
 
 def same_lattice(rows_a, rows_b) -> bool:

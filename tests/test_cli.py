@@ -83,6 +83,40 @@ def test_malformed_field_is_a_json_error(tmp_path, capsys, field, value):
     assert "internal" not in result
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("axial", 0.9), ("rank", 2.5), ("rank", True), ("rank", "2"),
+     ("rank", "@HUGE")],
+    ids=["axial-fraction", "rank-fraction", "rank-true", "rank-string",
+         "rank-1e400"],
+)
+def test_graph_files_take_json_integers_only(tmp_path, capsys, field, value):
+    """A number that is not a JSON integer is refused, not truncated: read
+    as 0, the 0.9 would pass every check of ``validate``."""
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    if field == "axial":
+        doc["darts"][0]["axial"][0] = value
+    else:
+        doc[field] = value
+    p = tmp_path / "bad.json"
+    # 1e400 is a float out of range, which json.dumps cannot write
+    p.write_text(json.dumps(doc).replace('"@HUGE"', "1e400"))
+    code, out = run(capsys, "validate", str(p))
+    assert code == 1
+    result = json.loads(out)
+    assert result["ok"] is False
+    assert field in result["error"]
+    assert "internal" not in result
+
+
+@pytest.mark.parametrize("command", ["cohomology", "verify-iso"])
+def test_a_negative_max_degree_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as ei:
+        main([command, "--fixture", "fig2_left", "--max-degree", "-1"])
+    assert ei.value.code == 2
+    assert "--max-degree" in capsys.readouterr().err
+
+
 def test_assumptions_exit_codes(capsys):
     code, out = run(capsys, "assumptions", "--fixture", "fig2_left")
     assert code == 0

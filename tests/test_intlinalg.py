@@ -1,5 +1,7 @@
 """Exact integer linear algebra, cross-checked against an independent
-fraction-free elimination oracle."""
+fraction-free elimination oracle and by properties that determine each
+answer: the Hermite form is unique, so "H is in Hermite form and H = U*M
+with U unimodular" pins it down completely."""
 
 import random
 
@@ -9,6 +11,62 @@ from hypothesis import strategies as st
 
 from gkmgraphs import intlinalg as il
 from gkmgraphs.errors import DimensionError
+
+
+def rank_ffge(rows) -> int:
+    """Matrix rank by fraction-free (Bareiss) Gaussian elimination: dense,
+    exact division, and no code in common with ``intlinalg``."""
+    a = [list(r) for r in rows if any(x != 0 for x in r)]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        p = a[rank][col]
+        for i in range(rank + 1, len(a)):
+            row = a[i]
+            f = row[col]
+            a[i] = [(p * row[j] - f * a[rank][j]) // prev for j in range(ncols)]
+        prev = p
+        rank += 1
+        if rank == len(a):
+            break
+    return rank
+
+
+def matmul(a, b):
+    return [
+        [sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a
+    ]
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def is_row_hermite(h):
+    """Nonzero rows first, positive pivots in strictly increasing columns,
+    zeros below and entries in [0, pivot) above each pivot."""
+    last = -1
+    seen_zero = False
+    for i, row in enumerate(h):
+        col = next((j for j, a in enumerate(row) if a), None)
+        if col is None:
+            seen_zero = True
+            continue
+        if seen_zero or col <= last or row[col] <= 0:
+            return False
+        if any(not 0 <= h[k][col] < row[col] for k in range(i)):
+            return False
+        if any(h[k][col] for k in range(i + 1, len(h))):
+            return False
+        last = col
+    return True
 
 
 def test_kernel_forced_by_equation():
@@ -32,7 +90,7 @@ def test_kernel_random_matrices_against_ffge_rank():
                 sum(m[i][j] * v[j] for j in range(cols)) == 0
                 for i in range(rows)
             )
-        assert len(kernel) == cols - il.rank_ffge(m)
+        assert len(kernel) == cols - rank_ffge(m)
 
 
 def test_kernel_is_canonical():
@@ -98,10 +156,10 @@ def test_solve_integer():
     assert [sum(r[j] * z[j] for j in range(3)) for r in m] == [6, 2]
 
 
-def test_in_row_span_and_same_lattice():
+def test_lattice_membership_and_same_lattice():
     basis = il.hnf_nonzero_rows([[2, 0], [0, 3]])
-    assert il.in_row_span([4, 3], basis)
-    assert not il.in_row_span([1, 0], basis)
+    assert il.same_lattice(basis, basis + [[4, 3]])
+    assert not il.same_lattice(basis, basis + [[1, 0]])
     assert il.same_lattice([[2, 0], [0, 3]], [[2, 3], [2, -3], [2, 0]])
     assert not il.same_lattice([[2, 0]], [[1, 0]])
 
@@ -121,3 +179,66 @@ def test_is_multiple_of():
     assert il.is_multiple_of((2, -4), (1, -2)) == 2
     assert il.is_multiple_of((0, 0), (1, -2)) == 0
     assert il.is_multiple_of((2, -3), (1, -2)) is None
+
+
+# -- properties of the elimination on zero-rich matrices --------------------------
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Matrices up to 8 x 10 with entries in [-9, 9], mostly zeros, with
+    some rows and columns zeroed outright."""
+    nrows = draw(st.integers(1, 8))
+    ncols = draw(st.integers(1, 10))
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1), max_size=3))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=3))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-9, 9))
+    return [
+        [
+            0 if i in zero_rows or j in zero_cols else draw(entry)
+            for j in range(ncols)
+        ]
+        for i in range(nrows)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_hermite_form_with_transform(m):
+    h, u = il.hermite_normal_form(m, transform=True)
+    assert is_row_hermite(h)
+    assert h == matmul(u, m)
+    assert matmul(u, il.unimodular_inverse(u)) == identity(len(m))
+    assert il.hermite_normal_form(m) == h
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_kernel_and_rank_against_the_oracle(m):
+    ncols = len(m[0])
+    r = rank_ffge(m)
+    kernel = il.kernel_basis(m)
+    for k in kernel:
+        assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
+    assert len(kernel) == ncols - r
+    assert [tuple(row) for row in il.hnf_nonzero_rows(kernel)] == kernel
+    assert il.rank(m) == r
+    assert il.lattice_rank(m) == r
+    assert len(il.hnf_nonzero_rows(m)) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_solve_integer_against_the_oracle(m, rnd):
+    ncols = len(m[0])
+    z0 = [rnd.randrange(-3, 4) for _ in range(ncols)]
+    rhs = [sum(a * b for a, b in zip(row, z0)) for row in m]
+    z = il.solve_integer(m, rhs)
+    assert z is not None
+    assert [sum(a * b for a, b in zip(row, z)) for row in m] == rhs
+    # a right-hand side outside the rational column span has no solution
+    r = rank_ffge(m)
+    for i in range(len(m)):
+        unit = [int(k == i) for k in range(len(m))]
+        if rank_ffge([row + [e] for row, e in zip(m, unit)]) > r:
+            assert il.solve_integer(m, unit) is None
