@@ -220,11 +220,29 @@ def cmd_assumptions(args, parser):
     return _emit(out, 0 if report.ok else 1)
 
 
+def _refuse_oversized_solver(g, args):
+    """Exit status 1 with the refusal document when the solver system of
+    ``--max-degree``, the largest of the request, has more columns than
+    ``SOLVER_MAX_COLUMNS``; None when it fits."""
+    from .cohomology import SOLVER_MAX_COLUMNS, solver_columns
+
+    columns = solver_columns(g, args.max_degree, args.forgetful)
+    if columns > SOLVER_MAX_COLUMNS:
+        error = (
+            f"the degree-{args.max_degree} solver system has {columns} "
+            f"columns, more than the {SOLVER_MAX_COLUMNS} accepted"
+        )
+        return _emit({"ok": False, "check": "solver_size", "error": error}, 1)
+
+
 def cmd_cohomology(args, parser):
     from .cohomology import cohomology_basis
     from .polynomials import coords_varnames
 
     g = _read_graph(args, parser)
+    refused = _refuse_oversized_solver(g, args)
+    if refused is not None:
+        return refused
     varnames = coords_varnames(g.rank, not args.forgetful)
     degrees = {}
     for k in range(args.max_degree + 1):
@@ -246,6 +264,9 @@ def cmd_verify_iso(args, parser):
     from .cohomology import graded_pieces, kernel_forgetful_check, verify_iso
 
     g = _read_graph(args, parser)
+    refused = _refuse_oversized_solver(g, args)
+    if refused is not None:
+        return refused
     pieces = graded_pieces(g, args.max_degree, args.forgetful)
     try:
         rep = verify_iso(g, args.max_degree, args.forgetful, pieces)

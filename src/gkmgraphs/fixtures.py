@@ -21,7 +21,7 @@ from importlib import resources
 
 from .errors import GkmError, StructuralError
 from .graph import Dart, GkmGraph, load_graph, validate_axial
-from .intlinalg import is_multiple_of, vec_sub
+from .intlinalg import congruent, is_multiple_of, vec_sub
 
 FIXTURE_IDS = (
     "fig2_left",
@@ -262,7 +262,7 @@ def _residual_system(lines, dart_dirs, dart_rows):
             images = [
                 d2
                 for d2 in cross_tgt
-                if is_multiple_of(vec_sub(forget[d], forget[d2]), w) is not None
+                if congruent(forget[d], forget[d2], w)
             ]
             if len(images) != 1:
                 raise StructuralError(

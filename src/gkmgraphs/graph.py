@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .intlinalg import Vec, is_multiple_of, lattice_rank, vec_sub
+from .intlinalg import Vec, congruent, is_multiple_of, lattice_rank, vec_sub
 from . import intlinalg
 
 META_KEYS = ("hyperplane_names", "positive_normals", "comment")
@@ -92,6 +92,15 @@ class GkmGraph:
         for did in sorted(self.darts):
             self._darts_at[self.darts[did].source].append(did)
         self._check_structure()
+        self._edge_dart_ids = [
+            d for d in sorted(self.darts) if not self.darts[d].is_leg
+        ]
+        self._canonical_edges = [
+            d for d in self._edge_dart_ids if d < self.darts[d].opposite
+        ]
+        # (label, degree) -> the label's map on coefficient vectors, filled
+        # by the congruence checks of ``cohomology`` (see ``_label_map``)
+        self.label_maps = {}
         self._connection = None
         if connection is not None:
             self._connection = {e: dict(m) for e, m in connection.items()}
@@ -160,15 +169,11 @@ class GkmGraph:
         return self.darts[dart_id].axial
 
     def edge_dart_ids(self):
-        return [d for d in sorted(self.darts) if not self.darts[d].is_leg]
+        return list(self._edge_dart_ids)
 
     def canonical_edges(self):
         """One dart id per unoriented edge (the lexicographically smaller)."""
-        return [
-            d
-            for d in self.edge_dart_ids()
-            if d < self.darts[d].opposite
-        ]
+        return list(self._canonical_edges)
 
     def leg_ids(self):
         return [d for d in sorted(self.darts) if self.darts[d].is_leg]
@@ -303,11 +308,11 @@ def _congruent_images(g: GkmGraph, edge_dart: Dart, source_dart_id: str):
     """Darts at t(edge) congruent to the given dart modulo the edge label."""
     alpha_e = edge_dart.axial
     a = g.axial(source_dart_id)
-    out = []
-    for cand in g.darts_at(edge_dart.target):
-        if is_multiple_of(vec_sub(a, g.axial(cand)), alpha_e) is not None:
-            out.append(cand)
-    return out
+    return [
+        cand
+        for cand in g.darts_at(edge_dart.target)
+        if congruent(a, g.axial(cand), alpha_e)
+    ]
 
 
 def derive_connection(g: GkmGraph):
@@ -376,10 +381,7 @@ def _verify_connection(g: GkmGraph, conn):
                 "opposite"
             )
         for did, img in mapping.items():
-            if (
-                is_multiple_of(vec_sub(g.axial(did), g.axial(img)), e.axial)
-                is None
-            ):
+            if not congruent(g.axial(did), g.axial(img), e.axial):
                 raise NoValidConnection(
                     f"stored connection violates the congruence relation on "
                     f"{eid!r} at {did!r}"
@@ -390,10 +392,6 @@ def _verify_connection(g: GkmGraph, conn):
             raise StructuralError(
                 f"stored connection across {eid!r} is not inverse to {opp!r}"
             )
-
-
-def forget_connection(g: GkmGraph) -> GkmGraph:
-    return GkmGraph(g.rank, list(g.darts.values()), meta=g.meta)
 
 
 # -- axial validation ----------------------------------------------------------
@@ -485,12 +483,7 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
         for eid in g.edge_dart_ids():
             e = g.darts[eid]
             for did, img in conn[eid].items():
-                if (
-                    is_multiple_of(
-                        vec_sub(g.axial(did), g.axial(img)), e.axial
-                    )
-                    is None
-                ):
+                if not congruent(g.axial(did), g.axial(img), e.axial):
                     bad.append(f"{eid}:{did}")
     except (NoValidConnection, AmbiguousConnection) as exc:
         bad = ["<no connection>"]

@@ -23,7 +23,7 @@ from .errors import (
     GkmError,
 )
 from .graph import GkmGraph, pair_decomposition
-from .intlinalg import Vec, is_multiple_of, vec_sub
+from .intlinalg import Vec, congruent, vec_sub
 
 
 def _stable_label(vertices, dart_ids):
@@ -46,29 +46,26 @@ class Hyperplane:
 
 
 @dataclass
-class Halfspace:
-    hyperplane: Hyperplane
-    vertices: frozenset
-    dart_ids: frozenset
-    normals: dict = field(default_factory=dict)  # boundary vertex -> dart id
-
-    @property
-    def label(self):
-        return _stable_label(self.vertices, self.dart_ids)
-
-    def sort_key(self):
-        return (sorted(self.vertices), sorted(self.dart_ids))
-
-    def boundary_vertices(self):
-        return sorted(self.normals)
-
-
-@dataclass
 class ThomClass:
     values: dict  # vertex -> lattice vector (length n+1)
 
     def __getitem__(self, vertex) -> Vec:
         return self.values[vertex]
+
+
+@dataclass
+class Halfspace:
+    hyperplane: Hyperplane
+    vertices: frozenset
+    dart_ids: frozenset
+    normals: dict = field(default_factory=dict)  # boundary vertex -> dart id
+    # the checked Thom class, set by the first ``thom_class`` call
+    thom: ThomClass | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def sort_key(self):
+        return (sorted(self.vertices), sorted(self.dart_ids))
 
 
 @dataclass
@@ -488,10 +485,12 @@ def _subgraph_connected(g, vertices, dart_ids):
 
 def _validate_pre_halfspace(g, h: Halfspace):
     n = g.rank
+    inside = {
+        v: {d for d in g.darts_at(v) if d in h.dart_ids} for v in h.vertices
+    }
     sizes = {}
     for v in sorted(h.vertices):
-        inside = [d for d in g.darts_at(v) if d in h.dart_ids]
-        sizes[v] = len(inside)
+        sizes[v] = len(inside[v])
         if sizes[v] not in (2 * n - 1, 2 * n):
             raise AssumptionOneViolation(
                 f"vertex {v!r} keeps {sizes[v]} darts, expected "
@@ -518,8 +517,7 @@ def _validate_pre_halfspace(g, h: Halfspace):
         e = g.darts[eid]
         if e.is_leg or e.opposite not in h.dart_ids or e.target not in h.vertices:
             continue
-        src_set = {d for d in g.darts_at(e.source) if d in h.dart_ids}
-        tgt_set = {d for d in g.darts_at(e.target) if d in h.dart_ids}
+        src_set, tgt_set = inside[e.source], inside[e.target]
         image = {conn[eid][d] for d in src_set}
         if len(src_set) == len(tgt_set):
             if image != tgt_set:
@@ -538,9 +536,7 @@ def _validate_pre_halfspace(g, h: Halfspace):
                     check="closure_c2",
                 )
             normal = h.normals.get(e.source)
-            if normal is None or is_multiple_of(
-                vec_sub(g.axial(normal), x), e.axial
-            ) is None:
+            if normal is None or not congruent(g.axial(normal), x, e.axial):
                 raise AssumptionOneViolation(
                     f"normal congruence fails across {eid!r}",
                     hyperplane=h.hyperplane.name,
@@ -577,9 +573,12 @@ def opposite_side(g: GkmGraph, h: Halfspace) -> Halfspace:
 
 
 def thom_class(g: GkmGraph, h: Halfspace) -> ThomClass:
-    """Degree-2 class of a (pre-)halfspace; 0 outside, x inside,
+    """Degree-2 class of a (pre-)halfspace of ``g``; 0 outside, x inside,
     normal label on the boundary.  Checked against every congruence
-    relation before being returned."""
+    relation, once: the checked class is kept on the halfspace, and later
+    calls return it."""
+    if h.thom is not None:
+        return h.thom
     n = g.rank
     x = g.residual
     zero = (0,) * (n + 1)
@@ -594,9 +593,9 @@ def thom_class(g: GkmGraph, h: Halfspace) -> ThomClass:
             values[v] = g.axial(h.normals[v])
         else:
             values[v] = x
-    tc = ThomClass(values)
-    assert_class_congruences(g, {v: values[v] for v in g.vertices})
-    return tc
+    assert_class_congruences(g, values)
+    h.thom = ThomClass(values)
+    return h.thom
 
 
 def assert_class_congruences(g: GkmGraph, values):
@@ -604,7 +603,8 @@ def assert_class_congruences(g: GkmGraph, values):
     every edge congruence."""
     for eid in g.canonical_edges():
         e = g.darts[eid]
-        if is_multiple_of(vec_sub(values[e.source], values[e.target]), e.axial) is None:
+        a, b = values[e.source], values[e.target]
+        if a != b and not congruent(a, b, e.axial):
             raise CongruenceFailure(
                 f"congruence fails on edge {eid!r}: "
                 f"{values[e.source]} vs {values[e.target]} mod {e.axial}"

@@ -22,10 +22,6 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c: int, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def is_multiple_of(u: Vec, v: Vec) -> int | None:
     """Return the integer c with u == c*v, or None if there is none.
 
@@ -34,10 +30,21 @@ def is_multiple_of(u: Vec, v: Vec) -> int | None:
     pivot = next((i for i, a in enumerate(v) if a != 0), None)
     if pivot is None:
         raise ValueError("v must be nonzero")
-    if u[pivot] % v[pivot] != 0:
-        return None
-    c = u[pivot] // v[pivot]
-    return c if u == vec_scale(c, v) else None
+    c, r = divmod(u[pivot], v[pivot])
+    return None if r or any(a != c * b for a, b in zip(u, v)) else c
+
+
+def congruent(u: Vec, w: Vec, v: Vec) -> bool:
+    """Is u - w an integer multiple of the nonzero vector v, that is, is
+    u = w mod v?  Decided entry by entry, without building u - w."""
+    for i, b in enumerate(v):
+        if b:
+            c = (u[i] - w[i]) // b  # checked with the other entries below
+            for x, y, a in zip(u, w, v):
+                if x - y != c * a:
+                    return False
+            return True
+    raise ValueError("v must be nonzero")
 
 
 def _check_rect(rows):
@@ -259,13 +266,3 @@ def same_lattice(rows_a, rows_b) -> bool:
     ha = hnf_nonzero_rows(rows_a) if rows_a else []
     hb = hnf_nonzero_rows(rows_b) if rows_b else []
     return ha == hb
-
-
-def unimodular_inverse(u):
-    """Inverse of a unimodular integer matrix (det = +-1)."""
-    _check_rect(u)
-    n = len(u)
-    h, t = hermite_normal_form([list(r) for r in u], transform=True)
-    if h != [[int(i == j) for j in range(n)] for i in range(n)]:
-        raise DimensionError("matrix is not unimodular")
-    return t

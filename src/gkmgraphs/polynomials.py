@@ -11,8 +11,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .errors import DimensionError, InexactDivision
-from . import intlinalg
+from .errors import DimensionError
 
 
 class IntPolynomial:
@@ -69,10 +68,6 @@ class IntPolynomial:
         if not self.terms:
             return -1
         return max(sum(m) for m in self.terms)
-
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def homogeneous_component(self, d):
         return IntPolynomial(
@@ -277,55 +272,4 @@ def graded_piece_basis(nvars: int, degree: int):
         out.append(tuple(mono))
     out.sort(reverse=True)
     assert len(out) == comb(nvars + degree - 1, degree)
-    return out
-
-
-def divide_exact_by_linear(poly: IntPolynomial, coeffs):
-    """Exact quotient poly / <linear form>, or None when not divisible.
-
-    A unimodular change of coordinates sends the (primitive part of the)
-    linear form to the first variable, where divisibility is a per-monomial
-    check, and the quotient is mapped back.
-    """
-    n = poly.nvars
-    if len(coeffs) != n:
-        raise DimensionError("linear form has the wrong arity")
-    if all(c == 0 for c in coeffs):
-        raise ValueError("division by the zero form")
-    if poly.is_zero():
-        return IntPolynomial.zero(n)
-    column = [[c] for c in coeffs]
-    h, u = intlinalg.hermite_normal_form(column, transform=True)
-    content = h[0][0]
-    # substitution t_j = sum_i u[i][j] s_i turns the form into content * s_1
-    fwd = [
-        IntPolynomial.linear_form([u[i][j] for i in range(n)]) for j in range(n)
-    ]
-    transformed = poly.substitute(fwd)
-    quotient_terms = {}
-    for mono, coeff in transformed.terms.items():
-        if mono[0] == 0:
-            return None
-        if coeff % content != 0:
-            return None
-        quotient_terms[(mono[0] - 1,) + mono[1:]] = coeff // content
-    quotient = IntPolynomial(n, quotient_terms)
-    uinv = intlinalg.unimodular_inverse(u)
-    back = [
-        IntPolynomial.linear_form([uinv[i][j] for i in range(n)])
-        for j in range(n)
-    ]
-    return quotient.substitute(back)
-
-
-def divide_exact(poly: IntPolynomial, linear_factors):
-    """Divide by a product of linear forms, raising when not exact."""
-    out = poly
-    for coeffs in linear_factors:
-        nxt = divide_exact_by_linear(out, coeffs)
-        if nxt is None:
-            raise InexactDivision(
-                f"{poly.to_string()} is not divisible by the linear form {coeffs}"
-            )
-        out = nxt
     return out

@@ -7,13 +7,18 @@ and the monomials x_{mu_i} form a free module basis over the polynomial
 ring in n variables (the standard basis of a Stanley-Reisner ring over a
 linear system of parameters).
 
-Expansion in that basis never leaves the n equivariant variables.  Each
-context caches the localization map of every facet point p: the images
-tau_L(p) of the generators, nonzero exactly for the n hyperplanes through
-p, and the values x_{mu_i}(p).  A ring element is localized once per
-facet; running down the shelling order, the coefficient a_i is the exact
-quotient of the i-th localization by x_{mu_i}(p_i), and a_i * x_{mu_i}(p)
-is subtracted from the localizations at the facets that contain mu_i.
+Expansion in that basis runs in facet coordinates.  At a facet point p
+the Thom values y_L = tau_L(p) of the n hyperplanes through p are
+coordinates of H^*(BT^n): the lift identity sum_L lambda(L)_j tau_L(p) =
+e_j, checked at every facet point, says that the change of variables is
+unimodular and that e_j = sum_L lambda(L)_j y_L inverts it.  In these
+coordinates a generator localizes to a variable or to 0, and x_{mu_i}(p)
+is the monomial y^{mu_i} (Stanley, *Combinatorics and Commutative
+Algebra*, ch. III).  A ring element is localized once per facet; running
+down the shelling order, the coefficient a_i is the i-th localization
+with the exponents of y^{mu_i} taken off, and a_i * x_{mu_i}, moved into
+the coordinates of each other facet that contains mu_i, is subtracted
+there.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .hyperplanes import (
     nonempty_intersection_table,
 )
 from .intlinalg import solve_integer, vec_sub
-from .polynomials import IntPolynomial, coords_varnames, divide_exact
+from .polynomials import IntPolynomial, coords_varnames
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
@@ -270,7 +275,6 @@ class ShellingContext:
     lambdas: dict  # name -> covector
     taus: dict  # name -> forgetful Thom class (CohomologyClass)
     orientation: dict  # name -> recorded normal dart of the positive side
-    min_nonfaces: list  # minimal non-faces: monomial ideal generators
 
     @property
     def ngens(self):
@@ -282,42 +286,14 @@ class ShellingContext:
     def facet_point(self, facet):
         return self.complex.facet_vertex[facet]
 
-    def monomial_poly(self, names):
-        mono = [0] * self.ngens
-        for n in names:
-            mono[self.gen_index(n)] += 1
-        return IntPolynomial(self.ngens, {tuple(mono): 1})
-
-    def localize_at(self, poly: IntPolynomial, vertex) -> IntPolynomial:
-        images = [self.taus[n].values[vertex] for n in self.names]
-        return poly.substitute(images)
-
-    def lift_coefficient(self, coeff: IntPolynomial) -> IntPolynomial:
-        """Image of an H^*(BT^n) element inside the presentation ring,
-        via u = sum <u, lambda(L)> L."""
-        images = []
-        for j in range(self.graph.rank):
-            entries = {}
-            for i, name in enumerate(self.names):
-                c = self.lambdas[name][j]
-                if c:
-                    mono = tuple(
-                        int(t == i) for t in range(self.ngens)
-                    )
-                    entries[mono] = c
-            images.append(IntPolynomial(self.ngens, entries))
-        return coeff.substitute(images)
-
-    def reduce_mod_ideal(self, poly: IntPolynomial) -> IntPolynomial:
-        keep = {}
-        for mono, c in poly.terms.items():
-            support = {
-                self.names[i] for i, e in enumerate(mono) if e
-            }
-            if any(f <= support for f in self.min_nonfaces):
-                continue
-            keep[mono] = c
-        return IntPolynomial(self.ngens, keep)
+    @cached_property
+    def min_nonfaces(self) -> list:
+        """Minimal non-faces, the generators of the Stanley-Reisner ideal.
+        A hyperplane's vertices are the points of the facets that hold it."""
+        points = self.complex.facet_vertex.items()
+        return minimal_empty_families(
+            {name: {p for f, p in points if name in f} for name in self.names}
+        )
 
     @cached_property
     def localizations(self) -> FacetLocalizations:
@@ -325,81 +301,126 @@ class ShellingContext:
         return FacetLocalizations(self)
 
 
-class FacetLocalizations:
-    """Localization at the facet points, in shelling order, in the n
-    equivariant variables.
+def _mul(p, q):
+    """Product of two ``{exponents: coefficient}`` polynomials."""
+    out = {}
+    for ma, a in p.items():
+        for mb, b in q.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + a * b
+    return {m: c for m, c in out.items() if c}
 
-    ``images[k]`` maps each generator index whose Thom value at the k-th
-    facet point is nonzero to that value.  Building it checks the lift
-    identity sum_L lambda(L)_j tau_L(p) = e_j at every point, which is
-    what makes a_i * x_{mu_i} localize to a_i * x_{mu_i}(p).
+
+def _substitute(terms, rows):
+    """``{exponents: coefficient}`` terms with the variable z_t replaced by
+    sum_s rows[t][s] w_s."""
+    n = len(rows)
+    forms = [
+        {
+            tuple(int(j == s) for j in range(n)): c
+            for s, c in enumerate(row)
+            if c
+        }
+        for row in rows
+    ]
+    out = {}
+    for mono, c in terms.items():
+        image = {(0,) * n: c}
+        for t, e in enumerate(mono):
+            for _ in range(e):
+                image = _mul(image, forms[t])
+        for m, a in image.items():
+            out[m] = out.get(m, 0) + a
+    return {m: c for m, c in out.items() if c}
+
+
+class FacetLocalizations:
+    """Localization at the facet points, in shelling order, each in the
+    coordinates of its own facet.
+
+    At the k-th facet point p the n hyperplanes L of the facet give the
+    coordinates y_L = tau_L(p), the rows of a matrix T_p over the e_j;
+    every other generator localizes to 0 there.  Building the maps checks
+    the lift identity sum_L lambda(L)_j tau_L(p) = e_j at every point.  It
+    says Lambda_p T_p = 1 for the matrix Lambda_p of the lambda(L), so the
+    change of variables is unimodular with inverse e_j = sum_L
+    lambda(L)_j y_L, and no inverse is ever computed.  Polynomials here
+    are ``{exponents: coefficient}`` dicts in the y_L of one facet, which
+    ``gens[k]`` lists by generator index.
     """
 
     def __init__(self, ctx: ShellingContext):
         n = ctx.graph.rank
         self.nvars = n
         self.points = [ctx.facet_point(sigma) for sigma in ctx.shelling.order]
-        self.images = []
-        for p in self.points:
-            images = {}
-            for g, name in enumerate(ctx.names):
-                value = ctx.taus[name].values[p]
-                if not value.is_zero():
-                    images[g] = value
+        self.gens = [
+            tuple(sorted(map(ctx.gen_index, sigma)))
+            for sigma in ctx.shelling.order
+        ]
+        self.lambdas = [
+            [ctx.lambdas[ctx.names[g]] for g in gens] for gens in self.gens
+        ]
+        self.taus = []  # the rows of T_p
+        for p, gens, lams in zip(self.points, self.gens, self.lambdas):
+            values = [ctx.taus[name].values[p] for name in ctx.names]
+            support = tuple(g for g, v in enumerate(values) if not v.is_zero())
+            if support != gens:
+                raise GkmError(
+                    f"the Thom classes nonzero at {p!r} are not those of the "
+                    "hyperplanes through it"
+                )
+            rows = [values[g].linear_coeffs() for g in gens]
             for j in range(n):
-                total = IntPolynomial.zero(n)
-                for g, value in images.items():
-                    total = total + ctx.lambdas[ctx.names[g]][j] * value
-                if total != IntPolynomial.variable(n, j):
+                total = [
+                    sum(lam[j] * row[i] for lam, row in zip(lams, rows))
+                    for i in range(n)
+                ]
+                if total != [int(i == j) for i in range(n)]:
                     raise InconsistentLambda(
                         f"the characteristic covectors do not lift e{j + 1} "
                         f"at {p!r}: sum of lambda_{j + 1}(L) tau_L is "
-                        f"{total.to_string(coords_varnames(n, False))}"
+                        + IntPolynomial.linear_form(total).to_string(
+                            coords_varnames(n, False)
+                        )
                     )
-            self.images.append(images)
-        basis = module_basis(ctx)
-        self.mus = [tuple(ctx.gen_index(name) for name in mu) for mu in basis]
-        self.divisors = [
-            [ctx.taus[name].values[p].linear_coeffs() for name in mu]
-            for p, mu in zip(self.points, basis)
-        ]
-        # the facets containing mu_i: in a shelling, i and some later ones
+            self.taus.append(rows)
+        # the facets containing mu_i (in a shelling, i and some later
+        # ones), each with the exponents of x_{mu_i} = y^{mu_i} there
+        mus = [set(map(ctx.gen_index, m)) for m in ctx.shelling.minimal_faces]
         self.carriers = [
-            [
-                k
-                for k, images in enumerate(self.images)
-                if all(g in images for g in mu)
-            ]
-            for mu in self.mus
+            {
+                k: tuple(int(g in mu) for g in gens)
+                for k, gens in enumerate(self.gens)
+                if mu.issubset(gens)
+            }
+            for mu in mus
         ]
-        self._basis_values = {}
 
-    def localize(self, poly: IntPolynomial, k) -> IntPolynomial:
-        """rho at the k-th facet point; monomials with a generator that
-        vanishes there are skipped."""
-        images = self.images[k]
-        out = IntPolynomial.zero(self.nvars)
+    def localize(self, poly: IntPolynomial, k) -> dict:
+        """rho at the k-th facet point: a monomial in the generators of the
+        facet becomes the monomial y^m, and one with any other generator
+        vanishes."""
+        gens = self.gens[k]
+        out = {}
         for mono, c in poly.terms.items():
-            term = IntPolynomial.constant(self.nvars, c)
-            for g, e in enumerate(mono):
-                if e:
-                    if g not in images:
-                        break
-                    term = term * images[g] ** e
-            else:
-                out = out + term
+            y = tuple(mono[g] for g in gens)
+            if sum(y) == sum(mono):
+                out[y] = c
         return out
 
-    def basis_value(self, i, k) -> IntPolynomial:
-        """x_{mu_i} at the k-th facet point, for k among its carriers."""
-        key = (i, k)
-        value = self._basis_values.get(key)
-        if value is None:
-            value = IntPolynomial.constant(self.nvars, 1)
-            for g in self.mus[i]:
-                value = value * self.images[k][g]
-            self._basis_values[key] = value
-        return value
+    def to_e(self, k, terms) -> IntPolynomial:
+        """A polynomial in the coordinates of the k-th facet, in the e_j."""
+        return IntPolynomial(self.nvars, _substitute(terms, self.taus[k]))
+
+    def move(self, i, k, terms) -> dict:
+        """A polynomial in the coordinates of the i-th facet, in those of
+        the k-th: y_L = sum_j tau_L(p_i)_j e_j, and e_j = sum_M lambda(M)_j
+        y_M."""
+        rows = [
+            [sum(a * b for a, b in zip(row, lam)) for lam in self.lambdas[k]]
+            for row in self.taus[i]
+        ]
+        return _substitute(terms, rows)
 
 
 def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
@@ -428,11 +449,8 @@ def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
         taus[name] = thom_class_forgetful(g, by_name[name], pos)
         first = sorted(pos.normals)[0]
         orientation[name] = pos.normals[first]
-    min_nonfaces = minimal_empty_families(
-        {h.name: h.vertices for h in hyperplanes}
-    )
     return ShellingContext(
-        g, names, complex_, shelling, lambdas, taus, orientation, min_nonfaces
+        g, names, complex_, shelling, lambdas, taus, orientation
     )
 
 
@@ -464,36 +482,58 @@ class BasisExpansion:
 def express_in_basis(ctx: ShellingContext, poly: IntPolynomial) -> BasisExpansion:
     """Coefficients a_i with poly = sum a_i * x_{mu_i}.
 
-    The input, reduced modulo the Stanley-Reisner ideal, is localized once
-    at every facet point through the cached facet localizations; the
-    expansion then runs on those localizations alone (see ``_expand``).
+    The input is localized once at every facet point through the cached
+    facet localizations; the Stanley-Reisner ideal vanishes there, as no
+    facet holds a non-face.  The expansion then runs on those
+    localizations alone (see ``_expand``).
     """
     if poly.nvars != ctx.ngens:
         raise GkmError("polynomial is not in the hyperplane generators")
-    r = ctx.reduce_mod_ideal(poly)
     maps = ctx.localizations
-    locs = [maps.localize(r, k) for k in range(len(maps.points))]
-    return _expand(maps, locs)
+    locs = {k: maps.localize(poly, k) for k in range(len(maps.points))}
+    return _expand(maps, {k: loc for k, loc in locs.items() if loc})
 
 
 def _expand(maps: FacetLocalizations, locs) -> BasisExpansion:
-    """Coefficients from the localizations ``locs`` of a ring element at
-    the facet points, in shelling order (consumed).
+    """Coefficients from the nonzero localizations ``locs`` (facet index ->
+    polynomial in that facet's coordinates) of a ring element; consumed.
 
-    Down the shelling order: a_i is the exact quotient of locs[i] by the
-    factors of x_{mu_i}(p_i), and a_i * x_{mu_i}(p_k) is subtracted at every
-    facet k containing mu_i.  Every localization must end at zero
-    (injectivity of localization), which is asserted.
+    Down the shelling order: at the i-th facet x_{mu_i} is y^{mu_i}, so
+    a_i = locs[i] / y^{mu_i} is a shift of exponents, and a term without
+    them is an inexact division.  a_i * x_{mu_i}, moved into the
+    coordinates of every other facet containing mu_i, is subtracted there.
+    Every localization must end at zero (injectivity of localization),
+    which is asserted on those that are left.
     """
     coeffs = {}
-    for i, num in enumerate(locs):
-        if num.is_zero():
+    for i in range(len(maps.points)):
+        num = locs.pop(i, None)
+        if not num:
             continue
-        a = divide_exact(num, maps.divisors[i])
-        coeffs[i] = a
-        for k in maps.carriers[i]:
-            locs[k] = locs[k] - a * maps.basis_value(i, k)
-    if any(not r.is_zero() for r in locs):
+        carriers = maps.carriers[i]
+        shift = carriers[i]
+        a = {}
+        for m, c in num.items():
+            q = tuple(x - y for x, y in zip(m, shift))
+            if min(q) < 0:
+                raise InexactDivision(
+                    f"the localization at the facet point {maps.points[i]!r} "
+                    "is not divisible by the basis monomial there"
+                )
+            a[q] = c
+        coeffs[i] = maps.to_e(i, a)
+        for k, mu in carriers.items():
+            if k == i:
+                continue
+            rest = locs.setdefault(k, {})
+            for m, c in maps.move(i, k, a).items():
+                m = tuple(x + y for x, y in zip(m, mu))
+                c = rest.get(m, 0) - c
+                if c:
+                    rest[m] = c
+                else:
+                    del rest[m]
+    if any(locs.values()):
         raise InexactDivision(
             "expansion remainder does not localize to zero; the input "
             "is not in the ring or the shelling is invalid"
@@ -509,7 +549,6 @@ def ordinary_cohomology(ctx: ShellingContext):
     table, both equivariant and with the polynomial part killed."""
     basis = module_basis(ctx)
     maps = ctx.localizations
-    zero = IntPolynomial.zero(ctx.graph.rank)
     degrees = [len(b) for b in basis]
     ranks = {}
     for d in degrees:
@@ -518,15 +557,16 @@ def ordinary_cohomology(ctx: ShellingContext):
     ordinary = {}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            both = set(maps.carriers[i]).intersection(maps.carriers[j])
+            # x_{mu_i} x_{mu_j} is the monomial y^{mu_i + mu_j} at the facets
+            # containing both, and 0 elsewhere
+            other = maps.carriers[j]
             expansion = _expand(
                 maps,
-                [
-                    maps.basis_value(i, k) * maps.basis_value(j, k)
-                    if k in both
-                    else zero
-                    for k in range(len(maps.points))
-                ],
+                {
+                    k: {tuple(x + y for x, y in zip(mu, other[k])): 1}
+                    for k, mu in maps.carriers[i].items()
+                    if k in other
+                },
             )
             key = f"{basis_monomial_name(basis[i])}*{basis_monomial_name(basis[j])}"
             eq = {}

@@ -1,0 +1,121 @@
+"""Independent reference computations that only the tests use.
+
+The runtime expands in facet coordinates and never substitutes, divides by
+a linear form or inverts a matrix; these are the ring-path versions of
+those steps, kept as oracles to check the fast paths against.
+"""
+
+from gkmgraphs import intlinalg
+from gkmgraphs.errors import DimensionError, InexactDivision
+from gkmgraphs.polynomials import IntPolynomial
+
+
+# -- exact division and unimodular inverses -----------------------------------
+
+
+def unimodular_inverse(u):
+    """Inverse of a unimodular integer matrix (det = +-1)."""
+    n = len(u)
+    h, t = intlinalg.hermite_normal_form([list(r) for r in u], transform=True)
+    if h != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise DimensionError("matrix is not unimodular")
+    return t
+
+
+def divide_exact_by_linear(poly: IntPolynomial, coeffs):
+    """Exact quotient poly / <linear form>, or None when not divisible.
+
+    A unimodular change of coordinates sends the (primitive part of the)
+    linear form to the first variable, where divisibility is a per-monomial
+    check, and the quotient is mapped back.
+    """
+    n = poly.nvars
+    if len(coeffs) != n:
+        raise DimensionError("linear form has the wrong arity")
+    if all(c == 0 for c in coeffs):
+        raise ValueError("division by the zero form")
+    if poly.is_zero():
+        return IntPolynomial.zero(n)
+    h, u = intlinalg.hermite_normal_form([[c] for c in coeffs], transform=True)
+    content = h[0][0]
+    # substitution t_j = sum_i u[i][j] s_i turns the form into content * s_1
+    fwd = [
+        IntPolynomial.linear_form([u[i][j] for i in range(n)]) for j in range(n)
+    ]
+    quotient_terms = {}
+    for mono, coeff in poly.substitute(fwd).terms.items():
+        if mono[0] == 0 or coeff % content != 0:
+            return None
+        quotient_terms[(mono[0] - 1,) + mono[1:]] = coeff // content
+    uinv = unimodular_inverse(u)
+    back = [
+        IntPolynomial.linear_form([uinv[i][j] for i in range(n)])
+        for j in range(n)
+    ]
+    return IntPolynomial(n, quotient_terms).substitute(back)
+
+
+def divide_exact(poly: IntPolynomial, linear_factors):
+    """Divide by a product of linear forms, raising when not exact."""
+    out = poly
+    for coeffs in linear_factors:
+        nxt = divide_exact_by_linear(out, coeffs)
+        if nxt is None:
+            raise InexactDivision(
+                f"{poly.to_string()} is not divisible by the linear form {coeffs}"
+            )
+        out = nxt
+    return out
+
+
+# -- the ring path of a shelling context --------------------------------------
+
+
+def monomial_poly(ctx, names):
+    """The monomial of the named generators in the ring of a context."""
+    mono = [0] * ctx.ngens
+    for n in names:
+        mono[ctx.gen_index(n)] += 1
+    return IntPolynomial(ctx.ngens, {tuple(mono): 1})
+
+
+def localize_at(ctx, poly: IntPolynomial, vertex) -> IntPolynomial:
+    """A ring element at a vertex, in e: every generator replaced by its
+    Thom value there."""
+    return poly.substitute([ctx.taus[n].values[vertex] for n in ctx.names])
+
+
+def lift_coefficient(ctx, coeff: IntPolynomial) -> IntPolynomial:
+    """Image of an H^*(BT^n) element inside the presentation ring, via
+    u = sum <u, lambda(L)> L."""
+    images = []
+    for j in range(ctx.graph.rank):
+        entries = {}
+        for i, name in enumerate(ctx.names):
+            c = ctx.lambdas[name][j]
+            if c:
+                entries[tuple(int(t == i) for t in range(ctx.ngens))] = c
+        images.append(IntPolynomial(ctx.ngens, entries))
+    return coeff.substitute(images)
+
+
+def expand_by_division(ctx, poly: IntPolynomial) -> dict:
+    """The coefficients a_i of poly = sum a_i x_{mu_i}, found in e: down the
+    shelling order, a_i is the exact quotient of the localization at the
+    i-th facet point by the Thom values that make up x_{mu_i} there."""
+    points = [ctx.facet_point(sigma) for sigma in ctx.shelling.order]
+    mus = ctx.shelling.minimal_faces
+    locs = [localize_at(ctx, poly, p) for p in points]
+    coeffs = {}
+    for i, p in enumerate(points):
+        if locs[i].is_zero():
+            continue
+        a = divide_exact(
+            locs[i], [ctx.taus[name].values[p].linear_coeffs() for name in mus[i]]
+        )
+        coeffs[i] = a
+        x_mu = monomial_poly(ctx, mus[i])
+        for k, q in enumerate(points):
+            locs[k] = locs[k] - a * localize_at(ctx, x_mu, q)
+    assert all(loc.is_zero() for loc in locs)
+    return coeffs

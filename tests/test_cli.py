@@ -21,6 +21,12 @@ from gkmgraphs.fixtures import KlmSpec, gen_klm
 from gkmgraphs.graph import serialize
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+# exit codes and stdout hashes of ``basis``, ``structure-constants`` and
+# ``express`` as the ring-path expansion (exact division in the e_j)
+# printed them, before the expansion moved to facet coordinates
+SHELLING_REFERENCE = (
+    Path(__file__).resolve().parent / "data" / "shelling_reference.json"
+)
 SRC = Path(gkmgraphs.__file__).resolve().parents[1]
 
 
@@ -214,6 +220,66 @@ def test_verify_iso_finds_hyperplanes_and_assumptions_once(
     ]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["structure-constants"], ["express", "--poly", "(X1+Y1+Z1)^3-2*X1*Z2"]],
+    ids=["structure-constants", "express"],
+)
+def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
+    tmp_path, monkeypatch, capsys, command
+):
+    """No Hermite form, elimination or substitution runs inside the
+    expansion; each halfspace's Thom class is built and checked once, and
+    each positive one gets one forgetful check, whose label maps are built
+    once per label."""
+    import gkmgraphs.intlinalg as intlinalg
+    import gkmgraphs.polynomials as polynomials
+    import gkmgraphs.shelling as shelling
+
+    g = gen_klm(KlmSpec(3, 2, 2))
+    path = tmp_path / "L322.json"
+    path.write_text(serialize(g))
+    calls, inside = [], []
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, bool(inside)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def expanding(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real_expand(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    real_expand = shelling._expand
+    monkeypatch.setattr(shelling, "_expand", expanding)
+    for owner, name in [
+        (intlinalg, "hermite_normal_form"),
+        (intlinalg, "_echelon"),
+        (cohomology, "hermite_normal_form"),
+        (polynomials.IntPolynomial, "substitute"),
+        (hyperplanes, "assert_class_congruences"),
+        (cohomology, "assert_congruences"),
+    ]:
+        count(owner, name)
+    code, _ = run(capsys, command[0], str(path), *command[1:])
+    assert code == 0
+    assert not hasattr(polynomials, "divide_exact_by_linear")
+    assert [name for name, during in calls if during] == []
+    assert ("substitute", False) not in calls
+    nplanes = len(hyperplanes.all_hyperplanes(g))
+    assert calls.count(("assert_class_congruences", False)) == 2 * nplanes
+    assert calls.count(("assert_congruences", False)) == nplanes
+    labels = {g.axial(e)[:-1] for e in g.canonical_edges()}
+    assert 0 < calls.count(("hermite_normal_form", False)) <= len(labels)
+
+
 def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
     def broken(args, parser):
         raise RuntimeError("simulated fault")
@@ -230,11 +296,13 @@ def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
     assert "Traceback" in captured.err
 
 
-def run_reference(tmp_path, capsys, key, monkeypatch=None):
-    """Run one command of the benchmark reference, ``@KLM`` standing for
-    the generated L(k,l,m) file, and compare exit code and stdout bytes.
-    A key ``A | B`` feeds the stdout of ``A`` to ``B`` on stdin (through
-    ``monkeypatch``)."""
+def run_reference(
+    tmp_path, capsys, key, monkeypatch=None, reference=REFERENCE
+):
+    """Run one command of the benchmark reference (or of ``reference``),
+    ``@KLM`` standing for the generated L(k,l,m) file, and compare exit
+    code and stdout bytes.  A key ``A | B`` feeds the stdout of ``A`` to
+    ``B`` on stdin (through ``monkeypatch``)."""
     out = ""
     for stage in key.split(" | "):
         argv = []
@@ -248,7 +316,7 @@ def run_reference(tmp_path, capsys, key, monkeypatch=None):
             monkeypatch.setattr(sys, "stdin", io.StringIO(out))
         code, out = run(capsys, *argv)
     assert "internal" not in json.loads(out)
-    ref = json.loads(REFERENCE.read_text())["commands"][key]
+    ref = json.loads(reference.read_text())["commands"][key]
     assert code == ref["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == ref["stdout_sha256"]
 
@@ -283,6 +351,18 @@ def test_shelling_output_matches_the_benchmark_reference(
     """Expansion on the cached facet localizations reproduces the recorded
     structure constants and coefficients byte for byte."""
     run_reference(tmp_path, capsys, key)
+
+
+@pytest.mark.parametrize(
+    "key", sorted(json.loads(SHELLING_REFERENCE.read_text())["commands"])
+)
+def test_shelling_output_matches_the_ring_path_expansion(
+    tmp_path, capsys, key
+):
+    """``basis``, ``structure-constants`` and ``express`` on every figure,
+    on local_model(2) and (3) and on the ladder rungs 111..555 print the
+    bytes that the ring-path expansion printed."""
+    run_reference(tmp_path, capsys, key, reference=SHELLING_REFERENCE)
 
 
 @pytest.mark.parametrize(
@@ -382,6 +462,45 @@ def test_oversized_inputs_are_refused_up_front(monkeypatch, capsys):
             main(argv)
         assert ei.value.code == 2
     assert "at most" in capsys.readouterr().err
+
+
+def test_oversized_solver_requests_are_refused_up_front(
+    tmp_path, monkeypatch, capsys
+):
+    """A ``cohomology`` or ``verify-iso`` request whose solver system would
+    have more than ``SOLVER_MAX_COLUMNS`` columns is one refusal document
+    with exit 1, before any system row is built or solved."""
+
+    def no_solving(*args, **kwargs):
+        raise AssertionError("the solver was reached")
+
+    for name in (
+        "cohomology_basis", "graded_pieces", "_edge_row", "kernel_basis"
+    ):
+        monkeypatch.setattr(cohomology, name, no_solving)
+    path = tmp_path / "L555.json"
+    path.write_text(serialize(gen_klm(KlmSpec(5, 5, 5))))
+    for argv, columns in (
+        (["cohomology", "--fixture", "local_model(12)", "--max-degree", "5"],
+         6188),
+        (["verify-iso", str(path), "--max-degree", "6"], 2100),
+        (["cohomology", str(path), "--max-degree", "30", "--forgetful"], 2325),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["check"] == "solver_size"
+        assert f"{columns} columns" in doc["error"]
+        assert "internal" not in doc
+
+
+def test_the_solver_cap_admits_every_tested_request():
+    """The cap sits well above the largest request of the tests and the
+    benchmark: the default --max-degree 4 on L(5,5,5), 1125 columns."""
+    g = gen_klm(KlmSpec(5, 5, 5))
+    assert cohomology.solver_columns(g, 4) == 1125
+    assert cohomology.solver_columns(g, 4, forgetful=True) == 375
+    assert 1125 * 1.5 < cohomology.SOLVER_MAX_COLUMNS
 
 
 def test_gen_klm_roundtrip_through_file(tmp_path, capsys):

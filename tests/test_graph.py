@@ -15,7 +15,6 @@ from gkmgraphs.graph import (
     Dart,
     GkmGraph,
     derive_connection,
-    forget_connection,
     load_graph,
     pair_decomposition,
     serialize,
@@ -138,7 +137,24 @@ def test_derive_connection_matches_stored():
     for fid in FIXTURE_IDS:
         g = fixture(fid)
         assert g.has_stored_connection()
-        assert derive_connection(forget_connection(g)) == g.connection
+        forgotten = GkmGraph(g.rank, list(g.darts.values()), meta=g.meta)
+        assert not forgotten.has_stored_connection()
+        assert derive_connection(forgotten) == g.connection
+
+
+def test_edge_lists_are_kept_per_graph():
+    """The edge dart lists are computed once, in sorted id order, and each
+    call hands out its own copy."""
+    for fid in FIXTURE_IDS:
+        g = fixture(fid)
+        edges = [d for d in sorted(g.darts) if not g.darts[d].is_leg]
+        canonical = [d for d in edges if d < g.darts[d].opposite]
+        assert g.edge_dart_ids() == edges
+        assert g.canonical_edges() == canonical
+        g.canonical_edges().clear()
+        g.edge_dart_ids().clear()
+        assert g.edge_dart_ids() == edges
+        assert g.canonical_edges() == canonical
 
 
 def test_connection_on_rank_one_line():

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraphs.errors import DimensionError, InexactDivision
-from gkmgraphs.polynomials import (
-    IntPolynomial,
-    divide_exact,
-    divide_exact_by_linear,
-    graded_piece_basis,
-)
+from gkmgraphs.polynomials import IntPolynomial, graded_piece_basis
+from oracles import divide_exact, divide_exact_by_linear
 
 
 def x(i, n=2):

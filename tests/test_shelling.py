@@ -9,12 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gkmgraphs.cohomology import cohomology_basis
-from gkmgraphs.errors import InconsistentLambda, NotShellable
+from gkmgraphs.errors import InconsistentLambda, InexactDivision, NotShellable
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
 from gkmgraphs.hyperplanes import all_hyperplanes, choose_positive_halfspace
 from gkmgraphs.polynomials import IntPolynomial
+from oracles import (
+    expand_by_division,
+    lift_coefficient,
+    localize_at,
+    monomial_poly,
+)
 from gkmgraphs.shelling import (
     SimplicialComplex,
+    _expand,
     basis_monomial_name,
     build_complex,
     characteristic_function,
@@ -282,7 +289,7 @@ def test_basis_idempotence():
     ctx = klm_ctx(2, 1, 2)
     basis = module_basis(ctx)
     for i, b in enumerate(basis):
-        exp = express_in_basis(ctx, ctx.monomial_poly(b))
+        exp = express_in_basis(ctx, monomial_poly(ctx, b))
         nonzero = {
             j: c for j, c in exp.coefficients.items() if not c.is_zero()
         }
@@ -297,10 +304,10 @@ def test_expansion_reconstructs_under_localization():
     basis = module_basis(ctx)
     recon = IntPolynomial.zero(ctx.ngens)
     for i, c in exp.coefficients.items():
-        recon = recon + ctx.lift_coefficient(c) * ctx.monomial_poly(basis[i])
+        recon = recon + lift_coefficient(ctx, c) * monomial_poly(ctx, basis[i])
     for sigma in ctx.shelling.order:
         p = ctx.facet_point(sigma)
-        assert ctx.localize_at(f, p) == ctx.localize_at(recon, p)
+        assert localize_at(ctx, f, p) == localize_at(ctx, recon, p)
 
 
 @st.composite
@@ -319,7 +326,7 @@ def ring_elements(draw):
     )
     poly = IntPolynomial.zero(ctx.ngens)
     for gens, c in terms:
-        poly = poly + c * ctx.monomial_poly(gens)
+        poly = poly + c * monomial_poly(ctx, gens)
     return ctx, poly
 
 
@@ -333,9 +340,38 @@ def test_expansion_agrees_with_the_ring_path(case):
     basis = module_basis(ctx)
     recon = IntPolynomial.zero(ctx.ngens)
     for i, c in exp.coefficients.items():
-        recon = recon + ctx.lift_coefficient(c) * ctx.monomial_poly(basis[i])
+        recon = recon + lift_coefficient(ctx, c) * monomial_poly(ctx, basis[i])
     for v in ctx.graph.vertices:
-        assert ctx.localize_at(recon, v) == ctx.localize_at(f, v)
+        assert localize_at(ctx, recon, v) == localize_at(ctx, f, v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_elements())
+def test_facet_coordinate_expansion_matches_the_division_oracle(case):
+    """The coefficients found by exponent shifts in facet coordinates are
+    those of exact division by the Thom values in the e_j."""
+    ctx, f = case
+    assert express_in_basis(ctx, f).coefficients == expand_by_division(ctx, f)
+
+
+def test_a_localization_that_is_not_divisible_is_refused():
+    ctx = klm_ctx(2, 1, 2)
+    maps = ctx.localizations
+    i = next(i for i, mu in enumerate(ctx.shelling.minimal_faces) if mu)
+    # a constant at the i-th point lacks the exponents of x_{mu_i}
+    with pytest.raises(InexactDivision, match="not divisible"):
+        _expand(maps, {i: {(0,) * ctx.graph.rank: 1}})
+    # x_{mu_i}, y^{mu_i} at the facets that contain mu_i, expands to itself;
+    # a subtraction that lands on a facet already passed leaves a
+    # remainder, which the final check catches
+    def x_mu():
+        return {k: {exps: 1} for k, exps in maps.carriers[i].items()}
+
+    one = IntPolynomial.constant(ctx.graph.rank, 1)
+    assert _expand(maps, x_mu()).coefficients == {i: one}
+    maps.carriers[i] = {0: (0,) * ctx.graph.rank, **maps.carriers[i]}
+    with pytest.raises(InexactDivision, match="remainder"):
+        _expand(maps, {k: loc for k, loc in x_mu().items() if k})
 
 
 def test_expansion_rejects_a_lambda_that_does_not_lift(monkeypatch):
@@ -352,7 +388,7 @@ def test_localization_matrix_is_triangular_with_nonzero_diagonal():
         for i, sigma in enumerate(ctx.shelling.order):
             p = ctx.facet_point(sigma)
             for j in range(len(basis)):
-                val = ctx.localize_at(ctx.monomial_poly(basis[j]), p)
+                val = localize_at(ctx, monomial_poly(ctx, basis[j]), p)
                 if j > i:
                     assert val.is_zero()
                 if j == i:
