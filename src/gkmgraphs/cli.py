@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import AssumptionViolation, GkmError, NotShellable, ParseError
+from .errors import AssumptionViolation, GkmError
 
 # Each command imports the package modules it calls, so a short command
 # such as ``validate`` or ``gen klm`` does not pay for loading the solver
@@ -176,11 +176,7 @@ class _PolyParser:
 def cmd_validate(args, parser):
     from .graph import validate_axial
 
-    try:
-        g = _read_graph(args, parser)
-    except (ParseError, GkmError) as exc:
-        return _emit({"ok": False, "error": str(exc)}, 1)
-    report = validate_axial(g)
+    report = validate_axial(_read_graph(args, parser))
     return _emit(report.to_dict(), 0 if report.ok else 1)
 
 
@@ -283,22 +279,10 @@ def cmd_verify_iso(args, parser):
     return _emit(rep, 0 if rep["ok"] else 1)
 
 
-def _context_or_fail(g, parser):
-    from .shelling import shelling_context
-
-    try:
-        return shelling_context(g)
-    except (AssumptionViolation, NotShellable, GkmError) as exc:
-        return exc
-
-
 def cmd_basis(args, parser):
-    from .shelling import basis_monomial_name, module_basis
+    from .shelling import basis_monomial_name, module_basis, shelling_context
 
-    g = _read_graph(args, parser)
-    ctx = _context_or_fail(g, parser)
-    if isinstance(ctx, Exception):
-        return _emit({"ok": False, "error": str(ctx)}, 1)
+    ctx = shelling_context(_read_graph(args, parser))
     out = ctx.shelling.to_dict()
     out["basis"] = [basis_monomial_name(b) for b in module_basis(ctx)]
     out["characteristic_functions"] = {
@@ -309,13 +293,10 @@ def cmd_basis(args, parser):
 
 
 def cmd_structure_constants(args, parser):
-    from .shelling import ordinary_cohomology
+    from .shelling import ordinary_cohomology, shelling_context
 
     g = _read_graph(args, parser)
-    ctx = _context_or_fail(g, parser)
-    if isinstance(ctx, Exception):
-        return _emit({"ok": False, "error": str(ctx)}, 1)
-    table = ordinary_cohomology(ctx)
+    table = ordinary_cohomology(shelling_context(g))
     varnames = _poly_varnames(g)
     table["equivariant_products"] = {
         key: {
@@ -327,17 +308,12 @@ def cmd_structure_constants(args, parser):
 
 
 def cmd_express(args, parser):
-    from .shelling import express_in_basis
+    from .shelling import express_in_basis, shelling_context
 
     g = _read_graph(args, parser)
-    ctx = _context_or_fail(g, parser)
-    if isinstance(ctx, Exception):
-        return _emit({"ok": False, "error": str(ctx)}, 1)
-    try:
-        poly = _PolyParser(args.poly, ctx.names).parse()
-        expansion = express_in_basis(ctx, poly)
-    except GkmError as exc:
-        return _emit({"ok": False, "error": str(exc)}, 1)
+    ctx = shelling_context(g)
+    poly = _PolyParser(args.poly, ctx.names).parse()
+    expansion = express_in_basis(ctx, poly)
     return _emit(
         {
             "poly": args.poly,
@@ -457,7 +433,7 @@ def _run(args, parser):
         return args.func(args, parser)
     except BrokenPipeError:
         raise
-    except (ParseError, GkmError) as exc:
+    except GkmError as exc:
         return _emit({"ok": False, "error": str(exc)}, 1)
     except Exception as exc:
         # last resort: a fault of the program is still one JSON document on

@@ -8,8 +8,11 @@
   the isomorphism" means at desk scale.
 
 Classes are plain ``{vertex: IntPolynomial}`` dictionaries wrapped in
-:class:`CohomologyClass`; polynomials use n+1 variables (e1..en, x) for the
-full theory and n variables for the x-forgetful one.
+:class:`CohomologyClass`, and both theories run on the same
+:class:`GkmGraph`.  A class's ``nvars`` selects its theory: n+1 variables
+(e1..en, x) for the full theory, checked against the full labels, and n
+variables for the x-forgetful one, checked against the labels with their
+residual coordinate erased.
 """
 
 from __future__ import annotations
@@ -37,60 +40,6 @@ from .intlinalg import (
     same_lattice,
 )
 from .polynomials import IntPolynomial, graded_piece_basis
-
-
-@dataclass
-class _View:
-    """Just enough context to build classes: arity and vertex order."""
-
-    nvars: int
-    vertices: list
-
-
-class ForgetfulGraph:
-    """The same graph with the residual coordinate of every label erased.
-
-    Not a GKM graph: opposite darts now carry opposite labels, so it only
-    supports the operations the forgetful theory needs.
-    """
-
-    def __init__(self, g: GkmGraph):
-        self.base = g
-        self.rank = g.rank
-        self.nvars = g.rank
-
-    @property
-    def vertices(self):
-        return self.base.vertices
-
-    def axial(self, dart_id):
-        return self.base.axial(dart_id)[:-1]
-
-    def darts_at(self, v):
-        return self.base.darts_at(v)
-
-    def canonical_edges(self):
-        return self.base.canonical_edges()
-
-    @property
-    def darts(self):
-        return self.base.darts
-
-
-def forgetful_graph(g: GkmGraph) -> ForgetfulGraph:
-    return ForgetfulGraph(g)
-
-
-def _as_view(g):
-    """Uniform access for GkmGraph (full labels) and ForgetfulGraph."""
-    if isinstance(g, ForgetfulGraph):
-        return g
-    view = ForgetfulGraph.__new__(ForgetfulGraph)
-    view.base = g
-    view.rank = g.rank
-    view.nvars = g.rank + 1
-    view.axial = g.axial
-    return view
 
 
 @dataclass
@@ -145,24 +94,28 @@ class CohomologyClass:
         }
 
 
-def constant_class(view, c=1) -> CohomologyClass:
+def _nvars(g: GkmGraph, forgetful: bool) -> int:
+    """The variables of a theory's classes: n forgetful, n+1 full."""
+    return g.rank if forgetful else g.rank + 1
+
+
+def constant_class(vertices, nvars, c=1) -> CohomologyClass:
     return CohomologyClass(
-        {v: IntPolynomial.constant(view.nvars, c) for v in view.vertices},
-        view.nvars,
+        {v: IntPolynomial.constant(nvars, c) for v in vertices}, nvars
     )
 
 
-def vector_class(view, values) -> CohomologyClass:
-    """Degree-2 class from vertexwise lattice vectors."""
+def vector_class(values) -> CohomologyClass:
+    """Degree-2 class from vertexwise lattice vectors, in as many variables
+    as the vectors have coordinates."""
+    nvars = len(next(iter(values.values())))
     return CohomologyClass(
-        {v: IntPolynomial.linear_form(values[v]) for v in view.vertices},
-        view.nvars,
+        {v: IntPolynomial.linear_form(a) for v, a in values.items()}, nvars
     )
 
 
 def chi_class(g: GkmGraph) -> CohomologyClass:
-    view = _as_view(g)
-    return vector_class(view, {v: g.residual for v in g.vertices})
+    return vector_class({v: g.residual for v in g.vertices})
 
 
 class _LabelMap(NamedTuple):
@@ -231,25 +184,27 @@ def _label_divides(maps, alpha, terms) -> bool:
     return True
 
 
-def class_satisfies_congruences(view, cls: CohomologyClass) -> bool:
+def class_satisfies_congruences(g: GkmGraph, cls: CohomologyClass) -> bool:
     """Does every edge label divide the difference of the values across
-    the edge?  The label maps are kept in the graph's ``label_maps``."""
-    maps = view.base.label_maps
-    for eid in view.canonical_edges():
-        e = view.darts[eid]
+    the edge?  The labels are cut to the class's ``nvars``, so a forgetful
+    class meets the labels without their residual coordinate.  The label
+    maps are kept in the graph's ``label_maps``."""
+    maps = g.label_maps
+    for eid in g.canonical_edges():
+        e = g.darts[eid]
         here, there = cls[e.source].terms, cls[e.target].terms
         if here == there:
             continue
         diff = dict(here)
         for m, c in there.items():
             diff[m] = diff.get(m, 0) - c
-        if not _label_divides(maps, view.axial(eid), diff):
+        if not _label_divides(maps, e.axial[: cls.nvars], diff):
             return False
     return True
 
 
-def assert_congruences(view, cls: CohomologyClass, what="class"):
-    if not class_satisfies_congruences(view, cls):
+def assert_congruences(g: GkmGraph, cls: CohomologyClass, what="class"):
+    if not class_satisfies_congruences(g, cls):
         raise CongruenceFailure(f"{what} violates a congruence relation")
 
 
@@ -265,7 +220,7 @@ SOLVER_MAX_COLUMNS = 2000
 def solver_columns(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
     """The unknowns of ``cohomology_basis(g, degree, forgetful)`` before its
     mod-content witnesses: C(nvars + degree - 1, degree) per vertex."""
-    nvars = g.rank if forgetful else g.rank + 1
+    nvars = _nvars(g, forgetful)
     return comb(nvars + degree - 1, degree) * len(g.vertices)
 
 
@@ -277,15 +232,13 @@ def class_to_vector(cls: CohomologyClass, vertex_order, monos):
     return out
 
 
-def _vector_to_class(vec, view, monos):
+def _vector_to_class(vec, vertices, nvars, monos):
     values = {}
     width = len(monos)
-    for i, v in enumerate(view.vertices):
+    for i, v in enumerate(vertices):
         chunk = vec[i * width : (i + 1) * width]
-        values[v] = IntPolynomial(
-            view.nvars, {m: c for m, c in zip(monos, chunk)}
-        )
-    return CohomologyClass(values, view.nvars)
+        values[v] = IntPolynomial(nvars, {m: c for m, c in zip(monos, chunk)})
+    return CohomologyClass(values, nvars)
 
 
 def _edge_row(ncols, source, target, row):
@@ -313,16 +266,15 @@ def cohomology_basis(g, degree: int, forgetful: bool = False):
     """
     if degree < 0:
         raise GkmError("degree must be nonnegative")
-    view = _as_view(forgetful_graph(g) if forgetful else g)
-    monos = graded_piece_basis(view.nvars, degree)
+    nvars = _nvars(g, forgetful)
+    monos = graded_piece_basis(nvars, degree)
     width = len(monos)
-    offset = {v: i * width for i, v in enumerate(view.vertices)}
-    nphi = len(view.vertices) * width
-    maps = view.base.label_maps
+    offset = {v: i * width for i, v in enumerate(g.vertices)}
+    nphi = len(g.vertices) * width
     rows, mod_rows = [], []
-    for eid in view.canonical_edges():
-        e = view.darts[eid]
-        lmap = _label_map(maps, view.axial(eid), degree)
+    for eid in g.canonical_edges():
+        e = g.darts[eid]
+        lmap = _label_map(g.label_maps, e.axial[:nvars], degree)
         source, target = offset[e.source], offset[e.target]
         rows.extend(_edge_row(nphi, source, target, r) for r in lmap.restrict)
         if lmap.content > 1:
@@ -336,9 +288,9 @@ def cohomology_basis(g, degree: int, forgetful: bool = False):
         row.extend(-content if j == i else 0 for j in range(nmod))
         system.append(row)
     kern = kernel_basis(system, ncols=nphi + nmod)
-    classes = [_vector_to_class(k, view, monos) for k in kern]
+    classes = [_vector_to_class(k, g.vertices, nvars, monos) for k in kern]
     for cls in classes:
-        assert_congruences(view, cls, what="solver output")
+        assert_congruences(g, cls, what="solver output")
     return classes, len(classes)
 
 
@@ -346,13 +298,12 @@ def cohomology_basis(g, degree: int, forgetful: bool = False):
 
 
 def thom_class_full(g: GkmGraph, h: Halfspace) -> CohomologyClass:
-    return vector_class(_as_view(g), thom_class(g, h).values)
+    return vector_class(thom_class(g, h).values)
 
 
 def thom_class_forgetful(g: GkmGraph, hyperplane, halfspace) -> CohomologyClass:
     """tau_L = forgetful image of tau_H; zero off L, normal label on L."""
     tc = thom_class(g, halfspace)
-    view = _as_view(forgetful_graph(g))
     values = {}
     for v in g.vertices:
         if v in hyperplane.vertices:
@@ -364,8 +315,8 @@ def thom_class_forgetful(g: GkmGraph, hyperplane, halfspace) -> CohomologyClass:
             values[v] = tc.values[v][:-1]
         else:
             values[v] = (0,) * g.rank
-    cls = vector_class(view, values)
-    assert_congruences(view, cls, what="forgetful Thom class")
+    cls = vector_class(values)
+    assert_congruences(g, cls, what="forgetful Thom class")
     return cls
 
 
@@ -431,7 +382,6 @@ def presentation_ring(
             g, by_name[name], report.pairs[name]
         )
     if forgetful:
-        view = _as_view(forgetful_graph(g))
         values = {
             name: thom_class_forgetful(g, by_name[name], pos[name])
             for name in order
@@ -473,7 +423,7 @@ def evaluate_generator(ring: PresentationRing, monomial) -> CohomologyClass:
     ``monomial`` maps generator names to exponents.
     """
     some = next(iter(ring.values.values()))
-    out = constant_class(_View(some.nvars, list(some.values)))
+    out = constant_class(some.values, some.nvars)
     for name, exp in sorted(monomial.items()):
         for _ in range(exp):
             out = out * ring.values[name]
@@ -532,7 +482,7 @@ def _evaluate_monomials(gen_values, vertex_order, nvars, k):
     names = list(gen_values)
     ngens = len(names)
     monos_target = graded_piece_basis(nvars, k)
-    table = {(0,) * ngens: constant_class(_View(nvars, vertex_order))}
+    table = {(0,) * ngens: constant_class(vertex_order, nvars)}
     for d in range(1, k + 1):
         new = {}
         for mono in graded_piece_basis(ngens, d):
@@ -574,9 +524,8 @@ def verify_iso(
     if pieces is None:
         pieces = graded_pieces(g, max_degree, forgetful)
     assumptions = ring.assumptions
-    view = _as_view(forgetful_graph(g) if forgetful else g)
-    nvars = view.nvars
-    vertex_order = list(view.vertices)
+    nvars = _nvars(g, forgetful)
+    vertex_order = list(g.vertices)
     if forgetful:
         gen_names = list(ring.generators)
         gen_values = {n: ring.values[n] for n in gen_names}

@@ -148,16 +148,7 @@ class GkmGraph:
     def _check_connected(self):
         if not self.vertices:
             raise StructuralError("graph has no vertices")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            v = stack.pop()
-            for did in self._darts_at[v]:
-                t = self.darts[did].target
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        if len(seen) != len(self.vertices):
+        if len(set(components(self, set(self.vertices)).values())) != 1:
             raise StructuralError("underlying graph is not connected")
 
     # -- accessors ----------------------------------------------------------
@@ -226,6 +217,34 @@ class GkmGraph:
             f"GkmGraph(rank={self.rank}, vertices={len(self.vertices)}, "
             f"darts={len(self.darts)})"
         )
+
+
+def components(g: GkmGraph, vertices, dart_ids=None):
+    """Connected components of the subgraph on the vertex set ``vertices``
+    as ``{vertex: root}``, the root of a component being its smallest
+    vertex.  An edge counts when its dart is in ``dart_ids`` (any dart when
+    None), its opposite is too, and its target is in ``vertices``."""
+    comp = {}
+    for v in sorted(vertices):
+        if v in comp:
+            continue
+        comp[v] = v
+        stack = [v]
+        while stack:
+            for did in g._darts_at[stack.pop()]:
+                d = g.darts[did]
+                t = d.target
+                if (
+                    t in vertices
+                    and t not in comp
+                    and (
+                        dart_ids is None
+                        or (did in dart_ids and d.opposite in dart_ids)
+                    )
+                ):
+                    comp[t] = v
+                    stack.append(t)
+    return comp
 
 
 def serialize(g: GkmGraph) -> str:
@@ -540,29 +559,11 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
 # -- pair decompositions -------------------------------------------------------
 
 
-@dataclass
-class PairDecomposition:
-    """of each vertex's darts into pairs with axial sum x."""
-
-    pairs: dict
-
-    def pair_of(self, g, vertex, dart_id):
-        for a, b in self.pairs[vertex]:
-            if dart_id == a:
-                return b
-            if dart_id == b:
-                return a
-        raise KeyError(dart_id)
-
-    def to_dict(self):
-        return {v: [list(p) for p in ps] for v, ps in sorted(self.pairs.items())}
-
-
-def pair_decomposition(g: GkmGraph) -> PairDecomposition:
-    """Pair up every vertex's darts and assert the connection maps pairs
-    to pairs across every edge."""
+def pair_decomposition(g: GkmGraph):
+    """Pair up every vertex's darts, ``{vertex: [(a, b), ...]}`` with axial
+    sums x, and assert the connection maps pairs to pairs across every
+    edge."""
     table = {v: _pairs_at(g, v) for v in g.vertices}
-    dec = PairDecomposition(table)
     conn = g.connection
     for eid in g.edge_dart_ids():
         e = g.darts[eid]
@@ -574,4 +575,4 @@ def pair_decomposition(g: GkmGraph) -> PairDecomposition:
                     f"connection across {eid!r} does not map the pair "
                     f"({a!r}, {b!r}) to a pair"
                 )
-    return dec
+    return table

@@ -22,7 +22,7 @@ from .errors import (
     CongruenceFailure,
     GkmError,
 )
-from .graph import GkmGraph, pair_decomposition
+from .graph import GkmGraph, components, pair_decomposition
 from .intlinalg import Vec, congruent, vec_sub
 
 
@@ -155,11 +155,11 @@ def all_hyperplanes(g: GkmGraph):
     the darts at w outside p: by the uniqueness of ``hyperplane_through``
     its closure would rebuild that hyperplane, through the same checks.
     """
-    dec = pair_decomposition(g)
+    pairs = pair_decomposition(g)
     seen = {}
     covered = set()  # (vertex, excluded darts) of the hyperplanes found
     for v in g.vertices:
-        for pair in dec.pairs[v]:
+        for pair in pairs[v]:
             if (v, frozenset(pair)) in covered:
                 continue
             h = hyperplane_through(g, v, pair)
@@ -186,32 +186,8 @@ def intersect_hyperplanes(g: GkmGraph, subset) -> IntersectionResult:
     vertices = frozenset.intersection(*(h.vertices for h in subset))
     darts = frozenset.intersection(*(h.dart_ids for h in subset))
     darts = frozenset(d for d in darts if g.darts[d].source in vertices)
-    return IntersectionResult(vertices, darts, _component_count(g, vertices, darts))
-
-
-def _component_count(g, vertices, dart_ids):
-    if not vertices:
-        return 0
-    adj = {v: [] for v in vertices}
-    for did in dart_ids:
-        d = g.darts[did]
-        if d.target in adj and d.opposite in dart_ids:
-            adj[d.source].append(d.target)
-    seen = set()
-    count = 0
-    for v in sorted(vertices):
-        if v in seen:
-            continue
-        count += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            w = stack.pop()
-            for u in adj[w]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return count
+    count = len(set(components(g, vertices, darts).values()))
+    return IntersectionResult(vertices, darts, count)
 
 
 def nonempty_intersection_table(named_vertex_sets):
@@ -361,24 +337,6 @@ def _orientation_classes(g, hyperplane, excluded):
     return color
 
 
-def _graph_components_without(g, removed):
-    remaining = [v for v in g.vertices if v not in removed]
-    comp = {}
-    for v in remaining:
-        if v in comp:
-            continue
-        stack = [v]
-        comp[v] = v
-        while stack:
-            w = stack.pop()
-            for did in g.darts_at(w):
-                t = g.darts[did].target
-                if t is not None and t not in removed and t not in comp:
-                    comp[t] = v
-                    stack.append(t)
-    return comp
-
-
 def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     """The unique (halfspace, opposite side) pair meeting in the hyperplane.
 
@@ -388,7 +346,7 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     """
     excluded = _excluded_pairs(g, hyperplane)
     color = _orientation_classes(g, hyperplane, excluded)
-    comp = _graph_components_without(g, hyperplane.vertices)
+    comp = components(g, set(g.vertices) - hyperplane.vertices)
     side_of_comp = {}
     for v in sorted(excluded):
         for d in excluded[v]:
@@ -425,7 +383,7 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
                     darts.update(g.darts_at(v))
         h = Halfspace(hyperplane, frozenset(verts), frozenset(darts), normals)
         _validate_pre_halfspace(g, h)
-        if not _subgraph_connected(g, h.vertices, h.dart_ids):
+        if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
             raise AssumptionOneViolation(
                 "candidate halfspace is not connected",
                 hyperplane=hyperplane.name,
@@ -460,27 +418,6 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
             )
     halves.sort(key=Halfspace.sort_key)
     return halves[0], halves[1]
-
-
-def _subgraph_connected(g, vertices, dart_ids):
-    if not vertices:
-        return True
-    verts = sorted(vertices)
-    seen = {verts[0]}
-    stack = [verts[0]]
-    while stack:
-        v = stack.pop()
-        for did in g.darts_at(v):
-            d = g.darts[did]
-            if (
-                did in dart_ids
-                and d.opposite in dart_ids
-                and d.target in vertices
-                and d.target not in seen
-            ):
-                seen.add(d.target)
-                stack.append(d.target)
-    return len(seen) == len(vertices)
 
 
 def _validate_pre_halfspace(g, h: Halfspace):
@@ -546,24 +483,21 @@ def _validate_pre_halfspace(g, h: Halfspace):
 
 def opposite_side(g: GkmGraph, h: Halfspace) -> Halfspace:
     """The unique pre-halfspace with H u I = Gamma and tau_H + tau_I = chi."""
-    dec = pair_decomposition(g)
+    pairs = pair_decomposition(g)
+
+    def partner(v, d):
+        return next(b if a == d else a for a, b in pairs[v] if d in (a, b))
+
     boundary_planes = []
     normals = {}
     for v, nd in sorted(h.normals.items()):
-        partner = dec.pair_of(g, v, nd)
-        boundary_planes.append(hyperplane_through(g, v, (nd, partner)))
-        normals[v] = partner
+        normals[v] = partner(v, nd)
+        boundary_planes.append(hyperplane_through(g, v, (nd, normals[v])))
     verts = set(g.vertices) - set(h.vertices)
     darts = set(g.darts) - set(h.dart_ids)
     for plane in boundary_planes:
         verts |= plane.vertices
         darts |= plane.dart_ids
-    # the hyperplane through a boundary vertex can pick up extra boundary
-    # vertices of h; their normals are the pair partners there
-    for plane in boundary_planes:
-        for v in plane.vertices:
-            if v in h.normals and v not in normals:
-                normals[v] = dec.pair_of(g, v, h.normals[v])
     out = Halfspace(h.hyperplane, frozenset(verts), frozenset(darts), normals)
     _validate_pre_halfspace(g, out)
     return out

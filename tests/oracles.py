@@ -2,12 +2,40 @@
 
 The runtime expands in facet coordinates and never substitutes, divides by
 a linear form or inverts a matrix; these are the ring-path versions of
-those steps, kept as oracles to check the fast paths against.
+those steps, kept as oracles to check the fast paths against.  A
+union-find over the dart list checks the graph search of
+``graph.components``.
 """
 
 from gkmgraphs import intlinalg
 from gkmgraphs.errors import DimensionError, InexactDivision
 from gkmgraphs.polynomials import IntPolynomial
+
+
+# -- connected components --------------------------------------------------
+
+
+def union_find_components(g, vertices, dart_ids=None):
+    """``{vertex: smallest vertex of its component}`` of the subgraph on
+    ``vertices``: every dart with both ends in ``vertices`` whose id and
+    opposite are in ``dart_ids`` (any dart when None) joins its ends."""
+    parent = {v: v for v in vertices}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for d in g.darts.values():
+        if d.source not in parent or d.target not in parent:
+            continue
+        if dart_ids is not None and not (
+            d.id in dart_ids and d.opposite in dart_ids
+        ):
+            continue
+        a, b = find(d.source), find(d.target)
+        parent[max(a, b)] = min(a, b)
+    return {v: find(v) for v in vertices}
 
 
 # -- exact division and unimodular inverses -----------------------------------

@@ -15,13 +15,12 @@ from gkmgraphs.cohomology import (
     cohomology_basis,
     constant_class,
     evaluate_generator,
-    forgetful_graph,
     kernel_forgetful_check,
     presentation_ring,
     thom_class_forgetful,
     thom_class_full,
+    vector_class,
     verify_iso,
-    _as_view,
     _label_divides,
 )
 from gkmgraphs.errors import AssumptionViolation, CongruenceFailure
@@ -42,16 +41,15 @@ def test_rank_zero_is_one_for_every_valid_graph():
     ):
         classes, rank = cohomology_basis(g, 0)
         assert rank == 1
-        assert classes[0] == constant_class(_as_view(g))
+        assert classes[0] == constant_class(g.vertices, g.rank + 1)
 
 
 def test_solver_output_satisfies_congruences():
     g = fixture("fig7_pentagon")
-    view = _as_view(g)
     for k in (1, 2):
         classes, _ = cohomology_basis(g, k)
         for cls in classes:
-            assert class_satisfies_congruences(view, cls)
+            assert class_satisfies_congruences(g, cls)
 
 
 def _doubled(fixture_id, dart_ids):
@@ -197,18 +195,35 @@ def test_klm212_forgetful_degree_one_rank():
 
 def test_forgetful_labels():
     g = fixture("fig2_left")
-    fg = forgetful_graph(g)
-    labels = {fg.axial(d) for d in g.darts_at("p")}
+    labels = {g.axial(d)[: g.rank] for d in g.darts_at("p")}
     assert labels == {(1, 0), (0, 1), (-1, 0), (0, -1)}
     lm = local_model(2)
-    flm = forgetful_graph(lm)
-    assert {flm.axial(d) for d in lm.darts_at("o")} == {
+    assert {lm.axial(d)[: lm.rank] for d in lm.darts_at("o")} == {
         (1, 0), (0, 1), (-1, 0), (0, -1)
     }
-    sphere = forgetful_graph(fixture("fig11_sphere"))
-    assert {sphere.axial(d) for d in sphere.darts_at("top")} == {
-        (1, 0), (0, 1), (-1, 0), (0, -1)
-    }
+    sphere = fixture("fig11_sphere")
+    top = {sphere.axial(d)[: sphere.rank] for d in sphere.darts_at("top")}
+    assert top == {(1, 0), (0, 1), (-1, 0), (0, -1)}
+
+
+def test_class_arity_picks_its_labels():
+    """A forgetful class (n variables) is checked against the labels with
+    their residual coordinate erased; the same vectors padded with a zero
+    x coordinate are checked against the full labels, which they fail."""
+    g = gen_klm(KlmSpec(2, 1, 2))
+    planes = all_hyperplanes(g)
+    failing = 0
+    for h in planes:
+        pos, _ = choose_positive_halfspace(g, h)
+        tau = thom_class_forgetful(g, h, pos)
+        assert tau.nvars == g.rank
+        assert class_satisfies_congruences(g, tau)
+        padded = vector_class(
+            {v: p.linear_coeffs() + (0,) for v, p in tau.values.items()}
+        )
+        assert padded.nvars == g.rank + 1
+        failing += not class_satisfies_congruences(g, padded)
+    assert failing == 4 and len(planes) == 5
 
 
 def test_forgetful_thom_class_of_vertical_line():
@@ -301,7 +316,7 @@ def test_evaluate_generator():
 
 def test_localize():
     g = fixture("fig2_left")
-    c = constant_class(_as_view(g), 5)
+    c = constant_class(g.vertices, g.rank + 1, 5)
     five = IntPolynomial.constant(3, 5)
     assert dict(c.values) == {v: five for v in g.vertices}
 
@@ -363,12 +378,11 @@ def test_homogeneous_decomposition_of_mixed_degree_classes():
 
     g = fixture("fig2_left")
     ring = presentation_ring(g)
-    one = constant_class(_as_view(g))
+    one = constant_class(g.vertices, g.rank + 1)
     mixed = (one + ring.values["H1"]) * (chi_class(g) + ring.values["H2"])
-    view = _as_view(g)
     for k in range(3):
         piece = mixed.homogeneous_component(k)
-        assert class_satisfies_congruences(view, piece)
+        assert class_satisfies_congruences(g, piece)
         classes, _ = cohomology_basis(g, k)
         monos = graded_piece_basis(g.rank + 1, k)
         span = hnf_nonzero_rows(
@@ -410,7 +424,7 @@ def test_psi_well_defined_and_diagram_commutes():
             mono[name] = mono.get(name, 0) + 1
         lhs = forget(evaluate_generator(full, mono))
         # phi' then phi: X -> 0, H_i -> L_i, Hbar_i -> -L_i
-        rhs = constant_class(_as_view(forgetful_graph(g)))
+        rhs = constant_class(g.vertices, g.rank)
         zero = False
         sign = 1
         for name, e in mono.items():

@@ -10,16 +10,25 @@ from gkmgraphs.errors import (
     ParseError,
     StructuralError,
 )
-from gkmgraphs.fixtures import FIXTURE_IDS, fixture, local_model
+from gkmgraphs.fixtures import (
+    FIXTURE_IDS,
+    KlmSpec,
+    fixture,
+    gen_klm,
+    local_model,
+)
 from gkmgraphs.graph import (
     Dart,
     GkmGraph,
+    components,
     derive_connection,
     load_graph,
     pair_decomposition,
     serialize,
     validate_axial,
 )
+from gkmgraphs.hyperplanes import all_hyperplanes, check_assumptions
+from oracles import union_find_components
 
 
 def replace_axial(g, dart_id, axial, keep_connection=False):
@@ -194,13 +203,13 @@ def test_stored_connection_is_verified_not_trusted():
 def test_pair_decomposition_local_model():
     g = local_model(2)
     dec = pair_decomposition(g)
-    assert sorted(dec.pairs["o"]) == [("o:m1", "o:p1"), ("o:m2", "o:p2")]
+    assert sorted(dec["o"]) == [("o:m1", "o:p1"), ("o:m2", "o:p2")]
 
 
 def test_pair_decomposition_fig2_left_bottom_vertex():
     g = fixture("fig2_left")
     dec = pair_decomposition(g)
-    pairs = {frozenset(p) for p in dec.pairs["p"]}
+    pairs = {frozenset(p) for p in dec["p"]}
     assert frozenset({"p:e", "p:w"}) in pairs  # e2*, x - e2*
     assert frozenset({"p:n", "p:s"}) in pairs  # e1*, x - e1*
 
@@ -209,9 +218,41 @@ def test_pair_decomposition_asserts_connection_preserves_pairs():
     # fig7: two pairs per vertex, and the check runs across all 5 edges
     g = fixture("fig7_pentagon")
     dec = pair_decomposition(g)
-    assert all(len(ps) == 2 for ps in dec.pairs.values())
+    assert all(len(ps) == 2 for ps in dec.values())
 
 
 def test_serialization_is_byte_stable():
     g = fixture("fig7_pentagon")
     assert serialize(g) == serialize(load_graph(serialize(g)))
+
+
+def _subgraphs(g):
+    """The whole graph, the graph minus each hyperplane, each halfspace and
+    each nonempty pairwise hyperplane intersection, as (vertices, darts);
+    last, one dart per edge, which joins nothing without its opposite."""
+    planes = all_hyperplanes(g)
+    yield set(g.vertices), None
+    yield set(g.vertices), set(g.canonical_edges())
+    for h in planes:
+        yield set(g.vertices) - h.vertices, None
+    for pair in check_assumptions(g, planes).pairs.values():
+        for half in pair:
+            yield half.vertices, half.dart_ids
+    for i, a in enumerate(planes):
+        for b in planes[i + 1 :]:
+            if a.vertices & b.vertices:
+                yield a.vertices & b.vertices, a.dart_ids & b.dart_ids
+
+
+@pytest.mark.parametrize(
+    "graph",
+    list(FIXTURE_IDS) + ["local_model(2)", "L212", "L322"],
+)
+def test_components_agree_with_union_find(graph):
+    if graph.startswith("L"):
+        g = gen_klm(KlmSpec(*map(int, graph[1:])))
+    else:
+        g = fixture(graph)
+    for vertices, dart_ids in _subgraphs(g):
+        got = components(g, vertices, dart_ids)
+        assert got == union_find_components(g, vertices, dart_ids)

@@ -15,7 +15,7 @@ from gkmgraphs.fixtures import (
     gen_klm,
     local_model,
 )
-from gkmgraphs.graph import pair_decomposition
+from gkmgraphs.graph import components, pair_decomposition
 from gkmgraphs.hyperplanes import (
     Halfspace,
     Hyperplane,
@@ -29,7 +29,6 @@ from gkmgraphs.hyperplanes import (
     opposite_side,
     thom_class,
     _validate_pre_halfspace,
-    _subgraph_connected,
 )
 
 
@@ -94,7 +93,7 @@ def test_hyperplane_uniqueness_from_any_seed():
     dec = pair_decomposition(g)
     seen = {}
     for v in g.vertices:
-        for pair in dec.pairs[v]:
+        for pair in dec[v]:
             h = hyperplane_through(g, v, pair)
             seen.setdefault(h.label, set()).add((h.vertices, h.dart_ids))
     assert len(seen) == 5
@@ -115,7 +114,7 @@ def test_all_hyperplanes_runs_one_closure_per_hyperplane(monkeypatch, source):
     dec = pair_decomposition(g)
     exhaustive = {}
     for v in g.vertices:
-        for pair in dec.pairs[v]:
+        for pair in dec[v]:
             h = hyperplane_through(g, v, pair)
             exhaustive.setdefault(h.label, h)
     calls = []
@@ -219,7 +218,7 @@ def test_middle_segment_pre_halfspace_is_not_a_halfspace():
     _validate_pre_halfspace(g, h)  # a genuine pre-halfspace
     opp = opposite_side(g, h)
     assert opp.vertices == {"p1", "p2", "p4", "p5"}
-    assert not _subgraph_connected(g, opp.vertices, opp.dart_ids)
+    assert len(set(components(g, opp.vertices, opp.dart_ids).values())) == 2
     # and the Thom classes still sum to chi
     th, ti = thom_class(g, h), thom_class(g, opp)
     for v in g.vertices:
