@@ -25,11 +25,11 @@ from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
 from .hyperplanes import (
     AssumptionReport,
-    Halfspace,
     _name_key,
     all_hyperplanes,
     check_assumptions,
     choose_positive_halfspace,
+    forgetful_thom_class,
     minimal_empty_families,
     thom_class,
 )
@@ -294,32 +294,6 @@ def cohomology_basis(g, degree: int, forgetful: bool = False):
     return classes, len(classes)
 
 
-# -- Thom classes as cohomology classes ------------------------------------------
-
-
-def thom_class_full(g: GkmGraph, h: Halfspace) -> CohomologyClass:
-    return vector_class(thom_class(g, h).values)
-
-
-def thom_class_forgetful(g: GkmGraph, hyperplane, halfspace) -> CohomologyClass:
-    """tau_L = forgetful image of tau_H; zero off L, normal label on L."""
-    tc = thom_class(g, halfspace)
-    values = {}
-    for v in g.vertices:
-        if v in hyperplane.vertices:
-            if v not in halfspace.normals:
-                raise CongruenceFailure(
-                    f"vertex {v!r} of the hyperplane is not a boundary "
-                    "vertex of the chosen halfspace"
-                )
-            values[v] = tc.values[v][:-1]
-        else:
-            values[v] = (0,) * g.rank
-    cls = vector_class(values)
-    assert_congruences(g, cls, what="forgetful Thom class")
-    return cls
-
-
 # -- presentation rings -----------------------------------------------------------
 
 
@@ -333,21 +307,6 @@ class PresentationRing:
     hyperplane_of: dict = field(default_factory=dict)
     # the report the ring was built under; not part of the presentation
     assumptions: AssumptionReport = field(default=None, repr=False)
-
-    def to_dict(self):
-        return {
-            "kind": "forgetful" if self.forgetful else "full",
-            "generators": list(self.generators),
-            "linear_relations": [
-                dict(sorted(r.items())) for r in self.linear_relations
-            ],
-            "monomial_relations": [
-                sorted(f) for f in sorted(
-                    self.monomial_relations, key=lambda f: (len(f), sorted(f))
-                )
-            ],
-            "hyperplane_of": dict(sorted(self.hyperplane_of.items())),
-        }
 
 
 def presentation_ring(
@@ -383,7 +342,9 @@ def presentation_ring(
         )
     if forgetful:
         values = {
-            name: thom_class_forgetful(g, by_name[name], pos[name])
+            name: vector_class(
+                forgetful_thom_class(g, by_name[name], pos[name])
+            )
             for name in order
         }
         families = minimal_empty_families(
@@ -398,8 +359,8 @@ def presentation_ring(
     named_sets = {}
     for i, name in enumerate(order):
         hn, hbn = f"H{i + 1}", f"Hbar{i + 1}"
-        values[hn] = thom_class_full(g, pos[name])
-        values[hbn] = thom_class_full(g, neg[name])
+        values[hn] = vector_class(thom_class(g, pos[name]))
+        values[hbn] = vector_class(thom_class(g, neg[name]))
         hyperplane_of[hn] = name
         hyperplane_of[hbn] = name
         named_sets[hn] = set(pos[name].vertices)
@@ -476,28 +437,6 @@ def _ideal_rank_full(rels, ngens, k):
     return rank(rows)
 
 
-def _evaluate_monomials(gen_values, vertex_order, nvars, k):
-    """Vectors of Psi(monomial) for all degree-k monomials in the given
-    generators, grown degree by degree."""
-    names = list(gen_values)
-    ngens = len(names)
-    monos_target = graded_piece_basis(nvars, k)
-    table = {(0,) * ngens: constant_class(vertex_order, nvars)}
-    for d in range(1, k + 1):
-        new = {}
-        for mono in graded_piece_basis(ngens, d):
-            i = next(j for j, e in enumerate(mono) if e)
-            lower = tuple(e - 1 if j == i else e for j, e in enumerate(mono))
-            new[mono] = table[lower] * gen_values[names[i]]
-        table = new
-    out = []
-    for mono in graded_piece_basis(ngens, k):
-        out.append(
-            (mono, class_to_vector(table[mono], vertex_order, monos_target))
-        )
-    return out
-
-
 def graded_pieces(g: GkmGraph, max_degree: int, forgetful: bool = False):
     """The solver's graded pieces ``cohomology_basis(g, k, forgetful)`` for
     k = 0..max_degree, as a list of ``(classes, rank)``."""
@@ -528,35 +467,41 @@ def verify_iso(
     vertex_order = list(g.vertices)
     if forgetful:
         gen_names = list(ring.generators)
-        gen_values = {n: ring.values[n] for n in gen_names}
         families = [frozenset(f) for f in ring.monomial_relations]
     else:
         gen_names, rels = _reduced_full_relations(ring)
-        gen_values = {n: ring.values[n] for n in gen_names}
+    gens = [ring.values[n] for n in gen_names]
+    ngens = len(gen_names)
+    # Psi of the degree-k monomials, grown by one generator per degree.  The
+    # forgetful table keeps only the monomials outside the monomial ideal:
+    # a monomial's lower neighbour has a smaller support, so it is outside
+    # the ideal whenever the monomial is.
+    table = {(0,) * ngens: constant_class(vertex_order, nvars)}
     per_degree = {}
     for k in range(max_degree + 1):
+        if k:
+            grown = {}
+            for mono in graded_piece_basis(ngens, k):
+                i = next(j for j, e in enumerate(mono) if e)
+                lower = table.get(mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
+                if lower is None:
+                    continue
+                if forgetful:
+                    support = {gen_names[j] for j, e in enumerate(mono) if e}
+                    if any(f <= support for f in families):
+                        continue
+                grown[mono] = lower * gens[i]
+            table = grown
         _, solver_rank = pieces[k]
-        nmono = comb(len(gen_names) + k - 1, k)
+        nmono = comb(ngens + k - 1, k)
         if forgetful:
-            monos = graded_piece_basis(len(gen_names), k)
-            in_ideal = 0
-            alive = []
-            for m in monos:
-                support = {gen_names[i] for i, e in enumerate(m) if e}
-                if any(f <= support for f in families):
-                    in_ideal += 1
-                else:
-                    alive.append(m)
-            pres_rank = nmono - in_ideal
-            evaluated = _evaluate_monomials(gen_values, vertex_order, nvars, k)
-            alive_set = set(alive)
-            vectors = [vec for m, vec in evaluated if m in alive_set]
+            pres_rank = len(table)
         else:
-            ideal_rank = _ideal_rank_full(rels, len(gen_names), k)
-            pres_rank = nmono - ideal_rank
-            evaluated = _evaluate_monomials(gen_values, vertex_order, nvars, k)
-            vectors = [vec for _, vec in evaluated]
-        image_rank = rank(vectors)
+            pres_rank = nmono - _ideal_rank_full(rels, ngens, k)
+        monos = graded_piece_basis(nvars, k)
+        image_rank = rank(
+            [class_to_vector(c, vertex_order, monos) for c in table.values()]
+        )
         per_degree[k] = {
             "solver_rank": solver_rank,
             "presentation_rank": pres_rank,

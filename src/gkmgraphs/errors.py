@@ -71,7 +71,7 @@ class NotShellable(GkmError):
 
 
 class InconsistentLambda(GkmError):
-    """The characteristic covector differs between vertices of a hyperplane."""
+    """The characteristic covectors do not lift the e_j at a facet point."""
 
 
 class InexactDivision(GkmError):

@@ -256,6 +256,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# the optional fields that are JSON objects: (key, what their values are,
+# the test of a value); null reads as absent
+_OBJECT_FIELDS = (
+    ("connection", "objects", lambda m: isinstance(m, dict)),
+    (
+        "hyperplane_names",
+        "arrays of strings",
+        lambda vs: isinstance(vs, list) and all(isinstance(v, str) for v in vs),
+    ),
+    ("positive_normals", "strings", lambda d: isinstance(d, str)),
+)
+
+
 def graph_from_dict(obj) -> GkmGraph:
     for key in ("rank", "vertices", "darts"):
         if key not in obj:
@@ -266,14 +279,12 @@ def graph_from_dict(obj) -> GkmGraph:
     for key in ("vertices", "darts"):
         if not isinstance(obj[key], list):
             raise ParseError(f"{key} must be an array", field=key)
-    connection = obj.get("connection")
-    if connection is not None and not (
-        isinstance(connection, dict)
-        and all(isinstance(m, dict) for m in connection.values())
-    ):
-        raise ParseError(
-            "connection must be an object of objects", field="connection"
-        )
+    for key, what, leaf in _OBJECT_FIELDS:
+        value = obj.get(key)
+        if value is not None and not (
+            isinstance(value, dict) and all(map(leaf, value.values()))
+        ):
+            raise ParseError(f"{key} must be an object of {what}", field=key)
     darts = []
     for i, rec in enumerate(obj["darts"]):
         try:
@@ -307,7 +318,7 @@ def graph_from_dict(obj) -> GkmGraph:
             field="vertices",
         )
     meta = {k: obj[k] for k in META_KEYS if k in obj}
-    return GkmGraph(rank, darts, connection=connection, meta=meta)
+    return GkmGraph(rank, darts, connection=obj.get("connection"), meta=meta)
 
 
 def load_graph(text: str) -> GkmGraph:

@@ -23,7 +23,7 @@ from .errors import (
     GkmError,
 )
 from .graph import GkmGraph, components, pair_decomposition
-from .intlinalg import Vec, congruent, vec_sub
+from .intlinalg import congruent, vec_sub
 
 
 def _stable_label(vertices, dart_ids):
@@ -46,21 +46,13 @@ class Hyperplane:
 
 
 @dataclass
-class ThomClass:
-    values: dict  # vertex -> lattice vector (length n+1)
-
-    def __getitem__(self, vertex) -> Vec:
-        return self.values[vertex]
-
-
-@dataclass
 class Halfspace:
     hyperplane: Hyperplane
     vertices: frozenset
     dart_ids: frozenset
     normals: dict = field(default_factory=dict)  # boundary vertex -> dart id
     # the checked Thom class, set by the first ``thom_class`` call
-    thom: ThomClass | None = field(
+    thom: dict | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -506,11 +498,11 @@ def opposite_side(g: GkmGraph, h: Halfspace) -> Halfspace:
 # -- Thom classes ----------------------------------------------------------------
 
 
-def thom_class(g: GkmGraph, h: Halfspace) -> ThomClass:
-    """Degree-2 class of a (pre-)halfspace of ``g``; 0 outside, x inside,
-    normal label on the boundary.  Checked against every congruence
-    relation, once: the checked class is kept on the halfspace, and later
-    calls return it."""
+def thom_class(g: GkmGraph, h: Halfspace) -> dict:
+    """Degree-2 class ``{vertex: vector}`` of a (pre-)halfspace of ``g``; 0
+    outside, x inside, normal label on the boundary.  Checked against every
+    congruence relation, once: the checked class is kept on the halfspace,
+    and later calls return it."""
     if h.thom is not None:
         return h.thom
     n = g.rank
@@ -528,20 +520,43 @@ def thom_class(g: GkmGraph, h: Halfspace) -> ThomClass:
         else:
             values[v] = x
     assert_class_congruences(g, values)
-    h.thom = ThomClass(values)
-    return h.thom
+    h.thom = values
+    return values
+
+
+def forgetful_thom_class(g: GkmGraph, hyperplane: Hyperplane, h: Halfspace):
+    """The x-forgetful image tau_L of the Thom class of ``h``, a halfspace
+    of ``hyperplane``: 0 off L and, on L, the normal label of ``h`` without
+    its residual coordinate.  Checked against every congruence relation."""
+    n = g.rank
+    values = {}
+    for v in g.vertices:
+        if v not in hyperplane.vertices:
+            values[v] = (0,) * n
+        elif v in h.normals:
+            values[v] = g.axial(h.normals[v])[:n]
+        else:
+            raise CongruenceFailure(
+                f"vertex {v!r} of the hyperplane is not a boundary vertex "
+                "of the chosen halfspace"
+            )
+    assert_class_congruences(g, values)
+    return values
 
 
 def assert_class_congruences(g: GkmGraph, values):
     """Raise CongruenceFailure unless the vertexwise degree-2 values satisfy
-    every edge congruence."""
+    every edge congruence.  Each label is cut to the length of the values,
+    so a forgetful class meets the labels without their residual
+    coordinate; for a degree-2 class, alpha divides a - b exactly when
+    a - b is an integer multiple of alpha."""
     for eid in g.canonical_edges():
         e = g.darts[eid]
         a, b = values[e.source], values[e.target]
-        if a != b and not congruent(a, b, e.axial):
+        if a != b and not congruent(a, b, e.axial[: len(a)]):
             raise CongruenceFailure(
                 f"congruence fails on edge {eid!r}: "
-                f"{values[e.source]} vs {values[e.target]} mod {e.axial}"
+                f"{a} vs {b} mod {e.axial[: len(a)]}"
             )
 
 

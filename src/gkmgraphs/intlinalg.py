@@ -25,18 +25,18 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 def is_multiple_of(u: Vec, v: Vec) -> int | None:
     """Return the integer c with u == c*v, or None if there is none.
 
-    v must be nonzero.
+    For v = 0 that is 0 when u = 0 too, and None otherwise.
     """
     pivot = next((i for i, a in enumerate(v) if a != 0), None)
     if pivot is None:
-        raise ValueError("v must be nonzero")
+        return None if any(u) else 0
     c, r = divmod(u[pivot], v[pivot])
     return None if r or any(a != c * b for a, b in zip(u, v)) else c
 
 
 def congruent(u: Vec, w: Vec, v: Vec) -> bool:
-    """Is u - w an integer multiple of the nonzero vector v, that is, is
-    u = w mod v?  Decided entry by entry, without building u - w."""
+    """Is u - w an integer multiple of v, that is, is u = w mod v?  Decided
+    entry by entry, without building u - w; modulo v = 0 that is u = w."""
     for i, b in enumerate(v):
         if b:
             c = (u[i] - w[i]) // b  # checked with the other entries below
@@ -44,7 +44,7 @@ def congruent(u: Vec, w: Vec, v: Vec) -> bool:
                 if x - y != c * a:
                     return False
             return True
-    raise ValueError("v must be nonzero")
+    return u == w
 
 
 def _check_rect(rows):

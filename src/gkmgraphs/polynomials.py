@@ -77,14 +77,6 @@ class IntPolynomial:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
 
-    def linear_coeffs(self):
-        """Coefficient vector of the degree-1 part."""
-        out = [0] * self.nvars
-        for m, c in self.terms.items():
-            if sum(m) == 1:
-                out[m.index(1)] = c
-        return tuple(out)
-
     def coefficient(self, mono):
         return self.terms.get(tuple(mono), 0)
 

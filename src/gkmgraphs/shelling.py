@@ -24,11 +24,9 @@ there.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import comb
 
-from .cohomology import thom_class_forgetful
 from .errors import (
     AssumptionViolation,
     GkmError,
@@ -42,10 +40,10 @@ from .hyperplanes import (
     _name_key,
     all_hyperplanes,
     choose_positive_halfspace,
-    minimal_empty_families,
+    forgetful_thom_class,
     nonempty_intersection_table,
 )
-from .intlinalg import solve_integer, vec_sub
+from .intlinalg import solve_integer
 from .polynomials import IntPolynomial, coords_varnames
 
 DEFAULT_SEARCH_BUDGET = 10**6
@@ -219,48 +217,32 @@ def klm_canonical_order(names):
 # -- characteristic functions ---------------------------------------------------
 
 
-def characteristic_function(g: GkmGraph, hyperplane, halfspace) -> tuple:
-    """The covector pairing to 1 with the halfspace normal and to 0 with
-    the hyperplane's own labels, checked at every vertex."""
-    n = g.rank
-    x = g.residual
-    lam = None
-    for p in sorted(hyperplane.vertices):
-        in_l = [d for d in g.darts_at(p) if d in hyperplane.dart_ids]
-        reps = []
-        used = set()
-        for d in in_l:
-            if d in used:
+def characteristic_functions(complex_: SimplicialComplex, taus) -> dict:
+    """The covector lambda(L) of every hyperplane L, ``{name: covector}``.
+
+    At a vertex p of L, lambda(L) pairs to 0 with the forgetful labels of
+    the darts of L and to 1 with the normal of the positive side.  Those
+    labels are +-tau_M(p) for the other hyperplanes M through p, and the
+    normal is tau_L(p).  So lambda(L) solves lambda . tau_M(p) = delta_LM,
+    row L of the lift identity; it is solved once, at the first facet that
+    holds L.  ``FacetLocalizations`` checks the lift identity at every
+    facet point, which is every vertex.
+    """
+    lambdas = {}
+    for facet in complex_.facets:
+        p = complex_.facet_vertex[facet]
+        members = sorted(facet)
+        rows = [taus[m][p] for m in members]
+        for name in members:
+            if name in lambdas:
                 continue
-            partner = next(
-                o
-                for o in in_l
-                if o != d and g.axial(o) == vec_sub(x, g.axial(d))
-            )
-            used.add(d)
-            used.add(partner)
-            reps.append(d)
-        normal = halfspace.normals.get(p)
-        if normal is None:
-            raise GkmError(
-                f"vertex {p!r} is not a boundary vertex of the halfspace"
-            )
-        rows = [list(g.axial(d)[:-1]) for d in reps]
-        rows.append(list(g.axial(normal)[:-1]))
-        rhs = [0] * (n - 1) + [1]
-        sol = solve_integer(rows, rhs)
-        if sol is None:
-            raise InconsistentLambda(
-                f"no covector solves the duality system at {p!r}"
-            )
-        if lam is None:
-            lam = sol
-        elif lam != sol:
-            raise InconsistentLambda(
-                f"characteristic covector differs between vertices: "
-                f"{lam} at earlier vertices, {sol} at {p!r}"
-            )
-    return lam
+            sol = solve_integer(rows, [int(m == name) for m in members])
+            if sol is None:
+                raise InconsistentLambda(
+                    f"no covector solves the duality system at {p!r}"
+                )
+            lambdas[name] = sol
+    return lambdas
 
 
 # -- the assembled context -------------------------------------------------------
@@ -273,8 +255,12 @@ class ShellingContext:
     complex: SimplicialComplex
     shelling: ShellingData
     lambdas: dict  # name -> covector
-    taus: dict  # name -> forgetful Thom class (CohomologyClass)
+    taus: dict  # name -> forgetful Thom class, {vertex: vector}
     orientation: dict  # name -> recorded normal dart of the positive side
+    # the localization maps of the facet points, set by ``shelling_context``
+    localizations: FacetLocalizations = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def ngens(self):
@@ -285,20 +271,6 @@ class ShellingContext:
 
     def facet_point(self, facet):
         return self.complex.facet_vertex[facet]
-
-    @cached_property
-    def min_nonfaces(self) -> list:
-        """Minimal non-faces, the generators of the Stanley-Reisner ideal.
-        A hyperplane's vertices are the points of the facets that hold it."""
-        points = self.complex.facet_vertex.items()
-        return minimal_empty_families(
-            {name: {p for f, p in points if name in f} for name in self.names}
-        )
-
-    @cached_property
-    def localizations(self) -> FacetLocalizations:
-        """The localization maps of the facet points, built on first use."""
-        return FacetLocalizations(self)
 
 
 def _mul(p, q):
@@ -362,14 +334,14 @@ class FacetLocalizations:
         ]
         self.taus = []  # the rows of T_p
         for p, gens, lams in zip(self.points, self.gens, self.lambdas):
-            values = [ctx.taus[name].values[p] for name in ctx.names]
-            support = tuple(g for g, v in enumerate(values) if not v.is_zero())
+            values = [ctx.taus[name][p] for name in ctx.names]
+            support = tuple(g for g, v in enumerate(values) if any(v))
             if support != gens:
                 raise GkmError(
                     f"the Thom classes nonzero at {p!r} are not those of the "
                     "hyperplanes through it"
                 )
-            rows = [values[g].linear_coeffs() for g in gens]
+            rows = [values[g] for g in gens]
             for j in range(n):
                 total = [
                     sum(lam[j] * row[i] for lam, row in zip(lams, rows))
@@ -440,18 +412,19 @@ def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
         ):
             facet_order = None
     shelling = find_shelling(complex_, order=facet_order)
-    lambdas = {}
     taus = {}
     orientation = {}
     for name in names:
         pos, _neg = choose_positive_halfspace(g, by_name[name])
-        lambdas[name] = characteristic_function(g, by_name[name], pos)
-        taus[name] = thom_class_forgetful(g, by_name[name], pos)
+        taus[name] = forgetful_thom_class(g, by_name[name], pos)
         first = sorted(pos.normals)[0]
         orientation[name] = pos.normals[first]
-    return ShellingContext(
+    lambdas = characteristic_functions(complex_, taus)
+    ctx = ShellingContext(
         g, names, complex_, shelling, lambdas, taus, orientation
     )
+    ctx.localizations = FacetLocalizations(ctx)
+    return ctx
 
 
 # -- module basis and expansion ---------------------------------------------------
@@ -613,7 +586,7 @@ def relation_for_hyperplane(ctx: ShellingContext, facet, name):
     if facet not in ctx.complex.facet_vertex:
         raise GkmError("not a facet of the hyperplane complex")
     p = ctx.facet_point(facet)
-    u = ctx.taus[name].values[p].linear_coeffs()
+    u = ctx.taus[name][p]
     coeffs = {name: 1}
     for other in ctx.names:
         if other in facet:

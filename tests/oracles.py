@@ -110,7 +110,9 @@ def monomial_poly(ctx, names):
 def localize_at(ctx, poly: IntPolynomial, vertex) -> IntPolynomial:
     """A ring element at a vertex, in e: every generator replaced by its
     Thom value there."""
-    return poly.substitute([ctx.taus[n].values[vertex] for n in ctx.names])
+    return poly.substitute(
+        [IntPolynomial.linear_form(ctx.taus[n][vertex]) for n in ctx.names]
+    )
 
 
 def lift_coefficient(ctx, coeff: IntPolynomial) -> IntPolynomial:
@@ -138,9 +140,7 @@ def expand_by_division(ctx, poly: IntPolynomial) -> dict:
     for i, p in enumerate(points):
         if locs[i].is_zero():
             continue
-        a = divide_exact(
-            locs[i], [ctx.taus[name].values[p].linear_coeffs() for name in mus[i]]
-        )
+        a = divide_exact(locs[i], [ctx.taus[name][p] for name in mus[i]])
         coeffs[i] = a
         x_mu = monomial_poly(ctx, mus[i])
         for k, q in enumerate(points):

@@ -17,8 +17,9 @@ import gkmgraphs.cohomology as cohomology
 import gkmgraphs.fixtures as fixtures
 import gkmgraphs.hyperplanes as hyperplanes
 from gkmgraphs.cli import main
+from gkmgraphs.errors import ParseError
 from gkmgraphs.fixtures import KlmSpec, gen_klm
-from gkmgraphs.graph import serialize
+from gkmgraphs.graph import load_graph, serialize
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 # exit codes and stdout hashes of ``basis``, ``structure-constants`` and
@@ -113,6 +114,102 @@ def test_graph_files_take_json_integers_only(tmp_path, capsys, field, value):
     assert result["ok"] is False
     assert field in result["error"]
     assert "internal" not in result
+
+
+GRAPH_COMMANDS = [
+    ["validate"],
+    ["hyperplanes"],
+    ["assumptions"],
+    ["cohomology", "--max-degree", "2"],
+    ["verify-iso", "--max-degree", "2"],
+    ["basis"],
+    ["structure-constants"],
+    ["express", "--poly", "L1"],
+]
+
+
+@pytest.mark.parametrize("stored", [True, False], ids=["stored", "derived"])
+@pytest.mark.parametrize(
+    "command", GRAPH_COMMANDS, ids=[c[0] for c in GRAPH_COMMANDS]
+)
+def test_a_zero_label_is_reported_not_a_traceback(
+    tmp_path, capsys, stored, command
+):
+    """fig2_left with the label of one edge set to 0, with its connection
+    stored in the file or left to be derived.  Only ``cohomology`` checks
+    no axiom: with no connection to verify, a zero label asks for equal
+    values across its edge, and the solver answers."""
+    doc = fixtures.fixture("fig2_left").to_dict()
+    for dart in doc["darts"]:
+        if dart["id"] == "p:e":
+            dart["axial"] = [0, 0, 0]
+    if not stored:
+        del doc["connection"]
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, command[0], str(p), *command[1:])
+    result = json.loads(out)
+    assert "internal" not in result
+    assert code == (0 if command[0] == "cohomology" and not stored else 1)
+    if command[0] == "validate" and not stored:
+        (check,) = [c for c in result["checks"] if c["check"] == "opposite_sign"]
+        assert check["offenders"] == ["p:e"]
+
+
+MALFORMED_META = [
+    ("positive_normals", "q:w"),
+    ("positive_normals", 1),
+    ("positive_normals", True),
+    ("hyperplane_names", [0, 0, 0]),
+    ("hyperplane_names", "x"),
+    ("hyperplane_names", 7),
+    ("hyperplane_names", {"X1": None}),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    MALFORMED_META,
+    ids=["normals-str", "normals-int", "normals-true", "names-list",
+         "names-str", "names-int", "names-null-array"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["hyperplanes"], ["verify-iso", "--max-degree", "2"], ["basis"]],
+    ids=["hyperplanes", "verify-iso", "basis"],
+)
+def test_malformed_metadata_is_a_parse_error(
+    tmp_path, capsys, key, value, command
+):
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    doc[key] = value
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as exc:
+        load_graph(text)
+    assert exc.value.field == key
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code, out = run(capsys, command[0], str(p), *command[1:])
+    assert code == 1
+    result = json.loads(out)
+    assert result["ok"] is False
+    assert key in result["error"]
+    assert "internal" not in result
+
+
+@pytest.mark.parametrize("key", ["positive_normals", "hyperplane_names"])
+def test_null_metadata_is_read_as_absent(tmp_path, capsys, key):
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    doc[key] = None
+    p = tmp_path / "null.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, "hyperplanes", str(p))
+    assert code == 0
+    names = {h["name"] for h in json.loads(out)["hyperplanes"]}
+    assert names == (
+        {"L1", "L2", "L3", "L4", "L5"} if key == "hyperplane_names"
+        else {"X1", "X2", "Y1", "Z1", "Z2"}
+    )
 
 
 @pytest.mark.parametrize("command", ["cohomology", "verify-iso"])
@@ -230,8 +327,8 @@ def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
 ):
     """No Hermite form, elimination or substitution runs inside the
     expansion; each halfspace's Thom class is built and checked once, and
-    each positive one gets one forgetful check, whose label maps are built
-    once per label."""
+    each positive one gets one forgetful check, by the same vector check:
+    no label map (and so no Hermite form) is built at all."""
     import gkmgraphs.intlinalg as intlinalg
     import gkmgraphs.polynomials as polynomials
     import gkmgraphs.shelling as shelling
@@ -274,10 +371,33 @@ def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
     assert [name for name, during in calls if during] == []
     assert ("substitute", False) not in calls
     nplanes = len(hyperplanes.all_hyperplanes(g))
-    assert calls.count(("assert_class_congruences", False)) == 2 * nplanes
-    assert calls.count(("assert_congruences", False)) == nplanes
-    labels = {g.axial(e)[:-1] for e in g.canonical_edges()}
-    assert 0 < calls.count(("hermite_normal_form", False)) <= len(labels)
+    assert calls.count(("assert_class_congruences", False)) == 3 * nplanes
+    assert ("assert_congruences", False) not in calls
+    assert ("hermite_normal_form", False) not in calls
+
+
+@pytest.mark.parametrize("command", ["basis", "structure-constants"])
+def test_shelling_commands_check_the_lift_identity(
+    tmp_path, monkeypatch, capsys, command
+):
+    """Every shelling command, ``basis`` included, checks the covectors
+    against the Thom classes at every facet point."""
+    import gkmgraphs.shelling as shelling
+
+    real = shelling.characteristic_functions
+
+    def skewed(complex_, taus):
+        lambdas = real(complex_, taus)
+        lam = lambdas["X1"]
+        lambdas["X1"] = (lam[0] + 1,) + lam[1:]
+        return lambdas
+
+    monkeypatch.setattr(shelling, "characteristic_functions", skewed)
+    path = tmp_path / "L212.json"
+    path.write_text(serialize(gen_klm(KlmSpec(2, 1, 2))))
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert "do not lift" in json.loads(out)["error"]
 
 
 def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
@@ -420,6 +540,29 @@ def test_short_commands_load_only_what_they_call(tmp_path):
     for name in ("cohomology", "shelling", "polynomials", "hyperplanes"):
         assert f"gkmgraphs.{name}" not in at_import
         assert f"gkmgraphs.{name}" not in after_validate
+
+
+def test_shelling_commands_do_not_load_the_solver(tmp_path):
+    """``basis``, ``express`` and ``structure-constants`` run on the
+    hyperplanes, their Thom classes and the shelling alone."""
+    path = tmp_path / "L212.json"
+    path.write_text(serialize(gen_klm(KlmSpec(2, 1, 2))))
+    script = (
+        "import io, json, sys\n"
+        "import gkmgraphs.cli as cli\n"
+        "codes = []\n"
+        "sys.stdout = io.StringIO()\n"
+        "for argv in (['basis'], ['express', '--poly', 'Z1^2'],\n"
+        "             ['structure-constants']):\n"
+        "    codes.append(cli.main([argv[0], sys.argv[1], *argv[1:]]))\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps([codes, sorted(sys.modules)]))\n"
+    )
+    child = run_child(["-c", script, str(path)], text=True, check=True)
+    codes, modules = json.loads(child.stdout)
+    assert codes == [0, 0, 0]
+    assert "gkmgraphs.shelling" in modules
+    assert "gkmgraphs.cohomology" not in modules
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,6 @@ from gkmgraphs.cohomology import (
     evaluate_generator,
     kernel_forgetful_check,
     presentation_ring,
-    thom_class_forgetful,
-    thom_class_full,
     vector_class,
     verify_iso,
     _label_divides,
@@ -26,7 +24,12 @@ from gkmgraphs.cohomology import (
 from gkmgraphs.errors import AssumptionViolation, CongruenceFailure
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
 from gkmgraphs.graph import GkmGraph
-from gkmgraphs.hyperplanes import all_hyperplanes, choose_positive_halfspace
+from gkmgraphs.hyperplanes import (
+    all_hyperplanes,
+    choose_positive_halfspace,
+    forgetful_thom_class,
+    thom_class,
+)
 from gkmgraphs.polynomials import IntPolynomial
 from oracles import divide_exact_by_linear
 
@@ -215,12 +218,11 @@ def test_class_arity_picks_its_labels():
     failing = 0
     for h in planes:
         pos, _ = choose_positive_halfspace(g, h)
-        tau = thom_class_forgetful(g, h, pos)
+        values = forgetful_thom_class(g, h, pos)
+        tau = vector_class(values)
         assert tau.nvars == g.rank
         assert class_satisfies_congruences(g, tau)
-        padded = vector_class(
-            {v: p.linear_coeffs() + (0,) for v, p in tau.values.items()}
-        )
+        padded = vector_class({v: a + (0,) for v, a in values.items()})
         assert padded.nvars == g.rank + 1
         failing += not class_satisfies_congruences(g, padded)
     assert failing == 4 and len(planes) == 5
@@ -233,10 +235,8 @@ def test_forgetful_thom_class_of_vertical_line():
     a, b = choose_positive_halfspace(g, vertical)
     # pick the side whose normals point left (q is its interior vertex)
     left_pointing = a if "q" in a.vertices else b
-    tau = thom_class_forgetful(g, vertical, left_pointing)
-    assert tau.values["p"] == IntPolynomial.linear_form((0, -1))
-    assert tau.values["r"] == IntPolynomial.linear_form((1, -1))
-    assert tau.values["q"].is_zero()
+    tau = forgetful_thom_class(g, vertical, left_pointing)
+    assert tau == {"p": (0, -1), "q": (0, 0), "r": (1, -1)}
 
 
 def test_presentation_ring_forgetful_relations_for_klm():
@@ -359,7 +359,7 @@ def test_chi_multiples_lie_in_kernel_trivially():
     chi = chi_class(g)
     planes = all_hyperplanes(g)
     pos, _ = choose_positive_halfspace(g, planes[0])
-    tau = thom_class_full(g, pos)
+    tau = vector_class(thom_class(g, pos))
     prod = chi * tau
     # forgetful image of chi * tau vanishes
     for v in g.vertices:

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gkmgraphs.cohomology import cohomology_basis
+from gkmgraphs.cohomology import cohomology_basis, presentation_ring
 from gkmgraphs.errors import InconsistentLambda, InexactDivision, NotShellable
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
-from gkmgraphs.hyperplanes import all_hyperplanes, choose_positive_halfspace
+from gkmgraphs.hyperplanes import all_hyperplanes
 from gkmgraphs.polynomials import IntPolynomial
 from oracles import (
     expand_by_division,
@@ -20,11 +20,12 @@ from oracles import (
     monomial_poly,
 )
 from gkmgraphs.shelling import (
+    FacetLocalizations,
     SimplicialComplex,
     _expand,
     basis_monomial_name,
     build_complex,
-    characteristic_function,
+    characteristic_functions,
     express_in_basis,
     find_shelling,
     hilbert_rank,
@@ -191,6 +192,8 @@ def test_shelling_interval_partition_and_ordering_facts():
 
 @pytest.mark.parametrize("name", ["fig7_pentagon", "fig8_line5", "L212"])
 def test_minimal_nonfaces_match_the_enumeration_of_all_subsets(name):
+    """The monomial relations of Z[G-tilde] are the minimal non-faces of
+    the hyperplane complex: they generate its Stanley-Reisner ideal."""
     ctx = named_ctx(name)
     faces = ctx.complex.faces
     brute = [
@@ -201,7 +204,8 @@ def test_minimal_nonfaces_match_the_enumeration_of_all_subsets(name):
         and all(frozenset(c) - {n} in faces for n in c)
     ]
     assert brute
-    assert ctx.min_nonfaces == brute
+    ring = presentation_ring(ctx.graph, forgetful=True)
+    assert ring.monomial_relations == brute
 
 
 def test_characteristic_functions_of_klm():
@@ -213,33 +217,38 @@ def test_characteristic_functions_of_klm():
 
 
 def test_characteristic_function_rank_one():
-    g = fixture("fig8_line5")
-    for h in all_hyperplanes(g):
-        pos, _ = choose_positive_halfspace(g, h)
-        lam = characteristic_function(g, h, pos)
-        assert lam in ((1,), (-1,))
+    ctx = named_ctx("fig8_line5")
+    lambdas = characteristic_functions(ctx.complex, ctx.taus)
+    assert lambdas == ctx.lambdas
+    assert all(lam in ((1,), (-1,)) for lam in lambdas.values())
 
 
 def test_characteristic_function_consistency_across_vertices():
-    g = fixture("fig7_pentagon")
-    for h in all_hyperplanes(g):
-        pos, _ = choose_positive_halfspace(g, h)
-        characteristic_function(g, h, pos)  # raises if inconsistent
+    # the context checks the lift identity at every facet point
+    ctx = shelling_context(fixture("fig7_pentagon"))
+    assert characteristic_functions(ctx.complex, ctx.taus) == ctx.lambdas
 
 
 def test_characteristic_function_detects_corruption():
-    g = gen_klm(KlmSpec(2, 1, 2))
-    planes = {h.name: h for h in all_hyperplanes(g)}
-    pos, neg = choose_positive_halfspace(g, planes["X1"])
-    # swap one normal so the two vertices disagree
-    broken = dict(pos.normals)
-    keys = sorted(broken)
-    broken[keys[0]] = neg.normals[keys[0]]
-    from gkmgraphs.hyperplanes import Halfspace
-
-    bad = Halfspace(pos.hyperplane, pos.vertices, pos.dart_ids, broken)
+    ctx = klm_ctx(2, 1, 2)
+    tau = ctx.taus["X1"]
+    # flip tau_X1 at its last vertex, so the covector solved at the first
+    # facet no longer lifts there
+    v = max(p for p, a in tau.items() if any(a))
+    ctx.taus["X1"] = {**tau, v: tuple(-a for a in tau[v])}
     with pytest.raises(InconsistentLambda):
-        characteristic_function(g, planes["X1"], bad)
+        FacetLocalizations(ctx)
+
+
+def test_each_covector_is_dual_to_the_thom_values_at_every_vertex():
+    """lambda(L) . tau_M(v) = delta_LM at every vertex v of every L."""
+    ctx = named_ctx("fig7_pentagon")
+    planes = {h.name: h for h in all_hyperplanes(ctx.graph)}
+    for name_l, lam in ctx.lambdas.items():
+        for v in planes[name_l].vertices:
+            for name_m, tau in ctx.taus.items():
+                dot = sum(a * b for a, b in zip(lam, tau[v]))
+                assert dot == int(name_l == name_m), (name_l, name_m, v)
 
 
 def test_module_basis_examples():
@@ -379,7 +388,7 @@ def test_expansion_rejects_a_lambda_that_does_not_lift(monkeypatch):
     lam = ctx.lambdas["X1"]
     monkeypatch.setitem(ctx.lambdas, "X1", (lam[0] + 1,) + lam[1:])
     with pytest.raises(InconsistentLambda):
-        express_in_basis(ctx, poly_of(ctx, ("Z1", 2)))
+        FacetLocalizations(ctx)
 
 
 def test_localization_matrix_is_triangular_with_nonzero_diagonal():
@@ -401,12 +410,11 @@ def test_algebra_unit_identity():
         n = ctx.graph.rank
         for j in range(n):
             for v in ctx.graph.vertices:
-                total = IntPolynomial.zero(n)
+                total = [0] * n
                 for name in ctx.names:
                     c = ctx.lambdas[name][j]
-                    if c:
-                        total = total + c * ctx.taus[name].values[v]
-                assert total == IntPolynomial.variable(n, j)
+                    total = [t + c * a for t, a in zip(total, ctx.taus[name][v])]
+                assert total == [int(i == j) for i in range(n)]
 
 
 def test_relation_for_hyperplane_klm():
