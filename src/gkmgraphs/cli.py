@@ -22,8 +22,8 @@ from .errors import AssumptionViolation, GkmError
 
 
 def _emit(obj, code=0):
-    json.dump(obj, sys.stdout, sort_keys=True, indent=1)
-    sys.stdout.write("\n")
+    # one write: ``json.dump`` would write each encoder chunk on its own
+    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
     return code
 
 
@@ -233,20 +233,42 @@ def _refuse_oversized_solver(g, args):
 
 def cmd_cohomology(args, parser):
     from .cohomology import cohomology_basis
-    from .polynomials import coords_varnames
+    from .graph import validate_axial
+    from .polynomials import (
+        coords_varnames,
+        format_coefficients,
+        graded_piece_basis,
+        monomial_body,
+    )
 
     g = _read_graph(args, parser)
     refused = _refuse_oversized_solver(g, args)
     if refused is not None:
         return refused
+    report = validate_axial(g)
+    if not report.ok:
+        return _emit(report.to_dict(), 1)
     varnames = coords_varnames(g.rank, not args.forgetful)
     degrees = {}
     for k in range(args.max_degree + 1):
         classes, rank = cohomology_basis(g, k, forgetful=args.forgetful)
-        degrees[str(k)] = {
-            "rank": rank,
-            "basis": [cls.to_strings(varnames) for cls in classes],
-        }
+        bodies = [
+            monomial_body(m, varnames)
+            for m in graded_piece_basis(len(varnames), k)
+        ]
+        width = len(bodies)
+        printed = {}  # coefficient chunk -> its polynomial
+        basis = []
+        for vec in classes:
+            values = {}
+            for i, v in enumerate(g.vertices):
+                chunk = vec[i * width : (i + 1) * width]
+                text = printed.get(chunk)
+                if text is None:
+                    text = printed[chunk] = format_coefficients(chunk, bodies)
+                values[v] = text
+            basis.append(values)
+        degrees[str(k)] = {"rank": rank, "basis": basis}
     return _emit(
         {
             "forgetful": args.forgetful,

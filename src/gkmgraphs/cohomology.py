@@ -7,18 +7,22 @@
 * and the graded-rank comparison between the two, which is what "verify
   the isomorphism" means at desk scale.
 
-Classes are plain ``{vertex: IntPolynomial}`` dictionaries wrapped in
-:class:`CohomologyClass`, and both theories run on the same
-:class:`GkmGraph`.  A class's ``nvars`` selects its theory: n+1 variables
-(e1..en, x) for the full theory, checked against the full labels, and n
-variables for the x-forgetful one, checked against the labels with their
-residual coordinate erased.
+The solver's classes are integer coefficient vectors: the coefficients
+of the degree-k monomials in ``graded_piece_basis`` order, vertex after
+vertex.  They stay vectors through the rank comparison, the kernel check
+of the forgetful map and the printed output.  The presentation rings'
+generators are ``{vertex: IntPolynomial}`` dictionaries wrapped in
+:class:`CohomologyClass`.  Both theories run on the same
+:class:`GkmGraph`: n+1 variables (e1..en, x) for the full theory, checked
+against the full labels, and n variables for the x-forgetful one, checked
+against the labels with their residual coordinate erased.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, prod
+from functools import lru_cache
+from math import comb
 from typing import NamedTuple
 
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
@@ -118,11 +122,24 @@ def chi_class(g: GkmGraph) -> CohomologyClass:
     return vector_class({v: g.residual for v in g.vertices})
 
 
+@lru_cache(maxsize=None)
+def _raise_table(nvars, degree):
+    """Multiplication by a variable on monomials: row i lists, for each
+    variable t_j, the position of m_i * t_j among the degree + 1
+    monomials, where m_i is the i-th of degree ``degree`` (both in
+    ``graded_piece_basis`` order)."""
+    index = {m: i for i, m in enumerate(graded_piece_basis(nvars, degree + 1))}
+    return tuple(
+        tuple(index[m[:j] + (m[j] + 1,) + m[j + 1 :]] for j in range(nvars))
+        for m in graded_piece_basis(nvars, degree)
+    )
+
+
 class _LabelMap(NamedTuple):
     content: int
-    monos: list  # column order: the degree-k monomials in t
-    restrict: list  # rows of the s_1-free monomials: restriction to ker alpha
-    residue: list  # rows of the other monomials, which need content | entry
+    columns: list  # per degree-k monomial in t: its image, [(s position, coefficient)]
+    moduli: list  # per degree-k monomial in s: 0, the content or 1 (see below)
+    rows: list  # (modulus, [(t position, coefficient)]) for each modulus != 1
 
 
 def _label_map(maps, alpha, degree):
@@ -134,35 +151,56 @@ def _label_map(maps, alpha, degree):
     with U alpha = (content, 0, ..., 0), so the substitution
     t_j = sum_i U[i][j] s_i turns alpha into content * s_1.  The map sends
     the coefficients of a polynomial in t to its coefficients in s; alpha
-    divides the polynomial exactly when every s_1-free entry is 0 and every
-    entry is a multiple of the content.  A zero label divides only 0.
+    divides the polynomial exactly when every s_1-free entry is 0
+    (modulus 0) and every other entry is a multiple of the content
+    (modulus c; 1 asks nothing).  A zero label divides only 0.  The image
+    of a monomial is the image of the monomial one degree lower, times the
+    image of one of its variables.
     """
     key = (alpha, degree)
     lmap = maps.get(key)
     if lmap is None:
         n = len(alpha)
-        h, u = hermite_normal_form([[a] for a in alpha], transform=True)
-        content = h[0][0]
-        images = [
-            IntPolynomial.linear_form([u[i][j] for i in range(n)])
-            for j in range(n)
+        if degree == 1:
+            h, u = hermite_normal_form([[a] for a in alpha], transform=True)
+            content = h[0][0]
+            columns = [
+                [(i, u[i][j]) for i in range(n) if u[i][j]] for j in range(n)
+            ]
+        else:
+            linear = _label_map(maps, alpha, 1)
+            content, columns = linear.content, [[(0, 1)]]
+            if degree > 1:
+                lower = _label_map(maps, alpha, degree - 1).columns
+                columns = _raise_columns(lower, linear.columns, degree - 1)
+        moduli = [
+            content if m[0] and content else 0
+            for m in graded_piece_basis(n, degree)
         ]
-        one = IntPolynomial.constant(n, 1)
-        monos = graded_piece_basis(n, degree)
-        columns = [
-            prod((images[j] ** e for j, e in enumerate(m)), start=one)
-            for m in monos
-        ]
-        restrict, residue = [], []
-        for target in monos:
-            row = [col.coefficient(target) for col in columns]
-            (residue if target[0] and content else restrict).append(row)
-        lmap = maps[key] = _LabelMap(content, monos, restrict, residue)
+        rows = [[] for _ in moduli]
+        for i, column in enumerate(columns):
+            for k, c in column:
+                rows[k].append((i, c))
+        rows = [(mod, row) for mod, row in zip(moduli, rows) if mod != 1]
+        lmap = maps[key] = _LabelMap(content, columns, moduli, rows)
     return lmap
 
 
-def _dot(row, vec):
-    return sum(a * b for a, b in zip(row, vec))
+def _raise_columns(lower, images, degree):
+    """The images of the degree + 1 monomials, from the images ``lower``
+    of those of degree ``degree`` and the images of the variables."""
+    up = _raise_table(len(images), degree)
+    columns = [None] * comb(len(images) + degree, degree + 1)
+    for i, row in enumerate(up):
+        for j, pos in enumerate(row):
+            if columns[pos] is None:
+                image = {}
+                for t, c in lower[i]:
+                    targets = up[t]
+                    for k, a in images[j]:
+                        image[targets[k]] = image.get(targets[k], 0) + c * a
+                columns[pos] = [(k, c) for k, c in image.items() if c]
+    return columns
 
 
 def _label_divides(maps, alpha, terms) -> bool:
@@ -174,12 +212,24 @@ def _label_divides(maps, alpha, terms) -> bool:
         components.setdefault(sum(m), {})[m] = c
     for d, part in components.items():
         lmap = _label_map(maps, alpha, d)
-        vec = [part.get(m, 0) for m in lmap.monos]
-        if any(_dot(row, vec) for row in lmap.restrict):
+        monos = graded_piece_basis(len(alpha), d)
+        if not _divides(lmap, [part.get(m, 0) for m in monos]):
             return False
-        if lmap.content > 1 and any(
-            _dot(row, vec) % lmap.content for row in lmap.residue
-        ):
+    return True
+
+
+def _divides(lmap, diff) -> bool:
+    """Does the label of ``lmap`` divide the polynomial with the
+    coefficient vector ``diff``?"""
+    image = {}
+    for i, d in enumerate(diff):
+        if d:
+            for k, c in lmap.columns[i]:
+                image[k] = image.get(k, 0) + d * c
+    moduli = lmap.moduli
+    for k, c in image.items():
+        m = moduli[k]
+        if c % m if m else c:
             return False
     return True
 
@@ -203,11 +253,6 @@ def class_satisfies_congruences(g: GkmGraph, cls: CohomologyClass) -> bool:
     return True
 
 
-def assert_congruences(g: GkmGraph, cls: CohomologyClass, what="class"):
-    if not class_satisfies_congruences(g, cls):
-        raise CongruenceFailure(f"{what} violates a congruence relation")
-
-
 # -- the solver -----------------------------------------------------------------
 
 # The largest system the CLI hands to the solver, in unknowns (columns):
@@ -224,74 +269,74 @@ def solver_columns(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
     return comb(nvars + degree - 1, degree) * len(g.vertices)
 
 
-def class_to_vector(cls: CohomologyClass, vertex_order, monos):
+def _edges(g: GkmGraph, nvars: int, degree: int, width: int):
+    """``(source offset, target offset, label map)`` of every edge that is
+    not a loop, for the degree-``degree`` coefficient vectors of
+    ``nvars`` variables, ``width`` coefficients per vertex."""
+    offset = {v: i * width for i, v in enumerate(g.vertices)}
     out = []
-    for v in vertex_order:
-        poly = cls.values[v]
-        out.extend(poly.coefficient(m) for m in monos)
-    return out
-
-
-def _vector_to_class(vec, vertices, nvars, monos):
-    values = {}
-    width = len(monos)
-    for i, v in enumerate(vertices):
-        chunk = vec[i * width : (i + 1) * width]
-        values[v] = IntPolynomial(nvars, {m: c for m, c in zip(monos, chunk)})
-    return CohomologyClass(values, nvars)
-
-
-def _edge_row(ncols, source, target, row):
-    out = [0] * ncols
-    for i, a in enumerate(row):
-        out[source + i] += a
-        out[target + i] -= a
+    for eid in g.canonical_edges():
+        e = g.darts[eid]
+        if e.source != e.target:  # a loop asks nothing
+            lmap = _label_map(g.label_maps, e.axial[:nvars], degree)
+            out.append((offset[e.source], offset[e.target], lmap))
     return out
 
 
 def cohomology_basis(g, degree: int, forgetful: bool = False):
     """Hermite-reduced Z-basis of the degree-2k graded piece.
 
-    The unknowns are the vertexwise coefficients of the degree-k monomials.
-    An edge pq with label alpha asks that alpha divide phi(p) - phi(q)
-    (Goresky-Kottwitz-MacPherson).  Through the label's map (see
-    ``_label_map``) that is linear: the restriction rows R of alpha enter
-    the system as +R on p and -R on q.  Only a label with content c > 1
-    adds more: each of its other rows r gives the congruence
-    r (phi(p) - phi(q)) = c y with one extra unknown y.  The extra unknowns
-    are determined by phi and their columns come last, so the
+    The unknowns are the vertexwise coefficients of the degree-k monomials
+    (``graded_piece_basis`` order, vertex after vertex in ``g.vertices``
+    order).  An edge pq with label alpha asks that alpha divide
+    phi(p) - phi(q) (Goresky-Kottwitz-MacPherson).  Through the label's
+    map (see ``_label_map``) that is linear: each row R of modulus 0
+    enters the system as +R on p and -R on q.  Only a label with content
+    c > 1 adds more: each of its rows r of modulus c gives the congruence
+    r (phi(p) - phi(q)) = c y with one extra unknown y.  The extra
+    unknowns are determined by phi and their columns come last, so the
     Hermite-reduced kernel, cut to the phi columns, is already the
     Hermite-reduced basis of the graded piece.  Each class is checked
-    again against the same label maps.  Returns ``(classes, rank)``.
+    again, edge by edge, against the same label maps.
+
+    Returns ``(classes, rank)``, each class the tuple of its coefficients.
     """
     if degree < 0:
         raise GkmError("degree must be nonnegative")
     nvars = _nvars(g, forgetful)
-    monos = graded_piece_basis(nvars, degree)
-    width = len(monos)
-    offset = {v: i * width for i, v in enumerate(g.vertices)}
+    width = comb(nvars + degree - 1, degree)
     nphi = len(g.vertices) * width
-    rows, mod_rows = [], []
-    for eid in g.canonical_edges():
-        e = g.darts[eid]
-        lmap = _label_map(g.label_maps, e.axial[:nvars], degree)
-        source, target = offset[e.source], offset[e.target]
-        rows.extend(_edge_row(nphi, source, target, r) for r in lmap.restrict)
-        if lmap.content > 1:
-            mod_rows.extend(
-                (_edge_row(nphi, source, target, r), lmap.content)
-                for r in lmap.residue
+    edges = _edges(g, nvars, degree, width)
+    rows = []
+    nmod = 0
+    for p, q, lmap in edges:
+        for modulus, row in lmap.rows:
+            eq = {p + i: a for i, a in row}
+            eq.update((q + i, -a) for i, a in row)
+            if modulus:
+                eq[nphi + nmod] = -modulus
+                nmod += 1
+            rows.append(eq)
+    classes = [k[:nphi] for k in kernel_basis(rows, nphi + nmod)]
+    for vec in classes:
+        if not _vector_satisfies_congruences(vec, edges, width):
+            raise CongruenceFailure(
+                "solver output violates a congruence relation"
             )
-    nmod = len(mod_rows)
-    system = [row + [0] * nmod for row in rows]
-    for i, (row, content) in enumerate(mod_rows):
-        row.extend(-content if j == i else 0 for j in range(nmod))
-        system.append(row)
-    kern = kernel_basis(system, ncols=nphi + nmod)
-    classes = [_vector_to_class(k, g.vertices, nvars, monos) for k in kern]
-    for cls in classes:
-        assert_congruences(g, cls, what="solver output")
     return classes, len(classes)
+
+
+def _vector_satisfies_congruences(vec, edges, width) -> bool:
+    """``class_satisfies_congruences`` for a coefficient vector: does each
+    edge's label divide the difference of its two chunks?  ``edges`` and
+    ``width`` are those of ``_edges``."""
+    for p, q, lmap in edges:
+        here, there = vec[p : p + width], vec[q : q + width]
+        if here != there and not _divides(
+            lmap, [a - b for a, b in zip(here, there)]
+        ):
+            return False
+    return True
 
 
 # -- presentation rings -----------------------------------------------------------
@@ -446,6 +491,23 @@ def graded_pieces(g: GkmGraph, max_degree: int, forgetful: bool = False):
     ]
 
 
+def _times_linear(vec, forms, up, nwidth):
+    """The coefficient vector of a class times the class that is the
+    linear form ``forms[v]`` ([(variable, coefficient)]) at each vertex v.
+    ``up`` is the ``_raise_table`` of the class's degree and ``nwidth``
+    the number of monomials one degree up."""
+    width = len(up)
+    out = [0] * (len(forms) * nwidth)
+    for v, form in enumerate(forms):
+        base = v * nwidth
+        for i, a in enumerate(vec[v * width : (v + 1) * width]):
+            if a:
+                targets = up[i]
+                for j, c in form:
+                    out[base + targets[j]] += a * c
+    return out
+
+
 def verify_iso(
     g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=None
 ):
@@ -464,22 +526,30 @@ def verify_iso(
         pieces = graded_pieces(g, max_degree, forgetful)
     assumptions = ring.assumptions
     nvars = _nvars(g, forgetful)
-    vertex_order = list(g.vertices)
     if forgetful:
         gen_names = list(ring.generators)
         families = [frozenset(f) for f in ring.monomial_relations]
     else:
         gen_names, rels = _reduced_full_relations(ring)
-    gens = [ring.values[n] for n in gen_names]
+    # each generator as its linear form at every vertex, [(variable, coefficient)]
+    forms = [
+        [
+            [(m.index(1), c) for m, c in ring.values[name][v].terms.items()]
+            for v in g.vertices
+        ]
+        for name in gen_names
+    ]
     ngens = len(gen_names)
-    # Psi of the degree-k monomials, grown by one generator per degree.  The
-    # forgetful table keeps only the monomials outside the monomial ideal:
-    # a monomial's lower neighbour has a smaller support, so it is outside
-    # the ideal whenever the monomial is.
-    table = {(0,) * ngens: constant_class(vertex_order, nvars)}
+    # Psi of the degree-k monomials as coefficient vectors, grown by one
+    # generator per degree.  The forgetful table keeps only the monomials
+    # outside the monomial ideal: a monomial's lower neighbour has a
+    # smaller support, so it is outside the ideal whenever the monomial is.
+    table = {(0,) * ngens: [1] * len(g.vertices)}
     per_degree = {}
     for k in range(max_degree + 1):
         if k:
+            up = _raise_table(nvars, k - 1)
+            width = comb(nvars + k - 1, k)
             grown = {}
             for mono in graded_piece_basis(ngens, k):
                 i = next(j for j, e in enumerate(mono) if e)
@@ -490,7 +560,7 @@ def verify_iso(
                     support = {gen_names[j] for j, e in enumerate(mono) if e}
                     if any(f <= support for f in families):
                         continue
-                grown[mono] = lower * gens[i]
+                grown[mono] = _times_linear(lower, forms[i], up, width)
             table = grown
         _, solver_rank = pieces[k]
         nmono = comb(ngens + k - 1, k)
@@ -498,10 +568,7 @@ def verify_iso(
             pres_rank = len(table)
         else:
             pres_rank = nmono - _ideal_rank_full(rels, ngens, k)
-        monos = graded_piece_basis(nvars, k)
-        image_rank = rank(
-            [class_to_vector(c, vertex_order, monos) for c in table.values()]
-        )
+        image_rank = rank(list(table.values()))
         per_degree[k] = {
             "solver_rank": solver_rank,
             "presentation_rank": pres_rank,
@@ -532,46 +599,42 @@ def kernel_forgetful_check(
     caller has solved them already."""
     if pieces is None:
         pieces = graded_pieces(g, max_degree)
-    chi = chi_class(g)
-    nfull = g.rank + 1
-    prev_basis = []
+    n = g.rank
+    nverts = len(g.vertices)
+    prev = []
     for k in range(max_degree + 1):
         classes, _ = pieces[k]
-        monos = graded_piece_basis(nfull, k)
-        fmonos = graded_piece_basis(g.rank, k)
-        # forgetful image: substitute x = 0
-        fmat = []
-        for cls in classes:
-            row = []
-            for v in g.vertices:
-                poly = cls.values[v]
-                for fm in fmonos:
-                    row.append(poly.coefficient(fm + (0,)))
-            fmat.append(row)
-        if fmat:
-            # coefficient vectors c with sum_i c_i * fmat[i] = 0
-            transposed = [list(col) for col in zip(*fmat)]
-            coeff_kernel = kernel_basis(transposed, ncols=len(fmat))
-        else:
-            coeff_kernel = []
-        kernel_vectors = []
-        for coeffs in coeff_kernel:
-            acc = None
-            for c, cls in zip(coeffs, classes):
-                if c == 0:
-                    continue
-                term = cls * c
-                acc = term if acc is None else acc + term
-            if acc is None:
-                continue
-            kernel_vectors.append(
-                class_to_vector(acc, list(g.vertices), monos)
-            )
-        chi_products = [
-            class_to_vector(chi * b, list(g.vertices), monos)
-            for b in prev_basis
+        width = comb(n + k, k)
+        # the forgetful image sets x = 0: it keeps the x-free coefficients
+        free = [i for i, m in enumerate(graded_piece_basis(n + 1, k)) if not m[-1]]
+        kept = [v * width + i for v in range(nverts) for i in free]
+        # coefficient vectors c with sum_i c_i * image(classes[i]) = 0
+        image_columns = [
+            {i: vec[j] for i, vec in enumerate(classes) if vec[j]}
+            for j in kept
         ]
+        kernel_vectors = []
+        for coeffs in kernel_basis(image_columns, len(classes)):
+            acc = [0] * (nverts * width)
+            for c, vec in zip(coeffs, classes):
+                if c:
+                    acc = [a + c * b for a, b in zip(acc, vec)]
+            kernel_vectors.append(acc)
+        # chi is the residual variable x at every vertex, so chi * b moves
+        # each coefficient of b to its monomial times x
+        chi_products = []
+        if prev:
+            shifted = [
+                v * width + row[n]
+                for v in range(nverts)
+                for row in _raise_table(n + 1, k - 1)
+            ]
+            for b in prev:
+                out = [0] * (nverts * width)
+                for j, a in zip(shifted, b):
+                    out[j] = a
+                chi_products.append(out)
         if not same_lattice(kernel_vectors, chi_products):
             return False
-        prev_basis = classes
+        prev = classes
     return True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (
     AmbiguousConnection,
@@ -19,7 +20,7 @@ from .errors import (
     ParseError,
     StructuralError,
 )
-from .intlinalg import Vec, congruent, is_multiple_of, lattice_rank, vec_sub
+from .intlinalg import Vec, congruent, is_multiple_of, vec_sub
 from . import intlinalg
 
 META_KEYS = ("hyperplane_names", "positive_normals", "comment")
@@ -452,6 +453,33 @@ def _pairs_at(g: GkmGraph, v):
     return pairs
 
 
+def _first_nonzero(vector):
+    return next((i for i, a in enumerate(vector) if a), None)
+
+
+def _independent(u, *rest) -> bool:
+    """Are two or three integer vectors linearly independent?
+
+    Decided by 2 x 2 and 3 x 3 minors through pivot columns, which is
+    fraction-free elimination: with p the first nonzero column of u, the
+    entries u_p v_j - v_p u_j are the 2 x 2 minors through column p, and
+    v is independent of u when one of them is nonzero.  For three
+    vectors, the same entries of v and of w form two rows whose 2 x 2
+    minors through the pivot column q of the first are u_p times the
+    3 x 3 minors through columns p and q.
+    """
+    p = _first_nonzero(u)
+    if p is None:
+        return False
+    a = u[p]
+    if len(rest) == 1:
+        (v,) = rest
+        return any(a * y != v[p] * x for x, y in zip(u, v))
+    v, w = ([a * y - r[p] * x for x, y in zip(u, r)] for r in rest)
+    q = _first_nonzero(v)
+    return q is not None and any(v[q] * z != w[q] * y for y, z in zip(v, w))
+
+
 def validate_axial(g: GkmGraph) -> ValidationReport:
     """Run every axial-function axiom and collect the outcomes."""
     results = []
@@ -475,10 +503,9 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
     bad = []
     for v in g.vertices:
         ids = g.darts_at(v)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                if lattice_rank([g.axial(ids[i]), g.axial(ids[j])]) < 2:
-                    bad.append(f"{v}:{ids[i]},{ids[j]}")
+        for a, b in combinations(ids, 2):
+            if not _independent(g.axial(a), g.axial(b)):
+                bad.append(f"{v}:{a},{b}")
     results.append(
         CheckResult(
             "pairwise_independence",
@@ -491,12 +518,9 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
     bad = []
     for v in g.vertices:
         ids = g.darts_at(v)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                for k in range(j + 1, len(ids)):
-                    vecs = [g.axial(ids[i]), g.axial(ids[j]), g.axial(ids[k])]
-                    if lattice_rank(vecs) < 3:
-                        bad.append(f"{v}:{ids[i]},{ids[j]},{ids[k]}")
+        for a, b, c in combinations(ids, 3):
+            if not _independent(g.axial(a), g.axial(b), g.axial(c)):
+                bad.append(f"{v}:{a},{b},{c}")
     results.append(
         CheckResult(
             "three_independence",

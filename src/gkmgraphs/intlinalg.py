@@ -208,27 +208,29 @@ def lattice_rank(vectors) -> int:
     return rank(list(vectors))
 
 
-def kernel_basis(rows, ncols=None):
-    """Z-basis of {v : M v = 0}, Hermite-reduced, as a list of tuples.
+def kernel_basis(rows, ncols):
+    """Z-basis of {v : M v = 0}, Hermite-reduced, as a list of tuples, for
+    the matrix M with ``ncols`` columns and the given sparse rows
+    (``{column: value}`` dicts).
 
     The transpose is brought to echelon form with its transform U; the
     rows of U at the zero rows of the echelon form span the kernel.  Any
     unimodular U gives the same kernel lattice, so this elimination skips
     the reduction above the pivots, and only the kernel is reduced to its
-    Hermite form.  ``ncols`` is required when the matrix has no rows.
+    Hermite form.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        if ncols is None:
-            raise DimensionError("kernel of an empty matrix needs ncols")
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    _check_rect(rows)
-    n = len(rows[0])
-    u = _identity(n)
-    order, r = _echelon(_sparse(zip(*rows)), len(rows), u, reduce=False)
+    columns = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            if not 0 <= j < ncols:
+                raise DimensionError(f"column {j} outside 0..{ncols - 1}")
+            if a:
+                columns[j][i] = a
+    u = _identity(ncols)
+    order, r = _echelon(columns, len(rows), u, reduce=False)
     kernel = [u[i] for i in order[r:]]
-    order, _ = _echelon(kernel, n)
-    return [tuple(_dense(kernel[i], n)) for i in order]
+    order, _ = _echelon(kernel, ncols)
+    return [tuple(_dense(kernel[i], ncols)) for i in order]
 
 
 def solve_integer(rows, rhs):

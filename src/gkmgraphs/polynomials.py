@@ -203,32 +203,42 @@ class IntPolynomial:
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def to_string(self, varnames=None):
-        if not self.terms:
-            return "0"
         if varnames is None:
             varnames = default_varnames(self.nvars)
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(varnames, mono):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                text = str(abs(coeff))
-            elif abs(coeff) == 1:
-                text = body
-            else:
-                text = f"{abs(coeff)}*{body}"
-            sign = "-" if coeff < 0 else "+"
-            pieces.append((sign, text))
-        first_sign, first = pieces[0]
-        out = ("-" if first_sign == "-" else "") + first
-        for sign, text in pieces[1:]:
-            out += f" {sign} {text}"
-        return out
+        terms = self.sorted_terms()
+        return format_coefficients(
+            [c for _, c in terms], [monomial_body(m, varnames) for m, _ in terms]
+        )
+
+
+def monomial_body(mono, varnames) -> str:
+    """The printed monomial, ``e1^2*x`` for (2, 0, 1) on e1, e2, x; "" for
+    the constant monomial."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(varnames, mono) if e
+    )
+
+
+def format_coefficients(coeffs, bodies) -> str:
+    """The polynomial with these coefficients on the monomials printed as
+    ``bodies`` (see ``monomial_body``), in the given order; zero
+    coefficients are left out and no term at all prints "0"."""
+    out = []
+    for c, body in zip(coeffs, bodies):
+        if not c:
+            continue
+        if out:
+            out.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            out.append("-")
+        size = abs(c)
+        if not body:
+            out.append(str(size))
+        elif size == 1:
+            out.append(body)
+        else:
+            out.append(f"{size}*{body}")
+    return "".join(out) or "0"
 
 
 def default_varnames(nvars):

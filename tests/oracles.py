@@ -4,12 +4,44 @@ The runtime expands in facet coordinates and never substitutes, divides by
 a linear form or inverts a matrix; these are the ring-path versions of
 those steps, kept as oracles to check the fast paths against.  A
 union-find over the dart list checks the graph search of
-``graph.components``.
+``graph.components``.  The solver's coefficient vectors turn into
+``{vertex: IntPolynomial}`` classes and back, for the dict-based
+congruence check ``class_satisfies_congruences``.
 """
 
 from gkmgraphs import intlinalg
 from gkmgraphs.errors import DimensionError, InexactDivision
-from gkmgraphs.polynomials import IntPolynomial
+from gkmgraphs.cohomology import CohomologyClass
+from gkmgraphs.polynomials import IntPolynomial, graded_piece_basis
+
+
+# -- solver classes as polynomials -------------------------------------------
+
+
+def vector_to_class(g, vec, degree, forgetful=False) -> CohomologyClass:
+    """The class with the solver's coefficient vector ``vec`` of the
+    degree-``degree`` piece: one chunk per vertex, in ``g.vertices``
+    order."""
+    nvars = g.rank if forgetful else g.rank + 1
+    monos = graded_piece_basis(nvars, degree)
+    width = len(monos)
+    return CohomologyClass(
+        {
+            v: IntPolynomial(
+                nvars, dict(zip(monos, vec[i * width : (i + 1) * width]))
+            )
+            for i, v in enumerate(g.vertices)
+        },
+        nvars,
+    )
+
+
+def class_to_vector(cls, vertex_order, monos):
+    """The coefficient vector of a class, the inverse of
+    ``vector_to_class``."""
+    return [
+        cls.values[v].coefficient(m) for v in vertex_order for m in monos
+    ]
 
 
 # -- connected components --------------------------------------------------

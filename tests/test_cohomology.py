@@ -31,7 +31,7 @@ from gkmgraphs.hyperplanes import (
     thom_class,
 )
 from gkmgraphs.polynomials import IntPolynomial
-from oracles import divide_exact_by_linear
+from oracles import class_to_vector, divide_exact_by_linear, vector_to_class
 
 
 def test_rank_zero_is_one_for_every_valid_graph():
@@ -44,15 +44,18 @@ def test_rank_zero_is_one_for_every_valid_graph():
     ):
         classes, rank = cohomology_basis(g, 0)
         assert rank == 1
-        assert classes[0] == constant_class(g.vertices, g.rank + 1)
+        assert classes == [(1,) * len(g.vertices)]
+        assert vector_to_class(g, classes[0], 0) == constant_class(
+            g.vertices, g.rank + 1
+        )
 
 
 def test_solver_output_satisfies_congruences():
     g = fixture("fig7_pentagon")
     for k in (1, 2):
         classes, _ = cohomology_basis(g, k)
-        for cls in classes:
-            assert class_satisfies_congruences(g, cls)
+        for vec in classes:
+            assert class_satisfies_congruences(g, vector_to_class(g, vec, k))
 
 
 def _doubled(fixture_id, dart_ids):
@@ -110,7 +113,10 @@ def test_non_primitive_label_bases(forgetful):
     g = _doubled("fig11_sphere", ("bot:eL", "top:eL"))
     for k, expected in enumerate(DOUBLED_SPHERE_BASES[forgetful]):
         classes, rank = cohomology_basis(g, k, forgetful=forgetful)
-        assert [tuple(c.to_strings().values()) for c in classes] == expected
+        assert [
+            tuple(vector_to_class(g, c, k, forgetful).to_strings().values())
+            for c in classes
+        ] == expected
         assert rank == len(expected)
 
 
@@ -120,7 +126,10 @@ def test_rank_one_forgetful_bases_with_a_non_primitive_label():
     g = _doubled("fig8_line5", ("p1:e", "p2:w"))
     for k, expected in enumerate(DOUBLED_LINE_FORGETFUL_BASES):
         classes, rank = cohomology_basis(g, k, forgetful=True)
-        assert [tuple(c.to_strings().values()) for c in classes] == expected
+        assert [
+            tuple(vector_to_class(g, c, k, True).to_strings().values())
+            for c in classes
+        ] == expected
         assert rank == len(expected)
 
 
@@ -178,6 +187,44 @@ def test_solver_check_rejects_a_corrupted_kernel(
     monkeypatch.setattr(cohomology, "kernel_basis", corrupted)
     with pytest.raises(CongruenceFailure, match="solver output"):
         cohomology_basis(graph(), degree, forgetful=forgetful)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: fixture("fig2_left"),
+        lambda: fixture("fig7_pentagon"),
+        lambda: gen_klm(KlmSpec(2, 1, 2)),
+        lambda: _doubled("fig11_sphere", ("bot:eL", "top:eL")),
+    ],
+    ids=["fig2", "fig7", "L212", "doubled-sphere"],
+)
+@pytest.mark.parametrize("forgetful", [False, True], ids=["full", "forgetful"])
+def test_vector_check_agrees_with_the_polynomial_check(graph, forgetful):
+    """Each coefficient of each solver class of degrees 0..2, bumped in
+    turn by 1 and by 2: the solver's check on coefficient vectors and
+    ``class_satisfies_congruences`` on the polynomial class agree.  Both
+    verdicts occur: some bumps add a multiple of every label at a
+    vertex."""
+    g = graph()
+    nvars = g.rank if forgetful else g.rank + 1
+    verdicts = set()
+    for k in range(3):
+        classes, _ = cohomology_basis(g, k, forgetful=forgetful)
+        width = len(classes[0]) // len(g.vertices)
+        edges = cohomology._edges(g, nvars, k, width)
+        for vec in classes:
+            assert cohomology._vector_satisfies_congruences(vec, edges, width)
+            for i in range(len(vec)):
+                for step in (1, 2):
+                    bumped = vec[:i] + (vec[i] + step,) + vec[i + 1 :]
+                    verdict = cohomology._vector_satisfies_congruences(
+                        bumped, edges, width
+                    )
+                    cls = vector_to_class(g, bumped, k, forgetful)
+                    assert verdict == class_satisfies_congruences(g, cls)
+                    verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_degree_one_rank_matches_presentation_both_ways():
@@ -372,7 +419,6 @@ def test_chi_multiples_lie_in_kernel_trivially():
 def test_homogeneous_decomposition_of_mixed_degree_classes():
     """A mixed-degree product of Thom classes splits into homogeneous
     pieces, each of which is itself a class lying in the solver basis."""
-    from gkmgraphs.cohomology import class_to_vector
     from gkmgraphs.intlinalg import hnf_nonzero_rows, same_lattice
     from gkmgraphs.polynomials import graded_piece_basis
 
@@ -385,9 +431,7 @@ def test_homogeneous_decomposition_of_mixed_degree_classes():
         assert class_satisfies_congruences(g, piece)
         classes, _ = cohomology_basis(g, k)
         monos = graded_piece_basis(g.rank + 1, k)
-        span = hnf_nonzero_rows(
-            [class_to_vector(c, list(g.vertices), monos) for c in classes]
-        )
+        span = hnf_nonzero_rows(classes)
         vec = class_to_vector(piece, list(g.vertices), monos)
         assert same_lattice(span, span + [vec])
 

@@ -1,11 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmgraphs.errors import DimensionError, InexactDivision
-from gkmgraphs.polynomials import IntPolynomial, graded_piece_basis
+from gkmgraphs.polynomials import (
+    IntPolynomial,
+    coords_varnames,
+    default_varnames,
+    format_coefficients,
+    graded_piece_basis,
+    monomial_body,
+)
 from oracles import divide_exact, divide_exact_by_linear
 
 
@@ -102,3 +109,36 @@ def test_to_string_is_lex_descending():
     assert p.to_string() == "t1^2 + t2 - 4"
     assert p.to_string(["a", "b"]) == "a^2 + b - 4"
     assert IntPolynomial.zero(2).to_string() == "0"
+
+
+@st.composite
+def _coefficient_chunks(draw):
+    """(nvars, degree, coefficients of the degree's monomials), with many
+    zeros and units among the coefficients."""
+    nvars = draw(st.integers(1, 4))
+    degree = draw(st.integers(0, 4))
+    size = math.comb(nvars + degree - 1, degree)
+    coeff = st.one_of(st.just(0), st.sampled_from([1, -1]), st.integers(-30, 30))
+    return nvars, degree, draw(st.lists(coeff, min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficient_chunks(), st.booleans())
+@example((3, 2, [0] * 6), True)
+@example((1, 0, [0]), False)
+@example((2, 0, [-1]), False)
+@example((4, 0, [7]), True)
+@example((2, 3, [1, -1, 0, -1]), False)
+def test_coefficient_formatter_matches_to_string(case, named):
+    """The solver's printer, which formats a coefficient chunk in
+    ``graded_piece_basis`` order, against ``IntPolynomial.to_string`` of
+    the same polynomial."""
+    nvars, degree, chunk = case
+    monos = graded_piece_basis(nvars, degree)
+    names = coords_varnames(nvars, False) if named else None
+    poly = IntPolynomial(nvars, dict(zip(monos, chunk)))
+    text = poly.to_string(names)
+    names = names or default_varnames(nvars)
+    bodies = [monomial_body(m, names) for m in monos]
+    assert format_coefficients(chunk, bodies) == text
+    assert (text == "0") == (not any(chunk))
