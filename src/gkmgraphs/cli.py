@@ -6,6 +6,17 @@ check fails (the JSON names the failing check), 2 on usage errors.  Any
 other exception is reported as ``{"ok": false, "error": ..., "internal":
 true}`` with exit status 1 (its traceback goes to stderr).  A reader of
 stdout that went away gives exit status 1 and nothing on stderr.
+
+Load rule: a command loads only what it runs, since most commands take a
+few milliseconds and imports would cost more.  The parser holds only the
+subcommand that the first argument names (all of them for help, an
+unknown word or no arguments).  Each command imports the package modules
+it calls when it runs.  A standard library module that one command needs
+is imported where that command needs it: ``hashlib`` when a hyperplane
+label is printed.  The records are plain classes and named tuples, and
+the fixture files are read by their path, so that no command loads the
+standard library's record generator, annotation or package-resource
+modules (see the README).
 """
 
 from __future__ import annotations
@@ -16,14 +27,28 @@ import sys
 
 from .errors import AssumptionViolation, GkmError
 
-# Each command imports the package modules it calls, so a short command
-# such as ``validate`` or ``gen klm`` does not pay for loading the solver
-# and the shelling code.
+
+def _write(text):
+    """Write ``text`` to stdout in full.  A stream with a binary layer gets
+    the bytes in a loop: unbuffered (``python -u``), that layer may take
+    only part of a write, and the text layer would drop the rest without
+    an error.  An in-memory stream takes the text in one write."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode(out.encoding))
+    while data:
+        data = data[buffer.write(data) :]
+    buffer.flush()
 
 
 def _emit(obj, code=0):
-    # one write: ``json.dump`` would write each encoder chunk on its own
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    # one document, one write: ``json.dump`` would write each encoder chunk
+    # on its own
+    _write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
     return code
 
 
@@ -358,70 +383,20 @@ def cmd_gen_klm(args, parser):
         with open(args.output, "w") as fh:
             fh.write(text)
         return 0
-    sys.stdout.write(text)
+    _write(text)
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="gkmgraphs",
-        description="Exact graph equivariant cohomology of GKM graphs "
-        "with legs.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("validate", help="run every axial-function check")
-    _add_source(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = subs.add_parser("hyperplanes", help="list all hyperplanes")
-    _add_source(p)
-    p.set_defaults(func=cmd_hyperplanes)
-
-    p = subs.add_parser(
-        "assumptions", help="check the halfspace and intersection assumptions"
-    )
-    _add_source(p)
-    p.set_defaults(func=cmd_assumptions)
-
-    p = subs.add_parser(
-        "cohomology", help="graded ranks and bases from the congruence solver"
-    )
-    _add_source(p)
+def _degree_options(p):
     p.add_argument("--max-degree", type=_degree, default=4)
     p.add_argument("--forgetful", action="store_true")
-    p.set_defaults(func=cmd_cohomology)
 
-    p = subs.add_parser(
-        "verify-iso",
-        help="compare solver ranks with the presentation ring degreewise",
-    )
-    _add_source(p)
-    p.add_argument("--max-degree", type=_degree, default=4)
-    p.add_argument("--forgetful", action="store_true")
-    p.set_defaults(func=cmd_verify_iso)
 
-    p = subs.add_parser(
-        "basis", help="shelling order, minimal faces and module basis"
-    )
-    _add_source(p)
-    p.set_defaults(func=cmd_basis)
-
-    p = subs.add_parser(
-        "structure-constants",
-        help="products of basis monomials, equivariant and ordinary",
-    )
-    _add_source(p)
-    p.set_defaults(func=cmd_structure_constants)
-
-    p = subs.add_parser(
-        "express", help="expand a polynomial in the module basis"
-    )
-    _add_source(p)
+def _poly_option(p):
     p.add_argument("--poly", required=True, help='e.g. "Z1^2"')
-    p.set_defaults(func=cmd_express)
 
-    p = subs.add_parser("gen", help="generate built-in graph families")
+
+def _gen_families(p):
     gsubs = p.add_subparsers(dest="family", required=True)
     pk = gsubs.add_parser("klm", help="three-direction line arrangement")
     pk.add_argument("--k", type=int, required=True)
@@ -430,11 +405,89 @@ def build_parser():
     pk.add_argument("-o", "--output", help="write to a file instead of stdout")
     pk.set_defaults(func=cmd_gen_klm)
 
+
+def _commands():
+    """The subcommands, in help order: (name, help, the function that runs
+    it, a function that adds its options).  A command with a function reads
+    a graph; ``gen`` has none, and its options are its families.  Built per
+    parser, so that it holds the module's current command functions."""
+    return (
+        ("validate", "run every axial-function check", cmd_validate, None),
+        ("hyperplanes", "list all hyperplanes", cmd_hyperplanes, None),
+        (
+            "assumptions",
+            "check the halfspace and intersection assumptions",
+            cmd_assumptions,
+            None,
+        ),
+        (
+            "cohomology",
+            "graded ranks and bases from the congruence solver",
+            cmd_cohomology,
+            _degree_options,
+        ),
+        (
+            "verify-iso",
+            "compare solver ranks with the presentation ring degreewise",
+            cmd_verify_iso,
+            _degree_options,
+        ),
+        (
+            "basis",
+            "shelling order, minimal faces and module basis",
+            cmd_basis,
+            None,
+        ),
+        (
+            "structure-constants",
+            "products of basis monomials, equivariant and ordinary",
+            cmd_structure_constants,
+            None,
+        ),
+        (
+            "express",
+            "expand a polynomial in the module basis",
+            cmd_express,
+            _poly_option,
+        ),
+        ("gen", "generate built-in graph families", None, _gen_families),
+    )
+
+
+def build_parser(argv=None):
+    """The argument parser.  When ``argv[0]`` names a subcommand, only that
+    subparser is built; otherwise (help, an unknown word, no arguments)
+    all of them are.  Usage and error text are the same either way: a
+    subparser's ``prog`` does not depend on its siblings, and the pruned
+    parser lists every subcommand in its usage line."""
+    parser = argparse.ArgumentParser(
+        prog="gkmgraphs",
+        description="Exact graph equivariant cohomology of GKM graphs "
+        "with legs.",
+    )
+    commands = _commands()
+    chosen = [c for c in commands if argv and c[0] == argv[0]]
+    metavar = None
+    if chosen:
+        # the usage line of the full parser, where the pruned parser shows
+        # it (after an unrecognized argument of the subcommand)
+        metavar = "{" + ",".join(c[0] for c in commands) + "}"
+        commands = chosen
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, func, options in commands:
+        p = subs.add_parser(name, help=help_text)
+        if func is not None:
+            _add_source(p)
+            p.set_defaults(func=func)
+        if options is not None:
+            options(p)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     try:
         code = _run(args, parser)

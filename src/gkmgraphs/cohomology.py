@@ -20,15 +20,13 @@ against the labels with their residual coordinate erased.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
 from .hyperplanes import (
-    AssumptionReport,
     _name_key,
     all_hyperplanes,
     check_assumptions,
@@ -46,10 +44,10 @@ from .intlinalg import (
 from .polynomials import IntPolynomial, graded_piece_basis
 
 
-@dataclass
 class CohomologyClass:
-    values: dict  # vertex -> IntPolynomial
-    nvars: int
+    def __init__(self, values, nvars):
+        self.values = values  # vertex -> IntPolynomial
+        self.nvars = nvars
 
     def __getitem__(self, v):
         return self.values[v]
@@ -135,11 +133,11 @@ def _raise_table(nvars, degree):
     )
 
 
-class _LabelMap(NamedTuple):
-    content: int
-    columns: list  # per degree-k monomial in t: its image, [(s position, coefficient)]
-    moduli: list  # per degree-k monomial in s: 0, the content or 1 (see below)
-    rows: list  # (modulus, [(t position, coefficient)]) for each modulus != 1
+# content: the content of the label; columns: per degree-k monomial in t,
+# its image [(s position, coefficient)]; moduli: per degree-k monomial in
+# s, 0, the content or 1 (see ``_label_map``); rows: (modulus, [(t
+# position, coefficient)]) for each modulus != 1
+_LabelMap = namedtuple("_LabelMap", "content columns moduli rows")
 
 
 def _label_map(maps, alpha, degree):
@@ -342,16 +340,26 @@ def _vector_satisfies_congruences(vec, edges, width) -> bool:
 # -- presentation rings -----------------------------------------------------------
 
 
-@dataclass
 class PresentationRing:
-    forgetful: bool
-    generators: list  # generator names in enumeration order
-    linear_relations: list  # list of {gen name: coeff}
-    monomial_relations: list  # list of frozensets of generator names
-    values: dict = field(repr=False)  # gen name -> CohomologyClass
-    hyperplane_of: dict = field(default_factory=dict)
-    # the report the ring was built under; not part of the presentation
-    assumptions: AssumptionReport = field(default=None, repr=False)
+    def __init__(
+        self,
+        forgetful,
+        generators,
+        linear_relations,
+        monomial_relations,
+        values,
+        hyperplane_of,
+        assumptions,
+    ):
+        self.forgetful = forgetful
+        self.generators = generators  # generator names in enumeration order
+        self.linear_relations = linear_relations  # list of {gen name: coeff}
+        # list of frozensets of generator names
+        self.monomial_relations = monomial_relations
+        self.values = values  # gen name -> CohomologyClass
+        self.hyperplane_of = hyperplane_of
+        # the report the ring was built under; not part of the presentation
+        self.assumptions = assumptions
 
 
 def presentation_ring(

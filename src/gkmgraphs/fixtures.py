@@ -15,9 +15,9 @@ capped, so an oversized request is refused before anything is built.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .errors import GkmError, StructuralError
 from .graph import Dart, GkmGraph, load_graph, validate_axial
@@ -39,6 +39,9 @@ _LOCAL_MODEL_RE = re.compile(r"^local_model\((\d+)\)$")
 LOCAL_MODEL_MAX_N = 32
 KLM_MAX_LINES = 30
 
+# the figure fixtures ship next to this module, as package data
+_DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
 
 def fixture(fixture_id: str) -> GkmGraph:
     """Load a built-in graph by id (``fig2_left``, ..., ``local_model(n)``)."""
@@ -55,12 +58,9 @@ def fixture(fixture_id: str) -> GkmGraph:
             + ", ".join(FIXTURE_IDS)
             + ", local_model(n)"
         )
-    text = (
-        resources.files("gkmgraphs")
-        .joinpath(f"data/{fixture_id}.json")
-        .read_text()
-    )
-    return load_graph(text)
+    path = os.path.join(_DATA_DIR, f"{fixture_id}.json")
+    with open(path, encoding="utf-8") as fh:
+        return load_graph(fh.read())
 
 
 def local_model(n: int) -> GkmGraph:
@@ -98,17 +98,18 @@ _LINE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class KlmSpec:
-    k: int
-    l: int
-    m: int
+class KlmSpec(namedtuple("KlmSpec", "k l m")):
+    """The line counts of L_{k,l,m}, each checked to lie in
+    1..KLM_MAX_LINES."""
 
-    def __post_init__(self):
-        if min(self.k, self.l, self.m) < 1:
+    __slots__ = ()
+
+    def __new__(cls, k, l, m):
+        if min(k, l, m) < 1:
             raise GkmError("k, l, m must all be at least 1")
-        if max(self.k, self.l, self.m) > KLM_MAX_LINES:
+        if max(k, l, m) > KLM_MAX_LINES:
             raise GkmError(f"k, l, m must all be at most {KLM_MAX_LINES}")
+        return super().__new__(cls, k, l, m)
 
 
 class _Line:

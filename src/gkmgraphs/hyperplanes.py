@@ -12,9 +12,8 @@ surface as a reported violation, never as a silently wrong halfspace.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import (
     AssumptionOneViolation,
@@ -26,59 +25,51 @@ from .graph import GkmGraph, components, pair_decomposition
 from .intlinalg import congruent, vec_sub
 
 
-def _stable_label(vertices, dart_ids):
-    blob = json.dumps([sorted(vertices), sorted(dart_ids)])
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+class Hyperplane(namedtuple("Hyperplane", "vertices dart_ids name")):
+    """A hyperplane: its vertex set, its dart set and its name ("" until
+    ``all_hyperplanes`` names it)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Hyperplane:
-    label: str
-    vertices: frozenset
-    dart_ids: frozenset
-    name: str = ""
+    @property
+    def label(self):
+        """The first 12 hex digits of the SHA-256 of the sorted vertex and
+        dart ids: a name that does not depend on the enumeration."""
+        # imported here: only the ``hyperplanes`` listing prints labels
+        import hashlib
+
+        blob = json.dumps([sorted(self.vertices), sorted(self.dart_ids)])
+        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def sort_key(self):
         return (sorted(self.vertices), sorted(self.dart_ids))
 
     def named(self, name):
-        return Hyperplane(self.label, self.vertices, self.dart_ids, name)
+        return self._replace(name=name)
 
 
-@dataclass
 class Halfspace:
-    hyperplane: Hyperplane
-    vertices: frozenset
-    dart_ids: frozenset
-    normals: dict = field(default_factory=dict)  # boundary vertex -> dart id
-    # the checked Thom class, set by the first ``thom_class`` call
-    thom: dict | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    def __init__(self, hyperplane, vertices, dart_ids, normals):
+        self.hyperplane = hyperplane
+        self.vertices = vertices
+        self.dart_ids = dart_ids
+        self.normals = normals  # boundary vertex -> dart id
+        # the checked Thom class, set by the first ``thom_class`` call
+        self.thom = None
 
     def sort_key(self):
         return (sorted(self.vertices), sorted(self.dart_ids))
 
 
-@dataclass
 class IntersectionResult:
-    vertices: frozenset
-    dart_ids: frozenset
-    component_count: int
-
-    @property
-    def is_empty(self):
-        return not self.vertices
+    def __init__(self, vertices, dart_ids, component_count):
+        self.vertices = vertices
+        self.dart_ids = dart_ids
+        self.component_count = component_count
 
     @property
     def connected(self):
         return self.component_count <= 1
-
-    def valences(self, g):
-        per = {v: 0 for v in self.vertices}
-        for did in self.dart_ids:
-            per[g.darts[did].source] += 1
-        return per
 
 
 # -- hyperplane discovery ------------------------------------------------------
@@ -115,7 +106,7 @@ def hyperplane_through(g: GkmGraph, vertex, excluded_pair) -> Hyperplane:
             stack.append(q)
     darts = frozenset().union(*table.values()) if table else frozenset()
     vertices = frozenset(table)
-    return Hyperplane(_stable_label(vertices, darts), vertices, darts)
+    return Hyperplane(vertices, darts, "")
 
 
 def _check_pair_set(g, vertex, dart_ids):
@@ -155,7 +146,7 @@ def all_hyperplanes(g: GkmGraph):
             if (v, frozenset(pair)) in covered:
                 continue
             h = hyperplane_through(g, v, pair)
-            seen.setdefault(h.label, h)
+            seen.setdefault((h.vertices, h.dart_ids), h)
             for w in h.vertices:
                 covered.add((w, frozenset(g.darts_at(w)) - h.dart_ids))
     ordered = sorted(seen.values(), key=Hyperplane.sort_key)
@@ -585,13 +576,13 @@ def choose_positive_halfspace(g: GkmGraph, hyperplane: Hyperplane, pair=None):
 # -- assumptions ----------------------------------------------------------------
 
 
-@dataclass
 class AssumptionReport:
-    assumption1: dict
-    assumption2: dict
-    # hyperplane name -> its halfspace_pair, for the hyperplanes that pass
-    # assumption (1); kept for the caller, not part of the report
-    pairs: dict = field(default_factory=dict, repr=False)
+    def __init__(self, assumption1, assumption2, pairs):
+        self.assumption1 = assumption1
+        self.assumption2 = assumption2
+        # hyperplane name -> its halfspace_pair, for the hyperplanes that
+        # pass assumption (1); kept for the caller, not part of the report
+        self.pairs = pairs
 
     @property
     def ok1(self):

@@ -24,7 +24,6 @@ there.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import (
@@ -49,19 +48,19 @@ from .polynomials import IntPolynomial, coords_varnames
 DEFAULT_SEARCH_BUDGET = 10**6
 
 
-@dataclass
 class SimplicialComplex:
-    vertex_names: list  # one per hyperplane
-    faces: set  # frozensets of names, including the empty face
-    facets: list  # maximal faces in canonical order
-    facet_vertex: dict  # facet -> graph vertex id
-    dim: int
+    def __init__(self, vertex_names, faces, facets, facet_vertex, dim):
+        self.vertex_names = vertex_names  # one per hyperplane
+        self.faces = faces  # frozensets of names, including the empty face
+        self.facets = facets  # maximal faces in canonical order
+        self.facet_vertex = facet_vertex  # facet -> graph vertex id
+        self.dim = dim
 
 
-@dataclass
 class ShellingData:
-    order: list  # facets sigma_1..sigma_d
-    minimal_faces: list  # mu_1..mu_d
+    def __init__(self, order, minimal_faces):
+        self.order = order  # facets sigma_1..sigma_d
+        self.minimal_faces = minimal_faces  # mu_1..mu_d
 
     def to_dict(self):
         return {
@@ -248,19 +247,21 @@ def characteristic_functions(complex_: SimplicialComplex, taus) -> dict:
 # -- the assembled context -------------------------------------------------------
 
 
-@dataclass
 class ShellingContext:
-    graph: GkmGraph
-    names: list  # hyperplane names in generator order
-    complex: SimplicialComplex
-    shelling: ShellingData
-    lambdas: dict  # name -> covector
-    taus: dict  # name -> forgetful Thom class, {vertex: vector}
-    orientation: dict  # name -> recorded normal dart of the positive side
-    # the localization maps of the facet points, set by ``shelling_context``
-    localizations: FacetLocalizations = field(
-        default=None, init=False, repr=False
-    )
+    def __init__(
+        self, graph, names, complex_, shelling, lambdas, taus, orientation
+    ):
+        self.graph = graph
+        self.names = names  # hyperplane names in generator order
+        self.complex = complex_
+        self.shelling = shelling
+        self.lambdas = lambdas  # name -> covector
+        self.taus = taus  # name -> forgetful Thom class, {vertex: vector}
+        # name -> recorded normal dart of the positive side
+        self.orientation = orientation
+        # the localization maps of the facet points, set by
+        # ``shelling_context``
+        self.localizations = None
 
     @property
     def ngens(self):
@@ -439,9 +440,10 @@ def basis_monomial_name(names_tuple):
     return "*".join(names_tuple) if names_tuple else "1"
 
 
-@dataclass
 class BasisExpansion:
-    coefficients: dict  # basis index -> IntPolynomial in n variables
+    def __init__(self, coefficients):
+        # basis index -> IntPolynomial in n variables
+        self.coefficients = coefficients
 
     def to_dict(self, ctx: ShellingContext, varnames):
         basis = module_basis(ctx)

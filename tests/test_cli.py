@@ -38,15 +38,21 @@ SOLVER_REFERENCE = (
 SRC = Path(gkmgraphs.__file__).resolve().parents[1]
 
 
-def run_child(args, stdout=subprocess.PIPE, **kwargs):
-    """Run ``python`` with the package's source tree on the path."""
-    env = dict(os.environ)
+def child_env(**extra):
+    """The environment of a child ``python``: the package's source tree on
+    the path, and ``extra``."""
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def run_child(args, stdout=subprocess.PIPE, **kwargs):
+    """Run ``python`` with the package's source tree on the path."""
     return subprocess.run(
         [sys.executable, *args],
-        env=env,
+        env=child_env(),
         stdout=stdout,
         stderr=subprocess.PIPE,
         **kwargs,
@@ -518,29 +524,61 @@ def test_verify_output_matches_the_benchmark_reference(tmp_path, capsys, key):
     run_reference(tmp_path, capsys, key)
 
 
+def _front_id(key):
+    """``hyperplanes @555`` -> hyperplanes555, ``validate --fixture
+    fig2_left`` -> validate-fig2_left."""
+    return key.replace(" @", "").replace(" --fixture ", "-").replace('"', "")
+
+
+# every ``hyperplanes``, ``validate`` and ``assumptions`` command of the
+# benchmark reference: the figures, local_model(6) and the rungs 111..555
+FRONT_KEYS = sorted(
+    key
+    for key in json.loads(REFERENCE.read_text())["commands"]
+    if key.split()[0] in ("hyperplanes", "validate", "assumptions")
+)
+
+
 @pytest.mark.parametrize(
     "key",
     [
-        "gen klm --k 5 --l 5 --m 5",
-        "hyperplanes @555",
-        "assumptions @555",
-        "validate @555",
-        "gen klm --k 2 --l 1 --m 2 | basis",
-    ],
-    ids=["gen555", "hyperplanes555", "assumptions555", "validate555", "gen212-basis"],
+        pytest.param("gen klm --k 5 --l 5 --m 5", id="gen555"),
+        pytest.param("gen klm --k 2 --l 1 --m 2 | basis", id="gen212-basis"),
+    ]
+    + [pytest.param(key, id=_front_id(key)) for key in FRONT_KEYS],
 )
 def test_front_output_matches_the_benchmark_reference(
     tmp_path, capsys, monkeypatch, key
 ):
-    """The generator's propagated residual coefficients and the hyperplanes
-    found with one closure each reproduce the recorded output byte for
-    byte."""
+    """The generator's propagated residual coefficients, the hyperplanes
+    found with one closure each and labeled where they are printed, and
+    the validation and assumption reports reproduce the recorded output
+    byte for byte."""
     run_reference(tmp_path, capsys, key, monkeypatch)
+
+
+# per subcommand, its options after the L(2,1,2) file
+LOAD_COMMANDS = {
+    "validate": [],
+    "hyperplanes": [],
+    "assumptions": [],
+    "cohomology": ["--max-degree", "1"],
+    "verify-iso": ["--max-degree", "1"],
+    "basis": [],
+    "express": ["--poly", "Z1^2"],
+    "structure-constants": [],
+}
+# standard library modules whose import costs more than a short command's
+# work; ``hashlib`` only the ``hyperplanes`` listing needs
+COSTLY_MODULES = ("dataclasses", "inspect", "typing", "importlib.resources")
 
 
 def test_short_commands_load_only_what_they_call(tmp_path):
     """Neither importing the CLI nor ``validate`` on a file loads the
-    solver, polynomial, hyperplane or shelling code."""
+    solver, polynomial, hyperplane or shelling code.  Without ``site``
+    (``python -S``, which would load modules of its own), no subcommand
+    loads ``dataclasses``, ``inspect``, ``typing`` or
+    ``importlib.resources``, and only ``hyperplanes`` loads ``hashlib``."""
     path = tmp_path / "L212.json"
     path.write_text(serialize(gen_klm(KlmSpec(2, 1, 2))))
     script = (
@@ -548,16 +586,28 @@ def test_short_commands_load_only_what_they_call(tmp_path):
         "import gkmgraphs.cli as cli\n"
         "loaded = [sorted(sys.modules)]\n"
         "sys.stdout = io.StringIO()\n"
-        "code = cli.main(['validate', sys.argv[1]])\n"
+        "code = cli.main(json.loads(sys.argv[1]))\n"
         "sys.stdout = sys.__stdout__\n"
         "print(json.dumps([code, loaded[0], sorted(sys.modules)]))\n"
     )
-    child = run_child(["-c", script, str(path)], text=True, check=True)
-    code, at_import, after_validate = json.loads(child.stdout)
-    assert code == 0
-    for name in ("cohomology", "shelling", "polynomials", "hyperplanes"):
-        assert f"gkmgraphs.{name}" not in at_import
-        assert f"gkmgraphs.{name}" not in after_validate
+    argvs = {
+        name: [name, str(path), *options]
+        for name, options in LOAD_COMMANDS.items()
+    }
+    argvs["gen klm"] = ["gen", "klm", "--k", "2", "--l", "1", "--m", "2"]
+    for name, argv in argvs.items():
+        child = run_child(
+            ["-S", "-c", script, json.dumps(argv)], text=True, check=True
+        )
+        code, at_import, after = json.loads(child.stdout)
+        assert code == 0, name
+        for module in COSTLY_MODULES:
+            assert module not in after, (name, module)
+        assert ("hashlib" in after) == (name == "hyperplanes"), name
+        if name == "validate":
+            for part in ("cohomology", "shelling", "polynomials", "hyperplanes"):
+                assert f"gkmgraphs.{part}" not in at_import
+                assert f"gkmgraphs.{part}" not in after
 
 
 def test_shelling_commands_do_not_load_the_solver(tmp_path):
@@ -609,6 +659,34 @@ def test_a_closed_stdout_is_not_a_traceback(tmp_path, argv):
         os.close(write_end)
     assert child.returncode == 1
     assert child.stderr == b""
+
+
+def test_a_reader_that_leaves_early_is_seen_unbuffered(tmp_path):
+    """Unbuffered (PYTHONUNBUFFERED=1), the binary layer of stdout takes
+    what a pipe accepts before its reader leaves and reports a short
+    count.  The rest of the document may not be dropped silently: a
+    reader that leaves after one byte of the ``cohomology`` document
+    (171 KB, more than a pipe's buffer) gives exit 1 and nothing on
+    stderr."""
+    path = tmp_path / "L444.json"
+    path.write_text(serialize(gen_klm(KlmSpec(4, 4, 4))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "gkmgraphs.cli", "cohomology", str(path),
+         "--max-degree", "3", "--forgetful"],
+        env=child_env(PYTHONUNBUFFERED="1"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(child.stdout.read(1)) == 1
+    child.stdout.close()
+    try:
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert code == 1
+    assert err == b""
 
 
 def test_oversized_inputs_are_refused_up_front(monkeypatch, capsys):
@@ -721,6 +799,30 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["validate", "--fixture", "fig99"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--bogus"],
+        ["validate", "a", "b"],
+        ["cohomology", "--max-degree", "x"],
+        ["verify-iso", "--help"],
+        ["express", "--fixture", "fig7_pentagon"],
+        ["gen", "klm", "--k", "1", "extra"],
+        ["gen"],
+    ],
+    ids=["option", "operand", "degree", "help", "required", "gen", "family"],
+)
+def test_the_pruned_parser_prints_what_the_full_one_does(capsys, argv):
+    """The parser that holds only the named subcommand prints the usage,
+    help and error text of the parser that holds them all."""
+    printed = []
+    for parser in (cli.build_parser(argv), cli.build_parser([])):
+        with pytest.raises(SystemExit) as ei:
+            parser.parse_args(argv)
+        printed.append((ei.value.code, capsys.readouterr()))
+    assert printed[0] == printed[1]
 
 
 def test_output_is_byte_stable(capsys):

@@ -1,7 +1,6 @@
 """Solver, forgetful theory, presentation rings and the graded comparison."""
 
 import random
-from dataclasses import replace
 from math import gcd
 
 import pytest
@@ -23,7 +22,7 @@ from gkmgraphs.cohomology import (
 )
 from gkmgraphs.errors import AssumptionViolation, CongruenceFailure
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
-from gkmgraphs.graph import GkmGraph
+from gkmgraphs.graph import Dart, GkmGraph
 from gkmgraphs.hyperplanes import (
     all_hyperplanes,
     choose_positive_halfspace,
@@ -63,7 +62,10 @@ def _doubled(fixture_id, dart_ids):
     connection is dropped: it no longer fits the doubled labels."""
     g = fixture(fixture_id)
     darts = [
-        replace(d, axial=tuple(2 * a for a in d.axial)) if d.id in dart_ids
+        Dart(
+            d.id, d.source, d.target, d.opposite, tuple(2 * a for a in d.axial)
+        )
+        if d.id in dart_ids
         else d
         for d in g.darts.values()
     ]

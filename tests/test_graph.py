@@ -134,6 +134,17 @@ def test_validate_axial_checks_named_failures():
     assert "span" in validate_axial(mutated).failed_checks()
 
 
+def test_derived_connection_is_checked_on_its_edge_darts():
+    """A derived connection sends every dart but the edge dart to a
+    congruent one; the edge dart goes to its opposite, so ``validate``
+    still checks that congruence."""
+    g = fixture("fig8_line5")
+    doubled = tuple(2 * a for a in g.axial("p1:e"))
+    report = validate_axial(replace_axial(g, "p1:e", doubled)).to_dict()
+    (congruence,) = (c for c in report["checks"] if c["check"] == "congruence")
+    assert congruence["offenders"] == ["p1:e:p1:e"]
+
+
 def test_three_independence_check_fires():
     g = fixture("fig11_sphere")
     # send one leg into the plane spanned by the two edge labels
