@@ -310,7 +310,10 @@ def cmd_verify_iso(args, parser):
     refused = _refuse_oversized_solver(g, args)
     if refused is not None:
         return refused
-    pieces = graded_pieces(g, args.max_degree, args.forgetful)
+    # only the kernel check of the full theory reads classes, up to degree
+    # 3; ``verify_iso`` takes every other solver rank without classes
+    checked = min(args.max_degree, 3)
+    pieces = () if args.forgetful else graded_pieces(g, checked)
     try:
         rep = verify_iso(g, args.max_degree, args.forgetful, pieces)
     except AssumptionViolation as exc:
@@ -319,7 +322,7 @@ def cmd_verify_iso(args, parser):
         )
     rep["degrees"] = {str(k): v for k, v in rep["degrees"].items()}
     rep["kernel_forgetful_ok"] = (
-        kernel_forgetful_check(g, min(args.max_degree, 3), pieces)
+        kernel_forgetful_check(g, checked, pieces)
         if not args.forgetful
         else None
     )
@@ -380,8 +383,11 @@ def cmd_gen_klm(args, parser):
         parser.error(str(exc))
     text = serialize(g)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write {args.output}: {exc}")
         return 0
     _write(text)
     return 0

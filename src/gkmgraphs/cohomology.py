@@ -9,8 +9,10 @@
 
 The solver's classes are integer coefficient vectors: the coefficients
 of the degree-k monomials in ``graded_piece_basis`` order, vertex after
-vertex.  They stay vectors through the rank comparison, the kernel check
-of the forgetful map and the printed output.  The presentation rings'
+vertex.  They stay vectors through the kernel check of the forgetful map
+and the printed output.  The rank comparison reads only ranks, so where
+no classes are needed it takes the rank of the solver's system
+(``solver_rank``) without solving it.  The presentation rings'
 generators are ``{vertex: IntPolynomial}`` dictionaries wrapped in
 :class:`CohomologyClass`.  Both theories run on the same
 :class:`GkmGraph`: n+1 variables (e1..en, x) for the full theory, checked
@@ -23,6 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
+from operator import add
 
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
@@ -281,6 +284,30 @@ def _edges(g: GkmGraph, nvars: int, degree: int, width: int):
     return out
 
 
+def _congruence_system(g: GkmGraph, degree: int, forgetful: bool):
+    """The congruence system of the degree-``degree`` piece (see
+    ``cohomology_basis``) as ``(rows, ncols, edges, width)``: its sparse
+    rows, its number of unknowns (the phi columns first, then one
+    witness per congruence), and the ``_edges`` and ``width`` of its
+    coefficient vectors."""
+    if degree < 0:
+        raise GkmError("degree must be nonnegative")
+    nvars = _nvars(g, forgetful)
+    width = comb(nvars + degree - 1, degree)
+    edges = _edges(g, nvars, degree, width)
+    rows = []
+    ncols = len(g.vertices) * width
+    for p, q, lmap in edges:
+        for modulus, row in lmap.rows:
+            eq = {p + i: a for i, a in row}
+            eq.update((q + i, -a) for i, a in row)
+            if modulus:
+                eq[ncols] = -modulus
+                ncols += 1
+            rows.append(eq)
+    return rows, ncols, edges, width
+
+
 def cohomology_basis(g, degree: int, forgetful: bool = False):
     """Hermite-reduced Z-basis of the degree-2k graded piece.
 
@@ -299,29 +326,24 @@ def cohomology_basis(g, degree: int, forgetful: bool = False):
 
     Returns ``(classes, rank)``, each class the tuple of its coefficients.
     """
-    if degree < 0:
-        raise GkmError("degree must be nonnegative")
-    nvars = _nvars(g, forgetful)
-    width = comb(nvars + degree - 1, degree)
+    rows, ncols, edges, width = _congruence_system(g, degree, forgetful)
     nphi = len(g.vertices) * width
-    edges = _edges(g, nvars, degree, width)
-    rows = []
-    nmod = 0
-    for p, q, lmap in edges:
-        for modulus, row in lmap.rows:
-            eq = {p + i: a for i, a in row}
-            eq.update((q + i, -a) for i, a in row)
-            if modulus:
-                eq[nphi + nmod] = -modulus
-                nmod += 1
-            rows.append(eq)
-    classes = [k[:nphi] for k in kernel_basis(rows, nphi + nmod)]
+    classes = [k[:nphi] for k in kernel_basis(rows, ncols)]
     for vec in classes:
         if not _vector_satisfies_congruences(vec, edges, width):
             raise CongruenceFailure(
                 "solver output violates a congruence relation"
             )
     return classes, len(classes)
+
+
+def solver_rank(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
+    """The rank of ``cohomology_basis(g, degree, forgetful)``, without its
+    classes: the unknowns of the same system less its rank.  The
+    witnesses are determined by phi, so the kernel has as many
+    dimensions as the graded piece."""
+    rows, ncols, _, _ = _congruence_system(g, degree, forgetful)
+    return ncols - rank(rows, ncols)
 
 
 def _vector_satisfies_congruences(vec, edges, width) -> bool:
@@ -471,23 +493,24 @@ def _reduced_full_relations(ring: PresentationRing):
 
 
 def _ideal_rank_full(rels, ngens, k):
-    monos = graded_piece_basis(ngens, k)
-    mono_index = {m: i for i, m in enumerate(monos)}
+    """The rank of the degree-k piece of the ideal of the relations
+    ``rels``: each relation times each monomial of the complementary
+    degree is one sparse row, built from the relation's terms."""
+    index = {m: i for i, m in enumerate(graded_piece_basis(ngens, k))}
+    shifts = {}  # degree -> its monomials
     rows = []
     for rel in rels:
         d = rel.degree()
         if d > k:
             continue
-        for m in graded_piece_basis(ngens, k - d):
-            shift = {
-                tuple(a + b for a, b in zip(mm, m)): c
-                for mm, c in rel.terms.items()
-            }
-            row = [0] * len(monos)
-            for mm, c in shift.items():
-                row[mono_index[mm]] = c
-            rows.append(row)
-    return rank(rows)
+        if k - d not in shifts:
+            shifts[k - d] = graded_piece_basis(ngens, k - d)
+        terms = rel.terms.items()
+        for m in shifts[k - d]:
+            rows.append(
+                {index[tuple(map(add, mm, m))]: c for mm, c in terms}
+            )
+    return rank(rows, len(index))
 
 
 def graded_pieces(g: GkmGraph, max_degree: int, forgetful: bool = False):
@@ -500,24 +523,25 @@ def graded_pieces(g: GkmGraph, max_degree: int, forgetful: bool = False):
 
 
 def _times_linear(vec, forms, up, nwidth):
-    """The coefficient vector of a class times the class that is the
-    linear form ``forms[v]`` ([(variable, coefficient)]) at each vertex v.
-    ``up`` is the ``_raise_table`` of the class's degree and ``nwidth``
-    the number of monomials one degree up."""
+    """The sparse coefficient vector (``{position: coefficient}``) of a
+    class times the class that is the linear form ``forms[v]``
+    ([(variable, coefficient)]) at each vertex v.  ``up`` is the
+    ``_raise_table`` of the class's degree and ``nwidth`` the number of
+    monomials one degree up."""
     width = len(up)
-    out = [0] * (len(forms) * nwidth)
-    for v, form in enumerate(forms):
+    out = {}
+    for pos, a in vec.items():
+        v, i = divmod(pos, width)
         base = v * nwidth
-        for i, a in enumerate(vec[v * width : (v + 1) * width]):
-            if a:
-                targets = up[i]
-                for j, c in form:
-                    out[base + targets[j]] += a * c
-    return out
+        targets = up[i]
+        for j, c in forms[v]:
+            t = base + targets[j]
+            out[t] = out.get(t, 0) + a * c
+    return {t: c for t, c in out.items() if c}
 
 
 def verify_iso(
-    g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=None
+    g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=()
 ):
     """Graded-rank comparison between the solver and the presentation ring.
 
@@ -526,12 +550,15 @@ def verify_iso(
     span of evaluated generator monomials; the theorems predict all three
     are equal.  Also reports the assumption status (assumption (2) may
     fail, in which case a strict deficit is the expected outcome).
-    ``pieces`` are the ``graded_pieces`` of the same theory when the
-    caller has solved them already.
+
+    Only ranks are computed.  ``pieces`` are the ``graded_pieces`` of the
+    same theory for the degrees the caller has solved already, and give
+    their solver ranks; every higher degree takes ``solver_rank``, which
+    builds no classes.  The presentation rank and the image rank are
+    ranks of sparse rows: the relations times monomials, and the images
+    of the generator monomials, each grown from one a degree lower.
     """
     ring = presentation_ring(g, forgetful=forgetful, require_assumptions=False)
-    if pieces is None:
-        pieces = graded_pieces(g, max_degree, forgetful)
     assumptions = ring.assumptions
     nvars = _nvars(g, forgetful)
     if forgetful:
@@ -548,16 +575,18 @@ def verify_iso(
         for name in gen_names
     ]
     ngens = len(gen_names)
-    # Psi of the degree-k monomials as coefficient vectors, grown by one
-    # generator per degree.  The forgetful table keeps only the monomials
-    # outside the monomial ideal: a monomial's lower neighbour has a
-    # smaller support, so it is outside the ideal whenever the monomial is.
-    table = {(0,) * ngens: [1] * len(g.vertices)}
+    nverts = len(g.vertices)
+    # Psi of the degree-k monomials as sparse coefficient vectors, grown by
+    # one generator per degree.  The forgetful table keeps only the
+    # monomials outside the monomial ideal: a monomial's lower neighbour
+    # has a smaller support, so it is outside the ideal whenever the
+    # monomial is.
+    table = {(0,) * ngens: {v: 1 for v in range(nverts)}}
     per_degree = {}
     for k in range(max_degree + 1):
+        width = comb(nvars + k - 1, k)
         if k:
             up = _raise_table(nvars, k - 1)
-            width = comb(nvars + k - 1, k)
             grown = {}
             for mono in graded_piece_basis(ngens, k):
                 i = next(j for j, e in enumerate(mono) if e)
@@ -570,21 +599,24 @@ def verify_iso(
                         continue
                 grown[mono] = _times_linear(lower, forms[i], up, width)
             table = grown
-        _, solver_rank = pieces[k]
+        if k < len(pieces):
+            srank = pieces[k][1]
+        else:
+            srank = solver_rank(g, k, forgetful)
         nmono = comb(ngens + k - 1, k)
         if forgetful:
             pres_rank = len(table)
         else:
             pres_rank = nmono - _ideal_rank_full(rels, ngens, k)
-        image_rank = rank(list(table.values()))
+        image_rank = rank(list(table.values()), nverts * width)
         per_degree[k] = {
-            "solver_rank": solver_rank,
+            "solver_rank": srank,
             "presentation_rank": pres_rank,
             "image_rank": image_rank,
             "monomials": nmono,
-            "surjective": image_rank == solver_rank,
+            "surjective": image_rank == srank,
             "injective": image_rank == pres_rank,
-            "match": solver_rank == pres_rank == image_rank,
+            "match": srank == pres_rank == image_rank,
         }
     return {
         "forgetful": forgetful,

@@ -5,9 +5,13 @@ pair from the vertex's dart set and push the remaining darts across every
 edge with the connection until the vertex->dart-set table stabilizes.  The
 halfspace pair of a hyperplane is built by component-side assignment (each
 component of the graph minus the hyperplane is entered by normal darts of
-exactly one orientation class when assumption (1) holds) followed by a full
-re-validation of the pre-halfspace axioms, so a wrong assignment can only
-surface as a reported violation, never as a silently wrong halfspace.
+exactly one orientation class when assumption (1) holds).  Each half is
+then checked: the pre-halfspace axioms at the hyperplane's vertices and
+the edges leaving them, the only places where a half built this way can
+break them; its connectedness; the intersection and the cover of the
+pair; and the Thom classes, each checked against every congruence, which
+must sum to x.  So a wrong assignment can only surface as a reported
+violation, never as a silently wrong halfspace.
 """
 
 from __future__ import annotations
@@ -323,6 +327,15 @@ def _orientation_classes(g, hyperplane, excluded):
 def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     """The unique (halfspace, opposite side) pair meeting in the hyperplane.
 
+    Each half is the hyperplane L, the normal darts of one orientation,
+    and the components of Gamma - L that those darts enter, with all their
+    darts.  The pre-halfspace axioms are checked where they can fail: the
+    valence, the restricted connection and the normal congruence at the
+    vertices of L and the edges leaving them (see
+    ``_validate_pre_halfspace``).  Then each half must be connected, the
+    two must meet in L and cover the graph, and their Thom classes, each
+    checked against every congruence, must sum to x.
+
     Raises AssumptionOneViolation whenever existence or uniqueness fails;
     the returned pair is ordered by sort key, so the result is
     deterministic.
@@ -330,6 +343,9 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     excluded = _excluded_pairs(g, hyperplane)
     color = _orientation_classes(g, hyperplane, excluded)
     comp = components(g, set(g.vertices) - hyperplane.vertices)
+    members = {}  # root of a component of Gamma - L -> its vertices
+    for v, root in comp.items():
+        members.setdefault(root, []).append(v)
     side_of_comp = {}
     for v in sorted(excluded):
         for d in excluded[v]:
@@ -358,14 +374,12 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
                 else:
                     normals[v] = d
         for root, s in side_of_comp.items():
-            if s != side:
-                continue
-            for v, r in comp.items():
-                if r == root:
+            if s == side:
+                for v in members[root]:
                     verts.add(v)
                     darts.update(g.darts_at(v))
         h = Halfspace(hyperplane, frozenset(verts), frozenset(darts), normals)
-        _validate_pre_halfspace(g, h)
+        _validate_pre_halfspace(g, h, at=hyperplane.vertices)
         if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
             raise AssumptionOneViolation(
                 "candidate halfspace is not connected",
@@ -403,48 +417,69 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     return halves[0], halves[1]
 
 
-def _validate_pre_halfspace(g, h: Halfspace):
+def _validate_pre_halfspace(g, h: Halfspace, at=None):
+    """Raise AssumptionOneViolation unless ``h`` is a pre-halfspace: every
+    vertex keeps 2n - 1 or 2n of its darts, every dart starts inside, some
+    vertex is a boundary vertex, and across each edge inside, the
+    connection restricted to the kept darts is a bijection (c1) or, from
+    a boundary vertex to an interior one, an injection, with the boundary
+    vertex's normal label congruent to x modulo the edge's label (c2).
+
+    With ``at``, the valence and the edges are checked only at the
+    vertices ``at`` and the edges leaving them, in the same order, so the
+    first violation is the same.  ``halfspace_pair`` passes the
+    hyperplane L: its other vertices are those of whole components of
+    Gamma - L, each with all 2n darts, so their valence holds.  Across an
+    edge between two of them, c1 asks that the connection be a bijection
+    between the full dart sets, which ``GkmGraph`` established when it
+    verified the stored connection (``_verify_connection``) or derived
+    one (``derive_connection``).  An edge from such a vertex to L goes
+    from 2n darts to 2n - 1 and asks nothing.
+    """
     n = g.rank
-    inside = {
-        v: {d for d in g.darts_at(v) if d in h.dart_ids} for v in h.vertices
-    }
-    sizes = {}
-    for v in sorted(h.vertices):
-        sizes[v] = len(inside[v])
-        if sizes[v] not in (2 * n - 1, 2 * n):
+    name = h.hyperplane.name
+    darts = h.dart_ids
+    vertices = sorted(h.vertices if at is None else at)
+    inside = {v: {d for d in g.darts_at(v) if d in darts} for v in vertices}
+    for v in vertices:
+        size = len(inside[v])
+        if size not in (2 * n - 1, 2 * n):
             raise AssumptionOneViolation(
-                f"vertex {v!r} keeps {sizes[v]} darts, expected "
+                f"vertex {v!r} keeps {size} darts, expected "
                 f"{2 * n - 1} or {2 * n}",
-                hyperplane=h.hyperplane.name,
+                hyperplane=name,
                 check="valence",
             )
-    for did in h.dart_ids:
+    for did in darts:
         if g.darts[did].source not in h.vertices:
             raise AssumptionOneViolation(
                 f"dart {did!r} has source outside the halfspace",
-                hyperplane=h.hyperplane.name,
+                hyperplane=name,
                 check="dart_source",
             )
-    if (2 * n - 1) not in sizes.values():
+    if all(len(kept) == 2 * n for kept in inside.values()):
         raise AssumptionOneViolation(
             "pre-halfspace needs at least one boundary vertex",
-            hyperplane=h.hyperplane.name,
+            hyperplane=name,
             check="boundary_exists",
         )
     conn = g.connection
     x = g.residual
-    for eid in sorted(h.dart_ids):
+    for eid in sorted(d for v in vertices for d in inside[v]):
         e = g.darts[eid]
-        if e.is_leg or e.opposite not in h.dart_ids or e.target not in h.vertices:
+        t = e.target
+        if e.is_leg or e.opposite not in darts or t not in h.vertices:
             continue
-        src_set, tgt_set = inside[e.source], inside[e.target]
+        src_set, tgt_set = inside[e.source], inside.get(t)
+        if tgt_set is None:
+            tgt_set = inside[t] = {d for d in g.darts_at(t) if d in darts}
         image = {conn[eid][d] for d in src_set}
         if len(src_set) == len(tgt_set):
             if image != tgt_set:
                 raise AssumptionOneViolation(
                     f"restricted connection across {eid!r} is not a "
                     "bijection",
-                    hyperplane=h.hyperplane.name,
+                    hyperplane=name,
                     check="closure_c1",
                 )
         elif len(src_set) < len(tgt_set):
@@ -452,14 +487,14 @@ def _validate_pre_halfspace(g, h: Halfspace):
                 raise AssumptionOneViolation(
                     f"restricted connection across {eid!r} is not "
                     "injective into the target darts",
-                    hyperplane=h.hyperplane.name,
+                    hyperplane=name,
                     check="closure_c2",
                 )
             normal = h.normals.get(e.source)
             if normal is None or not congruent(g.axial(normal), x, e.axial):
                 raise AssumptionOneViolation(
                     f"normal congruence fails across {eid!r}",
-                    hyperplane=h.hyperplane.name,
+                    hyperplane=name,
                     check="normal_congruence",
                 )
 

@@ -1,14 +1,17 @@
 """Exact linear algebra over the integers.
 
 The public functions take plain ``list[list[int]]`` matrices in row-major
-order and return lists, or tuples for vectors, of python ints, so every
-computation is arbitrary precision.  Inside, one routine does all the work:
-integer row echelon form on sparse rows (``{column: value}`` dicts with a
-column -> rows index for the pivot search), in the manner of sparse integer
-elimination (Dumas, Saunders and Villard 2001).  The matrices of the solver
-are mostly zeros, and sparse rows never touch them.  The Hermite normal
-form (with optional unimodular transform), kernels, exact rank, solving
-and lattice comparison are built on it.
+order, except ``kernel_basis`` and ``rank``, which take sparse rows
+(``{column: value}`` dicts) and the number of columns, as the solver and
+the rank comparison build them.  They return lists, or tuples for
+vectors, of python ints, so every computation is arbitrary precision.
+Inside, one routine does all the work: integer row echelon form on sparse
+rows (``{column: value}`` dicts with a column -> rows index for the pivot
+search), in the manner of sparse integer elimination (Dumas, Saunders and
+Villard 2001).  The matrices of the solver are mostly zeros, and sparse
+rows never touch them.  The Hermite normal form (with optional unimodular
+transform), kernels, exact rank, solving and lattice comparison are built
+on it.
 """
 
 from __future__ import annotations
@@ -194,18 +197,24 @@ def hnf_nonzero_rows(rows):
     return [_dense(h[i], ncols) for i in order[:rank]]
 
 
-def rank(rows) -> int:
-    """Exact rank of an integer matrix."""
-    _check_rect(rows)
-    if not rows:
-        return 0
-    return _echelon(_sparse(rows), len(rows[0]), reduce=False)[1]
+def rank(rows, ncols) -> int:
+    """Exact rank of the matrix with ``ncols`` columns and the given sparse
+    rows (``{column: value}`` dicts), which are left as they are."""
+    copies = []
+    for row in rows:
+        for j in row:
+            if not 0 <= j < ncols:
+                raise DimensionError(f"column {j} outside 0..{ncols - 1}")
+        copies.append({j: a for j, a in row.items() if a})
+    return _echelon(copies, ncols, reduce=False)[1]
 
 
 def lattice_rank(vectors) -> int:
     """Rank of the subgroup of Z^n generated by the given vectors: the rank
     of the matrix with these rows."""
-    return rank(list(vectors))
+    rows = list(vectors)
+    _check_rect(rows)
+    return rank(_sparse(rows), len(rows[0])) if rows else 0
 
 
 def kernel_basis(rows, ncols):

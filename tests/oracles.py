@@ -4,14 +4,28 @@ The runtime expands in facet coordinates and never substitutes, divides by
 a linear form or inverts a matrix; these are the ring-path versions of
 those steps, kept as oracles to check the fast paths against.  A
 union-find over the dart list checks the graph search of
-``graph.components``.  The solver's coefficient vectors turn into
-``{vertex: IntPolynomial}`` classes and back, for the dict-based
-congruence check ``class_satisfies_congruences``.
+``graph.components``.  A halfspace pair re-validated at every vertex
+checks the pair that ``halfspace_pair`` validates at the hyperplane.  The
+solver's coefficient vectors turn into ``{vertex: IntPolynomial}``
+classes and back, for the dict-based congruence check
+``class_satisfies_congruences``.
 """
 
 from gkmgraphs import intlinalg
-from gkmgraphs.errors import DimensionError, InexactDivision
+from gkmgraphs.errors import (
+    AssumptionOneViolation,
+    DimensionError,
+    InexactDivision,
+)
 from gkmgraphs.cohomology import CohomologyClass
+from gkmgraphs.graph import components
+from gkmgraphs.hyperplanes import (
+    Halfspace,
+    _excluded_pairs,
+    _orientation_classes,
+    _validate_pre_halfspace,
+    thom_class,
+)
 from gkmgraphs.polynomials import IntPolynomial, graded_piece_basis
 
 
@@ -68,6 +82,89 @@ def union_find_components(g, vertices, dart_ids=None):
         a, b = find(d.source), find(d.target)
         parent[max(a, b)] = min(a, b)
     return {v: find(v) for v in vertices}
+
+
+# -- halfspace pairs ---------------------------------------------------------
+
+
+def revalidated_halfspace_pair(g, hyperplane):
+    """``hyperplanes.halfspace_pair`` with a full re-validation of each
+    half: the pre-halfspace axioms at every vertex and every dart, and one
+    scan of the components of Gamma - L per component root."""
+    excluded = _excluded_pairs(g, hyperplane)
+    color = _orientation_classes(g, hyperplane, excluded)
+    comp = components(g, set(g.vertices) - hyperplane.vertices)
+    side_of_comp = {}
+    for v in sorted(excluded):
+        for d in excluded[v]:
+            t = g.darts[d].target
+            if t is None or t in hyperplane.vertices:
+                continue
+            root = comp[t]
+            prev = side_of_comp.get(root)
+            if prev is not None and prev != color[d]:
+                raise AssumptionOneViolation(
+                    "a component outside the hyperplane is reachable from "
+                    "both normal orientations",
+                    hyperplane=hyperplane.name,
+                    check="component_sides",
+                )
+            side_of_comp[root] = color[d]
+    halves = []
+    for side in (0, 1):
+        verts = set(hyperplane.vertices)
+        darts = set(hyperplane.dart_ids)
+        normals = {}
+        for v in excluded:
+            for d in excluded[v]:
+                if color[d] == side:
+                    darts.add(d)
+                else:
+                    normals[v] = d
+        for root, s in side_of_comp.items():
+            if s != side:
+                continue
+            for v, r in comp.items():
+                if r == root:
+                    verts.add(v)
+                    darts.update(g.darts_at(v))
+        h = Halfspace(hyperplane, frozenset(verts), frozenset(darts), normals)
+        _validate_pre_halfspace(g, h)
+        if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
+            raise AssumptionOneViolation(
+                "candidate halfspace is not connected",
+                hyperplane=hyperplane.name,
+                check="halfspace_connected",
+            )
+        halves.append(h)
+    a, b = halves
+    if (a.vertices & b.vertices) != hyperplane.vertices or (
+        a.dart_ids & b.dart_ids
+    ) != hyperplane.dart_ids:
+        raise AssumptionOneViolation(
+            "halfspace pair does not intersect exactly in the hyperplane",
+            hyperplane=hyperplane.name,
+            check="intersection",
+        )
+    if (a.vertices | b.vertices) != set(g.vertices) or (
+        a.dart_ids | b.dart_ids
+    ) != set(g.darts):
+        raise AssumptionOneViolation(
+            "halfspace pair does not cover the graph",
+            hyperplane=hyperplane.name,
+            check="cover",
+        )
+    ta, tb = thom_class(g, a), thom_class(g, b)
+    x = g.residual
+    for v in g.vertices:
+        if tuple(p + q for p, q in zip(ta[v], tb[v])) != x:
+            raise AssumptionOneViolation(
+                "Thom classes of the pair do not sum to the residual class",
+                hyperplane=hyperplane.name,
+                check="thom_sum",
+            )
+    halves.sort(key=Halfspace.sort_key)
+    return halves[0], halves[1]
 
 
 # -- exact division and unimodular inverses -----------------------------------

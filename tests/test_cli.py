@@ -31,7 +31,8 @@ SHELLING_REFERENCE = (
 # exit codes and stdout hashes of ``cohomology`` (full and forgetful) and
 # ``verify-iso`` as the solver printed them when its classes were
 # ``{vertex: IntPolynomial}`` dictionaries, before they became coefficient
-# vectors
+# vectors; and of ``verify-iso`` up to degree 5 as it printed them when it
+# solved every degree for its classes, before it took ranks alone
 SOLVER_REFERENCE = (
     Path(__file__).resolve().parent / "data" / "solver_reference.json"
 )
@@ -505,7 +506,11 @@ def test_solver_output_matches_the_polynomial_classes(tmp_path, capsys, key):
     """``cohomology --max-degree 3``, with and without ``--forgetful``, and
     ``verify-iso --max-degree 3`` on every figure, on local_model(2) and
     (3) and on the ladder rungs 111..444 print the bytes that the solver
-    printed from polynomial classes."""
+    printed from polynomial classes.  ``verify-iso --max-degree 5``, with
+    and without ``--forgetful``, on the same graphs up to the rung 333,
+    and ``verify-iso`` on L(5,5,5) at degrees 4 and 5, print the bytes
+    that it printed when it solved every degree for its classes and built
+    its Macaulay rows and image table dense."""
     run_reference(tmp_path, capsys, key, reference=SOLVER_REFERENCE)
 
 
@@ -720,7 +725,8 @@ def test_oversized_solver_requests_are_refused_up_front(
         raise AssertionError("the solver was reached")
 
     for name in (
-        "cohomology_basis", "graded_pieces", "_label_map", "kernel_basis"
+        "cohomology_basis", "graded_pieces", "solver_rank", "_label_map",
+        "kernel_basis",
     ):
         monkeypatch.setattr(cohomology, name, no_solving)
     path = tmp_path / "L555.json"
@@ -748,6 +754,30 @@ def test_the_solver_cap_admits_every_tested_request():
     assert 1125 * 1.5 < cohomology.SOLVER_MAX_COLUMNS
 
 
+def test_verify_iso_to_degree_5_on_l555_fits_its_budget(tmp_path):
+    """``verify-iso`` on L(5,5,5) at degree 5 (1575 solver columns) takes
+    ranks alone: exit 0 within 20 s and 300 MB.  A small parent runs it
+    and reports its peak RSS (in KiB, as Linux gives it), so the
+    high-water mark of the test process does not count."""
+    path = tmp_path / "L555.json"
+    path.write_text(serialize(gen_klm(KlmSpec(5, 5, 5))))
+    probe = (
+        "import resource, subprocess, sys\n"
+        "run = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(run.returncode, peak)\n"
+    )
+    done = run_child(
+        ["-c", probe, sys.executable, "-m", "gkmgraphs.cli", "verify-iso",
+         str(path), "--max-degree", "5"],
+        timeout=20,
+        text=True,
+    )
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    assert peak < 300 * 1024
+
+
 def test_gen_klm_roundtrip_through_file(tmp_path, capsys):
     path = tmp_path / "klm.json"
     code, _ = run(
@@ -761,6 +791,22 @@ def test_gen_klm_roundtrip_through_file(tmp_path, capsys):
     assert doc["basis"] == [
         "1", "Z1", "Z2", "X2", "X2*Z1", "X2*Z2", "Y1*Z1", "Y1*Z2"
     ]
+
+
+def test_gen_klm_into_a_missing_directory_is_a_usage_error(
+    tmp_path, capsys
+):
+    """An output path that cannot be opened is reported like an input
+    that cannot be read: exit 2 and ``cannot write PATH``, no traceback."""
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as ei:
+        main(["gen", "klm", "--k", "1", "--l", "1", "--m", "1",
+              "-o", str(path)])
+    assert ei.value.code == 2
+    captured = capsys.readouterr()
+    assert f"cannot write {path}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_structure_constants_table(tmp_path, capsys):

@@ -16,12 +16,19 @@ from gkmgraphs.cohomology import (
     evaluate_generator,
     kernel_forgetful_check,
     presentation_ring,
+    solver_rank,
     vector_class,
     verify_iso,
     _label_divides,
 )
 from gkmgraphs.errors import AssumptionViolation, CongruenceFailure
-from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
+from gkmgraphs.fixtures import (
+    FIXTURE_IDS,
+    KlmSpec,
+    fixture,
+    gen_klm,
+    local_model,
+)
 from gkmgraphs.graph import Dart, GkmGraph
 from gkmgraphs.hyperplanes import (
     all_hyperplanes,
@@ -368,6 +375,29 @@ def test_localize():
     c = constant_class(g.vertices, g.rank + 1, 5)
     five = IntPolynomial.constant(3, 5)
     assert dict(c.values) == {v: five for v in g.vertices}
+
+
+# the figures, local_model(2..4) and the ladder rungs up to L(3,3,3)
+RANK_GRAPHS = [
+    *FIXTURE_IDS,
+    *(f"local_model({n})" for n in (2, 3, 4)),
+    *("111", "212", "222", "322", "333"),
+]
+
+
+@pytest.mark.parametrize("graph", RANK_GRAPHS)
+@pytest.mark.parametrize("forgetful", [False, True], ids=["full", "forgetful"])
+def test_solver_rank_is_the_rank_of_the_solved_piece(graph, forgetful):
+    """The rank of the congruence system without its classes is the rank
+    of the Hermite-reduced basis, degree by degree up to 5."""
+    if graph.isdigit():
+        g = gen_klm(KlmSpec(*map(int, graph)))
+    else:
+        g = fixture(graph)
+    for k in range(6):
+        assert solver_rank(g, k, forgetful) == cohomology_basis(
+            g, k, forgetful
+        )[1]
 
 
 def test_verify_iso_positive_fixtures_small():

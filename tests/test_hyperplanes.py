@@ -7,7 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkmgraphs.hyperplanes as hyperplanes
-from gkmgraphs.errors import AssumptionOneViolation, GkmError
+from gkmgraphs.errors import (
+    AssumptionOneViolation,
+    GkmError,
+    NoValidConnection,
+)
 from gkmgraphs.fixtures import (
     FIXTURE_IDS,
     KlmSpec,
@@ -15,7 +19,7 @@ from gkmgraphs.fixtures import (
     gen_klm,
     local_model,
 )
-from gkmgraphs.graph import components, pair_decomposition
+from gkmgraphs.graph import components, graph_from_dict, pair_decomposition
 from gkmgraphs.hyperplanes import (
     Halfspace,
     Hyperplane,
@@ -30,6 +34,7 @@ from gkmgraphs.hyperplanes import (
     thom_class,
     _validate_pre_halfspace,
 )
+from oracles import revalidated_halfspace_pair
 
 
 def by_name(g):
@@ -186,6 +191,116 @@ def test_halfspace_pair_on_rank_one_line_gives_rays():
         (v,) = h.vertices
         i = int(v[1:])
         assert sizes == sorted((i, 6 - i))
+
+
+def _pair_outcome(build, g, h):
+    """The halves that ``build`` gives (vertices, darts, normals and Thom
+    values of each) or the check and reason of its refusal."""
+    try:
+        pair = build(g, h)
+    except AssumptionOneViolation as exc:
+        return (exc.check, str(exc))
+    return [
+        (half.vertices, half.dart_ids, half.normals, thom_class(g, half))
+        for half in pair
+    ]
+
+
+def _cut(g, eid):
+    """``g`` with the edge of dart ``eid`` cut into two legs, and the
+    connection derived again."""
+    doc = g.to_dict()
+    del doc["connection"]
+    ends = {eid, g.darts[eid].opposite}
+    for d in doc["darts"]:
+        if d["id"] in ends:
+            d["to"] = d["opposite"] = None
+    return graph_from_dict(doc)
+
+
+def _moved(g, h):
+    """Hyperplane-like dart sets near ``h``: at each vertex one dart of h
+    traded for an excluded one, each vertex dropped with its darts, and
+    each outside neighbour added with its darts but a pair."""
+    pairs = pair_decomposition(g)
+    out = []
+    for v in sorted(h.vertices):
+        here = set(g.darts_at(v))
+        for d in sorted(here & h.dart_ids):
+            for e in sorted(here - h.dart_ids):
+                darts = h.dart_ids - {d} | {e}
+                out.append(Hyperplane(h.vertices, darts, h.name))
+        out.append(Hyperplane(h.vertices - {v}, h.dart_ids - here, h.name))
+    for v in sorted(set(g.vertices) - h.vertices):
+        if any(g.darts[d].target in h.vertices for d in g.darts_at(v)):
+            for pair in pairs[v]:
+                darts = h.dart_ids | (set(g.darts_at(v)) - set(pair))
+                out.append(Hyperplane(h.vertices | {v}, darts, h.name))
+    return out
+
+
+def _oracle_cases():
+    """(graph, hyperplane) for every hyperplane of the figures, of
+    local_model(2..4) and of every ladder rung, and for mutations of
+    fig7_pentagon and L(2,1,2) near a hyperplane."""
+    graphs = [fixture(f) for f in FIXTURE_IDS]
+    graphs += [local_model(n) for n in (2, 3, 4)]
+    graphs += [
+        gen_klm(KlmSpec(*map(int, r)))
+        for r in ("111", "212", "222", "322", "333", "433", "444", "555")
+    ]
+    for g in graphs:
+        for h in all_hyperplanes(g):
+            yield g, h
+    for g in (fixture("fig7_pentagon"), gen_klm(KlmSpec(2, 1, 2))):
+        planes = all_hyperplanes(g)
+        for h in planes:
+            for moved in _moved(g, h):
+                yield g, moved
+        for eid in g.canonical_edges():
+            cut = _cut(g, eid)
+            try:
+                own = all_hyperplanes(cut)
+            except GkmError:
+                own = []
+            for h in own + planes:
+                yield cut, h
+
+
+def test_halfspace_pair_agrees_with_the_revalidated_pair():
+    """Checked at the hyperplane only, the pair is the pair re-validated
+    at every vertex, or both refuse it with the same check and reason."""
+    checks = set()
+    for g, h in _oracle_cases():
+        ours = _pair_outcome(halfspace_pair, g, h)
+        assert ours == _pair_outcome(revalidated_halfspace_pair, g, h)
+        if isinstance(ours, tuple):
+            checks.add(ours[0])
+    # the mutations reach the checks that moved to the hyperplane
+    assert {"component_sides", "normal_congruence"} <= checks
+
+
+def test_a_connection_corrupted_across_an_interior_edge_is_refused():
+    """``halfspace_pair`` relies on the connection being a congruent
+    bijection of the full dart sets across every edge off the
+    hyperplane; a stored connection that is not is refused at load."""
+    g = gen_klm(KlmSpec(2, 1, 2))
+    plane = all_hyperplanes(g)[0]
+    eid = next(
+        d
+        for d in g.canonical_edges()
+        if g.darts[d].source not in plane.vertices
+        and g.darts[d].target not in plane.vertices
+    )
+    doc = g.to_dict()
+    mapping = doc["connection"][eid]
+    a, b = [d for d in sorted(mapping) if d != eid][:2]
+    mapping[a], mapping[b] = mapping[b], mapping[a]
+    doc["connection"][g.darts[eid].opposite] = {
+        img: d for d, img in mapping.items()
+    }
+    with pytest.raises(NoValidConnection, match="congruence"):
+        graph_from_dict(doc)
 
 
 def test_whole_graph_is_not_a_pre_halfspace():

@@ -142,6 +142,11 @@ def test_lattice_rank_rejects_ragged_input():
         il.lattice_rank([(1, 0), (1, 0, 0)])
 
 
+def test_rank_rejects_a_column_outside_the_matrix():
+    with pytest.raises(DimensionError):
+        il.rank([{0: 1}, {2: 1}], 2)
+
+
 def test_hnf_is_left_multiple_of_input():
     m = [[4, 2, 7], [2, 0, 1], [9, 3, 3]]
     h, u = il.hermite_normal_form(m, transform=True)
@@ -252,7 +257,10 @@ def test_kernel_and_rank_against_the_oracle(m):
         assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
     assert len(kernel) == ncols - r
     assert [tuple(row) for row in il.hnf_nonzero_rows(kernel)] == kernel
-    assert il.rank(m) == r
+    # sparse rows with their zeros kept, which ``rank`` leaves as they are
+    rows = [dict(enumerate(row)) for row in m]
+    assert il.rank(rows, ncols) == r
+    assert rows == [dict(enumerate(row)) for row in m]
     assert il.lattice_rank(m) == r
     assert len(il.hnf_nonzero_rows(m)) == r
 
