@@ -107,34 +107,63 @@ def _poly_varnames(g):
     return coords_varnames(g.rank, False)
 
 
+# The largest ``express`` request, checked as its polynomial is parsed:
+# the total degree of each product and power, and the term pairs of all
+# its products.  A polynomial with every monomial of a facet costs most,
+# as the expansion moves it into each facet: on L(5,5,5) (1+X1+Y1)^16
+# takes 3.2 s, ^20 6.6 s and ^30 26 s (X1^16 0.4 s).  A pair costs 3 us
+# with 15 generators and 11 us with 90 (the cube of their sum has 377k
+# pairs).  At both caps the largest request on L(5,5,5) takes 3.2 s (CLI
+# subprocesses, 2 vCPUs, CPython 3.11).
+EXPRESS_MAX_DEGREE = 16
+EXPRESS_MAX_TERM_PAIRS = 100_000
+
+
+class _Oversized(GkmError):
+    """An ``express`` polynomial beyond the caps above."""
+
+
 class _PolyParser:
-    """Tiny parser for expressions like ``Z1^2 - 3*X2*(Y1 + Z1)``."""
+    """Tiny parser for expressions like ``Z1^2 - 3*X2*(Y1 + Z1)``.
+
+    Every product and power goes through ``_product``, which refuses a
+    result beyond ``EXPRESS_MAX_DEGREE`` or ``EXPRESS_MAX_TERM_PAIRS``
+    before it multiplies."""
 
     def __init__(self, text, names):
+        from .polynomials import IntPolynomial
+
+        self.poly = IntPolynomial
         self.tokens = self._lex(text)
         self.pos = 0
         self.names = names
+        self.pairs = 0  # the term pairs multiplied so far
 
     @staticmethod
     def _lex(text):
+        """The tokens: words (runs of letters, digits of any script and
+        underscores) and the operators, with whitespace between them."""
+        import re
+
         out = []
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-            elif c in "+-*^()":
-                out.append(c)
-                i += 1
-            elif c.isalnum() or c == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                out.append(text[i:j])
-                i = j
-            else:
-                raise GkmError(f"unexpected character {c!r} in polynomial")
+        for word, op, other in re.findall(r"(\w+)|([-+*^()])|(\S)", text):
+            if other:
+                raise GkmError(f"unexpected character {other!r} in polynomial")
+            out.append(word or op)
         return out
+
+    @staticmethod
+    def _integer(tok):
+        """The value of a token of ASCII digits; None for any other token
+        (``str.isdigit`` also takes other scripts' digits)."""
+        if tok is None or not (tok.isascii() and tok.isdigit()):
+            return None
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            raise GkmError(
+                f"integer of {len(tok)} digits in polynomial"
+            ) from None
 
     def _peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -145,42 +174,70 @@ class _PolyParser:
         return tok
 
     def parse(self):
-        p = self._expr()
+        try:
+            p = self._expr()
+        except RecursionError:
+            raise GkmError(
+                "parentheses nested too deeply in polynomial"
+            ) from None
         if self._peek() is not None:
             raise GkmError(f"trailing input near {self._peek()!r}")
         return p
 
     def _expr(self):
+        # the terms are summed in place, so a long sum costs its length
+        terms = {}
         sign = 1
         if self._peek() in ("+", "-"):
             sign = -1 if self._next() == "-" else 1
-        p = self._term() * sign
-        while self._peek() in ("+", "-"):
-            op = self._next()
-            q = self._term()
-            p = p + q if op == "+" else p - q
-        return p
+        while True:
+            for m, c in self._term().terms.items():
+                terms[m] = terms.get(m, 0) + sign * c
+            if self._peek() not in ("+", "-"):
+                return self.poly(len(self.names), terms)
+            sign = -1 if self._next() == "-" else 1
 
     def _term(self):
         p = self._factor()
         while self._peek() == "*":
             self._next()
-            p = p * self._factor()
+            p = self._product(p, self._factor())
         return p
 
     def _factor(self):
         p = self._atom()
         if self._peek() == "^":
             self._next()
-            e = self._next()
-            if e is None or not e.isdigit():
+            e = self._integer(self._next())
+            if e is None:
                 raise GkmError("exponent must be a nonnegative integer")
-            p = p ** int(e)
+            if e > EXPRESS_MAX_DEGREE:
+                raise _Oversized(
+                    f"the exponent {e} is more than the degree "
+                    f"{EXPRESS_MAX_DEGREE} accepted"
+                )
+            power = self.poly.constant(len(self.names), 1)
+            for _ in range(e):
+                power = self._product(power, p)
+            p = power
         return p
 
-    def _atom(self):
-        from .polynomials import IntPolynomial
+    def _product(self, p, q):
+        degree = p.degree() + q.degree()
+        if degree > EXPRESS_MAX_DEGREE:
+            raise _Oversized(
+                f"a product of degree {degree}, more than the "
+                f"{EXPRESS_MAX_DEGREE} accepted"
+            )
+        self.pairs += len(p.terms) * len(q.terms)
+        if self.pairs > EXPRESS_MAX_TERM_PAIRS:
+            raise _Oversized(
+                f"the products multiply more than the "
+                f"{EXPRESS_MAX_TERM_PAIRS} term pairs accepted"
+            )
+        return p * q
 
+    def _atom(self):
         tok = self._next()
         if tok == "(":
             p = self._expr()
@@ -189,10 +246,11 @@ class _PolyParser:
             return p
         if tok is None:
             raise GkmError("unexpected end of polynomial")
-        if tok.isdigit():
-            return IntPolynomial.constant(len(self.names), int(tok))
+        value = self._integer(tok)
+        if value is not None:
+            return self.poly.constant(len(self.names), value)
         if tok in self.names:
-            return IntPolynomial.variable(len(self.names), self.names.index(tok))
+            return self.poly.variable(len(self.names), self.names.index(tok))
         raise GkmError(
             f"unknown generator {tok!r}; available: {', '.join(self.names)}"
         )
@@ -362,7 +420,12 @@ def cmd_express(args, parser):
 
     g = _read_graph(args, parser)
     ctx = shelling_context(g)
-    poly = _PolyParser(args.poly, ctx.names).parse()
+    try:
+        poly = _PolyParser(args.poly, ctx.names).parse()
+    except _Oversized as exc:
+        return _emit(
+            {"ok": False, "check": "express_size", "error": str(exc)}, 1
+        )
     expansion = express_in_basis(ctx, poly)
     return _emit(
         {

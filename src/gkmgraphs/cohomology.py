@@ -12,12 +12,19 @@ of the degree-k monomials in ``graded_piece_basis`` order, vertex after
 vertex.  They stay vectors through the kernel check of the forgetful map
 and the printed output.  The rank comparison reads only ranks, so where
 no classes are needed it takes the rank of the solver's system
-(``solver_rank``) without solving it.  The presentation rings'
-generators are ``{vertex: IntPolynomial}`` dictionaries wrapped in
-:class:`CohomologyClass`.  Both theories run on the same
-:class:`GkmGraph`: n+1 variables (e1..en, x) for the full theory, checked
-against the full labels, and n variables for the x-forgetful one, checked
-against the labels with their residual coordinate erased.
+(``solver_rank``) without solving it.
+
+The presentation rings' generators are degree-2 classes, each its
+checked ``{vertex: vector}`` of lattice vectors: the Thom classes as
+``thom_class`` and ``forgetful_thom_class`` return them, and the
+residual vector at every vertex for X.  The relations of the full ring
+are ``{exponents: coefficient}`` terms, multiplied by
+``polynomials.mul_terms``.
+
+Both theories run on the same :class:`GkmGraph`: n+1 variables (e1..en,
+x) for the full theory, checked against the full labels, and n variables
+for the x-forgetful one, checked against the labels with their residual
+coordinate erased.
 """
 
 from __future__ import annotations
@@ -44,83 +51,12 @@ from .intlinalg import (
     rank,
     same_lattice,
 )
-from .polynomials import IntPolynomial, graded_piece_basis
-
-
-class CohomologyClass:
-    def __init__(self, values, nvars):
-        self.values = values  # vertex -> IntPolynomial
-        self.nvars = nvars
-
-    def __getitem__(self, v):
-        return self.values[v]
-
-    def __mul__(self, other):
-        if isinstance(other, CohomologyClass):
-            return CohomologyClass(
-                {v: self.values[v] * other.values[v] for v in self.values},
-                self.nvars,
-            )
-        return CohomologyClass(
-            {v: self.values[v] * other for v in self.values}, self.nvars
-        )
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return CohomologyClass(
-            {v: self.values[v] + other.values[v] for v in self.values},
-            self.nvars,
-        )
-
-    def __sub__(self, other):
-        return CohomologyClass(
-            {v: self.values[v] - other.values[v] for v in self.values},
-            self.nvars,
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CohomologyClass) and self.values == other.values
-        )
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.values.values())
-
-    def homogeneous_component(self, d):
-        return CohomologyClass(
-            {v: p.homogeneous_component(d) for v, p in self.values.items()},
-            self.nvars,
-        )
-
-    def to_strings(self, varnames=None):
-        return {
-            v: p.to_string(varnames) for v, p in sorted(self.values.items())
-        }
+from .polynomials import graded_piece_basis, mul_terms
 
 
 def _nvars(g: GkmGraph, forgetful: bool) -> int:
     """The variables of a theory's classes: n forgetful, n+1 full."""
     return g.rank if forgetful else g.rank + 1
-
-
-def constant_class(vertices, nvars, c=1) -> CohomologyClass:
-    return CohomologyClass(
-        {v: IntPolynomial.constant(nvars, c) for v in vertices}, nvars
-    )
-
-
-def vector_class(values) -> CohomologyClass:
-    """Degree-2 class from vertexwise lattice vectors, in as many variables
-    as the vectors have coordinates."""
-    nvars = len(next(iter(values.values())))
-    return CohomologyClass(
-        {v: IntPolynomial.linear_form(a) for v, a in values.items()}, nvars
-    )
-
-
-def chi_class(g: GkmGraph) -> CohomologyClass:
-    return vector_class({v: g.residual for v in g.vertices})
 
 
 @lru_cache(maxsize=None)
@@ -204,21 +140,6 @@ def _raise_columns(lower, images, degree):
     return columns
 
 
-def _label_divides(maps, alpha, terms) -> bool:
-    """Does the linear form ``alpha`` divide the polynomial with the given
-    ``{monomial: coefficient}`` terms?  It does when it divides each
-    homogeneous component."""
-    components = {}
-    for m, c in terms.items():
-        components.setdefault(sum(m), {})[m] = c
-    for d, part in components.items():
-        lmap = _label_map(maps, alpha, d)
-        monos = graded_piece_basis(len(alpha), d)
-        if not _divides(lmap, [part.get(m, 0) for m in monos]):
-            return False
-    return True
-
-
 def _divides(lmap, diff) -> bool:
     """Does the label of ``lmap`` divide the polynomial with the
     coefficient vector ``diff``?"""
@@ -231,25 +152,6 @@ def _divides(lmap, diff) -> bool:
     for k, c in image.items():
         m = moduli[k]
         if c % m if m else c:
-            return False
-    return True
-
-
-def class_satisfies_congruences(g: GkmGraph, cls: CohomologyClass) -> bool:
-    """Does every edge label divide the difference of the values across
-    the edge?  The labels are cut to the class's ``nvars``, so a forgetful
-    class meets the labels without their residual coordinate.  The label
-    maps are kept in the graph's ``label_maps``."""
-    maps = g.label_maps
-    for eid in g.canonical_edges():
-        e = g.darts[eid]
-        here, there = cls[e.source].terms, cls[e.target].terms
-        if here == there:
-            continue
-        diff = dict(here)
-        for m, c in there.items():
-            diff[m] = diff.get(m, 0) - c
-        if not _label_divides(maps, e.axial[: cls.nvars], diff):
             return False
     return True
 
@@ -347,9 +249,9 @@ def solver_rank(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
 
 
 def _vector_satisfies_congruences(vec, edges, width) -> bool:
-    """``class_satisfies_congruences`` for a coefficient vector: does each
-    edge's label divide the difference of its two chunks?  ``edges`` and
-    ``width`` are those of ``_edges``."""
+    """Does each edge's label divide the difference of the two chunks of
+    the coefficient vector ``vec``?  ``edges`` and ``width`` are those of
+    ``_edges``."""
     for p, q, lmap in edges:
         here, there = vec[p : p + width], vec[q : q + width]
         if here != there and not _divides(
@@ -365,7 +267,6 @@ def _vector_satisfies_congruences(vec, edges, width) -> bool:
 class PresentationRing:
     def __init__(
         self,
-        forgetful,
         generators,
         linear_relations,
         monomial_relations,
@@ -373,12 +274,11 @@ class PresentationRing:
         hyperplane_of,
         assumptions,
     ):
-        self.forgetful = forgetful
         self.generators = generators  # generator names in enumeration order
         self.linear_relations = linear_relations  # list of {gen name: coeff}
         # list of frozensets of generator names
         self.monomial_relations = monomial_relations
-        self.values = values  # gen name -> CohomologyClass
+        self.values = values  # gen name -> {vertex: vector}
         self.hyperplane_of = hyperplane_of
         # the report the ring was built under; not part of the presentation
         self.assumptions = assumptions
@@ -417,25 +317,23 @@ def presentation_ring(
         )
     if forgetful:
         values = {
-            name: vector_class(
-                forgetful_thom_class(g, by_name[name], pos[name])
-            )
+            name: forgetful_thom_class(g, by_name[name], pos[name])
             for name in order
         }
         families = minimal_empty_families(
             {name: set(by_name[name].vertices) for name in order}
         )
         return PresentationRing(
-            True, list(order), [], families, values,
+            list(order), [], families, values,
             {name: name for name in order}, report,
         )
-    values = {"X": chi_class(g)}
+    values = {"X": {v: g.residual for v in g.vertices}}
     hyperplane_of = {}
     named_sets = {}
     for i, name in enumerate(order):
         hn, hbn = f"H{i + 1}", f"Hbar{i + 1}"
-        values[hn] = vector_class(thom_class(g, pos[name]))
-        values[hbn] = vector_class(thom_class(g, neg[name]))
+        values[hn] = thom_class(g, pos[name])
+        values[hbn] = thom_class(g, neg[name])
         hyperplane_of[hn] = name
         hyperplane_of[hbn] = name
         named_sets[hn] = set(pos[name].vertices)
@@ -449,21 +347,8 @@ def presentation_ring(
     ]
     families = minimal_empty_families(named_sets)
     return PresentationRing(
-        False, generators, linear, families, values, hyperplane_of, report
+        generators, linear, families, values, hyperplane_of, report
     )
-
-
-def evaluate_generator(ring: PresentationRing, monomial) -> CohomologyClass:
-    """Image of a formal generator monomial, computed pointwise.
-
-    ``monomial`` maps generator names to exponents.
-    """
-    some = next(iter(ring.values.values()))
-    out = constant_class(some.values, some.nvars)
-    for name, exp in sorted(monomial.items()):
-        for _ in range(exp):
-            out = out * ring.values[name]
-    return out
 
 
 # -- graded verification ------------------------------------------------------------
@@ -472,40 +357,41 @@ def evaluate_generator(ring: PresentationRing, monomial) -> CohomologyClass:
 def _reduced_full_relations(ring: PresentationRing):
     """Relations of Z[G] after eliminating Hbar_i = X - H_i.
 
-    Returns (gen names, relation polynomials) over Z[X, H_1..H_m].
+    Returns (gen names, relations) over Z[X, H_1..H_m], each relation its
+    ``{exponents: coefficient}`` terms.
     """
     m = (len(ring.generators) - 1) // 2
     gens = ["X"] + [f"H{i + 1}" for i in range(m)]
     nv = len(gens)
-    x_poly = IntPolynomial.variable(nv, 0)
-    images = {"X": x_poly}
-    for i in range(m):
-        h = IntPolynomial.variable(nv, i + 1)
-        images[f"H{i + 1}"] = h
-        images[f"Hbar{i + 1}"] = x_poly - h
+    x, *hs = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
+    images = {"X": {x: 1}}
+    for i, h in enumerate(hs):
+        images[f"H{i + 1}"] = {h: 1}
+        images[f"Hbar{i + 1}"] = {x: 1, h: -1}
     rels = []
     for fam in ring.monomial_relations:
-        p = IntPolynomial.constant(nv, 1)
+        p = {(0,) * nv: 1}
         for name in sorted(fam):
-            p = p * images[name]
+            p = mul_terms(p, images[name])
         rels.append(p)
     return gens, rels
 
 
 def _ideal_rank_full(rels, ngens, k):
-    """The rank of the degree-k piece of the ideal of the relations
-    ``rels``: each relation times each monomial of the complementary
-    degree is one sparse row, built from the relation's terms."""
+    """The rank of the degree-k piece of the ideal of the homogeneous
+    relations ``rels`` (terms dicts): each relation times each monomial of
+    the complementary degree is one sparse row, built from the relation's
+    terms."""
     index = {m: i for i, m in enumerate(graded_piece_basis(ngens, k))}
     shifts = {}  # degree -> its monomials
     rows = []
     for rel in rels:
-        d = rel.degree()
+        d = sum(next(iter(rel)))
         if d > k:
             continue
         if k - d not in shifts:
             shifts[k - d] = graded_piece_basis(ngens, k - d)
-        terms = rel.terms.items()
+        terms = rel.items()
         for m in shifts[k - d]:
             rows.append(
                 {index[tuple(map(add, mm, m))]: c for mm, c in terms}
@@ -569,7 +455,7 @@ def verify_iso(
     # each generator as its linear form at every vertex, [(variable, coefficient)]
     forms = [
         [
-            [(m.index(1), c) for m, c in ring.values[name][v].terms.items()]
+            [(j, c) for j, c in enumerate(ring.values[name][v]) if c]
             for v in g.vertices
         ]
         for name in gen_names

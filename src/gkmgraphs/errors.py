@@ -65,10 +65,6 @@ class PurityFailure(GkmError):
 class NotShellable(GkmError):
     """Exhaustive search found no shelling order (or ran out of budget)."""
 
-    def __init__(self, message, budget_exhausted=False):
-        super().__init__(message)
-        self.budget_exhausted = budget_exhausted
-
 
 class InconsistentLambda(GkmError):
     """The characteristic covectors do not lift the e_j at a facet point."""

@@ -165,9 +165,6 @@ class GkmGraph:
         """One dart id per unoriented edge (the lexicographically smaller)."""
         return list(self._canonical_edges)
 
-    def leg_ids(self):
-        return [d for d in sorted(self.darts) if self.darts[d].is_leg]
-
     @property
     def residual(self) -> Vec:
         return (0,) * self.rank + (1,)
@@ -177,9 +174,6 @@ class GkmGraph:
         if self._connection is None:
             self._connection = derive_connection(self)
         return self._connection
-
-    def has_stored_connection(self):
-        return self._connection is not None
 
     # -- equality / serialization -------------------------------------------
 

@@ -126,12 +126,17 @@ def _check_pair_set(g, vertex, dart_ids):
 
 
 def _name_key(name):
-    """Sort key of hyperplane names: X2 before X10, L-names by number."""
+    """Sort key of hyperplane names: X2 before X10, L-names by number.  The
+    number is compared by its length and digits, not converted: a name
+    may end in digits of other scripts, or in more than ``int`` takes."""
     i = 0
     while i < len(name) and not name[i].isdigit():
         i += 1
     head, tail = name[:i], name[i:]
-    return (head, int(tail)) if tail.isdigit() else (name, -1)
+    if tail.isascii() and tail.isdigit():
+        digits = tail.lstrip("0")
+        return (head, len(digits), digits)
+    return (name, -1, "")
 
 
 def all_hyperplanes(g: GkmGraph):

@@ -209,14 +209,6 @@ def rank(rows, ncols) -> int:
     return _echelon(copies, ncols, reduce=False)[1]
 
 
-def lattice_rank(vectors) -> int:
-    """Rank of the subgroup of Z^n generated by the given vectors: the rank
-    of the matrix with these rows."""
-    rows = list(vectors)
-    _check_rect(rows)
-    return rank(_sparse(rows), len(rows[0])) if rows else 0
-
-
 def kernel_basis(rows, ncols):
     """Z-basis of {v : M v = 0}, Hermite-reduced, as a list of tuples, for
     the matrix M with ``ncols`` columns and the given sparse rows

@@ -1,9 +1,13 @@
 """Graded multivariate polynomial arithmetic over Z.
 
-A polynomial is stored sparsely as a map from exponent tuples to nonzero
-integer coefficients, together with the number of variables.  Monomials are
-ordered lexicographically on exponent tuples (descending) and that order is
-used everywhere something gets serialized, so output is deterministic.
+A polynomial is stored sparsely as its terms, a map from exponent tuples
+to nonzero integer coefficients.  One product (``mul_terms``) and one
+substitution (``substitute_terms``) act on such terms dicts; the
+presentation relations, the facet coordinates of the shelling expansion
+and :class:`IntPolynomial`, which adds the number of variables and the
+operators, all call them.  Monomials are ordered lexicographically on
+exponent tuples (descending) and that order is used everywhere something
+gets serialized, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -21,21 +25,14 @@ class IntPolynomial:
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff == 0:
-                    continue
+        self.terms = {}
+        for mono, coeff in (terms or {}).items():
+            if coeff:
                 if len(mono) != nvars:
                     raise DimensionError("exponent tuple of wrong length")
-                clean[tuple(mono)] = clean.get(tuple(mono), 0) + coeff
-        self.terms = {m: c for m, c in clean.items() if c != 0}
+                self.terms[tuple(mono)] = coeff
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
 
     @classmethod
     def constant(cls, nvars, c):
@@ -48,16 +45,6 @@ class IntPolynomial:
         mono = tuple(int(i == index) for i in range(nvars))
         return cls(nvars, {mono: 1})
 
-    @classmethod
-    def linear_form(cls, coeffs):
-        """The degree-1 polynomial with the given coefficient vector."""
-        n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                terms[tuple(int(j == i) for j in range(n))] = c
-        return cls(n, terms)
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self):
@@ -69,16 +56,8 @@ class IntPolynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def homogeneous_component(self, d):
-        return IntPolynomial(
-            self.nvars, {m: c for m, c in self.terms.items() if sum(m) == d}
-        )
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
-
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -122,12 +101,7 @@ class IntPolynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(a + b for a, b in zip(ma, mb))
-                terms[m] = terms.get(m, 0) + ca * cb
-        return IntPolynomial(self.nvars, terms)
+        return IntPolynomial(self.nvars, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -135,12 +109,8 @@ class IntPolynomial:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
         result = IntPolynomial.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other):
@@ -151,9 +121,6 @@ class IntPolynomial:
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"IntPolynomial({self.nvars}, {self.to_string()!r})"
@@ -171,44 +138,60 @@ class IntPolynomial:
                 break
         if target is None:
             raise DimensionError("at least one image must be a polynomial")
-        imgs = [
-            img
-            if isinstance(img, IntPolynomial)
-            else IntPolynomial.constant(target, img)
-            for img in images
-        ]
-        out = IntPolynomial.zero(target)
-        for mono, coeff in sorted(self.terms.items()):
-            term = IntPolynomial.constant(target, coeff)
-            for i, e in enumerate(mono):
-                if e:
-                    term = term * imgs[i] ** e
-            out = out + term
-        return out
-
-    def evaluate(self, point):
-        if len(point) != self.nvars:
-            raise DimensionError("need one value per variable")
-        total = 0
-        for mono, coeff in self.terms.items():
-            v = coeff
-            for x, e in zip(point, mono):
-                v *= x**e
-            total += v
-        return total
+        imgs = []
+        for img in images:
+            if not isinstance(img, IntPolynomial):
+                img = IntPolynomial.constant(target, img)
+            elif img.nvars != target:
+                raise DimensionError("variable tables differ")
+            imgs.append(img.terms)
+        return IntPolynomial(
+            target, substitute_terms(self.terms, imgs, target)
+        )
 
     # -- printing ----------------------------------------------------------
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
     def to_string(self, varnames=None):
         if varnames is None:
             varnames = default_varnames(self.nvars)
-        terms = self.sorted_terms()
+        terms = sorted(self.terms.items(), reverse=True)
         return format_coefficients(
             [c for _, c in terms], [monomial_body(m, varnames) for m, _ in terms]
         )
+
+
+def linear_terms(coeffs) -> dict:
+    """The terms of the linear form with the given coefficient vector."""
+    n = len(coeffs)
+    return {
+        tuple(int(j == i) for j in range(n)): c
+        for i, c in enumerate(coeffs)
+        if c
+    }
+
+
+def mul_terms(p, q) -> dict:
+    """Product of two ``{exponents: coefficient}`` polynomials."""
+    out = {}
+    for ma, a in p.items():
+        for mb, b in q.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, 0) + a * b
+    return {m: c for m, c in out.items() if c}
+
+
+def substitute_terms(terms, images, nvars) -> dict:
+    """``{exponents: coefficient}`` terms with the variable z_t replaced by
+    the polynomial ``images[t]``, itself terms in ``nvars`` variables."""
+    out = {}
+    for mono, c in terms.items():
+        image = {(0,) * nvars: c}
+        for t, e in enumerate(mono):
+            for _ in range(e):
+                image = mul_terms(image, images[t])
+        for m, a in image.items():
+            out[m] = out.get(m, 0) + a
+    return {m: c for m, c in out.items() if c}
 
 
 def monomial_body(mono, varnames) -> str:

@@ -43,14 +43,19 @@ from .hyperplanes import (
     nonempty_intersection_table,
 )
 from .intlinalg import solve_integer
-from .polynomials import IntPolynomial, coords_varnames
+from .polynomials import (
+    IntPolynomial,
+    coords_varnames,
+    format_coefficients,
+    linear_terms,
+    substitute_terms,
+)
 
 DEFAULT_SEARCH_BUDGET = 10**6
 
 
 class SimplicialComplex:
-    def __init__(self, vertex_names, faces, facets, facet_vertex, dim):
-        self.vertex_names = vertex_names  # one per hyperplane
+    def __init__(self, faces, facets, facet_vertex, dim):
         self.faces = faces  # frozensets of names, including the empty face
         self.facets = facets  # maximal faces in canonical order
         self.facet_vertex = facet_vertex  # facet -> graph vertex id
@@ -75,7 +80,6 @@ def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
     if hyperplanes is None:
         hyperplanes = all_hyperplanes(g)
     n = g.rank
-    names = sorted((h.name for h in hyperplanes), key=_name_key)
     table = nonempty_intersection_table(
         {h.name: set(h.vertices) for h in hyperplanes}
     )
@@ -106,7 +110,7 @@ def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
             assumption=2,
         )
     facets = sorted(maximal, key=lambda f: sorted(map(_name_key, f)))
-    return SimplicialComplex(names, faces, facets, facet_vertex, n - 1)
+    return SimplicialComplex(faces, facets, facet_vertex, n - 1)
 
 
 def _subsets(s):
@@ -170,10 +174,7 @@ def find_shelling(
             return False
         nodes += 1
         if nodes > budget:
-            raise NotShellable(
-                f"search budget of {budget} nodes exhausted",
-                budget_exhausted=True,
-            )
+            raise NotShellable(f"search budget of {budget} nodes exhausted")
         candidates = []
         for f in facets:
             if f in state:
@@ -274,39 +275,6 @@ class ShellingContext:
         return self.complex.facet_vertex[facet]
 
 
-def _mul(p, q):
-    """Product of two ``{exponents: coefficient}`` polynomials."""
-    out = {}
-    for ma, a in p.items():
-        for mb, b in q.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            out[m] = out.get(m, 0) + a * b
-    return {m: c for m, c in out.items() if c}
-
-
-def _substitute(terms, rows):
-    """``{exponents: coefficient}`` terms with the variable z_t replaced by
-    sum_s rows[t][s] w_s."""
-    n = len(rows)
-    forms = [
-        {
-            tuple(int(j == s) for j in range(n)): c
-            for s, c in enumerate(row)
-            if c
-        }
-        for row in rows
-    ]
-    out = {}
-    for mono, c in terms.items():
-        image = {(0,) * n: c}
-        for t, e in enumerate(mono):
-            for _ in range(e):
-                image = _mul(image, forms[t])
-        for m, a in image.items():
-            out[m] = out.get(m, 0) + a
-    return {m: c for m, c in out.items() if c}
-
-
 class FacetLocalizations:
     """Localization at the facet points, in shelling order, each in the
     coordinates of its own facet.
@@ -352,9 +320,7 @@ class FacetLocalizations:
                     raise InconsistentLambda(
                         f"the characteristic covectors do not lift e{j + 1} "
                         f"at {p!r}: sum of lambda_{j + 1}(L) tau_L is "
-                        + IntPolynomial.linear_form(total).to_string(
-                            coords_varnames(n, False)
-                        )
+                        + format_coefficients(total, coords_varnames(n, False))
                     )
             self.taus.append(rows)
         # the facets containing mu_i (in a shelling, i and some later
@@ -383,7 +349,10 @@ class FacetLocalizations:
 
     def to_e(self, k, terms) -> IntPolynomial:
         """A polynomial in the coordinates of the k-th facet, in the e_j."""
-        return IntPolynomial(self.nvars, _substitute(terms, self.taus[k]))
+        images = [linear_terms(row) for row in self.taus[k]]
+        return IntPolynomial(
+            self.nvars, substitute_terms(terms, images, self.nvars)
+        )
 
     def move(self, i, k, terms) -> dict:
         """A polynomial in the coordinates of the i-th facet, in those of
@@ -393,7 +362,8 @@ class FacetLocalizations:
             [sum(a * b for a, b in zip(row, lam)) for lam in self.lambdas[k]]
             for row in self.taus[i]
         ]
-        return _substitute(terms, rows)
+        images = [linear_terms(row) for row in rows]
+        return substitute_terms(terms, images, self.nvars)
 
 
 def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:

@@ -5,19 +5,24 @@ a linear form or inverts a matrix; these are the ring-path versions of
 those steps, kept as oracles to check the fast paths against.  A
 union-find over the dart list checks the graph search of
 ``graph.components``.  A halfspace pair re-validated at every vertex
-checks the pair that ``halfspace_pair`` validates at the hyperplane.  The
-solver's coefficient vectors turn into ``{vertex: IntPolynomial}``
-classes and back, for the dict-based congruence check
-``class_satisfies_congruences``.
+checks the pair that ``halfspace_pair`` validates at the hyperplane.
+
+The runtime holds a class as a coefficient vector (the solver) or as its
+``{vertex: vector}`` of lattice vectors (the degree-2 generators of the
+presentation rings).  Here a class is a :class:`CohomologyClass`, a
+``{vertex: IntPolynomial}`` dictionary with pointwise sums and
+products, checked against the congruences by
+``class_satisfies_congruences``; the solver's vectors and the rings'
+generators turn into such classes and back.
 """
 
 from gkmgraphs import intlinalg
+from gkmgraphs.cohomology import _divides, _label_map
 from gkmgraphs.errors import (
     AssumptionOneViolation,
     DimensionError,
     InexactDivision,
 )
-from gkmgraphs.cohomology import CohomologyClass
 from gkmgraphs.graph import components
 from gkmgraphs.hyperplanes import (
     Halfspace,
@@ -26,10 +31,148 @@ from gkmgraphs.hyperplanes import (
     _validate_pre_halfspace,
     thom_class,
 )
-from gkmgraphs.polynomials import IntPolynomial, graded_piece_basis
+from gkmgraphs.polynomials import (
+    IntPolynomial,
+    graded_piece_basis,
+    linear_terms,
+)
 
 
-# -- solver classes as polynomials -------------------------------------------
+def linear_form(coeffs) -> IntPolynomial:
+    """The degree-1 polynomial with the given coefficient vector."""
+    return IntPolynomial(len(coeffs), linear_terms(coeffs))
+
+
+def lattice_rank(vectors) -> int:
+    """Rank of the subgroup of Z^n generated by the given vectors: the rank
+    of the matrix with these rows."""
+    rows = list(vectors)
+    intlinalg._check_rect(rows)
+    return intlinalg.rank(intlinalg._sparse(rows), len(rows[0])) if rows else 0
+
+
+# -- classes as polynomials ------------------------------------------------
+
+
+class CohomologyClass:
+    def __init__(self, values, nvars):
+        self.values = values  # vertex -> IntPolynomial
+        self.nvars = nvars
+
+    def __getitem__(self, v):
+        return self.values[v]
+
+    def __mul__(self, other):
+        if isinstance(other, CohomologyClass):
+            return CohomologyClass(
+                {v: self.values[v] * other.values[v] for v in self.values},
+                self.nvars,
+            )
+        return CohomologyClass(
+            {v: self.values[v] * other for v in self.values}, self.nvars
+        )
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return CohomologyClass(
+            {v: self.values[v] + other.values[v] for v in self.values},
+            self.nvars,
+        )
+
+    def __sub__(self, other):
+        return CohomologyClass(
+            {v: self.values[v] - other.values[v] for v in self.values},
+            self.nvars,
+        )
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, CohomologyClass) and self.values == other.values
+        )
+
+    def is_zero(self):
+        return all(p.is_zero() for p in self.values.values())
+
+    def homogeneous_component(self, d):
+        return CohomologyClass(
+            {
+                v: IntPolynomial(
+                    p.nvars, {m: c for m, c in p.terms.items() if sum(m) == d}
+                )
+                for v, p in self.values.items()
+            },
+            self.nvars,
+        )
+
+    def to_strings(self, varnames=None):
+        return {
+            v: p.to_string(varnames) for v, p in sorted(self.values.items())
+        }
+
+
+def constant_class(vertices, nvars, c=1) -> CohomologyClass:
+    return CohomologyClass(
+        {v: IntPolynomial.constant(nvars, c) for v in vertices}, nvars
+    )
+
+
+def vector_class(values) -> CohomologyClass:
+    """Degree-2 class from vertexwise lattice vectors, in as many variables
+    as the vectors have coordinates."""
+    nvars = len(next(iter(values.values())))
+    return CohomologyClass(
+        {v: linear_form(a) for v, a in values.items()}, nvars
+    )
+
+
+def chi_class(g) -> CohomologyClass:
+    return vector_class({v: g.residual for v in g.vertices})
+
+
+def evaluate_generator(ring, monomial) -> CohomologyClass:
+    """Image of a formal generator monomial of a presentation ring,
+    computed pointwise.  ``monomial`` maps generator names to exponents."""
+    some = next(iter(ring.values.values()))
+    out = constant_class(some, len(next(iter(some.values()))))
+    for name, exp in sorted(monomial.items()):
+        for _ in range(exp):
+            out = out * vector_class(ring.values[name])
+    return out
+
+
+def _label_divides(maps, alpha, terms) -> bool:
+    """Does the linear form ``alpha`` divide the polynomial with the given
+    ``{monomial: coefficient}`` terms?  It does when it divides each
+    homogeneous component."""
+    components = {}
+    for m, c in terms.items():
+        components.setdefault(sum(m), {})[m] = c
+    for d, part in components.items():
+        lmap = _label_map(maps, alpha, d)
+        monos = graded_piece_basis(len(alpha), d)
+        if not _divides(lmap, [part.get(m, 0) for m in monos]):
+            return False
+    return True
+
+
+def class_satisfies_congruences(g, cls: CohomologyClass) -> bool:
+    """Does every edge label divide the difference of the values across
+    the edge?  The labels are cut to the class's ``nvars``, so a forgetful
+    class meets the labels without their residual coordinate.  The label
+    maps are kept in the graph's ``label_maps``."""
+    maps = g.label_maps
+    for eid in g.canonical_edges():
+        e = g.darts[eid]
+        here, there = cls[e.source].terms, cls[e.target].terms
+        if here == there:
+            continue
+        diff = dict(here)
+        for m, c in there.items():
+            diff[m] = diff.get(m, 0) - c
+        if not _label_divides(maps, e.axial[: cls.nvars], diff):
+            return False
+    return True
 
 
 def vector_to_class(g, vec, degree, forgetful=False) -> CohomologyClass:
@@ -53,9 +196,7 @@ def vector_to_class(g, vec, degree, forgetful=False) -> CohomologyClass:
 def class_to_vector(cls, vertex_order, monos):
     """The coefficient vector of a class, the inverse of
     ``vector_to_class``."""
-    return [
-        cls.values[v].coefficient(m) for v in vertex_order for m in monos
-    ]
+    return [cls.values[v].terms.get(m, 0) for v in vertex_order for m in monos]
 
 
 # -- connected components --------------------------------------------------
@@ -192,12 +333,12 @@ def divide_exact_by_linear(poly: IntPolynomial, coeffs):
     if all(c == 0 for c in coeffs):
         raise ValueError("division by the zero form")
     if poly.is_zero():
-        return IntPolynomial.zero(n)
+        return IntPolynomial(n)
     h, u = intlinalg.hermite_normal_form([[c] for c in coeffs], transform=True)
     content = h[0][0]
     # substitution t_j = sum_i u[i][j] s_i turns the form into content * s_1
     fwd = [
-        IntPolynomial.linear_form([u[i][j] for i in range(n)]) for j in range(n)
+        linear_form([u[i][j] for i in range(n)]) for j in range(n)
     ]
     quotient_terms = {}
     for mono, coeff in poly.substitute(fwd).terms.items():
@@ -206,7 +347,7 @@ def divide_exact_by_linear(poly: IntPolynomial, coeffs):
         quotient_terms[(mono[0] - 1,) + mono[1:]] = coeff // content
     uinv = unimodular_inverse(u)
     back = [
-        IntPolynomial.linear_form([uinv[i][j] for i in range(n)])
+        linear_form([uinv[i][j] for i in range(n)])
         for j in range(n)
     ]
     return IntPolynomial(n, quotient_terms).substitute(back)
@@ -240,7 +381,7 @@ def localize_at(ctx, poly: IntPolynomial, vertex) -> IntPolynomial:
     """A ring element at a vertex, in e: every generator replaced by its
     Thom value there."""
     return poly.substitute(
-        [IntPolynomial.linear_form(ctx.taus[n][vertex]) for n in ctx.names]
+        [linear_form(ctx.taus[n][vertex]) for n in ctx.names]
     )
 
 

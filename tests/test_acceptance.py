@@ -6,12 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 import time
 
-from gkmgraphs.cohomology import (
-    chi_class,
-    kernel_forgetful_check,
-    vector_class,
-    verify_iso,
-)
+from gkmgraphs.cohomology import kernel_forgetful_check, verify_iso
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
 from gkmgraphs.graph import pair_decomposition
 from gkmgraphs.hyperplanes import (
@@ -21,7 +16,7 @@ from gkmgraphs.hyperplanes import (
     thom_class,
 )
 from gkmgraphs.polynomials import IntPolynomial
-from oracles import localize_at, monomial_poly
+from oracles import chi_class, localize_at, monomial_poly, vector_class
 from gkmgraphs.shelling import (
     basis_monomial_name,
     build_complex,

@@ -170,6 +170,27 @@ def test_a_zero_label_is_reported_not_a_traceback(
         assert check["offenders"] == ["p:e"]
 
 
+@pytest.mark.parametrize(
+    "name", ["X\u00b2", "X" + "1" * 5000], ids=["superscript", "long-number"]
+)
+@pytest.mark.parametrize(
+    "command", ["hyperplanes", "basis", "structure-constants"]
+)
+def test_hyperplane_names_sort_without_converting_their_number(
+    tmp_path, capsys, name, command
+):
+    """A hyperplane named with a digit of another script, or with more
+    digits than ``int`` converts, is sorted like any other name."""
+    doc = json.loads(serialize(gen_klm(KlmSpec(2, 1, 2))))
+    for key in ("hyperplane_names", "positive_normals"):
+        doc[key][name] = doc[key].pop("X1")
+    p = tmp_path / "renamed.json"
+    p.write_text(json.dumps(doc))
+    code, out = run(capsys, command, str(p))
+    assert code == 0
+    assert "internal" not in json.loads(out)
+
+
 MALFORMED_META = [
     ("positive_normals", "q:w"),
     ("positive_normals", 1),
@@ -409,7 +430,10 @@ def test_shelling_commands_check_the_lift_identity(
     path.write_text(serialize(gen_klm(KlmSpec(2, 1, 2))))
     code, out = run(capsys, command, str(path))
     assert code == 1
-    assert "do not lift" in json.loads(out)["error"]
+    assert json.loads(out)["error"] == (
+        "the characteristic covectors do not lift e1 at 'X1.Y1': "
+        "sum of lambda_1(L) tau_L is 2*e1"
+    )
 
 
 def test_an_internal_fault_is_one_json_document(monkeypatch, capsys):
@@ -830,6 +854,150 @@ def test_express(tmp_path, capsys):
     code, out = run(capsys, "express", str(path), "--poly", "Q9")
     assert code == 1
     assert "unknown generator" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [
+        "L1^\u00b2",
+        "\u00b3",
+        "L1^\u0663",
+        "L1^" + "1" * 5000,
+        "1" * 5000 + "*L1",
+        "(" * 400 + "L1" + ")" * 400,
+    ],
+    ids=[
+        "superscript-exponent",
+        "superscript-constant",
+        "arabic-indic-exponent",
+        "long-exponent",
+        "long-constant",
+        "deep-nesting",
+    ],
+)
+def test_express_parser_faults_are_reported(capsys, poly):
+    """Digits of other scripts, integers longer than ``int`` converts and
+    parentheses nested past the recursion limit are input errors: one
+    JSON document, exit 1, nothing on stderr."""
+    code = main(["express", "--fixture", "fig7_pentagon", "--poly", poly])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["ok"] is False and "internal" not in doc
+    assert captured.err == ""
+
+
+def _express_refusal(capsys, poly, source=("--fixture", "fig7_pentagon")):
+    code, out = run(capsys, "express", *source, "--poly", poly)
+    doc = json.loads(out)
+    assert code == 1 and "internal" not in doc
+    assert doc["ok"] is False and doc["check"] == "express_size"
+    return doc["error"]
+
+
+def test_express_refuses_beyond_its_degree_cap(capsys):
+    """A power or product past ``EXPRESS_MAX_DEGREE`` is refused before it
+    runs; a huge exponent at once."""
+    cap = cli.EXPRESS_MAX_DEGREE
+    code, _ = run(
+        capsys, "express", "--fixture", "fig7_pentagon", "--poly", f"L1^{cap}"
+    )
+    assert code == 0
+    assert "exponent 99999999999999999999" in _express_refusal(
+        capsys, "L1^99999999999999999999"
+    )
+    assert "exponent" in _express_refusal(capsys, f"2^{cap + 1}")
+    assert f"degree {cap + 1}" in _express_refusal(capsys, f"L1^{cap}*L2")
+    # the power stops at the first product past the cap
+    assert f"degree {cap + 2}" in _express_refusal(capsys, f"(L1*L2)^{cap}")
+
+
+def test_express_refuses_beyond_its_term_pair_cap(capsys):
+    """The term pairs of all the parser's products count against one cap:
+    a power of a long sum is refused, and so is a long sum of powers that
+    each fit."""
+    cap = cli.EXPRESS_MAX_TERM_PAIRS
+    names = ["L1", "L2", "L3", "L4", "L5"]
+    parser = cli._PolyParser("(1+L1+L2+L3+L4+L5)^6", names)
+    parser.parse()
+    assert parser.pairs < cap
+    assert "term pairs" in _express_refusal(capsys, "(1+L1+L2+L3+L4+L5)^16")
+    copies = cap // parser.pairs + 1
+    assert "term pairs" in _express_refusal(
+        capsys, " + ".join(["(1+L1+L2+L3+L4+L5)^6"] * copies)
+    )
+
+
+def test_the_largest_accepted_express_request_fits_its_budget(tmp_path):
+    """On L(5,5,5), the largest rung, (1 + A + B)^d at the degree cap for
+    facets {A, B} in shelling order, as many as the pair cap admits: the
+    localizations fill every facet up to the cap, and the expansion moves
+    each into the facets that carry it.  About 3.5 s and 20 MB on 2 vCPUs;
+    the budget is 30 s and 300 MB."""
+    path = tmp_path / "L555.json"
+    path.write_text(serialize(gen_klm(KlmSpec(5, 5, 5))))
+    from gkmgraphs.shelling import shelling_context
+
+    ctx = shelling_context(load_graph(path.read_text()))
+    d = cli.EXPRESS_MAX_DEGREE
+    summands = [f"(1+{'+'.join(sorted(f))})^{d}" for f in ctx.shelling.order]
+    parser = cli._PolyParser(summands[0], ctx.names)
+    parser.parse()
+    count = cli.EXPRESS_MAX_TERM_PAIRS // parser.pairs
+    assert 0 < count < len(summands)
+    poly = " + ".join(summands[:count])
+    probe = (
+        "import resource, subprocess, sys\n"
+        "run = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(run.returncode, peak)\n"
+    )
+    done = run_child(
+        ["-c", probe, sys.executable, "-m", "gkmgraphs.cli", "express",
+         str(path), "--poly", poly],
+        timeout=30,
+        text=True,
+    )
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    assert peak < 300 * 1024
+    # one summand more is refused
+    parser = cli._PolyParser(" + ".join(summands[: count + 1]), ctx.names)
+    with pytest.raises(cli._Oversized):
+        parser.parse()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-iso", "--max-degree", "3"],
+        ["verify-iso", "--max-degree", "3", "--forgetful"],
+        ["cohomology", "--max-degree", "2"],
+        ["cohomology", "--max-degree", "2", "--forgetful"],
+    ],
+    ids=[
+        "verify-iso",
+        "verify-iso-forgetful",
+        "cohomology",
+        "cohomology-forgetful",
+    ],
+)
+def test_the_solver_and_the_rings_build_no_polynomial(
+    tmp_path, monkeypatch, capsys, argv
+):
+    """Classes are vectors and relations are terms dicts: ``verify-iso``
+    in both theories and ``cohomology`` construct no ``IntPolynomial``."""
+    import gkmgraphs.polynomials as polynomials
+
+    def refused(self, *args, **kwargs):
+        raise AssertionError("an IntPolynomial was built")
+
+    path = tmp_path / "L212.json"
+    path.write_text(serialize(gen_klm(KlmSpec(2, 1, 2))))
+    monkeypatch.setattr(polynomials.IntPolynomial, "__init__", refused)
+    code, out = run(capsys, argv[0], str(path), *argv[1:])
+    assert "internal" not in json.loads(out)
+    assert code == 0
 
 
 def test_basis_on_unshellable_input_fails_cleanly(capsys):

@@ -47,14 +47,14 @@ def test_fixture_shapes():
     assert g.rank == 2
     assert len(g.vertices) == 3
     assert len(g.canonical_edges()) == 3
-    assert len(g.leg_ids()) == 6
+    assert sum(d.is_leg for d in g.darts.values()) == 6
 
 
 def test_local_model_is_valid():
     for n in (1, 2, 3):
         g = local_model(n)
         assert len(g.vertices) == 1
-        assert len(g.leg_ids()) == 2 * n
+        assert sum(d.is_leg for d in g.darts.values()) == 2 * n
         assert validate_axial(g).ok
 
 
@@ -156,9 +156,9 @@ def test_three_independence_check_fires():
 def test_derive_connection_matches_stored():
     for fid in FIXTURE_IDS:
         g = fixture(fid)
-        assert g.has_stored_connection()
+        assert g._connection is not None
         forgotten = GkmGraph(g.rank, list(g.darts.values()), meta=g.meta)
-        assert not forgotten.has_stored_connection()
+        assert forgotten._connection is None
         assert derive_connection(forgotten) == g.connection
 
 

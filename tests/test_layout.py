@@ -1,0 +1,99 @@
+"""Layout of the package: every public name is used by the package itself.
+
+Code that only the tests call belongs in the tests (``tests/oracles.py``
+keeps the reference implementations), unless it checks a statement of
+the paper; those few names are listed with their reason.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import gkmgraphs
+
+SRC = Path(gkmgraphs.__file__).resolve().parent
+
+# name -> why it may stay without a caller in the package
+ALLOWED = {
+    "hilbert_rank": "the free-module Hilbert series of the shelling basis",
+    "opposite_side": "the paper's unique opposite pre-halfspace, built directly",
+    "relation_for_hyperplane": "the linear relation of a facet hyperplane",
+    "IntPolynomial.substitute": "the benchmark's tracer times it by name",
+}
+
+
+def _modules():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _public_definitions(trees):
+    """(module, qualified name, node) of every public module-level function
+    and class, and of every public method (dunders are not public)."""
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            yield module, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef):
+                        if not sub.name.startswith("_"):
+                            yield module, f"{node.name}.{sub.name}", sub
+
+
+def _imports(tree):
+    """``{(module, name): local name}`` of the names ``tree`` imports from
+    the package's modules."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                out[node.module, alias.name] = alias.asname or alias.name
+    return out
+
+
+def _reads(tree):
+    """How often ``tree`` reads each attribute and each name."""
+    attrs, names = Counter(), Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+    return attrs, names
+
+
+def _unused(trees):
+    """The public definitions that the package reads nowhere outside their
+    own body.  A method is read as an attribute; a module-level name as a
+    name in its module or where another module imports it, or as an
+    attribute."""
+    reads = {module: _reads(tree) for module, tree in trees.items()}
+    imports = {module: _imports(tree) for module, tree in trees.items()}
+    attrs = sum((a for a, _ in reads.values()), Counter())
+    out = []
+    for module, qualname, node in _public_definitions(trees):
+        name = qualname.rsplit(".", 1)[-1]
+        own_attrs, own_names = _reads(node)
+        used = attrs[name] > own_attrs[name]
+        if not used and "." not in qualname:
+            used = reads[module][1][name] > own_names[name] or any(
+                reads[other][1][imports[other].get((module, name))]
+                for other in trees
+                if other != module
+            )
+        if not used:
+            out.append(qualname)
+    return out
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    assert [q for q in _unused(_modules()) if q not in ALLOWED] == []
+
+
+def test_the_allowlist_is_still_needed():
+    """Each allowed name is still defined and still has no caller."""
+    unused = _unused(_modules())
+    assert [q for q in ALLOWED if q not in unused] == []

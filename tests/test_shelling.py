@@ -151,7 +151,6 @@ def test_not_shellable_complex_is_reported():
     # two disjoint edges: the second facet always introduces two minimal
     # vertices at once
     c = SimplicialComplex(
-        vertex_names=["a", "b", "c", "d"],
         faces={
             frozenset(),
             frozenset("a"), frozenset("b"), frozenset("c"), frozenset("d"),
@@ -311,7 +310,7 @@ def test_expansion_reconstructs_under_localization():
     f = poly_of(ctx, ("X2", 1), ("Z1", 1)) + 2 * poly_of(ctx, ("Y1", 2))
     exp = express_in_basis(ctx, f)
     basis = module_basis(ctx)
-    recon = IntPolynomial.zero(ctx.ngens)
+    recon = IntPolynomial(ctx.ngens)
     for i, c in exp.coefficients.items():
         recon = recon + lift_coefficient(ctx, c) * monomial_poly(ctx, basis[i])
     for sigma in ctx.shelling.order:
@@ -333,7 +332,7 @@ def ring_elements(draw):
             max_size=5,
         )
     )
-    poly = IntPolynomial.zero(ctx.ngens)
+    poly = IntPolynomial(ctx.ngens)
     for gens, c in terms:
         poly = poly + c * monomial_poly(ctx, gens)
     return ctx, poly
@@ -347,7 +346,7 @@ def test_expansion_agrees_with_the_ring_path(case):
     ctx, f = case
     exp = express_in_basis(ctx, f)
     basis = module_basis(ctx)
-    recon = IntPolynomial.zero(ctx.ngens)
+    recon = IntPolynomial(ctx.ngens)
     for i, c in exp.coefficients.items():
         recon = recon + lift_coefficient(ctx, c) * monomial_poly(ctx, basis[i])
     for v in ctx.graph.vertices:
