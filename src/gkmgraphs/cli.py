@@ -114,9 +114,14 @@ def _poly_varnames(g):
 # takes 3.2 s, ^20 6.6 s and ^30 26 s (X1^16 0.4 s).  A pair costs 3 us
 # with 15 generators and 11 us with 90 (the cube of their sum has 377k
 # pairs).  At both caps the largest request on L(5,5,5) takes 3.2 s (CLI
-# subprocesses, 2 vCPUs, CPython 3.11).
+# subprocesses, 2 vCPUs, CPython 3.11).  A coefficient may have at most
+# EXPRESS_MAX_DIGITS decimal digits, so that the printed ones stay below
+# the 4300 that CPython 3.11 converts to text: the expansion adds at most 6
+# on L(5,5,5) at both caps, and 990 nines times (1+X1+Y1)^16 takes 2.0 s
+# (1.4 s without the nines).
 EXPRESS_MAX_DEGREE = 16
 EXPRESS_MAX_TERM_PAIRS = 100_000
+EXPRESS_MAX_DIGITS = 1000
 
 
 class _Oversized(GkmError):
@@ -128,7 +133,9 @@ class _PolyParser:
 
     Every product and power goes through ``_product``, which refuses a
     result beyond ``EXPRESS_MAX_DEGREE`` or ``EXPRESS_MAX_TERM_PAIRS``
-    before it multiplies."""
+    before it multiplies, and one with a coefficient of more than
+    ``EXPRESS_MAX_DIGITS`` digits after; the parsed polynomial is checked
+    for such a coefficient too."""
 
     def __init__(self, text, names):
         from .polynomials import IntPolynomial
@@ -182,6 +189,16 @@ class _PolyParser:
             ) from None
         if self._peek() is not None:
             raise GkmError(f"trailing input near {self._peek()!r}")
+        return self._checked_digits(p)
+
+    @staticmethod
+    def _checked_digits(p):
+        bound = 10**EXPRESS_MAX_DIGITS
+        if any(abs(c) >= bound for c in p.terms.values()):
+            raise _Oversized(
+                f"a coefficient with more digits than the "
+                f"{EXPRESS_MAX_DIGITS} accepted"
+            )
         return p
 
     def _expr(self):
@@ -235,7 +252,7 @@ class _PolyParser:
                 f"the products multiply more than the "
                 f"{EXPRESS_MAX_TERM_PAIRS} term pairs accepted"
             )
-        return p * q
+        return self._checked_digits(p * q)
 
     def _atom(self):
         tok = self._next()
@@ -362,7 +379,7 @@ def cmd_cohomology(args, parser):
 
 
 def cmd_verify_iso(args, parser):
-    from .cohomology import graded_pieces, kernel_forgetful_check, verify_iso
+    from .cohomology import cohomology_basis, kernel_forgetful_check, verify_iso
 
     g = _read_graph(args, parser)
     refused = _refuse_oversized_solver(g, args)
@@ -371,7 +388,9 @@ def cmd_verify_iso(args, parser):
     # only the kernel check of the full theory reads classes, up to degree
     # 3; ``verify_iso`` takes every other solver rank without classes
     checked = min(args.max_degree, 3)
-    pieces = () if args.forgetful else graded_pieces(g, checked)
+    pieces = [
+        cohomology_basis(g, k) for k in range(checked + 1) if not args.forgetful
+    ]
     try:
         rep = verify_iso(g, args.max_degree, args.forgetful, pieces)
     except AssumptionViolation as exc:

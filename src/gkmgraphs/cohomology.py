@@ -16,10 +16,10 @@ no classes are needed it takes the rank of the solver's system
 
 The presentation rings' generators are degree-2 classes, each its
 checked ``{vertex: vector}`` of lattice vectors: the Thom classes as
-``thom_class`` and ``forgetful_thom_class`` return them, and the
-residual vector at every vertex for X.  The relations of the full ring
-are ``{exponents: coefficient}`` terms, multiplied by
-``polynomials.mul_terms``.
+``thom_class`` returns them, the forgetful ones cut to their first n
+coordinates, and the residual vector at every vertex for X.  The
+relations of the full ring are ``{exponents: coefficient}`` terms,
+multiplied by ``polynomials.mul_terms``.
 
 Both theories run on the same :class:`GkmGraph`: n+1 variables (e1..en,
 x) for the full theory, checked against the full labels, and n variables
@@ -41,7 +41,6 @@ from .hyperplanes import (
     all_hyperplanes,
     check_assumptions,
     choose_positive_halfspace,
-    forgetful_thom_class,
     minimal_empty_families,
     thom_class,
 )
@@ -265,34 +264,22 @@ def _vector_satisfies_congruences(vec, edges, width) -> bool:
 
 
 class PresentationRing:
-    def __init__(
-        self,
-        generators,
-        linear_relations,
-        monomial_relations,
-        values,
-        hyperplane_of,
-        assumptions,
-    ):
+    def __init__(self, generators, monomial_relations, values, assumptions):
         self.generators = generators  # generator names in enumeration order
-        self.linear_relations = linear_relations  # list of {gen name: coeff}
         # list of frozensets of generator names
         self.monomial_relations = monomial_relations
         self.values = values  # gen name -> {vertex: vector}
-        self.hyperplane_of = hyperplane_of
         # the report the ring was built under; not part of the presentation
         self.assumptions = assumptions
 
 
-def presentation_ring(
-    g: GkmGraph, forgetful: bool = False, require_assumptions: bool = True
-) -> PresentationRing:
+def presentation_ring(g: GkmGraph, forgetful: bool = False) -> PresentationRing:
     """Z[G] (generators X, H_i, Hbar_i) or Z[G-tilde] (generators = the
     hyperplanes), with relations derived from empty intersections.
 
-    With ``require_assumptions`` the graph must pass both of the structure
-    assumptions; verification runs relax assumption (2) because the
-    comparison with the solver is still meaningful when it fails.
+    Assumption (1) must hold; assumption (2) is only recorded in
+    ``assumptions``, as the comparison with the solver still means
+    something when it fails.
     """
     hyperplanes = all_hyperplanes(g)
     report = check_assumptions(g, hyperplanes)
@@ -300,12 +287,6 @@ def presentation_ring(
         raise AssumptionViolation(
             "assumption (1) fails; halfspace generators are not defined",
             assumption=1,
-        )
-    if require_assumptions and not report.ok2:
-        raise AssumptionViolation(
-            "assumption (2) fails: some hyperplane intersection is "
-            "disconnected",
-            assumption=2,
         )
     order = sorted((h.name for h in hyperplanes), key=_name_key)
     by_name = {h.name: h for h in hyperplanes}
@@ -316,39 +297,28 @@ def presentation_ring(
             g, by_name[name], report.pairs[name]
         )
     if forgetful:
+        n = g.rank
         values = {
-            name: forgetful_thom_class(g, by_name[name], pos[name])
+            name: {v: t[:n] for v, t in thom_class(g, pos[name]).items()}
             for name in order
         }
         families = minimal_empty_families(
             {name: set(by_name[name].vertices) for name in order}
         )
-        return PresentationRing(
-            list(order), [], families, values,
-            {name: name for name in order}, report,
-        )
+        return PresentationRing(list(order), families, values, report)
     values = {"X": {v: g.residual for v in g.vertices}}
-    hyperplane_of = {}
     named_sets = {}
     for i, name in enumerate(order):
         hn, hbn = f"H{i + 1}", f"Hbar{i + 1}"
         values[hn] = thom_class(g, pos[name])
         values[hbn] = thom_class(g, neg[name])
-        hyperplane_of[hn] = name
-        hyperplane_of[hbn] = name
         named_sets[hn] = set(pos[name].vertices)
         named_sets[hbn] = set(neg[name].vertices)
     generators = ["X"] + [f"H{i + 1}" for i in range(len(order))] + [
         f"Hbar{i + 1}" for i in range(len(order))
     ]
-    linear = [
-        {f"H{i + 1}": 1, f"Hbar{i + 1}": 1, "X": -1}
-        for i in range(len(order))
-    ]
     families = minimal_empty_families(named_sets)
-    return PresentationRing(
-        generators, linear, families, values, hyperplane_of, report
-    )
+    return PresentationRing(generators, families, values, report)
 
 
 # -- graded verification ------------------------------------------------------------
@@ -399,15 +369,6 @@ def _ideal_rank_full(rels, ngens, k):
     return rank(rows, len(index))
 
 
-def graded_pieces(g: GkmGraph, max_degree: int, forgetful: bool = False):
-    """The solver's graded pieces ``cohomology_basis(g, k, forgetful)`` for
-    k = 0..max_degree, as a list of ``(classes, rank)``."""
-    return [
-        cohomology_basis(g, k, forgetful=forgetful)
-        for k in range(max_degree + 1)
-    ]
-
-
 def _times_linear(vec, forms, up, nwidth):
     """The sparse coefficient vector (``{position: coefficient}``) of a
     class times the class that is the linear form ``forms[v]``
@@ -437,14 +398,14 @@ def verify_iso(
     are equal.  Also reports the assumption status (assumption (2) may
     fail, in which case a strict deficit is the expected outcome).
 
-    Only ranks are computed.  ``pieces`` are the ``graded_pieces`` of the
-    same theory for the degrees the caller has solved already, and give
-    their solver ranks; every higher degree takes ``solver_rank``, which
-    builds no classes.  The presentation rank and the image rank are
+    Only ranks are computed.  ``pieces`` are the solver's pieces
+    ``cohomology_basis(g, k, forgetful)``, k = 0, 1, ..., that the caller
+    has solved already, and give their solver ranks; every higher degree
+    takes ``solver_rank``, which builds no classes.  The presentation rank and the image rank are
     ranks of sparse rows: the relations times monomials, and the images
     of the generator monomials, each grown from one a degree lower.
     """
-    ring = presentation_ring(g, forgetful=forgetful, require_assumptions=False)
+    ring = presentation_ring(g, forgetful=forgetful)
     assumptions = ring.assumptions
     nvars = _nvars(g, forgetful)
     if forgetful:
@@ -516,15 +477,11 @@ def verify_iso(
 # -- kernel of the forgetful map -----------------------------------------------------
 
 
-def kernel_forgetful_check(
-    g: GkmGraph, max_degree: int = 3, pieces=None
-) -> bool:
+def kernel_forgetful_check(g: GkmGraph, max_degree: int, pieces) -> bool:
     """Degreewise check that the kernel of the forgetful map on classes is
     exactly chi times the previous graded piece.  ``pieces`` are the
-    full-theory ``graded_pieces`` up to at least ``max_degree`` when the
-    caller has solved them already."""
-    if pieces is None:
-        pieces = graded_pieces(g, max_degree)
+    full-theory pieces ``cohomology_basis(g, k)`` for k = 0 up to at least
+    ``max_degree``."""
     n = g.rank
     nverts = len(g.vertices)
     prev = []

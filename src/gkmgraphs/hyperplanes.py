@@ -12,6 +12,12 @@ break them; its connectedness; the intersection and the cover of the
 pair; and the Thom classes, each checked against every congruence, which
 must sum to x.  So a wrong assignment can only surface as a reported
 violation, never as a silently wrong halfspace.
+
+The x-forgetful Thom class tau_L is a halfspace's checked Thom class with
+the residual coordinate cut off (both halves label every vertex of L, and
+x is 0 elsewhere), still checked: a - b = c alpha survives the cut.  The
+families of hyperplanes with a common vertex are the nonempty subsets of
+the hyperplanes through each vertex.
 """
 
 from __future__ import annotations
@@ -182,31 +188,27 @@ def intersect_hyperplanes(g: GkmGraph, subset) -> IntersectionResult:
     return IntersectionResult(vertices, darts, count)
 
 
-def nonempty_intersection_table(named_vertex_sets):
-    """All families with a common vertex, keyed by frozenset of names.
+def _subsets(items):
+    """Every subset of ``items``, as frozensets, the empty set first."""
+    out = [frozenset()]
+    for x in sorted(items):
+        out += [f | {x} for f in out]
+    return out
 
-    Supersets of empty families are pruned, which is exact because
-    intersection emptiness is monotone under enlargement.
-    """
-    names = sorted(named_vertex_sets)
-    table = {frozenset(): None}
-    frontier = []
-    for i, name in enumerate(names):
-        fam = frozenset([name])
-        table[fam] = frozenset(named_vertex_sets[name])
-        frontier.append((fam, i, table[fam]))
-    while frontier:
-        nxt = []
-        for fam, idx, verts in frontier:
-            for j in range(idx + 1, len(names)):
-                common = verts & frozenset(named_vertex_sets[names[j]])
-                if common:
-                    bigger = fam | {names[j]}
-                    table[bigger] = common
-                    nxt.append((bigger, j, common))
-        frontier = nxt
-    del table[frozenset()]
-    return table
+
+def nonempty_intersection_table(named_vertex_sets):
+    """All families with a common vertex, keyed by frozenset of names, each
+    with its common vertices; built vertex by vertex, so a name with an
+    empty set is in no family."""
+    through = {}  # vertex -> the names whose sets hold it
+    for name, vertices in named_vertex_sets.items():
+        for v in vertices:
+            through.setdefault(v, []).append(name)
+    table = {}
+    for v, names in through.items():
+        for fam in _subsets(names)[1:]:
+            table.setdefault(fam, set()).add(v)
+    return {fam: frozenset(common) for fam, common in table.items()}
 
 
 def minimal_empty_families(named_vertex_sets):
@@ -555,39 +557,16 @@ def thom_class(g: GkmGraph, h: Halfspace) -> dict:
     return values
 
 
-def forgetful_thom_class(g: GkmGraph, hyperplane: Hyperplane, h: Halfspace):
-    """The x-forgetful image tau_L of the Thom class of ``h``, a halfspace
-    of ``hyperplane``: 0 off L and, on L, the normal label of ``h`` without
-    its residual coordinate.  Checked against every congruence relation."""
-    n = g.rank
-    values = {}
-    for v in g.vertices:
-        if v not in hyperplane.vertices:
-            values[v] = (0,) * n
-        elif v in h.normals:
-            values[v] = g.axial(h.normals[v])[:n]
-        else:
-            raise CongruenceFailure(
-                f"vertex {v!r} of the hyperplane is not a boundary vertex "
-                "of the chosen halfspace"
-            )
-    assert_class_congruences(g, values)
-    return values
-
-
 def assert_class_congruences(g: GkmGraph, values):
     """Raise CongruenceFailure unless the vertexwise degree-2 values satisfy
-    every edge congruence.  Each label is cut to the length of the values,
-    so a forgetful class meets the labels without their residual
-    coordinate; for a degree-2 class, alpha divides a - b exactly when
-    a - b is an integer multiple of alpha."""
+    every edge congruence: for a degree-2 class, alpha divides a - b
+    exactly when a - b is an integer multiple of alpha."""
     for eid in g.canonical_edges():
         e = g.darts[eid]
         a, b = values[e.source], values[e.target]
-        if a != b and not congruent(a, b, e.axial[: len(a)]):
+        if a != b and not congruent(a, b, e.axial):
             raise CongruenceFailure(
-                f"congruence fails on edge {eid!r}: "
-                f"{a} vs {b} mod {e.axial[: len(a)]}"
+                f"congruence fails on edge {eid!r}: {a} vs {b} mod {e.axial}"
             )
 
 
@@ -658,9 +637,7 @@ def check_assumptions(g: GkmGraph, hyperplanes=None) -> AssumptionReport:
         except AssumptionOneViolation as exc:
             a1[h.name] = {"ok": False, "check": exc.check, "reason": str(exc)}
     by_name = {h.name: h for h in hyperplanes}
-    table = nonempty_intersection_table(
-        {h.name: set(h.vertices) for h in hyperplanes}
-    )
+    table = nonempty_intersection_table({h.name: h.vertices for h in hyperplanes})
     a2 = {}
     for fam in sorted(table, key=lambda f: (len(f), sorted(f))):
         if len(fam) < 2:

@@ -2,10 +2,12 @@
 
 The hyperplane complex has one vertex per hyperplane and a face for every
 family with nonempty common intersection; its facets biject with the graph
-vertices.  A shelling order of the facets yields minimal new faces mu_i,
-and the monomials x_{mu_i} form a free module basis over the polynomial
-ring in n variables (the standard basis of a Stanley-Reisner ring over a
-linear system of parameters).
+vertices.  Its faces come from one table, built vertex by vertex
+(``nonempty_intersection_table``), and a face is a facet when no single
+hyperplane extends it to a face.  A shelling order of the facets yields
+minimal new faces mu_i, and the monomials x_{mu_i} form a free module
+basis over the polynomial ring in n variables (the standard basis of a
+Stanley-Reisner ring over a linear system of parameters).
 
 Expansion in that basis runs in facet coordinates.  At a facet point p
 the Thom values y_L = tau_L(p) of the n hyperplanes through p are
@@ -37,10 +39,11 @@ from .errors import (
 from .graph import GkmGraph
 from .hyperplanes import (
     _name_key,
+    _subsets,
     all_hyperplanes,
     choose_positive_halfspace,
-    forgetful_thom_class,
     nonempty_intersection_table,
+    thom_class,
 )
 from .intlinalg import solve_integer
 from .polynomials import (
@@ -55,11 +58,10 @@ DEFAULT_SEARCH_BUDGET = 10**6
 
 
 class SimplicialComplex:
-    def __init__(self, faces, facets, facet_vertex, dim):
+    def __init__(self, faces, facets, facet_vertex):
         self.faces = faces  # frozensets of names, including the empty face
         self.facets = facets  # maximal faces in canonical order
         self.facet_vertex = facet_vertex  # facet -> graph vertex id
-        self.dim = dim
 
 
 class ShellingData:
@@ -76,17 +78,15 @@ class ShellingData:
 
 def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
     """Simplicial complex of the hyperplane family; faces are the
-    subfamilies with a common vertex."""
+    subfamilies with a common vertex, and the empty face."""
     if hyperplanes is None:
         hyperplanes = all_hyperplanes(g)
     n = g.rank
     table = nonempty_intersection_table(
-        {h.name: set(h.vertices) for h in hyperplanes}
+        {h.name: h.vertices for h in hyperplanes}
     )
     faces = set(table) | {frozenset()}
-    maximal = [
-        f for f in faces if not any(f < other for other in faces)
-    ]
+    maximal = _maximal_faces(faces)
     short = [f for f in maximal if len(f) != n]
     if short:
         raise PurityFailure(
@@ -94,8 +94,9 @@ def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
             f"{sorted({len(f) for f in short})} found, expected {n}; the "
             "graph is not modeled on the expected local chart"
         )
+    facets = sorted(maximal, key=lambda f: sorted(map(_name_key, f)))
     facet_vertex = {}
-    for f in maximal:
+    for f in facets:
         verts = table[f]
         if len(verts) != 1:
             raise AssumptionViolation(
@@ -104,21 +105,19 @@ def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
                 assumption=2,
             )
         (facet_vertex[f],) = verts
-    if len(maximal) != len(g.vertices):
+    if len(facets) != len(g.vertices):
         raise AssumptionViolation(
-            f"{len(maximal)} facets for {len(g.vertices)} graph vertices",
+            f"{len(facets)} facets for {len(g.vertices)} graph vertices",
             assumption=2,
         )
-    facets = sorted(maximal, key=lambda f: sorted(map(_name_key, f)))
-    return SimplicialComplex(faces, facets, facet_vertex, n - 1)
+    return SimplicialComplex(faces, facets, facet_vertex)
 
 
-def _subsets(s):
-    items = sorted(s)
-    out = [frozenset()]
-    for x in items:
-        out += [f | {x} for f in out]
-    return out
+def _maximal_faces(faces):
+    """The faces of a subset-closed family that no single name extends
+    (the extended ones are the faces less one name)."""
+    extended = {f - {name} for f in faces for name in f}
+    return [f for f in faces if f not in extended]
 
 
 def _minimal_new_faces(prior_facets, sigma):
@@ -133,15 +132,14 @@ def _minimal_new_faces(prior_facets, sigma):
     return new, minimal
 
 
-def find_shelling(
-    complex_: SimplicialComplex, order=None, budget=None
-) -> ShellingData:
+def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
     """A shelling order with its minimal new faces.
 
     With ``order`` given, that exact facet order is verified.  Otherwise a
     backtracking search runs with greedy preference for facets glued along
-    a single ridge, deterministic tie-breaking, and a node budget taken
-    from GKM_SEARCH_BUDGET when not passed explicitly.
+    a single ridge, deterministic tie-breaking, and the node budget of
+    ``GKM_SEARCH_BUDGET`` (an integer; ``DEFAULT_SEARCH_BUDGET`` when
+    unset).
     """
     facets = list(complex_.facets)
     if order is not None:
@@ -158,8 +156,13 @@ def find_shelling(
                 )
             mus.append(minimal[0])
         return ShellingData(order, mus)
-    if budget is None:
-        budget = int(os.environ.get("GKM_SEARCH_BUDGET", DEFAULT_SEARCH_BUDGET))
+    text = os.environ.get("GKM_SEARCH_BUDGET")
+    try:
+        budget = DEFAULT_SEARCH_BUDGET if text is None else int(text)
+    except ValueError:
+        raise GkmError(
+            f"GKM_SEARCH_BUDGET must be an integer, not {text!r}"
+        ) from None
     nodes = 0
     dead = set()
     prefix = []
@@ -366,7 +369,7 @@ class FacetLocalizations:
         return substitute_terms(terms, images, self.nvars)
 
 
-def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
+def shelling_context(g: GkmGraph) -> ShellingContext:
     """Discover hyperplanes, fix orientations, find a shelling.
 
     Arrangement-generated graphs use the canonical facet order of the
@@ -376,18 +379,20 @@ def shelling_context(g: GkmGraph, facet_order=None) -> ShellingContext:
     names = sorted((h.name for h in hyperplanes), key=_name_key)
     by_name = {h.name: h for h in hyperplanes}
     complex_ = build_complex(g, hyperplanes)
-    if facet_order is None and g.meta.get("hyperplane_names"):
-        facet_order = klm_canonical_order(names)
-        if facet_order is not None and sorted(map(sorted, facet_order)) != sorted(
+    order = None
+    if g.meta.get("hyperplane_names"):
+        order = klm_canonical_order(names)
+        if order is not None and sorted(map(sorted, order)) != sorted(
             map(sorted, complex_.facets)
         ):
-            facet_order = None
-    shelling = find_shelling(complex_, order=facet_order)
+            order = None
+    shelling = find_shelling(complex_, order=order)
+    n = g.rank
     taus = {}
     orientation = {}
     for name in names:
         pos, _neg = choose_positive_halfspace(g, by_name[name])
-        taus[name] = forgetful_thom_class(g, by_name[name], pos)
+        taus[name] = {v: t[:n] for v, t in thom_class(g, pos).items()}
         first = sorted(pos.normals)[0]
         orientation[name] = pos.normals[first]
     lambdas = characteristic_functions(complex_, taus)

@@ -20,6 +20,7 @@ from gkmgraphs import intlinalg
 from gkmgraphs.cohomology import _divides, _label_map
 from gkmgraphs.errors import (
     AssumptionOneViolation,
+    CongruenceFailure,
     DimensionError,
     InexactDivision,
 )
@@ -128,6 +129,28 @@ def vector_class(values) -> CohomologyClass:
 
 def chi_class(g) -> CohomologyClass:
     return vector_class({v: g.residual for v in g.vertices})
+
+
+def forgetful_thom_class(g, hyperplane, h):
+    """The x-forgetful Thom class tau_L built from its definition: 0 off
+    the hyperplane L and, on L, the normal label of ``h``, a halfspace of
+    L, without its residual coordinate.  Checked against every congruence
+    with the labels cut to n coordinates."""
+    n = g.rank
+    values = {}
+    for v in g.vertices:
+        if v not in hyperplane.vertices:
+            values[v] = (0,) * n
+        elif v in h.normals:
+            values[v] = g.axial(h.normals[v])[:n]
+        else:
+            raise CongruenceFailure(
+                f"vertex {v!r} of the hyperplane is not a boundary vertex "
+                "of the chosen halfspace"
+            )
+    if not class_satisfies_congruences(g, vector_class(values)):
+        raise CongruenceFailure("the forgetful Thom class fails a congruence")
+    return values
 
 
 def evaluate_generator(ring, monomial) -> CohomologyClass:

@@ -6,7 +6,11 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the lines.
 
 import time
 
-from gkmgraphs.cohomology import kernel_forgetful_check, verify_iso
+from gkmgraphs.cohomology import (
+    cohomology_basis,
+    kernel_forgetful_check,
+    verify_iso,
+)
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
 from gkmgraphs.graph import pair_decomposition
 from gkmgraphs.hyperplanes import (
@@ -150,7 +154,8 @@ def test_criterion_6_property_suites():
         # connection maps 1-dimensional pairs to pairs (raises if not)
         pair_decomposition(g)
         # Ker(forgetful) = (chi), degreewise
-        assert kernel_forgetful_check(g, 3), name
+        pieces = [cohomology_basis(g, k) for k in range(4)]
+        assert kernel_forgetful_check(g, 3, pieces), name
         # localization matrix is lower triangular with nonzero diagonal
         ctx = shelling_context(g)
         basis = module_basis(ctx)

@@ -361,8 +361,8 @@ def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
     tmp_path, monkeypatch, capsys, command
 ):
     """No Hermite form, elimination or substitution runs inside the
-    expansion; each halfspace's Thom class is built and checked once, and
-    each positive one gets one forgetful check, by the same vector check:
+    expansion; each halfspace's Thom class is built and checked once, by
+    the vector check, and the forgetful class is its cut, checked no more:
     no label map (and so no Hermite form) is built at all."""
     import gkmgraphs.intlinalg as intlinalg
     import gkmgraphs.polynomials as polynomials
@@ -405,7 +405,7 @@ def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
     assert [name for name, during in calls if during] == []
     assert ("substitute", False) not in calls
     nplanes = len(hyperplanes.all_hyperplanes(g))
-    assert calls.count(("assert_class_congruences", False)) == 3 * nplanes
+    assert calls.count(("assert_class_congruences", False)) == 2 * nplanes
     assert ("hermite_normal_form", False) not in calls
 
 
@@ -749,8 +749,7 @@ def test_oversized_solver_requests_are_refused_up_front(
         raise AssertionError("the solver was reached")
 
     for name in (
-        "cohomology_basis", "graded_pieces", "solver_rank", "_label_map",
-        "kernel_basis",
+        "cohomology_basis", "solver_rank", "_label_map", "kernel_basis",
     ):
         monkeypatch.setattr(cohomology, name, no_solving)
     path = tmp_path / "L555.json"
@@ -926,6 +925,54 @@ def test_express_refuses_beyond_its_term_pair_cap(capsys):
     assert "term pairs" in _express_refusal(
         capsys, " + ".join(["(1+L1+L2+L3+L4+L5)^6"] * copies)
     )
+
+
+def test_express_refuses_a_coefficient_past_its_digit_cap(capsys):
+    """A coefficient of more than ``EXPRESS_MAX_DIGITS`` digits is refused
+    after the product that makes it, or at the end of the parse: printed,
+    the coefficients stay below the 4300 digits that CPython converts to
+    text, and every version gives the same answer."""
+    cap = cli.EXPRESS_MAX_DIGITS
+    nines = "9" * 4000
+    code = main(
+        ["express", "--fixture", "fig7_pentagon", "--poly", f"{nines}*{nines}*L1"]
+    )
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 1 and "internal" not in doc and captured.err == ""
+    assert doc["check"] == "express_size" and f"{cap} accepted" in doc["error"]
+    big = "9" * cap
+    code, _ = run(
+        capsys, "express", "--fixture", "fig7_pentagon", "--poly", f"{big}*L1"
+    )
+    assert code == 0
+    # a product past the cap, even when the sum cancels it
+    assert "digits" in _express_refusal(capsys, f"{big}*10*L1 - {big}*10*L1")
+    # a sum, and an integer alone, at the end of the parse
+    assert "digits" in _express_refusal(capsys, f"{big}*L1 + L1")
+    assert "digits" in _express_refusal(capsys, "1" + "0" * cap)
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        ("abc", "GKM_SEARCH_BUDGET must be an integer, not 'abc'"),
+        ("1", "search budget of 1 nodes exhausted"),
+    ],
+    ids=["not-an-integer", "one-node"],
+)
+def test_the_search_budget_comes_from_its_variable(
+    monkeypatch, capsys, value, error
+):
+    """``GKM_SEARCH_BUDGET`` is the one way to set the shelling search's
+    budget; a value that is not an integer is an input error, not an
+    internal fault."""
+    monkeypatch.setenv("GKM_SEARCH_BUDGET", value)
+    code = main(["basis", "--fixture", "fig7_pentagon"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out) == {"ok": False, "error": error}
+    assert captured.err == ""
 
 
 def test_the_largest_accepted_express_request_fits_its_budget(tmp_path):

@@ -25,9 +25,9 @@ from gkmgraphs.fixtures import (
 )
 from gkmgraphs.graph import Dart, GkmGraph
 from gkmgraphs.hyperplanes import (
+    _name_key,
     all_hyperplanes,
     choose_positive_halfspace,
-    forgetful_thom_class,
     thom_class,
 )
 from gkmgraphs.polynomials import IntPolynomial
@@ -40,6 +40,7 @@ from oracles import (
     constant_class,
     divide_exact_by_linear,
     evaluate_generator,
+    forgetful_thom_class,
     linear_form,
     vector_class,
     vector_to_class,
@@ -280,7 +281,7 @@ def test_class_arity_picks_its_labels():
     failing = 0
     for h in planes:
         pos, _ = choose_positive_halfspace(g, h)
-        values = forgetful_thom_class(g, h, pos)
+        values = {v: t[: g.rank] for v, t in thom_class(g, pos).items()}
         tau = vector_class(values)
         assert tau.nvars == g.rank
         assert class_satisfies_congruences(g, tau)
@@ -297,7 +298,7 @@ def test_forgetful_thom_class_of_vertical_line():
     a, b = choose_positive_halfspace(g, vertical)
     # pick the side whose normals point left (q is its interior vertex)
     left_pointing = a if "q" in a.vertices else b
-    tau = forgetful_thom_class(g, vertical, left_pointing)
+    tau = {v: t[:2] for v, t in thom_class(g, left_pointing).items()}
     assert tau == {"p": (0, -1), "q": (0, 0), "r": (1, -1)}
 
 
@@ -331,9 +332,6 @@ def test_presentation_ring_full_shape():
     ring = presentation_ring(g, forgetful=False)
     assert ring.generators[0] == "X"
     assert len(ring.generators) == 7
-    assert len(ring.linear_relations) == 3
-    for rel in ring.linear_relations:
-        assert rel["X"] == -1
     # every relation family has empty common intersection by construction
     assert ring.monomial_relations
     # H_i + Hbar_i evaluates to chi
@@ -349,13 +347,9 @@ def test_presentation_ring_requires_assumptions():
     with pytest.raises(AssumptionViolation) as ei:
         presentation_ring(fixture("fig2_right"))
     assert ei.value.assumption == 1
-    with pytest.raises(AssumptionViolation) as ei:
-        presentation_ring(fixture("fig11_sphere"), forgetful=True)
-    assert ei.value.assumption == 2
-    # the relaxed mode used by verification still works
-    ring = presentation_ring(
-        fixture("fig11_sphere"), forgetful=True, require_assumptions=False
-    )
+    # assumption (2) is only recorded: verification compares anyway
+    ring = presentation_ring(fixture("fig11_sphere"), forgetful=True)
+    assert not ring.assumptions.ok2
     assert ring.monomial_relations == []
 
 
@@ -367,8 +361,9 @@ def test_evaluate_generator():
     fam = min(ring.monomial_relations, key=len)
     cls = evaluate_generator(ring, {name: 1 for name in fam})
     assert cls.is_zero()
-    # H_i * Hbar_i is supported exactly on the hyperplane
-    hp_of = ring.hyperplane_of["H1"]
+    # H_i * Hbar_i is supported exactly on the hyperplane, the i-th in
+    # name order
+    hp_of = min((h.name for h in all_hyperplanes(g)), key=_name_key)
     planes = {h.name: h for h in all_hyperplanes(g)}
     prod = evaluate_generator(ring, {"H1": 1, "Hbar1": 1})
     for v in g.vertices:
@@ -408,6 +403,36 @@ def test_solver_rank_is_the_rank_of_the_solved_piece(graph, forgetful):
         )[1]
 
 
+@pytest.mark.parametrize("graph", RANK_GRAPHS)
+def test_forgetful_classes_are_the_cut_thom_classes(graph):
+    """The forgetful ring's generators and the shelling's tau_L, each the
+    positive Thom class with x cut off, are the forgetful Thom classes
+    built from their definition.  fig2_right has no halfspace generators,
+    and fig11_sphere, which fails assumption (2), no shelling."""
+    from gkmgraphs.shelling import shelling_context
+
+    if graph.isdigit():
+        g = gen_klm(KlmSpec(*map(int, graph)))
+    else:
+        g = fixture(graph)
+    if graph == "fig2_right":
+        with pytest.raises(AssumptionViolation) as ei:
+            presentation_ring(g, forgetful=True)
+        assert ei.value.assumption == 1
+        return
+    expected = {}
+    for h in all_hyperplanes(g):
+        pos, _ = choose_positive_halfspace(g, h)
+        expected[h.name] = forgetful_thom_class(g, h, pos)
+    assert presentation_ring(g, forgetful=True).values == expected
+    if graph == "fig11_sphere":
+        with pytest.raises(AssumptionViolation) as ei:
+            shelling_context(g)
+        assert ei.value.assumption == 2
+        return
+    assert shelling_context(g).taus == expected
+
+
 def test_verify_iso_positive_fixtures_small():
     for g in (fixture("fig2_left"), fixture("fig8_line5")):
         for forgetful in (False, True):
@@ -438,7 +463,9 @@ def test_verify_iso_detects_missing_generator_on_sphere_graph():
 
 def test_kernel_of_forgetful_map_is_chi_ideal():
     for fid in ("fig2_left", "fig8_line5"):
-        assert kernel_forgetful_check(fixture(fid), 3)
+        g = fixture(fid)
+        pieces = [cohomology_basis(g, k) for k in range(4)]
+        assert kernel_forgetful_check(g, 3, pieces)
 
 
 def test_chi_multiples_lie_in_kernel_trivially():
@@ -519,11 +546,11 @@ def test_psi_well_defined_and_diagram_commutes():
             if name == "X":
                 zero = True
                 break
+            # H_i and Hbar_i belong to the i-th hyperplane in name order,
+            # the i-th forgetful generator
             if name.startswith("Hbar"):
                 sign *= (-1) ** e
-                lname = full.hyperplane_of[name]
-            else:
-                lname = full.hyperplane_of[name]
+            lname = forg.generators[int(name.lstrip("Hbar")) - 1]
             for _ in range(e):
                 rhs = rhs * vector_class(forg.values[lname])
         if zero:

@@ -1,4 +1,5 @@
-"""Layout of the package: every public name is used by the package itself.
+"""Layout of the package: every public name is used by the package itself,
+and every field it sets is read by the package.
 
 Code that only the tests call belongs in the tests (``tests/oracles.py``
 keeps the reference implementations), unless it checks a statement of
@@ -97,3 +98,49 @@ def test_the_allowlist_is_still_needed():
     """Each allowed name is still defined and still has no caller."""
     unused = _unused(_modules())
     assert [q for q in ALLOWED if q not in unused] == []
+
+
+# Class.field -> why it may stay without a reader in the package
+ALLOWED_FIELDS = {
+    "ParseError.field": "names the bad field of outside input for library callers",
+    "SimplicialComplex.faces": "the hyperplane complex, whose shelling intervals "
+    "and minimal non-faces (the Stanley-Reisner relations) the tests check",
+}
+
+
+def _fields(trees):
+    """``Class.field`` of every ``self.<field> = ...`` in the package."""
+    out = set()
+    for tree in trees.values():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    out.add(f"{cls.name}.{node.attr}")
+    return sorted(out)
+
+
+def _unread_fields(trees):
+    """The fields that the package never reads as an attribute, of any
+    object: a field is read under its name wherever it is read."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f for f in _fields(trees) if f.rsplit(".", 1)[1] not in read]
+
+
+def test_every_field_is_read_in_the_package():
+    assert [f for f in _unread_fields(_modules()) if f not in ALLOWED_FIELDS] == []
+
+
+def test_the_field_allowlist_is_still_needed():
+    unread = _unread_fields(_modules())
+    assert [f for f in ALLOWED_FIELDS if f not in unread] == []

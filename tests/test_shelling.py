@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gkmgraphs.cohomology import cohomology_basis, presentation_ring
 from gkmgraphs.errors import InconsistentLambda, InexactDivision, NotShellable
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
-from gkmgraphs.hyperplanes import all_hyperplanes
+from gkmgraphs.hyperplanes import all_hyperplanes, nonempty_intersection_table
 from gkmgraphs.polynomials import IntPolynomial
 from oracles import (
     expand_by_division,
@@ -23,6 +23,7 @@ from gkmgraphs.shelling import (
     FacetLocalizations,
     SimplicialComplex,
     _expand,
+    _maximal_faces,
     basis_monomial_name,
     build_complex,
     characteristic_functions,
@@ -51,9 +52,35 @@ def named_ctx(name):
 def test_complex_of_disjoint_points():
     g = fixture("fig8_line5")
     c = build_complex(g)
-    assert c.dim == 0
     assert all(len(f) == 1 for f in c.facets)
     assert len(c.facets) == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from("abcdefgh"),
+        st.frozensets(st.integers(0, 6)),
+        max_size=8,
+    )
+)
+def test_the_complex_from_one_table_matches_the_search_of_all_families(sets):
+    """The table built vertex by vertex holds exactly the families with a
+    common vertex, each with its common vertices, and the faces that no
+    single name extends are the faces inside no other face."""
+    names = sorted(sets)
+    brute = {}
+    for size in range(1, len(names) + 1):
+        for family in combinations(names, size):
+            common = frozenset.intersection(*(sets[n] for n in family))
+            if common:
+                brute[frozenset(family)] = common
+    table = nonempty_intersection_table(sets)
+    assert table == brute
+    faces = set(table) | {frozenset()}
+    by_pairs = {f for f in faces if not any(f < other for other in faces)}
+    maximal = _maximal_faces(faces)
+    assert len(maximal) == len(by_pairs) and set(maximal) == by_pairs
 
 
 def test_complex_of_pentagon_is_five_cycle():
@@ -158,7 +185,6 @@ def test_not_shellable_complex_is_reported():
         },
         facets=[frozenset(("a", "b")), frozenset(("c", "d"))],
         facet_vertex={},
-        dim=1,
     )
     with pytest.raises(NotShellable):
         find_shelling(c)
