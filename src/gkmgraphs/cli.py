@@ -5,7 +5,9 @@ Exit status: 0 on success, 1 when a validation / assumption / verification
 check fails (the JSON names the failing check), 2 on usage errors.  Any
 other exception is reported as ``{"ok": false, "error": ..., "internal":
 true}`` with exit status 1 (its traceback goes to stderr).  A reader of
-stdout that went away gives exit status 1 and nothing on stderr.
+stdout that went away gives exit status 1 and nothing on stderr.  The
+console entry point, ``entry``, ends the process with ``os._exit`` once
+stdout and stderr are flushed; ``main`` returns the status.
 
 Load rule: a command loads only what it runs, since most commands take a
 few milliseconds and imports would cost more.  The parser holds only the
@@ -110,15 +112,16 @@ def _poly_varnames(g):
 # The largest ``express`` request, checked as its polynomial is parsed:
 # the total degree of each product and power, and the term pairs of all
 # its products.  A polynomial with every monomial of a facet costs most,
-# as the expansion moves it into each facet: on L(5,5,5) (1+X1+Y1)^16
-# takes 3.2 s, ^20 6.6 s and ^30 26 s (X1^16 0.4 s).  A pair costs 3 us
-# with 15 generators and 11 us with 90 (the cube of their sum has 377k
-# pairs).  At both caps the largest request on L(5,5,5) takes 3.2 s (CLI
-# subprocesses, 2 vCPUs, CPython 3.11).  A coefficient may have at most
-# EXPRESS_MAX_DIGITS decimal digits, so that the printed ones stay below
-# the 4300 that CPython 3.11 converts to text: the expansion adds at most 6
-# on L(5,5,5) at both caps, and 990 nines times (1+X1+Y1)^16 takes 2.0 s
-# (1.4 s without the nines).
+# as the expansion moves it into each facet.  The caps were set when, on
+# L(5,5,5), (1+X1+Y1)^16 took 3.2 s, ^20 6.6 s and ^30 26 s (X1^16 0.4 s),
+# a pair cost 3 us with 15 generators and 11 us with 90 (the cube of their
+# sum has 377k pairs), and the largest request at both caps took 3.2 s.
+# With the powers of each image grown once per substitution, (1+X1+Y1)^16
+# takes 1.1 s and that request 1.5 s (CLI subprocesses, 2 vCPUs, CPython
+# 3.11).  A coefficient may have at most EXPRESS_MAX_DIGITS decimal
+# digits, so that the printed ones stay below the 4300 that CPython 3.11
+# converts to text: the expansion adds at most 6 on L(5,5,5) at both caps,
+# and 990 nines times (1+X1+Y1)^16 takes 1.3 s.
 EXPRESS_MAX_DEGREE = 16
 EXPRESS_MAX_TERM_PAIRS = 100_000
 EXPRESS_MAX_DIGITS = 1000
@@ -615,5 +618,25 @@ def _run(args, parser):
         )
 
 
+def entry():
+    """The console entry point (``python -m gkmgraphs.cli`` and the
+    ``gkmgraphs`` script): ``main()``, then stdout and stderr flushed and
+    ``os._exit`` with its status, which skips the interpreter's teardown
+    (10 to 20 ms per command on 2 vCPUs).  ``main()`` itself returns, for
+    callers in the same process."""
+    import os
+
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: a usage error (2) or --help (0)
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left before the help text went out
+        code = 1
+    sys.stderr.flush()
+    os._exit(code or 0)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

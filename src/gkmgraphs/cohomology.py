@@ -17,9 +17,9 @@ no classes are needed it takes the rank of the solver's system
 The presentation rings' generators are degree-2 classes, each its
 checked ``{vertex: vector}`` of lattice vectors: the Thom classes as
 ``thom_class`` returns them, the forgetful ones cut to their first n
-coordinates, and the residual vector at every vertex for X.  The
-relations of the full ring are ``{exponents: coefficient}`` terms,
-multiplied by ``polynomials.mul_terms``.
+coordinates, and the residual vector at every vertex for X.  Their
+relations are ``{exponents: coefficient}`` terms in the ring's variables,
+whose leading terms give the standard monomials that the comparison walks.
 
 Both theories run on the same :class:`GkmGraph`: n+1 variables (e1..en,
 x) for the full theory, checked against the full labels, and n variables
@@ -30,9 +30,9 @@ coordinate erased.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
-from operator import add
+from operator import add, mul
 
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
@@ -44,13 +44,8 @@ from .hyperplanes import (
     minimal_empty_families,
     thom_class,
 )
-from .intlinalg import (
-    hermite_normal_form,
-    kernel_basis,
-    rank,
-    same_lattice,
-)
-from .polynomials import graded_piece_basis, mul_terms
+from .intlinalg import hermite_normal_form, kernel_basis, rank, same_lattice
+from .polynomials import graded_piece_basis, linear_terms, mul_terms
 
 
 def _nvars(g: GkmGraph, forgetful: bool) -> int:
@@ -264,18 +259,22 @@ def _vector_satisfies_congruences(vec, edges, width) -> bool:
 
 
 class PresentationRing:
-    def __init__(self, generators, monomial_relations, values, assumptions):
+    def __init__(self, generators, eliminated, relations, vertex_sets, values, report):
         self.generators = generators  # generator names in enumeration order
-        # list of frozensets of generator names
-        self.monomial_relations = monomial_relations
+        # eliminated generator -> {variable: coefficient}; the rest are variables
+        self.eliminated = eliminated
+        self.monomial_relations = relations  # frozensets of generator names
+        # generator of a relation -> the vertices of its halfspace/hyperplane
+        self.vertex_sets = vertex_sets
         self.values = values  # gen name -> {vertex: vector}
         # the report the ring was built under; not part of the presentation
-        self.assumptions = assumptions
+        self.assumptions = report
 
 
 def presentation_ring(g: GkmGraph, forgetful: bool = False) -> PresentationRing:
     """Z[G] (generators X, H_i, Hbar_i) or Z[G-tilde] (generators = the
-    hyperplanes), with relations derived from empty intersections.
+    hyperplanes), with relations derived from empty intersections.  Z[G]
+    eliminates Hbar_i = X - H_i, so its variables are X and the H_i.
 
     Assumption (1) must hold; assumption (2) is only recorded in
     ``assumptions``, as the comparison with the solver still means
@@ -290,61 +289,62 @@ def presentation_ring(g: GkmGraph, forgetful: bool = False) -> PresentationRing:
         )
     order = sorted((h.name for h in hyperplanes), key=_name_key)
     by_name = {h.name: h for h in hyperplanes}
-    pos = {}
-    neg = {}
-    for name in order:
-        pos[name], neg[name] = choose_positive_halfspace(
-            g, by_name[name], report.pairs[name]
-        )
-    if forgetful:
-        n = g.rank
-        values = {
-            name: {v: t[:n] for v, t in thom_class(g, pos[name]).items()}
-            for name in order
-        }
-        families = minimal_empty_families(
-            {name: set(by_name[name].vertices) for name in order}
-        )
-        return PresentationRing(list(order), families, values, report)
-    values = {"X": {v: g.residual for v in g.vertices}}
-    named_sets = {}
-    for i, name in enumerate(order):
-        hn, hbn = f"H{i + 1}", f"Hbar{i + 1}"
-        values[hn] = thom_class(g, pos[name])
-        values[hbn] = thom_class(g, neg[name])
-        named_sets[hn] = set(pos[name].vertices)
-        named_sets[hbn] = set(neg[name].vertices)
-    generators = ["X"] + [f"H{i + 1}" for i in range(len(order))] + [
-        f"Hbar{i + 1}" for i in range(len(order))
+    halves = [
+        choose_positive_halfspace(g, by_name[name], report.pairs[name])
+        for name in order
     ]
-    families = minimal_empty_families(named_sets)
-    return PresentationRing(generators, families, values, report)
+    eliminated = {}
+    if forgetful:
+        generators = list(order)
+        values = {
+            name: {v: t[: g.rank] for v, t in thom_class(g, pos).items()}
+            for name, (pos, _) in zip(order, halves)
+        }
+        sets = {name: set(by_name[name].vertices) for name in order}
+    else:
+        m = len(order)
+        generators = ["X"] + [f"H{i}" for i in range(1, m + 1)]
+        generators += [f"Hbar{i}" for i in range(1, m + 1)]
+        values = {"X": {v: g.residual for v in g.vertices}}
+        sets = {}
+        for hn, hbn, halfspaces in zip(generators[1:], generators[m + 1 :], halves):
+            for name, h in zip((hn, hbn), halfspaces):
+                values[name] = thom_class(g, h)
+                sets[name] = set(h.vertices)
+            eliminated[hbn] = {"X": 1, hn: -1}
+    families = minimal_empty_families(sets)
+    return PresentationRing(generators, eliminated, families, sets, values, report)
 
 
 # -- graded verification ------------------------------------------------------------
 
 
-def _reduced_full_relations(ring: PresentationRing):
-    """Relations of Z[G] after eliminating Hbar_i = X - H_i.
+def _relations_vanish(ring: PresentationRing) -> bool:
+    """Does Psi kill every relation of ``ring``?  It does when no family
+    has a common vertex and each generator's class, Psi of its linear
+    form, is zero off its vertex set."""
+    sets, values = ring.vertex_sets, ring.values
+    if any(set.intersection(*map(sets.get, f)) for f in ring.monomial_relations):
+        return False
+    nonzero = {u: {v for v, t in values[u].items() if any(t)} for u in values}
+    for name, inside in sets.items():
+        form = ring.eliminated.get(name, {name: 1}).items()
+        # Psi of the form is zero where each of its variables is
+        for v in set().union(*(nonzero[u] for u, _ in form)) - inside:
+            if any(map(sum, zip(*([c * a for a in values[u][v]] for u, c in form)))):
+                return False
+    return True
 
-    Returns (gen names, relations) over Z[X, H_1..H_m], each relation its
-    ``{exponents: coefficient}`` terms.
-    """
-    m = (len(ring.generators) - 1) // 2
-    gens = ["X"] + [f"H{i + 1}" for i in range(m)]
-    nv = len(gens)
-    x, *hs = [tuple(int(j == i) for j in range(nv)) for i in range(nv)]
-    images = {"X": {x: 1}}
-    for i, h in enumerate(hs):
-        images[f"H{i + 1}"] = {h: 1}
-        images[f"Hbar{i + 1}"] = {x: 1, h: -1}
-    rels = []
-    for fam in ring.monomial_relations:
-        p = {(0,) * nv: 1}
-        for name in sorted(fam):
-            p = mul_terms(p, images[name])
-        rels.append(p)
-    return gens, rels
+
+def _leading_monomials(ring, images):
+    """The leading monomial of each relation in degrevlex with
+    H_1 > ... > H_m > X, X being variable 0: the product of the leading
+    terms of its factors, H_i for Hbar_i = X - H_i."""
+    first = {
+        n: max(terms, key=lambda e: [-a for a in e[:1] + e[:0:-1]])
+        for n, terms in images.items()
+    }
+    return [tuple(map(sum, zip(*map(first.get, f)))) for f in ring.monomial_relations]
 
 
 def _ideal_rank_full(rels, ngens, k):
@@ -356,16 +356,11 @@ def _ideal_rank_full(rels, ngens, k):
     shifts = {}  # degree -> its monomials
     rows = []
     for rel in rels:
-        d = sum(next(iter(rel)))
-        if d > k:
-            continue
-        if k - d not in shifts:
-            shifts[k - d] = graded_piece_basis(ngens, k - d)
-        terms = rel.items()
-        for m in shifts[k - d]:
-            rows.append(
-                {index[tuple(map(add, mm, m))]: c for mm, c in terms}
-            )
+        d = k - sum(next(iter(rel)))  # the degree of the multipliers
+        if d >= 0 and d not in shifts:
+            shifts[d] = graded_piece_basis(ngens, d)
+        for m in shifts.get(d, ()):
+            rows.append({index[tuple(map(add, mm, m))]: c for mm, c in rel.items()})
     return rank(rows, len(index))
 
 
@@ -387,9 +382,7 @@ def _times_linear(vec, forms, up, nwidth):
     return {t: c for t, c in out.items() if c}
 
 
-def verify_iso(
-    g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=()
-):
+def verify_iso(g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=()):
     """Graded-rank comparison between the solver and the presentation ring.
 
     For each degree k <= max_degree the report records the solver rank, the
@@ -401,33 +394,38 @@ def verify_iso(
     Only ranks are computed.  ``pieces`` are the solver's pieces
     ``cohomology_basis(g, k, forgetful)``, k = 0, 1, ..., that the caller
     has solved already, and give their solver ranks; every higher degree
-    takes ``solver_rank``, which builds no classes.  The presentation rank and the image rank are
-    ranks of sparse rows: the relations times monomials, and the images
-    of the generator monomials, each grown from one a degree lower.
+    takes ``solver_rank``, which builds no classes.
+
+    Both theories walk the standard monomials S_k: the degree-k monomials
+    in the ring's variables that no relation's leading monomial divides
+    (Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, ch. 5 Sec. 3).
+    S_k spans the degree-k piece R_k and Psi kills every relation, so the
+    image rank is rank Psi(S_k) <= dim R_k <= |S_k|.  The presentation rank
+    is |S_k| where Psi is injective on S_k or every relation is a monomial,
+    and the Macaulay rank of ``_ideal_rank_full`` in any other degree.
     """
     ring = presentation_ring(g, forgetful=forgetful)
-    assumptions = ring.assumptions
-    nvars = _nvars(g, forgetful)
-    if forgetful:
-        gen_names = list(ring.generators)
-        families = [frozenset(f) for f in ring.monomial_relations]
-    else:
-        gen_names, rels = _reduced_full_relations(ring)
-    # each generator as its linear form at every vertex, [(variable, coefficient)]
+    if not _relations_vanish(ring):
+        raise CongruenceFailure("a presentation relation is not zero on the graph")
+    names = [n for n in ring.generators if n not in ring.eliminated]
+    ngens = len(names)
+    images = {  # each generator as terms in the variables
+        n: linear_terms([ring.eliminated.get(n, {n: 1}).get(u, 0) for u in names])
+        for n in ring.generators
+    }
+    leads = set(_leading_monomials(ring, images))
+    # each variable as its linear form at every vertex, [(variable, coefficient)]
     forms = [
-        [
-            [(j, c) for j, c in enumerate(ring.values[name][v]) if c]
-            for v in g.vertices
-        ]
-        for name in gen_names
+        [[(j, c) for j, c in enumerate(ring.values[n][v]) if c] for v in g.vertices]
+        for n in names
     ]
-    ngens = len(gen_names)
+    nvars = _nvars(g, forgetful)
     nverts = len(g.vertices)
-    # Psi of the degree-k monomials as sparse coefficient vectors, grown by
-    # one generator per degree.  The forgetful table keeps only the
-    # monomials outside the monomial ideal: a monomial's lower neighbour
-    # has a smaller support, so it is outside the ideal whenever the
-    # monomial is.
+    # Psi of S_k, as sparse coefficient vectors.  S is closed under
+    # division, so each monomial m of S_k grows once, by its first variable
+    # x_i, from its lower neighbour m / x_i in S_{k-1}.  A leading monomial
+    # that divides m is m itself or divides some m / x_j, so m is in S_k
+    # when it is no leading monomial and each m / x_j (j > i) is in S_{k-1}.
     table = {(0,) * ngens: {v: 1 for v in range(nverts)}}
     per_degree = {}
     for k in range(max_degree + 1):
@@ -435,27 +433,28 @@ def verify_iso(
         if k:
             up = _raise_table(nvars, k - 1)
             grown = {}
-            for mono in graded_piece_basis(ngens, k):
-                i = next(j for j, e in enumerate(mono) if e)
-                lower = table.get(mono[:i] + (mono[i] - 1,) + mono[i + 1 :])
-                if lower is None:
-                    continue
-                if forgetful:
-                    support = {gen_names[j] for j, e in enumerate(mono) if e}
-                    if any(f <= support for f in families):
-                        continue
-                grown[mono] = _times_linear(lower, forms[i], up, width)
+            for mono, lower in table.items():
+                first = next((j for j, e in enumerate(mono) if e), ngens - 1)
+                for i in range(first + 1):
+                    m = mono[:i] + (mono[i] + 1,) + mono[i + 1 :]
+                    if m not in leads and all(
+                        m[:j] + (m[j] - 1,) + m[j + 1 :] in table
+                        for j in range(i + 1, ngens)
+                        if m[j]
+                    ):
+                        grown[m] = _times_linear(lower, forms[i], up, width)
             table = grown
-        if k < len(pieces):
-            srank = pieces[k][1]
-        else:
-            srank = solver_rank(g, k, forgetful)
+        srank = pieces[k][1] if k < len(pieces) else solver_rank(g, k, forgetful)
         nmono = comb(ngens + k - 1, k)
-        if forgetful:
-            pres_rank = len(table)
-        else:
-            pres_rank = nmono - _ideal_rank_full(rels, ngens, k)
         image_rank = rank(list(table.values()), nverts * width)
+        pres_rank = len(table)
+        if image_rank < pres_rank:  # Psi is not injective on S_k
+            rels = [
+                reduce(mul_terms, map(images.get, sorted(f)))
+                for f in ring.monomial_relations
+            ]
+            if any(len(rel) > 1 for rel in rels):
+                pres_rank = nmono - _ideal_rank_full(rels, ngens, k)
         per_degree[k] = {
             "solver_rank": srank,
             "presentation_rank": pres_rank,
@@ -467,8 +466,8 @@ def verify_iso(
         }
     return {
         "forgetful": forgetful,
-        "assumption1_ok": assumptions.ok1,
-        "assumption2_ok": assumptions.ok2,
+        "assumption1_ok": ring.assumptions.ok1,
+        "assumption2_ok": ring.assumptions.ok2,
         "degrees": per_degree,
         "ok": all(d["match"] for d in per_degree.values()),
     }

@@ -182,13 +182,18 @@ def mul_terms(p, q) -> dict:
 
 def substitute_terms(terms, images, nvars) -> dict:
     """``{exponents: coefficient}`` terms with the variable z_t replaced by
-    the polynomial ``images[t]``, itself terms in ``nvars`` variables."""
+    the polynomial ``images[t]``, itself terms in ``nvars`` variables.  The
+    powers of each image are grown once, as the terms first ask for them."""
+    powers = [[None, image] for image in images]  # powers[t][e] = images[t]^e
     out = {}
     for mono, c in terms.items():
         image = {(0,) * nvars: c}
         for t, e in enumerate(mono):
-            for _ in range(e):
-                image = mul_terms(image, images[t])
+            if e:
+                known = powers[t]
+                while len(known) <= e:
+                    known.append(mul_terms(known[-1], images[t]))
+                image = mul_terms(image, known[e])
         for m, a in image.items():
             out[m] = out.get(m, 0) + a
     return {m: c for m, c in out.items() if c}

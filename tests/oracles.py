@@ -164,6 +164,29 @@ def evaluate_generator(ring, monomial) -> CohomologyClass:
     return out
 
 
+def reduced_relations(ring, forgetful):
+    """The variables and relations of a presentation ring, each relation
+    the ``{exponents: coefficient}`` terms of the product of its family:
+    Z[G-tilde] as it is, and Z[G] over X, H_1..H_m with each Hbar_i
+    replaced by X - H_i, read off the generator names."""
+    if forgetful:
+        names = list(ring.generators)
+    else:
+        names = [n for n in ring.generators if not n.startswith("Hbar")]
+    nv = len(names)
+    images = {n: IntPolynomial.variable(nv, i) for i, n in enumerate(names)}
+    if not forgetful:
+        for n in ring.generators[len(names) :]:
+            images[n] = images["X"] - images["H" + n[len("Hbar") :]]
+    rels = []
+    for fam in ring.monomial_relations:
+        p = IntPolynomial.constant(nv, 1)
+        for name in fam:
+            p = p * images[name]
+        rels.append(p.terms)
+    return names, rels
+
+
 def _label_divides(maps, alpha, terms) -> bool:
     """Does the linear form ``alpha`` divide the polynomial with the given
     ``{monomial: coefficient}`` terms?  It does when it divides each

@@ -718,6 +718,141 @@ def test_a_reader_that_leaves_early_is_seen_unbuffered(tmp_path):
     assert err == b""
 
 
+def entry_child(args, buffering, **kwargs):
+    """Run ``python -m gkmgraphs.cli`` (``args`` after ``-m`` or ``-c``
+    included) with stdout buffered, or unbuffered (PYTHONUNBUFFERED=1),
+    whatever this process was given."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+BUFFERING = ["buffered", "unbuffered"]
+
+
+@pytest.mark.parametrize("buffering", BUFFERING)
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["validate", "--fixture", "fig2_left"], 0),
+        (["assumptions", "--fixture", "fig2_right"], 1),
+        (["basis", "--fixture", "fig11_sphere"], 1),
+        (["validate", "--bogus"], 2),
+        (["gen", "klm", "--k", "0", "--l", "1", "--m", "1"], 2),
+        (["verify-iso", "--help"], 0),
+    ],
+    ids=["ok", "failing-check", "failing-shelling", "usage", "gen-usage", "help"],
+)
+def test_the_entry_point_exits_as_main_returns(capsys, argv, expected, buffering):
+    """``python -m gkmgraphs.cli`` ends through ``cli.entry`` and
+    ``os._exit``: its exit status, stdout and stderr are those of ``main``
+    run in this process, where ``main`` returns (or argparse raises
+    ``SystemExit``) instead of ending the process.  The help text is
+    written without a flush of its own, so it shows that stdout is flushed
+    before the exit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    in_process = capsys.readouterr()
+    assert code == expected
+    child = entry_child(["-m", "gkmgraphs.cli", *argv], buffering, text=True)
+    assert child.returncode == expected
+    assert child.stdout == in_process.out
+    assert child.stderr == in_process.err
+    assert bool(child.stderr) == (expected == 2)
+
+
+@pytest.mark.parametrize("buffering", BUFFERING)
+def test_the_entry_point_keeps_the_internal_fault_traceback(buffering):
+    """An internal fault through ``cli.entry``: one JSON document on
+    stdout with exit 1, and its traceback on stderr."""
+    script = (
+        "import sys\n"
+        "import gkmgraphs.cli as cli\n"
+        "def broken(args, parser):\n"
+        "    raise RuntimeError('simulated fault')\n"
+        "cli.cmd_validate = broken\n"
+        "sys.argv = ['gkmgraphs', 'validate', '--fixture', 'fig2_left']\n"
+        "cli.entry()\n"
+        "print('not reached')\n"
+    )
+    child = entry_child(["-c", script], buffering, text=True)
+    assert child.returncode == 1
+    assert json.loads(child.stdout) == {
+        "ok": False,
+        "error": "RuntimeError: simulated fault",
+        "internal": True,
+    }
+    assert "Traceback" in child.stderr
+    assert "RuntimeError: simulated fault" in child.stderr
+
+
+@pytest.mark.parametrize("buffering", BUFFERING)
+def test_the_entry_point_writes_gen_output_files_in_full(tmp_path, buffering):
+    """``gen klm -o`` through ``cli.entry`` leaves the whole document in
+    its file (L(5,5,5), well past any buffer) and nothing on stdout."""
+    path = tmp_path / "L555.json"
+    child = entry_child(
+        ["-m", "gkmgraphs.cli", "gen", "klm", "--k", "5", "--l", "5",
+         "--m", "5", "-o", str(path)],
+        buffering,
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, b"", b"")
+    assert path.read_text() == serialize(gen_klm(KlmSpec(5, 5, 5)))
+
+
+@pytest.mark.parametrize("buffering", BUFFERING)
+@pytest.mark.parametrize(
+    "argv",
+    [["cohomology", "@444", "--max-degree", "3", "--forgetful"],
+     ["verify-iso", "--help"]],
+    ids=["cohomology-L444", "help"],
+)
+def test_the_entry_point_meets_a_closed_reader_quietly(tmp_path, argv, buffering):
+    """Through ``cli.entry``, a reader that went away before the output
+    was written gives exit 1 and nothing on stderr, with stdout buffered
+    or not: for the ``cohomology`` document (171 KB), and for the help
+    text, which argparse leaves in stdout's buffer for ``entry`` to
+    flush.  Unbuffered, argparse writes the help text at once and ignores
+    the failed write itself, so ``--help`` still exits 0."""
+    path = tmp_path / "L444.json"
+    path.write_text(serialize(gen_klm(KlmSpec(4, 4, 4))))
+    argv = [str(path) if a == "@444" else a for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = entry_child(
+            ["-m", "gkmgraphs.cli", *argv], buffering, stdout=write_end
+        )
+    finally:
+        os.close(write_end)
+    help_unbuffered = "--help" in argv and buffering == "unbuffered"
+    assert child.returncode == (0 if help_unbuffered else 1)
+    assert child.stderr == b""
+
+
+def test_main_returns_in_process_and_the_script_uses_the_entry_point(
+    monkeypatch, capsys
+):
+    """``main`` returns its status and never ends the process; the
+    ``gkmgraphs`` script of the package metadata runs ``cli.entry``."""
+
+    def no_exit(code):
+        raise AssertionError(f"os._exit({code}) in process")
+
+    monkeypatch.setattr(os, "_exit", no_exit)
+    assert main(["validate", "--fixture", "fig2_left"]) == 0
+    assert main(["assumptions", "--fixture", "fig2_right"]) == 1
+    capsys.readouterr()
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert 'gkmgraphs = "gkmgraphs.cli:entry"' in pyproject
+
+
 def test_oversized_inputs_are_refused_up_front(monkeypatch, capsys):
     """Sizes above the caps are usage errors, raised before any dart is
     built."""
@@ -979,7 +1114,7 @@ def test_the_largest_accepted_express_request_fits_its_budget(tmp_path):
     """On L(5,5,5), the largest rung, (1 + A + B)^d at the degree cap for
     facets {A, B} in shelling order, as many as the pair cap admits: the
     localizations fill every facet up to the cap, and the expansion moves
-    each into the facets that carry it.  About 3.5 s and 20 MB on 2 vCPUs;
+    each into the facets that carry it.  About 1.5 s and 20 MB on 2 vCPUs;
     the budget is 30 s and 300 MB."""
     path = tmp_path / "L555.json"
     path.write_text(serialize(gen_klm(KlmSpec(5, 5, 5))))

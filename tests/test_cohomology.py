@@ -1,7 +1,9 @@
 """Solver, forgetful theory, presentation rings and the graded comparison."""
 
+import json
 import random
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from gkmgraphs.fixtures import (
     gen_klm,
     local_model,
 )
-from gkmgraphs.graph import Dart, GkmGraph
+from gkmgraphs.graph import Dart, GkmGraph, load_graph, serialize
 from gkmgraphs.hyperplanes import (
     _name_key,
     all_hyperplanes,
@@ -42,6 +44,7 @@ from oracles import (
     evaluate_generator,
     forgetful_thom_class,
     linear_form,
+    reduced_relations,
     vector_class,
     vector_to_class,
 )
@@ -459,6 +462,100 @@ def test_verify_iso_detects_missing_generator_on_sphere_graph():
     assert rep["degrees"][2]["surjective"] is False
     # degree 1 still matches; the failure starts at degree 2
     assert rep["degrees"][1]["match"]
+
+
+@st.composite
+def _renamed_rung(draw):
+    """A rung L(k,l,m) with k, l, m <= 3 whose hyperplane names (and the
+    positive normals kept under them) are permuted, so that its generators
+    H_1..H_m, or its forgetful generators, come in another order."""
+    spec = KlmSpec(*(draw(st.integers(1, 3)) for _ in range(3)))
+    doc = json.loads(serialize(gen_klm(spec)))
+    names = sorted(doc["hyperplane_names"])
+    rename = dict(zip(names, draw(st.permutations(names))))
+    for key in ("hyperplane_names", "positive_normals"):
+        doc[key] = {rename[n]: v for n, v in doc[key].items()}
+    return load_graph(json.dumps(doc))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_renamed_rung(), st.booleans())
+def test_standard_monomials_count_the_presentation(g, forgetful):
+    """|S_k|, the standard monomials of the leading monomials, is the
+    Macaulay rank count (monomials less the rank of the relations' degree-k
+    piece) in both theories to degree 5.  ``verify_iso`` reports |S_k| as
+    the presentation rank, and takes no fallback on these rungs."""
+    with mock.patch.object(
+        cohomology, "_ideal_rank_full", wraps=cohomology._ideal_rank_full
+    ) as fallback:
+        rep = verify_iso(g, max_degree=5, forgetful=forgetful)
+    assert fallback.call_count == 0
+    assert rep["ok"]
+    names, rels = reduced_relations(presentation_ring(g, forgetful), forgetful)
+    for k, row in rep["degrees"].items():
+        macaulay = cohomology._ideal_rank_full(rels, len(names), k)
+        assert row["presentation_rank"] == row["monomials"] - macaulay
+
+
+@pytest.mark.parametrize("source", [["--fixture", "fig7_pentagon"], ["@222"]])
+def test_a_withheld_leading_monomial_takes_the_fallback(
+    monkeypatch, capsys, tmp_path, source
+):
+    """Without the leading monomial of least degree, S_k holds one
+    monomial too many in that degree, so Psi cannot be injective on it:
+    the Macaulay rank runs there, and the document is the same."""
+    from gkmgraphs.cli import main
+
+    if source == ["@222"]:
+        path = tmp_path / "L222.json"
+        path.write_text(serialize(gen_klm(KlmSpec(2, 2, 2))))
+        source = [str(path)]
+    argv = ["verify-iso", *source, "--max-degree", "4"]
+    expected = main(argv), capsys.readouterr().out
+    leading = cohomology._leading_monomials
+    withheld = []
+
+    def withhold(*args):
+        leads = leading(*args)
+        withheld.append(min(leads, key=sum))
+        return [lead for lead in leads if lead != withheld[-1]]
+
+    degrees = []
+    full = cohomology._ideal_rank_full
+    monkeypatch.setattr(cohomology, "_leading_monomials", withhold)
+    monkeypatch.setattr(
+        cohomology,
+        "_ideal_rank_full",
+        lambda rels, ngens, k: degrees.append(k) or full(rels, ngens, k),
+    )
+    assert (main(argv), capsys.readouterr().out) == expected
+    assert expected[0] == 0
+    assert sum(withheld[0]) in degrees
+
+
+def test_the_certificate_refuses_a_relation_that_psi_does_not_kill(monkeypatch):
+    """``_relations_vanish`` holds on a good ring.  It fails on a family
+    with a common vertex, and on a generator whose class, through its
+    linear form, is not zero off its vertex set: for Hbar_i = X - H_i that
+    is H_i changed at a vertex of its halfspace off its hyperplane.
+    ``verify_iso`` then raises."""
+    g = gen_klm(KlmSpec(2, 1, 2))
+    for forgetful in (False, True):
+        assert cohomology._relations_vanish(presentation_ring(g, forgetful))
+    ring = presentation_ring(g)
+    ring.monomial_relations.append(frozenset({"H1"}))
+    assert not cohomology._relations_vanish(ring)
+    ring = presentation_ring(g)
+    sets = ring.vertex_sets
+    # a vertex of some H_i's halfspace off the hyperplane, where X - H_i is 0
+    v = min(set.union(*(sets[f"H{i}"] - sets[f"Hbar{i}"] for i in (1, 2, 3))))
+    h = next(f"H{i}" for i in (1, 2, 3) if v in sets[f"H{i}"] - sets[f"Hbar{i}"])
+    x = ring.values["X"][v]
+    ring.values[h] = {**ring.values[h], v: tuple(2 * a for a in x)}
+    assert not cohomology._relations_vanish(ring)
+    monkeypatch.setattr(cohomology, "presentation_ring", lambda g, forgetful: ring)
+    with pytest.raises(CongruenceFailure):
+        verify_iso(g, max_degree=1)
 
 
 def test_kernel_of_forgetful_map_is_chi_ideal():
