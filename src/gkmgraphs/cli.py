@@ -286,8 +286,7 @@ def cmd_validate(args, parser):
 def cmd_hyperplanes(args, parser):
     from .hyperplanes import all_hyperplanes
 
-    g = _read_graph(args, parser)
-    hps = all_hyperplanes(g)
+    hps = all_hyperplanes(_read_graph(args, parser))
     return _emit(
         {
             "count": len(hps),
@@ -305,10 +304,9 @@ def cmd_hyperplanes(args, parser):
 
 
 def cmd_assumptions(args, parser):
-    from .hyperplanes import check_assumptions
+    from .hyperplanes import Arrangement, check_assumptions
 
-    g = _read_graph(args, parser)
-    report = check_assumptions(g)
+    report = check_assumptions(Arrangement(_read_graph(args, parser)))
     out = report.to_dict()
     failed = []
     if not report.ok1:
@@ -418,7 +416,7 @@ def cmd_basis(args, parser):
     out["characteristic_functions"] = {
         name: list(ctx.lambdas[name]) for name in ctx.names
     }
-    out["positive_normals"] = dict(sorted(ctx.orientation.items()))
+    out["positive_normals"] = ctx.orientation
     return _emit(out)
 
 

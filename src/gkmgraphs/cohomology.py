@@ -32,15 +32,13 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache, reduce
 from math import comb
-from operator import add, mul
+from operator import add
 
 from .errors import AssumptionViolation, CongruenceFailure, GkmError
 from .graph import GkmGraph
 from .hyperplanes import (
-    _name_key,
-    all_hyperplanes,
+    Arrangement,
     check_assumptions,
-    choose_positive_halfspace,
     minimal_empty_families,
     thom_class,
 )
@@ -280,37 +278,28 @@ def presentation_ring(g: GkmGraph, forgetful: bool = False) -> PresentationRing:
     ``assumptions``, as the comparison with the solver still means
     something when it fails.
     """
-    hyperplanes = all_hyperplanes(g)
-    report = check_assumptions(g, hyperplanes)
+    arr = Arrangement(g)
+    report = check_assumptions(arr)
     if not report.ok1:
         raise AssumptionViolation(
             "assumption (1) fails; halfspace generators are not defined",
             assumption=1,
         )
-    order = sorted((h.name for h in hyperplanes), key=_name_key)
-    by_name = {h.name: h for h in hyperplanes}
-    halves = [
-        choose_positive_halfspace(g, by_name[name], report.pairs[name])
-        for name in order
-    ]
     eliminated = {}
     if forgetful:
-        generators = list(order)
-        values = {
-            name: {v: t[: g.rank] for v, t in thom_class(g, pos).items()}
-            for name, (pos, _) in zip(order, halves)
-        }
-        sets = {name: set(by_name[name].vertices) for name in order}
+        generators = list(arr.names)
+        values = {name: arr.tau(name) for name in arr.names}
+        sets = {name: set(arr.by_name[name].vertices) for name in arr.names}
     else:
-        m = len(order)
+        m = len(arr.names)
         generators = ["X"] + [f"H{i}" for i in range(1, m + 1)]
         generators += [f"Hbar{i}" for i in range(1, m + 1)]
         values = {"X": {v: g.residual for v in g.vertices}}
         sets = {}
-        for hn, hbn, halfspaces in zip(generators[1:], generators[m + 1 :], halves):
-            for name, h in zip((hn, hbn), halfspaces):
-                values[name] = thom_class(g, h)
-                sets[name] = set(h.vertices)
+        for hn, hbn, name in zip(generators[1:], generators[m + 1 :], arr.names):
+            for gen, h in zip((hn, hbn), arr.oriented(name)):
+                values[gen] = thom_class(g, h)
+                sets[gen] = set(h.vertices)
             eliminated[hbn] = {"X": 1, hn: -1}
     families = minimal_empty_families(sets)
     return PresentationRing(generators, eliminated, families, sets, values, report)

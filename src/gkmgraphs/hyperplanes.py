@@ -15,9 +15,14 @@ violation, never as a silently wrong halfspace.
 
 The x-forgetful Thom class tau_L is a halfspace's checked Thom class with
 the residual coordinate cut off (both halves label every vertex of L, and
-x is 0 elsewhere), still checked: a - b = c alpha survives the cut.  The
-families of hyperplanes with a common vertex are the nonempty subsets of
-the hyperplanes through each vertex.
+x is 0 elsewhere), still checked: a - b = c alpha survives the cut.
+
+An ``Arrangement`` holds what the assumption check, the presentation
+rings and the shelling read of the hyperplanes, each built once.  Only the
+assumption report lists the families with a common vertex, the subsets of
+the names through each vertex.  The shelling's facets are the maximal sets
+of names through a vertex, and its minimal new faces, like the rings'
+relations, are minimal transversals (``minimal_empty_families``).
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ class Hyperplane(namedtuple("Hyperplane", "vertices dart_ids name")):
     def sort_key(self):
         return (sorted(self.vertices), sorted(self.dart_ids))
 
-    def named(self, name):
-        return self._replace(name=name)
-
 
 class Halfspace:
     def __init__(self, hyperplane, vertices, dart_ids, normals):
@@ -69,17 +71,6 @@ class Halfspace:
 
     def sort_key(self):
         return (sorted(self.vertices), sorted(self.dart_ids))
-
-
-class IntersectionResult:
-    def __init__(self, vertices, dart_ids, component_count):
-        self.vertices = vertices
-        self.dart_ids = dart_ids
-        self.component_count = component_count
-
-    @property
-    def connected(self):
-        return self.component_count <= 1
 
 
 # -- hyperplane discovery ------------------------------------------------------
@@ -165,27 +156,25 @@ def all_hyperplanes(g: GkmGraph):
             for w in h.vertices:
                 covered.add((w, frozenset(g.darts_at(w)) - h.dart_ids))
     ordered = sorted(seen.values(), key=Hyperplane.sort_key)
-    names = g.meta.get("hyperplane_names") or {}
-    by_vertexset = {frozenset(vs): name for name, vs in names.items()}
+    by_vertexset = {}
+    for name, vs in (g.meta.get("hyperplane_names") or {}).items():
+        other = by_vertexset.setdefault(frozenset(vs), name)
+        if other != name:
+            raise GkmError(
+                f"hyperplane names {other!r} and {name!r} name one vertex set"
+            )
     out = []
+    taken = set()
     for i, h in enumerate(ordered):
         name = by_vertexset.get(h.vertices, f"L{i + 1}")
-        out.append(h.named(name))
+        if name in taken:
+            raise GkmError(f"two hyperplanes are named {name!r}")
+        taken.add(name)
+        out.append(h._replace(name=name))
     return out
 
 
-# -- intersections and assumption (2) -------------------------------------------
-
-
-def intersect_hyperplanes(g: GkmGraph, subset) -> IntersectionResult:
-    subset = list(subset)
-    if not subset:
-        raise GkmError("need at least one hyperplane")
-    vertices = frozenset.intersection(*(h.vertices for h in subset))
-    darts = frozenset.intersection(*(h.dart_ids for h in subset))
-    darts = frozenset(d for d in darts if g.darts[d].source in vertices)
-    count = len(set(components(g, vertices, darts).values()))
-    return IntersectionResult(vertices, darts, count)
+# -- families with a common vertex ------------------------------------------------
 
 
 def _subsets(items):
@@ -196,14 +185,10 @@ def _subsets(items):
     return out
 
 
-def nonempty_intersection_table(named_vertex_sets):
+def nonempty_intersection_table(through):
     """All families with a common vertex, keyed by frozenset of names, each
-    with its common vertices; built vertex by vertex, so a name with an
-    empty set is in no family."""
-    through = {}  # vertex -> the names whose sets hold it
-    for name, vertices in named_vertex_sets.items():
-        for v in vertices:
-            through.setdefault(v, []).append(name)
+    with its common vertices: the nonempty subsets of the names that
+    ``through`` gives each vertex, 2^m - 1 at a vertex on m names."""
     table = {}
     for v, names in through.items():
         for fam in _subsets(names)[1:]:
@@ -570,50 +555,69 @@ def assert_class_congruences(g: GkmGraph, values):
             )
 
 
-def choose_positive_halfspace(g: GkmGraph, hyperplane: Hyperplane, pair=None):
-    """Fix the orientation of a hyperplane's halfspace pair.
+# -- the arrangement ---------------------------------------------------------------
 
-    Graphs generated from arrangements carry the choice in their metadata;
-    otherwise the sort-order first halfspace is the positive one.  The
-    Thom class of the hyperplane flips sign with this choice, so reports
-    record which convention was used.  ``pair`` is the hyperplane's
-    ``halfspace_pair`` when the caller has already built it.
-    """
-    pos, neg = pair if pair is not None else halfspace_pair(g, hyperplane)
-    recorded = (g.meta.get("positive_normals") or {}).get(hyperplane.name)
-    if recorded is not None:
-        if recorded in neg.normals.values():
-            pos, neg = neg, pos
-        elif recorded not in pos.normals.values():
-            raise GkmError(
-                f"recorded normal {recorded!r} is not a normal of either "
-                f"halfspace of {hyperplane.name}"
-            )
-    return pos, neg
+
+class Arrangement:
+    """The hyperplanes of a graph in ``all_hyperplanes`` order, their
+    ``names`` in generator order, ``by_name`` and ``through``; each
+    halfspace pair is built on its first ``pair`` call and kept."""
+
+    def __init__(self, g: GkmGraph):
+        self.graph = g
+        self.hyperplanes = all_hyperplanes(g)
+        self.names = sorted((h.name for h in self.hyperplanes), key=_name_key)
+        self.by_name = {h.name: h for h in self.hyperplanes}
+        self.through = {}  # vertex -> the names of the hyperplanes through it
+        for h in self.hyperplanes:
+            for v in h.vertices:
+                self.through[v] = self.through.get(v, frozenset()) | {h.name}
+        self._pairs = {}  # name -> its halfspace_pair
+
+    def pair(self, name):
+        """The ``halfspace_pair`` of the hyperplane ``name``."""
+        if name not in self._pairs:
+            self._pairs[name] = halfspace_pair(self.graph, self.by_name[name])
+        return self._pairs[name]
+
+    def oriented(self, name):
+        """The halfspace pair of ``name``, positive side first.
+
+        Graphs generated from arrangements carry the choice in their
+        metadata; otherwise the sort-order first halfspace is the positive
+        one.  The Thom class of the hyperplane flips sign with this choice,
+        so reports record which convention was used.
+        """
+        pos, neg = self.pair(name)
+        recorded = (self.graph.meta.get("positive_normals") or {}).get(name)
+        if recorded is not None:
+            if recorded in neg.normals.values():
+                pos, neg = neg, pos
+            elif recorded not in pos.normals.values():
+                raise GkmError(
+                    f"recorded normal {recorded!r} is not a normal of either "
+                    f"halfspace of {name}"
+                )
+        return pos, neg
+
+    def tau(self, name):
+        """The x-forgetful Thom class of ``name``: the positive side's,
+        cut to n coordinates."""
+        n = self.graph.rank
+        pos, _ = self.oriented(name)
+        return {v: t[:n] for v, t in thom_class(self.graph, pos).items()}
 
 
 # -- assumptions ----------------------------------------------------------------
 
 
 class AssumptionReport:
-    def __init__(self, assumption1, assumption2, pairs):
+    def __init__(self, assumption1, assumption2):
         self.assumption1 = assumption1
         self.assumption2 = assumption2
-        # hyperplane name -> its halfspace_pair, for the hyperplanes that
-        # pass assumption (1); kept for the caller, not part of the report
-        self.pairs = pairs
-
-    @property
-    def ok1(self):
-        return all(r["ok"] for r in self.assumption1.values())
-
-    @property
-    def ok2(self):
-        return all(r["ok"] for r in self.assumption2.values())
-
-    @property
-    def ok(self):
-        return self.ok1 and self.ok2
+        self.ok1 = all(r["ok"] for r in assumption1.values())
+        self.ok2 = all(r["ok"] for r in assumption2.values())
+        self.ok = self.ok1 and self.ok2
 
     def to_dict(self):
         return {
@@ -623,33 +627,29 @@ class AssumptionReport:
         }
 
 
-def check_assumptions(g: GkmGraph, hyperplanes=None) -> AssumptionReport:
+def check_assumptions(arr: Arrangement) -> AssumptionReport:
     """Assumption (1) via halfspace pairs, assumption (2) via connectivity
-    of every nonempty hyperplane intersection."""
-    if hyperplanes is None:
-        hyperplanes = all_hyperplanes(g)
+    of every nonempty hyperplane intersection: the common vertices of a
+    family and the darts common to its hyperplanes that start there."""
+    g = arr.graph
     a1 = {}
-    pairs = {}
-    for h in hyperplanes:
+    for h in arr.hyperplanes:
         try:
-            pairs[h.name] = halfspace_pair(g, h)
+            arr.pair(h.name)
             a1[h.name] = {"ok": True}
         except AssumptionOneViolation as exc:
             a1[h.name] = {"ok": False, "check": exc.check, "reason": str(exc)}
-    by_name = {h.name: h for h in hyperplanes}
-    table = nonempty_intersection_table({h.name: h.vertices for h in hyperplanes})
+    table = nonempty_intersection_table(arr.through)
     a2 = {}
     for fam in sorted(table, key=lambda f: (len(f), sorted(f))):
         if len(fam) < 2:
             continue
-        inter = intersect_hyperplanes(g, [by_name[n] for n in sorted(fam)])
-        key = "&".join(sorted(fam))
-        if inter.connected:
-            a2[key] = {"ok": True}
-        else:
-            a2[key] = {
-                "ok": False,
-                "components": inter.component_count,
-                "vertices": sorted(inter.vertices),
-            }
-    return AssumptionReport(a1, a2, pairs)
+        vertices = table[fam]
+        darts = frozenset.intersection(*(arr.by_name[n].dart_ids for n in fam))
+        darts = frozenset(d for d in darts if g.darts[d].source in vertices)
+        count = len(set(components(g, vertices, darts).values()))
+        verdict = {"ok": count <= 1}
+        if count > 1:
+            verdict.update(components=count, vertices=sorted(vertices))
+        a2["&".join(sorted(fam))] = verdict
+    return AssumptionReport(a1, a2)

@@ -1,13 +1,13 @@
 """Shelling-derived module bases and structure constants.
 
 The hyperplane complex has one vertex per hyperplane and a face for every
-family with nonempty common intersection; its facets biject with the graph
-vertices.  Its faces come from one table, built vertex by vertex
-(``nonempty_intersection_table``), and a face is a facet when no single
-hyperplane extends it to a face.  A shelling order of the facets yields
-minimal new faces mu_i, and the monomials x_{mu_i} form a free module
-basis over the polynomial ring in n variables (the standard basis of a
-Stanley-Reisner ring over a linear system of parameters).
+family with a common vertex; its facets biject with the graph vertices.
+They are the maximal sets among the names through each vertex, so no face
+is ever listed.  A shelling order of the facets yields minimal new faces
+mu_i, the minimal transversals of the sets sigma_i - sigma_j, j < i, and
+the monomials x_{mu_i} form a free module basis over the polynomial ring
+in n variables (the standard basis of a Stanley-Reisner ring over a
+linear system of parameters).
 
 Expansion in that basis runs in facet coordinates.  At a facet point p
 the Thom values y_L = tau_L(p) of the n hyperplanes through p are
@@ -26,6 +26,7 @@ there.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from math import comb
 
 from .errors import (
@@ -37,14 +38,7 @@ from .errors import (
     PurityFailure,
 )
 from .graph import GkmGraph
-from .hyperplanes import (
-    _name_key,
-    _subsets,
-    all_hyperplanes,
-    choose_positive_halfspace,
-    nonempty_intersection_table,
-    thom_class,
-)
+from .hyperplanes import Arrangement, minimal_empty_families
 from .intlinalg import solve_integer
 from .polynomials import (
     IntPolynomial,
@@ -57,11 +51,8 @@ from .polynomials import (
 DEFAULT_SEARCH_BUDGET = 10**6
 
 
-class SimplicialComplex:
-    def __init__(self, faces, facets, facet_vertex):
-        self.faces = faces  # frozensets of names, including the empty face
-        self.facets = facets  # maximal faces in canonical order
-        self.facet_vertex = facet_vertex  # facet -> graph vertex id
+# the maximal faces in canonical order, and each one's graph vertex
+SimplicialComplex = namedtuple("SimplicialComplex", "facets facet_vertex")
 
 
 class ShellingData:
@@ -76,17 +67,21 @@ class ShellingData:
         }
 
 
-def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
-    """Simplicial complex of the hyperplane family; faces are the
-    subfamilies with a common vertex, and the empty face."""
-    if hyperplanes is None:
-        hyperplanes = all_hyperplanes(g)
-    n = g.rank
-    table = nonempty_intersection_table(
-        {h.name: h.vertices for h in hyperplanes}
-    )
-    faces = set(table) | {frozenset()}
-    maximal = _maximal_faces(faces)
+def build_complex(arr: Arrangement) -> SimplicialComplex:
+    """Facets of the hyperplane complex, whose faces are the families of
+    hyperplanes with a common vertex: the maximal sets among the names
+    through each vertex, ordered by their names in generator order."""
+    n = arr.graph.rank
+    vertices_of = {}  # the names through a vertex -> the vertices they pass
+    holders = {}  # name -> the sets of vertices_of that hold it
+    for v, names in arr.through.items():
+        if names not in vertices_of:
+            for name in names:
+                holders.setdefault(name, []).append(names)
+        vertices_of.setdefault(names, []).append(v)
+    maximal = [
+        f for f in vertices_of if not any(f < o for o in holders[min(f)])
+    ] or [frozenset()]  # with no hyperplane, the empty face
     short = [f for f in maximal if len(f) != n]
     if short:
         raise PurityFailure(
@@ -94,10 +89,11 @@ def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
             f"{sorted({len(f) for f in short})} found, expected {n}; the "
             "graph is not modeled on the expected local chart"
         )
-    facets = sorted(maximal, key=lambda f: sorted(map(_name_key, f)))
+    position = {name: i for i, name in enumerate(arr.names)}
+    facets = sorted(maximal, key=lambda f: sorted(map(position.get, f)))
     facet_vertex = {}
     for f in facets:
-        verts = table[f]
+        verts = vertices_of[f]
         if len(verts) != 1:
             raise AssumptionViolation(
                 f"hyperplanes {sorted(f)} meet in {len(verts)} vertices; "
@@ -105,31 +101,26 @@ def build_complex(g: GkmGraph, hyperplanes=None) -> SimplicialComplex:
                 assumption=2,
             )
         (facet_vertex[f],) = verts
-    if len(facets) != len(g.vertices):
+    if len(facets) != len(arr.graph.vertices):
         raise AssumptionViolation(
-            f"{len(facets)} facets for {len(g.vertices)} graph vertices",
+            f"{len(facets)} facets for {len(arr.graph.vertices)} graph vertices",
             assumption=2,
         )
-    return SimplicialComplex(faces, facets, facet_vertex)
-
-
-def _maximal_faces(faces):
-    """The faces of a subset-closed family that no single name extends
-    (the extended ones are the faces less one name)."""
-    extended = {f - {name} for f in faces for name in f}
-    return [f for f in faces if f not in extended]
+    return SimplicialComplex(facets, facet_vertex)
 
 
 def _minimal_new_faces(prior_facets, sigma):
-    new = [
-        f
-        for f in _subsets(sigma)
-        if not any(f <= tau for tau in prior_facets)
-    ]
-    minimal = [
-        f for f in new if not any(other < f for other in new)
-    ]
-    return new, minimal
+    """The minimal faces of ``sigma`` in no prior facet: the empty face when
+    there is none, else the minimal families of its names that no prior
+    facet holds, the minimal transversals of the sets ``sigma - tau``."""
+    if not prior_facets:
+        return [frozenset()]
+    return minimal_empty_families(
+        {
+            name: {j for j, tau in enumerate(prior_facets) if name in tau}
+            for name in sigma
+        }
+    )
 
 
 def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
@@ -148,7 +139,7 @@ def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
             raise GkmError("proposed order is not a permutation of the facets")
         mus = []
         for j, sigma in enumerate(order):
-            _, minimal = _minimal_new_faces(order[:j], sigma)
+            minimal = _minimal_new_faces(order[:j], sigma)
             if len(minimal) != 1:
                 raise NotShellable(
                     f"facet {sorted(sigma)} at position {j + 1} has "
@@ -182,7 +173,7 @@ def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
         for f in facets:
             if f in state:
                 continue
-            _, minimal = _minimal_new_faces(prefix, f)
+            minimal = _minimal_new_faces(prefix, f)
             if len(minimal) == 1:
                 candidates.append((len(minimal[0]), sorted(f), f, minimal[0]))
         for _, _, f, mu in sorted(candidates, key=lambda c: (c[0], c[1])):
@@ -202,10 +193,9 @@ def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
 
 def klm_canonical_order(names):
     """The canonical facet order for the three-direction arrangement
-    family (X rows with Y then Z columns, then Y rows with Z columns)."""
-    xs = sorted((n for n in names if n.startswith("X")), key=_name_key)
-    ys = sorted((n for n in names if n.startswith("Y")), key=_name_key)
-    zs = sorted((n for n in names if n.startswith("Z")), key=_name_key)
+    family (X rows with Y then Z columns, then Y rows with Z columns), from
+    the hyperplane ``names`` in generator order."""
+    xs, ys, zs = ([n for n in names if n.startswith(d)] for d in "XYZ")
     if not (xs and ys and zs) or len(xs) + len(ys) + len(zs) != len(names):
         return None
     order = []
@@ -263,9 +253,8 @@ class ShellingContext:
         self.taus = taus  # name -> forgetful Thom class, {vertex: vector}
         # name -> recorded normal dart of the positive side
         self.orientation = orientation
-        # the localization maps of the facet points, set by
-        # ``shelling_context``
-        self.localizations = None
+        # the localization maps of the facet points
+        self.localizations = FacetLocalizations(self)
 
     @property
     def ngens(self):
@@ -375,32 +364,24 @@ def shelling_context(g: GkmGraph) -> ShellingContext:
     Arrangement-generated graphs use the canonical facet order of the
     family (then verified); anything else goes through the search.
     """
-    hyperplanes = all_hyperplanes(g)
-    names = sorted((h.name for h in hyperplanes), key=_name_key)
-    by_name = {h.name: h for h in hyperplanes}
-    complex_ = build_complex(g, hyperplanes)
+    arr = Arrangement(g)
+    complex_ = build_complex(arr)
     order = None
     if g.meta.get("hyperplane_names"):
-        order = klm_canonical_order(names)
-        if order is not None and sorted(map(sorted, order)) != sorted(
-            map(sorted, complex_.facets)
-        ):
+        order = klm_canonical_order(arr.names)
+        if order is not None and set(order) != set(complex_.facets):
             order = None
     shelling = find_shelling(complex_, order=order)
-    n = g.rank
     taus = {}
     orientation = {}
-    for name in names:
-        pos, _neg = choose_positive_halfspace(g, by_name[name])
-        taus[name] = {v: t[:n] for v, t in thom_class(g, pos).items()}
-        first = sorted(pos.normals)[0]
-        orientation[name] = pos.normals[first]
+    for name in arr.names:
+        pos, _neg = arr.oriented(name)
+        taus[name] = arr.tau(name)
+        orientation[name] = pos.normals[min(pos.normals)]
     lambdas = characteristic_functions(complex_, taus)
-    ctx = ShellingContext(
-        g, names, complex_, shelling, lambdas, taus, orientation
+    return ShellingContext(
+        g, arr.names, complex_, shelling, lambdas, taus, orientation
     )
-    ctx.localizations = FacetLocalizations(ctx)
-    return ctx
 
 
 # -- module basis and expansion ---------------------------------------------------
@@ -408,7 +389,9 @@ def shelling_context(g: GkmGraph) -> ShellingContext:
 
 def module_basis(ctx: ShellingContext):
     """The monomials x_{mu_i}, in shelling order; x_{mu_1} = 1."""
-    return [tuple(sorted(mu, key=_name_key)) for mu in ctx.shelling.minimal_faces]
+    return [
+        tuple(n for n in ctx.names if n in mu) for mu in ctx.shelling.minimal_faces
+    ]
 
 
 def basis_monomial_name(names_tuple):

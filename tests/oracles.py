@@ -5,7 +5,12 @@ a linear form or inverts a matrix; these are the ring-path versions of
 those steps, kept as oracles to check the fast paths against.  A
 union-find over the dart list checks the graph search of
 ``graph.components``.  A halfspace pair re-validated at every vertex
-checks the pair that ``halfspace_pair`` validates at the hyperplane.
+checks the pair that ``halfspace_pair`` validates at the hyperplane.  The
+hyperplane complex built from the whole family table, every subset of
+the names through each vertex, checks the facets that ``build_complex``
+takes from the names through each vertex alone, and the minimal new faces
+of a shelling found among every subset of a facet check the minimal
+transversals of ``_minimal_new_faces``.
 
 The runtime holds a class as a coefficient vector (the solver) or as its
 ``{vertex: vector}`` of lattice vectors (the degree-2 generators of the
@@ -20,16 +25,21 @@ from gkmgraphs import intlinalg
 from gkmgraphs.cohomology import _divides, _label_map
 from gkmgraphs.errors import (
     AssumptionOneViolation,
+    AssumptionViolation,
     CongruenceFailure,
     DimensionError,
     InexactDivision,
+    PurityFailure,
 )
 from gkmgraphs.graph import components
 from gkmgraphs.hyperplanes import (
     Halfspace,
     _excluded_pairs,
+    _name_key,
     _orientation_classes,
+    _subsets,
     _validate_pre_halfspace,
+    nonempty_intersection_table,
     thom_class,
 )
 from gkmgraphs.polynomials import (
@@ -352,6 +362,74 @@ def revalidated_halfspace_pair(g, hyperplane):
             )
     halves.sort(key=Halfspace.sort_key)
     return halves[0], halves[1]
+
+
+# -- the hyperplane complex by subset enumeration -----------------------------
+
+
+def intersection(g, planes):
+    """The common vertices of the hyperplanes ``planes`` and their common
+    darts that start at one of them, as ``(vertices, dart_ids)``."""
+    vertices = frozenset.intersection(*(h.vertices for h in planes))
+    darts = frozenset.intersection(*(h.dart_ids for h in planes))
+    return vertices, frozenset(d for d in darts if g.darts[d].source in vertices)
+
+
+def complex_faces(arr):
+    """Every face of the hyperplane complex, the empty face included: the
+    families of names with a common vertex, from the whole family table."""
+    return set(nonempty_intersection_table(arr.through)) | {frozenset()}
+
+
+def maximal_faces(faces):
+    """The faces of a subset-closed family that no single name extends
+    (the extended ones are the faces less one name)."""
+    extended = {f - {name} for f in faces for name in f}
+    return [f for f in faces if f not in extended]
+
+
+def complex_by_table(arr):
+    """``shelling.build_complex`` from the whole family table: its facets,
+    in canonical order, and their vertices, as ``(facets,
+    facet_vertex)``, with the same errors in the same order."""
+    n = arr.graph.rank
+    table = nonempty_intersection_table(arr.through)
+    maximal = maximal_faces(set(table) | {frozenset()})
+    short = [f for f in maximal if len(f) != n]
+    if short:
+        raise PurityFailure(
+            "maximal faces of sizes "
+            f"{sorted({len(f) for f in short})} found, expected {n}; the "
+            "graph is not modeled on the expected local chart"
+        )
+    facets = sorted(maximal, key=lambda f: sorted(map(_name_key, f)))
+    facet_vertex = {}
+    for f in facets:
+        verts = table[f]
+        if len(verts) != 1:
+            raise AssumptionViolation(
+                f"hyperplanes {sorted(f)} meet in {len(verts)} vertices; "
+                "facets must correspond to single vertices",
+                assumption=2,
+            )
+        (facet_vertex[f],) = verts
+    if len(facets) != len(arr.graph.vertices):
+        raise AssumptionViolation(
+            f"{len(facets)} facets for {len(arr.graph.vertices)} graph vertices",
+            assumption=2,
+        )
+    return facets, facet_vertex
+
+
+def minimal_new_faces_by_subsets(prior_facets, sigma):
+    """The minimal subsets of ``sigma`` that lie in no prior facet, from
+    the list of every subset."""
+    new = [
+        f
+        for f in _subsets(sigma)
+        if not any(f <= tau for tau in prior_facets)
+    ]
+    return [f for f in new if not any(other < f for other in new)]
 
 
 # -- exact division and unimodular inverses -----------------------------------

@@ -14,6 +14,7 @@ from gkmgraphs.cohomology import (
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
 from gkmgraphs.graph import pair_decomposition
 from gkmgraphs.hyperplanes import (
+    Arrangement,
     all_hyperplanes,
     check_assumptions,
     halfspace_pair,
@@ -119,9 +120,9 @@ def test_criterion_4_graded_isomorphism_verification():
 
 def test_criterion_5_negative_fixtures():
     t0 = time.perf_counter()
-    rep = check_assumptions(fixture("fig2_right"))
+    rep = check_assumptions(Arrangement(fixture("fig2_right")))
     assert not rep.ok1 and rep.ok2
-    rep = check_assumptions(fixture("fig11_sphere"))
+    rep = check_assumptions(Arrangement(fixture("fig11_sphere")))
     assert rep.ok1 and not rep.ok2
     iso = verify_iso(fixture("fig11_sphere"), max_degree=4, forgetful=True)
     assert not iso["ok"]
@@ -185,7 +186,7 @@ def test_criterion_7_known_shellings():
     # pentagon: walk the 5-cycle; minimal faces follow the cyclic pattern
     # (empty set, three single vertices, then the final full edge)
     g = fixture("fig7_pentagon")
-    c = build_complex(g)
+    c = build_complex(Arrangement(g))
     cyclic = [
         frozenset({"L2", "L1"}),
         frozenset({"L1", "L3"}),

@@ -40,9 +40,12 @@ SRC = Path(gkmgraphs.__file__).resolve().parents[1]
 
 
 def child_env(**extra):
-    """The environment of a child ``python``: the package's source tree on
-    the path, and ``extra``."""
-    env = dict(os.environ, **extra)
+    """The environment of a child ``python``: this process's without
+    PYTHONUNBUFFERED, so the child's stdout is buffered unless ``extra``
+    sets it, the package's source tree on the path, and ``extra``."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env.update(extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
@@ -230,6 +233,38 @@ def test_malformed_metadata_is_a_parse_error(
     assert result["ok"] is False
     assert key in result["error"]
     assert "internal" not in result
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["hyperplanes"], ["assumptions"], ["basis"],
+     ["verify-iso", "--max-degree", "2", "--forgetful"]],
+    ids=["hyperplanes", "assumptions", "basis", "verify-iso"],
+)
+@pytest.mark.parametrize(
+    "names, error",
+    [
+        ({"L1": "X2"}, "two hyperplanes are named 'L1'"),
+        ({"A": "X2", "B": "X2"}, "hyperplane names 'A' and 'B' name one vertex set"),
+    ],
+    ids=["name-taken-twice", "two-names-one-set"],
+)
+def test_duplicate_hyperplane_names_are_refused(tmp_path, command, names, error):
+    """A ``hyperplane_names`` that leaves two hyperplanes with one name, or
+    gives two names one vertex set, is an input error that names the
+    name: exit 1 and one document without ``internal``, not one hyperplane
+    silently dropped (``L1`` given to X2's vertex set collides with the
+    default name of the first hyperplane)."""
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    vertex_sets = doc["hyperplane_names"]
+    doc["hyperplane_names"] = {n: vertex_sets[of] for n, of in names.items()}
+    del doc["positive_normals"]
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps(doc))
+    child = run_child(["-m", "gkmgraphs.cli", command[0], str(p), *command[1:]])
+    assert child.returncode == 1
+    assert json.loads(child.stdout) == {"error": error, "ok": False}
+    assert child.stderr == b""
 
 
 @pytest.mark.parametrize("key", ["positive_normals", "hyperplane_names"])
@@ -722,13 +757,10 @@ def entry_child(args, buffering, **kwargs):
     """Run ``python -m gkmgraphs.cli`` (``args`` after ``-m`` or ``-c``
     included) with stdout buffered, or unbuffered (PYTHONUNBUFFERED=1),
     whatever this process was given."""
-    env = child_env()
-    env.pop("PYTHONUNBUFFERED", None)
-    if buffering == "unbuffered":
-        env["PYTHONUNBUFFERED"] = "1"
+    extra = {"PYTHONUNBUFFERED": "1"} if buffering == "unbuffered" else {}
     kwargs.setdefault("stdout", subprocess.PIPE)
     kwargs.setdefault("stderr", subprocess.PIPE)
-    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+    return subprocess.run([sys.executable, *args], env=child_env(**extra), **kwargs)
 
 
 BUFFERING = ["buffered", "unbuffered"]

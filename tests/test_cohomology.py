@@ -27,9 +27,9 @@ from gkmgraphs.fixtures import (
 )
 from gkmgraphs.graph import Dart, GkmGraph, load_graph, serialize
 from gkmgraphs.hyperplanes import (
+    Arrangement,
     _name_key,
     all_hyperplanes,
-    choose_positive_halfspace,
     thom_class,
 )
 from gkmgraphs.polynomials import IntPolynomial
@@ -280,10 +280,11 @@ def test_class_arity_picks_its_labels():
     their residual coordinate erased; the same vectors padded with a zero
     x coordinate are checked against the full labels, which they fail."""
     g = gen_klm(KlmSpec(2, 1, 2))
-    planes = all_hyperplanes(g)
+    arr = Arrangement(g)
+    planes = arr.hyperplanes
     failing = 0
     for h in planes:
-        pos, _ = choose_positive_halfspace(g, h)
+        pos, _ = arr.oriented(h.name)
         values = {v: t[: g.rank] for v, t in thom_class(g, pos).items()}
         tau = vector_class(values)
         assert tau.nvars == g.rank
@@ -296,9 +297,7 @@ def test_class_arity_picks_its_labels():
 
 def test_forgetful_thom_class_of_vertical_line():
     g = fixture("fig2_left")
-    planes = {h.name: h for h in all_hyperplanes(g)}
-    vertical = planes["L2"]
-    a, b = choose_positive_halfspace(g, vertical)
+    a, b = Arrangement(g).oriented("L2")
     # pick the side whose normals point left (q is its interior vertex)
     left_pointing = a if "q" in a.vertices else b
     tau = {v: t[:2] for v, t in thom_class(g, left_pointing).items()}
@@ -424,8 +423,9 @@ def test_forgetful_classes_are_the_cut_thom_classes(graph):
         assert ei.value.assumption == 1
         return
     expected = {}
-    for h in all_hyperplanes(g):
-        pos, _ = choose_positive_halfspace(g, h)
+    arr = Arrangement(g)
+    for h in arr.hyperplanes:
+        pos, _ = arr.oriented(h.name)
         expected[h.name] = forgetful_thom_class(g, h, pos)
     assert presentation_ring(g, forgetful=True).values == expected
     if graph == "fig11_sphere":
@@ -568,8 +568,8 @@ def test_kernel_of_forgetful_map_is_chi_ideal():
 def test_chi_multiples_lie_in_kernel_trivially():
     g = fixture("fig2_left")
     chi = chi_class(g)
-    planes = all_hyperplanes(g)
-    pos, _ = choose_positive_halfspace(g, planes[0])
+    arr = Arrangement(g)
+    pos, _ = arr.oriented(arr.hyperplanes[0].name)
     tau = vector_class(thom_class(g, pos))
     prod = chi * tau
     # forgetful image of chi * tau vanishes

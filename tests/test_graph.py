@@ -27,7 +27,7 @@ from gkmgraphs.graph import (
     serialize,
     validate_axial,
 )
-from gkmgraphs.hyperplanes import all_hyperplanes, check_assumptions
+from gkmgraphs.hyperplanes import Arrangement, check_assumptions
 from oracles import union_find_components
 
 
@@ -241,14 +241,16 @@ def _subgraphs(g):
     """The whole graph, the graph minus each hyperplane, each halfspace and
     each nonempty pairwise hyperplane intersection, as (vertices, darts);
     last, one dart per edge, which joins nothing without its opposite."""
-    planes = all_hyperplanes(g)
+    arr = Arrangement(g)
+    planes = arr.hyperplanes
     yield set(g.vertices), None
     yield set(g.vertices), set(g.canonical_edges())
     for h in planes:
         yield set(g.vertices) - h.vertices, None
-    for pair in check_assumptions(g, planes).pairs.values():
-        for half in pair:
-            yield half.vertices, half.dart_ids
+    for name, verdict in check_assumptions(arr).assumption1.items():
+        if verdict["ok"]:
+            for half in arr.pair(name):
+                yield half.vertices, half.dart_ids
     for i, a in enumerate(planes):
         for b in planes[i + 1 :]:
             if a.vertices & b.vertices:

@@ -21,20 +21,26 @@ from gkmgraphs.fixtures import (
 )
 from gkmgraphs.graph import components, graph_from_dict, pair_decomposition
 from gkmgraphs.hyperplanes import (
+    Arrangement,
     Halfspace,
     Hyperplane,
+    _name_key,
     all_hyperplanes,
     check_assumptions,
-    choose_positive_halfspace,
     halfspace_pair,
     hyperplane_through,
-    intersect_hyperplanes,
     minimal_empty_families,
+    nonempty_intersection_table,
     opposite_side,
     thom_class,
     _validate_pre_halfspace,
 )
-from oracles import revalidated_halfspace_pair
+from oracles import (
+    forgetful_thom_class,
+    intersection,
+    revalidated_halfspace_pair,
+    union_find_components,
+)
 
 
 def by_name(g):
@@ -135,6 +141,82 @@ def test_all_hyperplanes_runs_one_closure_per_hyperplane(monkeypatch, source):
         (h.label, h.vertices, h.dart_ids)
         for h in sorted(exhaustive.values(), key=Hyperplane.sort_key)
     ]
+
+
+def test_all_hyperplanes_refuses_two_hyperplanes_with_one_name():
+    """Two hyperplanes of local_model(2) have the vertex set {o}; one name
+    for it would name both."""
+    doc = local_model(2).to_dict()
+    doc["hyperplane_names"] = {"A": ["o"]}
+    with pytest.raises(GkmError, match="two hyperplanes are named 'A'"):
+        all_hyperplanes(graph_from_dict(doc))
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    doc["hyperplane_names"]["X3"] = doc["hyperplane_names"]["X1"]
+    with pytest.raises(GkmError, match="names 'X1' and 'X3' name one vertex set"):
+        all_hyperplanes(graph_from_dict(doc))
+
+
+ARRANGEMENT_SOURCES = list(FIXTURE_IDS) + ["local_model(3)", "212", "322"]
+
+
+def _graph(source):
+    if source.isdigit():
+        return gen_klm(KlmSpec(*map(int, source)))
+    return fixture(source)
+
+
+@pytest.mark.parametrize("source", ARRANGEMENT_SOURCES)
+def test_the_arrangement_holds_the_facts_of_its_hyperplanes(monkeypatch, source):
+    """The names in generator order, each vertex's names, one halfspace
+    pair per hyperplane however often it is asked for, and the forgetful
+    Thom class of the positive side built from its definition."""
+    g = _graph(source)
+    arr = Arrangement(g)
+    assert arr.hyperplanes == all_hyperplanes(g)
+    assert arr.names == sorted(arr.by_name, key=_name_key)
+    assert all(arr.by_name[h.name] is h for h in arr.hyperplanes)
+    assert arr.through == {
+        v: frozenset(h.name for h in arr.hyperplanes if v in h.vertices)
+        for v in g.vertices
+        if any(v in h.vertices for h in arr.hyperplanes)
+    }
+    calls = []
+
+    def counting(g, hyperplane):
+        calls.append(hyperplane.name)
+        return halfspace_pair(g, hyperplane)
+
+    monkeypatch.setattr(hyperplanes, "halfspace_pair", counting)
+    report = check_assumptions(arr)
+    for name in arr.names:
+        if not report.assumption1[name]["ok"]:
+            continue
+        assert arr.pair(name) is arr.pair(name)
+        pos, neg = arr.oriented(name)
+        assert {pos, neg} == set(arr.pair(name))
+        h = arr.by_name[name]
+        assert arr.tau(name) == forgetful_thom_class(g, h, pos)
+    assert sorted(calls) == sorted(arr.names)
+
+
+@pytest.mark.parametrize("source", ARRANGEMENT_SOURCES + ["333", "444"])
+def test_assumption_two_matches_the_intersections(source):
+    """The report's verdict on each family of two or more hyperplanes with
+    a common vertex: its common vertices and darts, searched by union-find."""
+    g = _graph(source)
+    arr = Arrangement(g)
+    expected = {}
+    for size in range(2, len(arr.names) + 1):
+        for fam in combinations(sorted(arr.names), size):
+            vertices, darts = intersection(g, [arr.by_name[n] for n in fam])
+            if not vertices:
+                continue
+            count = len(set(union_find_components(g, vertices, darts).values()))
+            expected["&".join(fam)] = (
+                {"ok": True} if count == 1
+                else {"ok": False, "components": count, "vertices": sorted(vertices)}
+            )
+    assert check_assumptions(arr).assumption2 == expected
 
 
 def test_halfspace_pair_thom_values_on_the_vertical_line():
@@ -357,19 +439,21 @@ def test_pre_halfspace_with_interior_vertex_on_triangle():
 
 
 def test_intersections():
-    g = fixture("fig2_left")
-    hps = all_hyperplanes(g)
-    assert not intersect_hyperplanes(g, hps).vertices
-    g7 = fixture("fig7_pentagon")
-    planes = by_name(g7)
-    inter = intersect_hyperplanes(g7, [planes["L1"], planes["L2"]])
-    assert inter.vertices == {"p1"} and inter.connected
-    klm = gen_klm(KlmSpec(2, 2, 2))
-    p = by_name(klm)
-    assert not intersect_hyperplanes(klm, [p["X1"], p["X2"]]).vertices
-    assert intersect_hyperplanes(klm, [p["X1"], p["Y2"]]).vertices == {
-        "X1.Y2"
-    }
+    """The common vertices of a family, from the table of the names
+    through each vertex, and the connectedness of the intersection that
+    assumption (2) reports."""
+    arr = Arrangement(fixture("fig2_left"))
+    table = nonempty_intersection_table(arr.through)
+    assert frozenset(arr.names) not in table
+    assert not intersection(arr.graph, arr.hyperplanes)[0]
+    arr7 = Arrangement(fixture("fig7_pentagon"))
+    table7 = nonempty_intersection_table(arr7.through)
+    assert table7[frozenset({"L1", "L2"})] == {"p1"}
+    assert check_assumptions(arr7).assumption2["L1&L2"] == {"ok": True}
+    klm = Arrangement(gen_klm(KlmSpec(2, 2, 2)))
+    klm_table = nonempty_intersection_table(klm.through)
+    assert frozenset({"X1", "X2"}) not in klm_table
+    assert klm_table[frozenset({"X1", "Y2"})] == {"X1.Y2"}
 
 
 def test_intersection_valence_drops_by_two():
@@ -378,22 +462,23 @@ def test_intersection_valence_drops_by_two():
 
     def valences(inter):
         """The number of the intersection's darts at each of its vertices."""
-        per = {v: 0 for v in inter.vertices}
-        for did in inter.dart_ids:
+        vertices, dart_ids = inter
+        per = {v: 0 for v in vertices}
+        for did in dart_ids:
             per[klm.darts[did].source] += 1
         return per
 
-    inter = intersect_hyperplanes(klm, [p["X1"]])
+    inter = intersection(klm, [p["X1"]])
     assert set(valences(inter).values()) == {2}
-    inter2 = intersect_hyperplanes(klm, [p["X1"], p["Y1"]])
+    inter2 = intersection(klm, [p["X1"], p["Y1"]])
     assert set(valences(inter2).values()) == {0}
 
 
 def test_check_assumptions_verdicts():
-    assert check_assumptions(fixture("fig2_left")).ok
-    rep = check_assumptions(fixture("fig2_right"))
+    assert check_assumptions(Arrangement(fixture("fig2_left"))).ok
+    rep = check_assumptions(Arrangement(fixture("fig2_right")))
     assert not rep.ok1 and rep.ok2
-    rep = check_assumptions(fixture("fig11_sphere"))
+    rep = check_assumptions(Arrangement(fixture("fig11_sphere")))
     assert rep.ok1 and not rep.ok2
     bad = [k for k, v in rep.assumption2.items() if not v["ok"]]
     assert bad == ["L1&L2"]
@@ -475,12 +560,11 @@ def test_minimal_empty_families_of_the_halfspaces_of_l555():
     )
 
 
-def test_choose_positive_halfspace_respects_metadata():
-    klm = gen_klm(KlmSpec(1, 1, 1))
-    planes = by_name(klm)
-    pos, neg = choose_positive_halfspace(klm, planes["X1"])
-    assert klm.meta["positive_normals"]["X1"] in pos.normals.values()
+def test_oriented_pair_respects_metadata():
+    klm = Arrangement(gen_klm(KlmSpec(1, 1, 1)))
+    pos, neg = klm.oriented("X1")
+    assert klm.graph.meta["positive_normals"]["X1"] in pos.normals.values()
     # without metadata the sort-order-first half is positive
-    g = fixture("fig2_left")
-    pos, neg = choose_positive_halfspace(g, by_name(g)["L2"])
+    arr = Arrangement(fixture("fig2_left"))
+    pos, neg = arr.oriented("L2")
     assert pos.sort_key() <= neg.sort_key()

@@ -103,8 +103,6 @@ def test_the_allowlist_is_still_needed():
 # Class.field -> why it may stay without a reader in the package
 ALLOWED_FIELDS = {
     "ParseError.field": "names the bad field of outside input for library callers",
-    "SimplicialComplex.faces": "the hyperplane complex, whose shelling intervals "
-    "and minimal non-faces (the Stanley-Reisner relations) the tests check",
 }
 
 

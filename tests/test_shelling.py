@@ -3,27 +3,38 @@ bases, expansion and structure constants."""
 
 from functools import lru_cache
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gkmgraphs.cohomology import cohomology_basis, presentation_ring
 from gkmgraphs.errors import InconsistentLambda, InexactDivision, NotShellable
-from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
-from gkmgraphs.hyperplanes import all_hyperplanes, nonempty_intersection_table
+import gkmgraphs.shelling as shelling
+from gkmgraphs.fixtures import FIXTURE_IDS, KlmSpec, fixture, gen_klm
+from gkmgraphs.graph import graph_from_dict
+from gkmgraphs.hyperplanes import (
+    Arrangement,
+    all_hyperplanes,
+    nonempty_intersection_table,
+)
 from gkmgraphs.polynomials import IntPolynomial
 from oracles import (
+    complex_by_table,
+    complex_faces,
     expand_by_division,
     lift_coefficient,
     localize_at,
+    maximal_faces,
+    minimal_new_faces_by_subsets,
     monomial_poly,
 )
 from gkmgraphs.shelling import (
     FacetLocalizations,
     SimplicialComplex,
     _expand,
-    _maximal_faces,
+    _minimal_new_faces,
     basis_monomial_name,
     build_complex,
     characteristic_functions,
@@ -51,7 +62,7 @@ def named_ctx(name):
 
 def test_complex_of_disjoint_points():
     g = fixture("fig8_line5")
-    c = build_complex(g)
+    c = build_complex(Arrangement(g))
     assert all(len(f) == 1 for f in c.facets)
     assert len(c.facets) == 5
 
@@ -75,17 +86,122 @@ def test_the_complex_from_one_table_matches_the_search_of_all_families(sets):
             common = frozenset.intersection(*(sets[n] for n in family))
             if common:
                 brute[frozenset(family)] = common
-    table = nonempty_intersection_table(sets)
+    through = {}
+    for name, vertices in sets.items():
+        for v in vertices:
+            through[v] = through.get(v, frozenset()) | {name}
+    table = nonempty_intersection_table(through)
     assert table == brute
     faces = set(table) | {frozenset()}
     by_pairs = {f for f in faces if not any(f < other for other in faces)}
-    maximal = _maximal_faces(faces)
+    maximal = maximal_faces(faces)
     assert len(maximal) == len(by_pairs) and set(maximal) == by_pairs
+
+
+def graph_named(name):
+    """A figure, ``local_model(n)``, the rung ``Lklm``, or the rung without
+    its hyperplane names (``Lklm-unnamed``: L1, L2, ..., past L9 on the
+    larger rungs)."""
+    if name.endswith("-unnamed"):
+        doc = graph_named(name[: -len("-unnamed")]).to_dict()
+        del doc["hyperplane_names"], doc["positive_normals"]
+        return graph_from_dict(doc)
+    if name.startswith("L"):
+        return gen_klm(KlmSpec(*map(int, name[1:])))
+    return fixture(name)
+
+
+def _outcome(build, arr):
+    """What ``build(arr)`` returns, or the type, text and assumption of
+    what it raises."""
+    try:
+        return build(arr)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "assumption", None)
+
+
+@pytest.mark.parametrize(
+    "name",
+    list(FIXTURE_IDS)
+    + [f"local_model({n})" for n in range(1, 9)]
+    + [f"L{k}{l}{m}" for k in range(1, 5) for l in range(1, 5) for m in range(1, 5)]
+    + ["L433-unnamed", "L444-unnamed"],
+)
+def test_the_facets_match_the_maximal_faces_of_the_whole_table(name):
+    """The maximal sets among the names through each vertex are the
+    maximal faces of the whole family table: the same facets in the same
+    order, the same vertices, and the same error where there is one."""
+    arr = Arrangement(graph_named(name))
+    assert _outcome(build_complex, arr) == _outcome(complex_by_table, arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.dictionaries(
+        st.integers(0, 7),
+        st.frozensets(st.sampled_from("abcde"), min_size=1),
+        max_size=8,
+    ),
+    st.integers(0, 2),
+)
+@example(2, {}, 1)
+@example(2, {0: frozenset("ab"), 1: frozenset("a"), 2: frozenset("bc")}, 0)
+@example(2, {0: frozenset("ab"), 1: frozenset("ab")}, 0)
+def test_the_facets_of_any_names_through_the_vertices_match_the_whole_table(
+    rank, through, unnamed
+):
+    """On names through the vertices that no graph need have (nested
+    sets, several vertices with one set, sets of other sizes than the
+    rank, vertices on no hyperplane), the maximal sets are the maximal
+    faces of the whole table, with the same errors."""
+    vertices = list(through) + [f"v{i}" for i in range(unnamed)]
+    arr = SimpleNamespace(
+        graph=SimpleNamespace(rank=rank, vertices=vertices),
+        names=sorted(frozenset().union(*through.values())),
+        through=through,
+    )
+    assert _outcome(build_complex, arr) == _outcome(complex_by_table, arr)
+
+
+facet_families = st.lists(st.frozensets(st.sampled_from("abcdef")), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(facet_families, st.frozensets(st.sampled_from("abcdef"), min_size=1))
+@example([], frozenset("abc"))
+@example([frozenset("abcd")], frozenset("abc"))
+@example([frozenset("ab"), frozenset("abc"), frozenset()], frozenset("abc"))
+def test_minimal_new_faces_are_the_minimal_subsets_in_no_prior_facet(
+    prior, sigma
+):
+    """Minimal transversals of the sets sigma - tau are the minimal subsets
+    of sigma in no prior facet: the empty face with no prior facet, and
+    none when sigma lies in a prior facet."""
+    got = _minimal_new_faces(prior, sigma)
+    want = minimal_new_faces_by_subsets(prior, sigma)
+    assert len(got) == len(set(got)) and set(got) == set(want)
+
+
+@pytest.mark.parametrize(
+    "name", ["fig7_pentagon", "fig8_line5", "L212", "L322", "L433-unnamed"]
+)
+def test_the_shelling_matches_the_subset_enumeration(monkeypatch, name):
+    """The pentagon's search and the canonical order of the arrangement
+    family give the same facet order and the same minimal new faces with
+    the minimal new faces found among every subset of a facet."""
+    ctx = shelling_context(graph_named(name))
+    monkeypatch.setattr(
+        shelling, "_minimal_new_faces", minimal_new_faces_by_subsets
+    )
+    brute = shelling_context(graph_named(name))
+    assert ctx.shelling.order == brute.shelling.order
+    assert ctx.shelling.minimal_faces == brute.shelling.minimal_faces
 
 
 def test_complex_of_pentagon_is_five_cycle():
     g = fixture("fig7_pentagon")
-    c = build_complex(g)
+    c = build_complex(Arrangement(g))
     assert len(c.facets) == 5
     assert all(len(f) == 2 for f in c.facets)
     edges = {tuple(sorted(f)) for f in c.facets}
@@ -100,24 +216,24 @@ def test_complex_refuses_disconnected_intersections():
     from gkmgraphs.errors import AssumptionViolation
 
     with pytest.raises(AssumptionViolation) as ei:
-        build_complex(fixture("fig11_sphere"))
+        build_complex(Arrangement(fixture("fig11_sphere")))
     assert ei.value.assumption == 2
 
 
 def test_complex_facet_count_matches_vertex_count_for_klm():
     for spec in ((1, 1, 1), (2, 1, 2), (2, 2, 2)):
-        g = gen_klm(KlmSpec(*spec))
-        c = build_complex(g)
+        arr = Arrangement(gen_klm(KlmSpec(*spec)))
+        c = build_complex(arr)
         k, l, m = spec
         assert len(c.facets) == k * l + k * m + l * m
         # number of 1-simplices equals the number of graph vertices
-        ones = [f for f in c.faces if len(f) == 2]
+        ones = [f for f in complex_faces(arr) if len(f) == 2]
         assert len(ones) == k * l + k * m + l * m
 
 
 def test_pentagon_shelling_follows_the_cyclic_pattern():
     g = fixture("fig7_pentagon")
-    c = build_complex(g)
+    c = build_complex(Arrangement(g))
     # walk the 5-cycle in order: the minimal new faces come out as
     # (empty, vertex, vertex, vertex, full edge)
     adjacency = {}
@@ -147,7 +263,7 @@ def test_pentagon_shelling_follows_the_cyclic_pattern():
 
 def test_line_points_shellable_in_any_order():
     g = fixture("fig8_line5")
-    c = build_complex(g)
+    c = build_complex(Arrangement(g))
     order = list(reversed(c.facets))
     shell = find_shelling(c, order=order)
     assert shell.minimal_faces[0] == frozenset()
@@ -178,11 +294,6 @@ def test_not_shellable_complex_is_reported():
     # two disjoint edges: the second facet always introduces two minimal
     # vertices at once
     c = SimplicialComplex(
-        faces={
-            frozenset(),
-            frozenset("a"), frozenset("b"), frozenset("c"), frozenset("d"),
-            frozenset(("a", "b")), frozenset(("c", "d")),
-        },
         facets=[frozenset(("a", "b")), frozenset(("c", "d"))],
         facet_vertex={},
     )
@@ -202,7 +313,7 @@ def test_shelling_interval_partition_and_ordering_facts():
     ):
         order = ctx.shelling.order
         mus = ctx.shelling.minimal_faces
-        for face in ctx.complex.faces:
+        for face in complex_faces(Arrangement(ctx.graph)):
             homes = [
                 i
                 for i in range(len(order))
@@ -220,7 +331,7 @@ def test_minimal_nonfaces_match_the_enumeration_of_all_subsets(name):
     """The monomial relations of Z[G-tilde] are the minimal non-faces of
     the hyperplane complex: they generate its Stanley-Reisner ideal."""
     ctx = named_ctx(name)
-    faces = ctx.complex.faces
+    faces = complex_faces(Arrangement(ctx.graph))
     brute = [
         frozenset(c)
         for size in range(1, len(ctx.names) + 1)
