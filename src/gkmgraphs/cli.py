@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 
-from .errors import AssumptionViolation, GkmError
+from .errors import AssumptionViolation, GkmError, Oversized
 
 
 def _write(text):
@@ -127,8 +127,11 @@ EXPRESS_MAX_TERM_PAIRS = 100_000
 EXPRESS_MAX_DIGITS = 1000
 
 
-class _Oversized(GkmError):
+class _Oversized(Oversized):
     """An ``express`` polynomial beyond the caps above."""
+
+    def __init__(self, message):
+        super().__init__(message, "express_size")
 
 
 class _PolyParser:
@@ -318,18 +321,17 @@ def cmd_assumptions(args, parser):
 
 
 def _refuse_oversized_solver(g, args):
-    """Exit status 1 with the refusal document when the solver system of
-    ``--max-degree``, the largest of the request, has more columns than
-    ``SOLVER_MAX_COLUMNS``; None when it fits."""
+    """Refuse the request when the solver system of ``--max-degree``, the
+    largest of the request, has more columns than ``SOLVER_MAX_COLUMNS``."""
     from .cohomology import SOLVER_MAX_COLUMNS, solver_columns
 
     columns = solver_columns(g, args.max_degree, args.forgetful)
     if columns > SOLVER_MAX_COLUMNS:
-        error = (
+        raise Oversized(
             f"the degree-{args.max_degree} solver system has {columns} "
-            f"columns, more than the {SOLVER_MAX_COLUMNS} accepted"
+            f"columns, more than the {SOLVER_MAX_COLUMNS} accepted",
+            "solver_size",
         )
-        return _emit({"ok": False, "check": "solver_size", "error": error}, 1)
 
 
 def cmd_cohomology(args, parser):
@@ -343,9 +345,7 @@ def cmd_cohomology(args, parser):
     )
 
     g = _read_graph(args, parser)
-    refused = _refuse_oversized_solver(g, args)
-    if refused is not None:
-        return refused
+    _refuse_oversized_solver(g, args)
     report = validate_axial(g)
     if not report.ok:
         return _emit(report.to_dict(), 1)
@@ -383,9 +383,7 @@ def cmd_verify_iso(args, parser):
     from .cohomology import cohomology_basis, kernel_forgetful_check, verify_iso
 
     g = _read_graph(args, parser)
-    refused = _refuse_oversized_solver(g, args)
-    if refused is not None:
-        return refused
+    _refuse_oversized_solver(g, args)
     # only the kernel check of the full theory reads classes, up to degree
     # 3; ``verify_iso`` takes every other solver rank without classes
     checked = min(args.max_degree, 3)
@@ -440,12 +438,7 @@ def cmd_express(args, parser):
 
     g = _read_graph(args, parser)
     ctx = shelling_context(g)
-    try:
-        poly = _PolyParser(args.poly, ctx.names).parse()
-    except _Oversized as exc:
-        return _emit(
-            {"ok": False, "check": "express_size", "error": str(exc)}, 1
-        )
+    poly = _PolyParser(args.poly, ctx.names).parse()
     expansion = express_in_basis(ctx, poly)
     return _emit(
         {
@@ -597,6 +590,8 @@ def _run(args, parser):
         return args.func(args, parser)
     except BrokenPipeError:
         raise
+    except Oversized as exc:
+        return _emit({"ok": False, "check": exc.check, "error": str(exc)}, 1)
     except GkmError as exc:
         return _emit({"ok": False, "error": str(exc)}, 1)
     except Exception as exc:

@@ -7,12 +7,15 @@
 * and the graded-rank comparison between the two, which is what "verify
   the isomorphism" means at desk scale.
 
-The solver's classes are integer coefficient vectors: the coefficients
-of the degree-k monomials in ``graded_piece_basis`` order, vertex after
-vertex.  They stay vectors through the kernel check of the forgetful map
-and the printed output.  The rank comparison reads only ranks, so where
-no classes are needed it takes the rank of the solver's system
-(``solver_rank``) without solving it.
+Divisibility by an edge label has one form: the rows of the label's map
+(``_label_map``).  They build the solver's system, and each solved class
+is checked against them again.  The solver's classes are integer
+coefficient vectors: the coefficients of the degree-k monomials in
+``graded_piece_basis`` order, vertex after vertex.  They stay vectors
+through the kernel check of the forgetful map and the printed output.
+The rank comparison reads only ranks, so where no classes are needed it
+takes the rank of the solver's system (``solver_rank``) without solving
+it.
 
 The presentation rings' generators are degree-2 classes, each its
 checked ``{vertex: vector}`` of lattice vectors: the Thom classes as
@@ -64,11 +67,28 @@ def _raise_table(nvars, degree):
     )
 
 
+def _times_linear(vec, forms, up, nwidth):
+    """The sparse coefficient vector (``{position: coefficient}``) of a
+    class times the class that is the linear form ``forms[v]``
+    ([(variable, coefficient)]) at each vertex v.  ``up`` is the
+    ``_raise_table`` of the class's degree and ``nwidth`` the number of
+    monomials one degree up."""
+    width = len(up)
+    out = {}
+    for pos, a in vec.items():
+        v, i = divmod(pos, width)
+        base = v * nwidth
+        targets = up[i]
+        for j, c in forms[v]:
+            t = base + targets[j]
+            out[t] = out.get(t, 0) + a * c
+    return {t: c for t, c in out.items() if c}
+
+
 # content: the content of the label; columns: per degree-k monomial in t,
-# its image [(s position, coefficient)]; moduli: per degree-k monomial in
-# s, 0, the content or 1 (see ``_label_map``); rows: (modulus, [(t
-# position, coefficient)]) for each modulus != 1
-_LabelMap = namedtuple("_LabelMap", "content columns moduli rows")
+# its image {s position: coefficient}; rows: (modulus, [(t position,
+# coefficient)]) for each modulus != 1 (see ``_label_map``)
+_LabelMap = namedtuple("_LabelMap", "content columns rows")
 
 
 def _label_map(maps, alpha, degree):
@@ -78,13 +98,16 @@ def _label_map(maps, alpha, degree):
 
     The transform U of the Hermite form of the column alpha is unimodular
     with U alpha = (content, 0, ..., 0), so the substitution
-    t_j = sum_i U[i][j] s_i turns alpha into content * s_1.  The map sends
-    the coefficients of a polynomial in t to its coefficients in s; alpha
-    divides the polynomial exactly when every s_1-free entry is 0
-    (modulus 0) and every other entry is a multiple of the content
-    (modulus c; 1 asks nothing).  A zero label divides only 0.  The image
-    of a monomial is the image of the monomial one degree lower, times the
-    image of one of its variables.
+    t_j = sum_i U[i][j] s_i turns alpha into content * s_1.  The columns
+    send the coefficients of a polynomial in t to its coefficients in s;
+    the image of a monomial is the image of the monomial one degree lower
+    times the image of one of its variables (``_times_linear``).  alpha
+    divides the polynomial exactly when every s_1-free entry is 0 (modulus
+    0) and every other entry is a multiple of the content (modulus c; 1
+    asks nothing).  The rows, one per s-monomial whose modulus is not 1,
+    are the one form of that test: the system is built from them, and
+    each solved class is checked against them.  A zero label keeps every
+    row at modulus 0, so it divides only 0.
     """
     key = (alpha, degree)
     lmap = maps.get(key)
@@ -94,58 +117,32 @@ def _label_map(maps, alpha, degree):
             h, u = hermite_normal_form([[a] for a in alpha], transform=True)
             content = h[0][0]
             columns = [
-                [(i, u[i][j]) for i in range(n) if u[i][j]] for j in range(n)
+                {i: u[i][j] for i in range(n) if u[i][j]} for j in range(n)
             ]
         else:
             linear = _label_map(maps, alpha, 1)
-            content, columns = linear.content, [[(0, 1)]]
+            content, columns = linear.content, [{0: 1}]
             if degree > 1:
                 lower = _label_map(maps, alpha, degree - 1).columns
-                columns = _raise_columns(lower, linear.columns, degree - 1)
+                up = _raise_table(n, degree - 1)
+                columns = [None] * comb(n + degree - 1, degree)
+                for i, row in enumerate(up):
+                    for j, pos in enumerate(row):
+                        if columns[pos] is None:
+                            columns[pos] = _times_linear(
+                                lower[i], [linear.columns[j].items()], up, len(columns)
+                            )
         moduli = [
             content if m[0] and content else 0
             for m in graded_piece_basis(n, degree)
         ]
         rows = [[] for _ in moduli]
         for i, column in enumerate(columns):
-            for k, c in column:
+            for k, c in column.items():
                 rows[k].append((i, c))
         rows = [(mod, row) for mod, row in zip(moduli, rows) if mod != 1]
-        lmap = maps[key] = _LabelMap(content, columns, moduli, rows)
+        lmap = maps[key] = _LabelMap(content, columns, rows)
     return lmap
-
-
-def _raise_columns(lower, images, degree):
-    """The images of the degree + 1 monomials, from the images ``lower``
-    of those of degree ``degree`` and the images of the variables."""
-    up = _raise_table(len(images), degree)
-    columns = [None] * comb(len(images) + degree, degree + 1)
-    for i, row in enumerate(up):
-        for j, pos in enumerate(row):
-            if columns[pos] is None:
-                image = {}
-                for t, c in lower[i]:
-                    targets = up[t]
-                    for k, a in images[j]:
-                        image[targets[k]] = image.get(targets[k], 0) + c * a
-                columns[pos] = [(k, c) for k, c in image.items() if c]
-    return columns
-
-
-def _divides(lmap, diff) -> bool:
-    """Does the label of ``lmap`` divide the polynomial with the
-    coefficient vector ``diff``?"""
-    image = {}
-    for i, d in enumerate(diff):
-        if d:
-            for k, c in lmap.columns[i]:
-                image[k] = image.get(k, 0) + d * c
-    moduli = lmap.moduli
-    for k, c in image.items():
-        m = moduli[k]
-        if c % m if m else c:
-            return False
-    return True
 
 
 # -- the solver -----------------------------------------------------------------
@@ -243,13 +240,16 @@ def solver_rank(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
 def _vector_satisfies_congruences(vec, edges, width) -> bool:
     """Does each edge's label divide the difference of the two chunks of
     the coefficient vector ``vec``?  ``edges`` and ``width`` are those of
-    ``_edges``."""
+    ``_edges``; each row of the label's map must send the difference to a
+    multiple of its modulus (to 0 at modulus 0)."""
     for p, q, lmap in edges:
         here, there = vec[p : p + width], vec[q : q + width]
-        if here != there and not _divides(
-            lmap, [a - b for a, b in zip(here, there)]
-        ):
-            return False
+        if here != there:
+            diff = [a - b for a, b in zip(here, there)]
+            for modulus, row in lmap.rows:
+                value = sum(diff[i] * c for i, c in row)
+                if value % modulus if modulus else value:
+                    return False
     return True
 
 
@@ -351,24 +351,6 @@ def _ideal_rank_full(rels, ngens, k):
         for m in shifts.get(d, ()):
             rows.append({index[tuple(map(add, mm, m))]: c for mm, c in rel.items()})
     return rank(rows, len(index))
-
-
-def _times_linear(vec, forms, up, nwidth):
-    """The sparse coefficient vector (``{position: coefficient}``) of a
-    class times the class that is the linear form ``forms[v]``
-    ([(variable, coefficient)]) at each vertex v.  ``up`` is the
-    ``_raise_table`` of the class's degree and ``nwidth`` the number of
-    monomials one degree up."""
-    width = len(up)
-    out = {}
-    for pos, a in vec.items():
-        v, i = divmod(pos, width)
-        base = v * nwidth
-        targets = up[i]
-        for j, c in forms[v]:
-            t = base + targets[j]
-            out[t] = out.get(t, 0) + a * c
-    return {t: c for t, c in out.items() if c}
 
 
 def verify_iso(g: GkmGraph, max_degree: int = 4, forgetful: bool = False, pieces=()):

@@ -40,9 +40,17 @@ class ClosureFailure(GkmError):
 class AssumptionOneViolation(GkmError):
     """No unique halfspace pair exists for a hyperplane."""
 
-    def __init__(self, message, hyperplane=None, check=None):
+    def __init__(self, message, check=None):
         super().__init__(message)
-        self.hyperplane = hyperplane
+        self.check = check
+
+
+class Oversized(GkmError):
+    """A request past a size cap, refused before its work; ``check`` names
+    the cap."""
+
+    def __init__(self, message, check):
+        super().__init__(message)
         self.check = check
 
 

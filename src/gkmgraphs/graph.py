@@ -558,13 +558,12 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
     )
 
     bad = []
+    identity = [[int(i == j) for j in range(g.rank + 1)] for i in range(g.rank + 1)]
     for v, pairs in pair_table.items():
         reps = [g.axial(p) for p, _ in pairs]
-        h = intlinalg.hnf_nonzero_rows(reps + [x])
-        identity = [
-            [int(i == j) for j in range(g.rank + 1)] for i in range(g.rank + 1)
-        ]
-        if h != identity:
+        # n + 1 rows: when they span Z^(n+1), their Hermite form has no
+        # zero row and is the identity
+        if intlinalg.hermite_normal_form(reps + [x]) != identity:
             bad.append(v)
     results.append(
         CheckResult(

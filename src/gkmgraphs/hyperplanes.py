@@ -35,6 +35,7 @@ from .errors import (
     ClosureFailure,
     CongruenceFailure,
     GkmError,
+    Oversized,
 )
 from .graph import GkmGraph, components, pair_decomposition
 from .intlinalg import congruent, vec_sub
@@ -156,6 +157,7 @@ def all_hyperplanes(g: GkmGraph):
             for w in h.vertices:
                 covered.add((w, frozenset(g.darts_at(w)) - h.dart_ids))
     ordered = sorted(seen.values(), key=Hyperplane.sort_key)
+    planes = {h.vertices for h in ordered}
     by_vertexset = {}
     for name, vs in (g.meta.get("hyperplane_names") or {}).items():
         other = by_vertexset.setdefault(frozenset(vs), name)
@@ -163,6 +165,8 @@ def all_hyperplanes(g: GkmGraph):
             raise GkmError(
                 f"hyperplane names {other!r} and {name!r} name one vertex set"
             )
+        if frozenset(vs) not in planes:
+            raise GkmError(f"hyperplane_names entry {name!r} names no hyperplane")
     out = []
     taken = set()
     for i, h in enumerate(ordered):
@@ -171,6 +175,9 @@ def all_hyperplanes(g: GkmGraph):
             raise GkmError(f"two hyperplanes are named {name!r}")
         taken.add(name)
         out.append(h._replace(name=name))
+    for name in g.meta.get("positive_normals") or {}:
+        if name not in taken:
+            raise GkmError(f"positive_normals entry {name!r} names no hyperplane")
     return out
 
 
@@ -249,7 +256,6 @@ def _excluded_pairs(g, hyperplane):
         if len(extra) != 2:
             raise AssumptionOneViolation(
                 f"vertex {v!r} misses {len(extra)} darts from the hyperplane",
-                hyperplane=hyperplane.name,
                 check="excluded_pair",
             )
         out[v] = tuple(sorted(extra))
@@ -280,7 +286,6 @@ def _orientation_classes(g, hyperplane, excluded):
                     raise AssumptionOneViolation(
                         f"connection image of normal dart {d!r} leaves the "
                         "normal pair",
-                        hyperplane=hyperplane.name,
                         check="normal_closure",
                     )
                 if d in color:
@@ -289,7 +294,6 @@ def _orientation_classes(g, hyperplane, excluded):
                             raise AssumptionOneViolation(
                                 "normal darts cannot be oriented "
                                 "consistently",
-                                hyperplane=hyperplane.name,
                                 check="orientation",
                             )
                     else:
@@ -303,14 +307,12 @@ def _orientation_classes(g, hyperplane, excluded):
         raise AssumptionOneViolation(
             "normal darts not reached by propagation; hyperplane "
             "is not connected",
-            hyperplane=hyperplane.name,
             check="connectivity",
         )
     for v, (d1, d2) in excluded.items():
         if color[d1] == color[d2]:
             raise AssumptionOneViolation(
                 f"both normal darts at {v!r} received the same orientation",
-                hyperplane=hyperplane.name,
                 check="orientation",
             )
     return color
@@ -350,7 +352,6 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
                 raise AssumptionOneViolation(
                     "a component outside the hyperplane is reachable from "
                     "both normal orientations",
-                    hyperplane=hyperplane.name,
                     check="component_sides",
                 )
             side_of_comp[root] = color[d]
@@ -375,7 +376,6 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
         if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
             raise AssumptionOneViolation(
                 "candidate halfspace is not connected",
-                hyperplane=hyperplane.name,
                 check="halfspace_connected",
             )
         halves.append(h)
@@ -385,7 +385,6 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     ) != hyperplane.dart_ids:
         raise AssumptionOneViolation(
             "halfspace pair does not intersect exactly in the hyperplane",
-            hyperplane=hyperplane.name,
             check="intersection",
         )
     if (a.vertices | b.vertices) != set(g.vertices) or (
@@ -393,7 +392,6 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     ) != set(g.darts):
         raise AssumptionOneViolation(
             "halfspace pair does not cover the graph",
-            hyperplane=hyperplane.name,
             check="cover",
         )
     ta, tb = thom_class(g, a), thom_class(g, b)
@@ -402,7 +400,6 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
         if tuple(p + q for p, q in zip(ta[v], tb[v])) != x:
             raise AssumptionOneViolation(
                 "Thom classes of the pair do not sum to the residual class",
-                hyperplane=hyperplane.name,
                 check="thom_sum",
             )
     halves.sort(key=Halfspace.sort_key)
@@ -429,7 +426,6 @@ def _validate_pre_halfspace(g, h: Halfspace, at=None):
     from 2n darts to 2n - 1 and asks nothing.
     """
     n = g.rank
-    name = h.hyperplane.name
     darts = h.dart_ids
     vertices = sorted(h.vertices if at is None else at)
     inside = {v: {d for d in g.darts_at(v) if d in darts} for v in vertices}
@@ -439,20 +435,17 @@ def _validate_pre_halfspace(g, h: Halfspace, at=None):
             raise AssumptionOneViolation(
                 f"vertex {v!r} keeps {size} darts, expected "
                 f"{2 * n - 1} or {2 * n}",
-                hyperplane=name,
                 check="valence",
             )
     for did in darts:
         if g.darts[did].source not in h.vertices:
             raise AssumptionOneViolation(
                 f"dart {did!r} has source outside the halfspace",
-                hyperplane=name,
                 check="dart_source",
             )
     if all(len(kept) == 2 * n for kept in inside.values()):
         raise AssumptionOneViolation(
             "pre-halfspace needs at least one boundary vertex",
-            hyperplane=name,
             check="boundary_exists",
         )
     conn = g.connection
@@ -471,7 +464,6 @@ def _validate_pre_halfspace(g, h: Halfspace, at=None):
                 raise AssumptionOneViolation(
                     f"restricted connection across {eid!r} is not a "
                     "bijection",
-                    hyperplane=name,
                     check="closure_c1",
                 )
         elif len(src_set) < len(tgt_set):
@@ -479,14 +471,12 @@ def _validate_pre_halfspace(g, h: Halfspace, at=None):
                 raise AssumptionOneViolation(
                     f"restricted connection across {eid!r} is not "
                     "injective into the target darts",
-                    hyperplane=name,
                     check="closure_c2",
                 )
             normal = h.normals.get(e.source)
             if normal is None or not congruent(g.axial(normal), x, e.axial):
                 raise AssumptionOneViolation(
                     f"normal congruence fails across {eid!r}",
-                    hyperplane=name,
                     check="normal_congruence",
                 )
 
@@ -627,11 +617,28 @@ class AssumptionReport:
         }
 
 
+# The largest family table of assumption (2), in families: 2^m - 1 at a
+# vertex on m hyperplanes, so local_model(14) has 16383.  On
+# local_model(n), ``assumptions`` took 0.13 s at n = 12, 0.45 s at n = 14
+# and 1.9 s / 90 MB at n = 16, about 4 times more per step of 2 (CLI
+# subprocesses, 2 vCPUs, CPython 3.11).
+FAMILY_TABLE_MAX = 16_384
+
+
 def check_assumptions(arr: Arrangement) -> AssumptionReport:
     """Assumption (1) via halfspace pairs, assumption (2) via connectivity
     of every nonempty hyperplane intersection: the common vertices of a
-    family and the darts common to its hyperplanes that start there."""
+    family and the darts common to its hyperplanes that start there.  A
+    family table of more than ``FAMILY_TABLE_MAX`` families is refused
+    before any of this work."""
     g = arr.graph
+    size = sum(2 ** len(names) - 1 for names in arr.through.values())
+    if size > FAMILY_TABLE_MAX:
+        raise Oversized(
+            f"the assumption (2) table has {size} families, more than the "
+            f"{FAMILY_TABLE_MAX} accepted",
+            "family_table_size",
+        )
     a1 = {}
     for h in arr.hyperplanes:
         try:

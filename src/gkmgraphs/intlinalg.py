@@ -189,14 +189,6 @@ def hermite_normal_form(rows, transform=False):
     return hnf
 
 
-def hnf_nonzero_rows(rows):
-    _check_rect(rows)
-    ncols = len(rows[0]) if rows else 0
-    h = _sparse(rows)
-    order, rank = _echelon(h, ncols)
-    return [_dense(h[i], ncols) for i in order[:rank]]
-
-
 def rank(rows, ncols) -> int:
     """Exact rank of the matrix with ``ncols`` columns and the given sparse
     rows (``{column: value}`` dicts), which are left as they are."""
@@ -265,7 +257,7 @@ def solve_integer(rows, rhs):
 
 
 def same_lattice(rows_a, rows_b) -> bool:
-    """Do two generating sets span the same sublattice of Z^n?"""
-    ha = hnf_nonzero_rows(rows_a) if rows_a else []
-    hb = hnf_nonzero_rows(rows_b) if rows_b else []
-    return ha == hb
+    """Do two generating sets span the same sublattice of Z^n?  Their
+    Hermite forms agree once the zero rows are dropped."""
+    ha, hb = hermite_normal_form(rows_a), hermite_normal_form(rows_b)
+    return [r for r in ha if any(r)] == [r for r in hb if any(r)]

@@ -10,7 +10,9 @@ hyperplane complex built from the whole family table, every subset of
 the names through each vertex, checks the facets that ``build_complex``
 takes from the names through each vertex alone, and the minimal new faces
 of a shelling found among every subset of a facet check the minimal
-transversals of ``_minimal_new_faces``.
+transversals of ``_minimal_new_faces``.  Divisibility by a label is
+decided here by the columns of its map, with a modulus per image
+coefficient (``_divides``), where the solver reads the map's rows.
 
 The runtime holds a class as a coefficient vector (the solver) or as its
 ``{vertex: vector}`` of lattice vectors (the degree-2 generators of the
@@ -22,7 +24,7 @@ generators turn into such classes and back.
 """
 
 from gkmgraphs import intlinalg
-from gkmgraphs.cohomology import _divides, _label_map
+from gkmgraphs.cohomology import _label_map
 from gkmgraphs.errors import (
     AssumptionOneViolation,
     AssumptionViolation,
@@ -60,6 +62,12 @@ def lattice_rank(vectors) -> int:
     rows = list(vectors)
     intlinalg._check_rect(rows)
     return intlinalg.rank(intlinalg._sparse(rows), len(rows[0])) if rows else 0
+
+
+def hnf_nonzero_rows(rows):
+    """The nonzero rows of the Hermite form of ``rows``: the Hermite basis
+    of the lattice they span."""
+    return [r for r in intlinalg.hermite_normal_form(rows) if any(r)]
 
 
 # -- classes as polynomials ------------------------------------------------
@@ -197,6 +205,25 @@ def reduced_relations(ring, forgetful):
     return names, rels
 
 
+def _divides(lmap, monos, diff) -> bool:
+    """Does the label of ``lmap`` divide the polynomial with the
+    coefficient vector ``diff`` over the monomials ``monos``?  The map's
+    columns send ``diff`` to its coefficients in s: each one free of s_1
+    must be 0, and each other one a multiple of the content (see
+    ``_label_map``).  The solver reads the same test off the map's rows."""
+    image = {}
+    for i, d in enumerate(diff):
+        if d:
+            for k, c in lmap.columns[i].items():
+                image[k] = image.get(k, 0) + d * c
+    content = lmap.content
+    for k, c in image.items():
+        m = content if monos[k][0] and content else 0
+        if c % m if m else c:
+            return False
+    return True
+
+
 def _label_divides(maps, alpha, terms) -> bool:
     """Does the linear form ``alpha`` divide the polynomial with the given
     ``{monomial: coefficient}`` terms?  It does when it divides each
@@ -207,7 +234,7 @@ def _label_divides(maps, alpha, terms) -> bool:
     for d, part in components.items():
         lmap = _label_map(maps, alpha, d)
         monos = graded_piece_basis(len(alpha), d)
-        if not _divides(lmap, [part.get(m, 0) for m in monos]):
+        if not _divides(lmap, monos, [part.get(m, 0) for m in monos]):
             return False
     return True
 
@@ -303,7 +330,6 @@ def revalidated_halfspace_pair(g, hyperplane):
                 raise AssumptionOneViolation(
                     "a component outside the hyperplane is reachable from "
                     "both normal orientations",
-                    hyperplane=hyperplane.name,
                     check="component_sides",
                 )
             side_of_comp[root] = color[d]
@@ -330,7 +356,6 @@ def revalidated_halfspace_pair(g, hyperplane):
         if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
             raise AssumptionOneViolation(
                 "candidate halfspace is not connected",
-                hyperplane=hyperplane.name,
                 check="halfspace_connected",
             )
         halves.append(h)
@@ -340,7 +365,6 @@ def revalidated_halfspace_pair(g, hyperplane):
     ) != hyperplane.dart_ids:
         raise AssumptionOneViolation(
             "halfspace pair does not intersect exactly in the hyperplane",
-            hyperplane=hyperplane.name,
             check="intersection",
         )
     if (a.vertices | b.vertices) != set(g.vertices) or (
@@ -348,7 +372,6 @@ def revalidated_halfspace_pair(g, hyperplane):
     ) != set(g.darts):
         raise AssumptionOneViolation(
             "halfspace pair does not cover the graph",
-            hyperplane=hyperplane.name,
             check="cover",
         )
     ta, tb = thom_class(g, a), thom_class(g, b)
@@ -357,7 +380,6 @@ def revalidated_halfspace_pair(g, hyperplane):
         if tuple(p + q for p, q in zip(ta[v], tb[v])) != x:
             raise AssumptionOneViolation(
                 "Thom classes of the pair do not sum to the residual class",
-                hyperplane=hyperplane.name,
                 check="thom_sum",
             )
     halves.sort(key=Halfspace.sort_key)

@@ -267,10 +267,59 @@ def test_duplicate_hyperplane_names_are_refused(tmp_path, command, names, error)
     assert child.stderr == b""
 
 
+def _fig2_left_with(**meta):
+    doc = fixtures.fixture("fig2_left").to_dict()
+    doc.update(meta)
+    return doc
+
+
+def _l212_unnamed():
+    """L(2,1,2) with its hyperplane names dropped and its positive normals
+    kept under the names X1, ..., Z2, which then name nothing."""
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    doc["hyperplane_names"] = None
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["hyperplanes"], ["assumptions"], ["basis"],
+     ["verify-iso", "--max-degree", "2"]],
+    ids=["hyperplanes", "assumptions", "basis", "verify-iso"],
+)
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        (lambda: _fig2_left_with(hyperplane_names={"Q": ["p"]}),
+         "hyperplane_names entry 'Q' names no hyperplane"),
+        (lambda: _fig2_left_with(positive_normals={"ZZ": "p:e"}),
+         "positive_normals entry 'ZZ' names no hyperplane"),
+        (_l212_unnamed, "positive_normals entry 'X1' names no hyperplane"),
+    ],
+    ids=["name-of-no-vertex-set", "normal-of-no-name", "normals-of-dropped-names"],
+)
+def test_names_and_normals_that_name_no_hyperplane_are_refused(
+    tmp_path, command, doc, error
+):
+    """A ``hyperplane_names`` entry whose vertex set is no hyperplane's, or
+    a ``positive_normals`` entry under a name that no hyperplane has, is
+    an input error that names the entry: exit 1 and one document without
+    ``internal``, not an entry silently ignored."""
+    p = tmp_path / "named.json"
+    p.write_text(json.dumps(doc()))
+    child = run_child(["-m", "gkmgraphs.cli", command[0], str(p), *command[1:]])
+    assert child.returncode == 1
+    assert json.loads(child.stdout) == {"error": error, "ok": False}
+    assert child.stderr == b""
+
+
 @pytest.mark.parametrize("key", ["positive_normals", "hyperplane_names"])
 def test_null_metadata_is_read_as_absent(tmp_path, capsys, key):
     doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
     doc[key] = None
+    if key == "hyperplane_names":
+        # the normals are kept under the names, which now name nothing
+        doc["positive_normals"] = None
     p = tmp_path / "null.json"
     p.write_text(json.dumps(doc))
     code, out = run(capsys, "hyperplanes", str(p))
@@ -942,6 +991,67 @@ def test_the_solver_cap_admits_every_tested_request():
     assert cohomology.solver_columns(g, 4) == 1125
     assert cohomology.solver_columns(g, 4, forgetful=True) == 375
     assert 1125 * 1.5 < cohomology.SOLVER_MAX_COLUMNS
+
+
+@pytest.mark.parametrize("source", ["fixture", "file"])
+@pytest.mark.parametrize(
+    "command", [["assumptions"], ["verify-iso", "--max-degree", "2"]],
+    ids=["assumptions", "verify-iso"],
+)
+def test_oversized_family_tables_are_refused_up_front(
+    tmp_path, monkeypatch, capsys, source, command
+):
+    """A family table of assumption (2) with more than
+    ``FAMILY_TABLE_MAX`` families is one refusal document with exit 1,
+    before the table is built or any halfspace pair is: on the fixture
+    and on a file, local_model(15) has 2^15 - 1 and local_model(32)
+    2^32 - 1."""
+
+    def not_built(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    for name in ("nonempty_intersection_table", "halfspace_pair"):
+        monkeypatch.setattr(hyperplanes, name, not_built)
+    for n in (15, 32):
+        if source == "fixture":
+            argv = ["--fixture", f"local_model({n})"]
+        else:
+            path = tmp_path / f"local_model_{n}.json"
+            path.write_text(serialize(fixtures.local_model(n)))
+            argv = [str(path)]
+        code, out = run(capsys, command[0], *argv, *command[1:])
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False and doc["check"] == "family_table_size"
+        assert f"{2 ** n - 1} families" in doc["error"]
+        assert "internal" not in doc
+
+
+@pytest.mark.parametrize(
+    "command", [["assumptions"], ["verify-iso", "--max-degree", "2"]],
+    ids=["assumptions", "verify-iso"],
+)
+def test_the_largest_accepted_family_table_fits_its_budget(command):
+    """local_model(14) has 16383 families, the most that
+    ``FAMILY_TABLE_MAX`` accepts: exit 0 within 10 s and 150 MB (about
+    0.4 s and 35 MB on 2 vCPUs).  A small parent runs it and reports its
+    peak RSS, as in the other budget tests."""
+    assert 2**14 - 1 <= hyperplanes.FAMILY_TABLE_MAX < 2**15 - 1
+    probe = (
+        "import resource, subprocess, sys\n"
+        "run = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(run.returncode, peak)\n"
+    )
+    done = run_child(
+        ["-c", probe, sys.executable, "-m", "gkmgraphs.cli", command[0],
+         "--fixture", "local_model(14)", *command[1:]],
+        timeout=10,
+        text=True,
+    )
+    code, peak = map(int, done.stdout.split())
+    assert code == 0
+    assert peak < 150 * 1024
 
 
 def test_verify_iso_to_degree_5_on_l555_fits_its_budget(tmp_path):

@@ -32,7 +32,7 @@ from gkmgraphs.hyperplanes import (
     all_hyperplanes,
     thom_class,
 )
-from gkmgraphs.polynomials import IntPolynomial
+from gkmgraphs.polynomials import IntPolynomial, graded_piece_basis
 from oracles import (
     CohomologyClass,
     _label_divides,
@@ -43,6 +43,7 @@ from oracles import (
     divide_exact_by_linear,
     evaluate_generator,
     forgetful_thom_class,
+    hnf_nonzero_rows,
     linear_form,
     reduced_relations,
     vector_class,
@@ -179,6 +180,49 @@ def test_label_map_divisibility_agrees_with_exact_division(case):
     alpha, f = case
     expected = divide_exact_by_linear(f, alpha) is not None
     assert _label_divides({}, alpha, f.terms) == expected
+
+
+@st.composite
+def _label_and_form(draw):
+    """A label, primitive, of content > 1 or zero, and a homogeneous
+    polynomial that it divides or, with some noise, may not."""
+    n = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["primitive", "content", "zero"]))
+    if kind == "zero":
+        alpha = (0,) * n
+    else:
+        base = draw(st.tuples(*[st.integers(-3, 3)] * n).filter(any))
+        base = tuple(a // gcd(*base) for a in base)
+        alpha = base if kind == "primitive" else tuple(
+            draw(st.integers(2, 3)) * a for a in base
+        )
+    degree = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, degree)] * n)
+    quotient = IntPolynomial(n, draw(st.dictionaries(
+        monos.filter(lambda m: sum(m) == degree - 1), st.integers(-3, 3), max_size=4
+    )))
+    noise = IntPolynomial(n, draw(st.dictionaries(
+        monos.filter(lambda m: sum(m) == degree), st.integers(-2, 2), max_size=2
+    )))
+    return alpha, degree, linear_form(alpha) * quotient + noise
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_and_form())
+def test_the_solver_check_agrees_with_exact_division(case):
+    """The solver's own test, ``_vector_satisfies_congruences`` on one
+    edge with f at p and 0 at q, against exact division: the label
+    divides f - 0 exactly when the rows of its map pass.  The zero label
+    divides only 0."""
+    alpha, degree, f = case
+    monos = graded_piece_basis(len(alpha), degree)
+    vec = tuple(f.terms.get(m, 0) for m in monos) + (0,) * len(monos)
+    edges = [(0, len(monos), cohomology._label_map({}, alpha, degree))]
+    if any(alpha):
+        expected = divide_exact_by_linear(f, alpha) is not None
+    else:
+        expected = f.is_zero()
+    assert cohomology._vector_satisfies_congruences(vec, edges, len(monos)) == expected
 
 
 @pytest.mark.parametrize(
@@ -583,8 +627,7 @@ def test_chi_multiples_lie_in_kernel_trivially():
 def test_homogeneous_decomposition_of_mixed_degree_classes():
     """A mixed-degree product of Thom classes splits into homogeneous
     pieces, each of which is itself a class lying in the solver basis."""
-    from gkmgraphs.intlinalg import hnf_nonzero_rows, same_lattice
-    from gkmgraphs.polynomials import graded_piece_basis
+    from gkmgraphs.intlinalg import same_lattice
 
     g = fixture("fig2_left")
     ring = presentation_ring(g)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gkmgraphs import intlinalg as il
 from gkmgraphs.errors import DimensionError
-from oracles import lattice_rank, unimodular_inverse
+from oracles import hnf_nonzero_rows, lattice_rank, unimodular_inverse
 
 
 def rank_ffge(rows) -> int:
@@ -170,7 +170,7 @@ def test_solve_integer():
 
 
 def test_lattice_membership_and_same_lattice():
-    basis = il.hnf_nonzero_rows([[2, 0], [0, 3]])
+    basis = hnf_nonzero_rows([[2, 0], [0, 3]])
     assert il.same_lattice(basis, basis + [[4, 3]])
     assert not il.same_lattice(basis, basis + [[1, 0]])
     assert il.same_lattice([[2, 0], [0, 3]], [[2, 3], [2, -3], [2, 0]])
@@ -256,13 +256,13 @@ def test_kernel_and_rank_against_the_oracle(m):
     for k in kernel:
         assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
     assert len(kernel) == ncols - r
-    assert [tuple(row) for row in il.hnf_nonzero_rows(kernel)] == kernel
+    assert [tuple(row) for row in hnf_nonzero_rows(kernel)] == kernel
     # sparse rows with their zeros kept, which ``rank`` leaves as they are
     rows = [dict(enumerate(row)) for row in m]
     assert il.rank(rows, ncols) == r
     assert rows == [dict(enumerate(row)) for row in m]
     assert lattice_rank(m) == r
-    assert len(il.hnf_nonzero_rows(m)) == r
+    assert len(hnf_nonzero_rows(m)) == r
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 """Layout of the package: every public name is used by the package itself,
-and every field it sets is read by the package.
+every field it sets is read by the package, and every field of an error
+is read by a handler that caught it.
 
 Code that only the tests call belongs in the tests (``tests/oracles.py``
 keeps the reference implementations), unless it checks a statement of
@@ -133,6 +134,63 @@ def _unread_fields(trees):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
     return [f for f in _fields(trees) if f.rsplit(".", 1)[1] not in read]
+
+
+def _lineage(name, bases):
+    """``name`` and the names of all its ancestors among ``bases`` (class
+    name -> the names of its bases)."""
+    out, todo = set(), [name]
+    while todo:
+        c = todo.pop()
+        if c not in out:
+            out.add(c)
+            todo += bases.get(c, [])
+    return out
+
+
+def _unread_error_fields(trees):
+    """The fields of the ``GkmError`` subclasses that no ``except`` handler
+    reads from the exception it caught: ``except C as exc`` reads
+    ``exc.<field>``, where C is the field's class or a base or subclass of
+    it.  A field of the same name on another record does not count."""
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    read = set()  # (caught class, field)
+    for tree in trees.values():
+        for handler in ast.walk(tree):
+            if not isinstance(handler, ast.ExceptHandler) or not handler.name:
+                continue
+            caught = handler.type
+            caught = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+            for stmt in handler.body:
+                for node in ast.walk(stmt):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == handler.name
+                    ):
+                        read |= {(c.id, node.attr) for c in caught
+                                 if isinstance(c, ast.Name)}
+    out = []
+    for f in _fields(trees):
+        cls, field = f.rsplit(".", 1)
+        mine = _lineage(cls, bases)
+        if "GkmError" in mine and not any(
+            name == field and (c in mine or cls in _lineage(c, bases))
+            for c, name in read
+        ):
+            out.append(f)
+    return out
+
+
+def test_every_error_field_is_read_by_a_handler():
+    unread = _unread_error_fields(_modules())
+    assert [f for f in unread if f not in ALLOWED_FIELDS] == []
 
 
 def test_every_field_is_read_in_the_package():
