@@ -409,13 +409,17 @@ def cmd_basis(args, parser):
     from .shelling import basis_monomial_name, module_basis, shelling_context
 
     ctx = shelling_context(_read_graph(args, parser))
-    out = ctx.shelling.to_dict()
-    out["basis"] = [basis_monomial_name(b) for b in module_basis(ctx)]
-    out["characteristic_functions"] = {
-        name: list(ctx.lambdas[name]) for name in ctx.names
-    }
-    out["positive_normals"] = ctx.orientation
-    return _emit(out)
+    return _emit(
+        {
+            "facet_order": [sorted(f) for f in ctx.shelling.order],
+            "minimal_faces": [sorted(f) for f in ctx.shelling.minimal_faces],
+            "basis": [basis_monomial_name(b) for b in module_basis(ctx)],
+            "characteristic_functions": {
+                name: list(ctx.lambdas[name]) for name in ctx.names
+            },
+            "positive_normals": ctx.orientation,
+        }
+    )
 
 
 def cmd_structure_constants(args, parser):
@@ -434,17 +438,27 @@ def cmd_structure_constants(args, parser):
 
 
 def cmd_express(args, parser):
-    from .shelling import express_in_basis, shelling_context
+    from .shelling import (
+        basis_monomial_name,
+        express_in_basis,
+        module_basis,
+        shelling_context,
+    )
 
     g = _read_graph(args, parser)
     ctx = shelling_context(g)
     poly = _PolyParser(args.poly, ctx.names).parse()
-    expansion = express_in_basis(ctx, poly)
+    basis = module_basis(ctx)
+    varnames = _poly_varnames(g)
     return _emit(
         {
             "poly": args.poly,
             "generators": list(ctx.names),
-            "coefficients": expansion.to_dict(ctx, _poly_varnames(g)),
+            "coefficients": {
+                basis_monomial_name(basis[i]): c.to_string(varnames)
+                for i, c in sorted(express_in_basis(ctx, poly).items())
+                if not c.is_zero()
+            },
         }
     )
 

@@ -101,6 +101,7 @@ class GkmGraph:
         # by the congruence checks of ``cohomology`` (see ``_label_map``)
         self.label_maps = {}
         self._connection = None
+        self._pairs = None
         if connection is not None:
             self._connection = {e: dict(m) for e, m in connection.items()}
             _verify_connection(self, self._connection)
@@ -174,6 +175,13 @@ class GkmGraph:
         if self._connection is None:
             self._connection = derive_connection(self)
         return self._connection
+
+    @property
+    def pairs(self):
+        """The ``pair_decomposition`` of the graph, built on first use."""
+        if self._pairs is None:
+            self._pairs = pair_decomposition(self)
+        return self._pairs
 
     # -- equality / serialization -------------------------------------------
 
@@ -593,7 +601,8 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
 def pair_decomposition(g: GkmGraph):
     """Pair up every vertex's darts, ``{vertex: [(a, b), ...]}`` with axial
     sums x, and assert the connection maps pairs to pairs across every
-    edge."""
+    edge, so it carries unions of pairs to unions of pairs (kept as
+    ``GkmGraph.pairs``)."""
     table = {v: _pairs_at(g, v) for v in g.vertices}
     conn = g.connection
     for eid in g.edge_dart_ids():

@@ -1,11 +1,13 @@
 """Hyperplanes, halfspaces and Thom classes.
 
 A hyperplane is found by connection closure from a seed vertex: remove one
-pair from the vertex's dart set and push the remaining darts across every
-edge with the connection until the vertex->dart-set table stabilizes.  The
-halfspace pair of a hyperplane is built by component-side assignment (each
-component of the graph minus the hyperplane is entered by normal darts of
-exactly one orientation class when assumption (1) holds).  Each half is
+pair of ``GkmGraph.pairs`` from the vertex's dart set and push the rest
+across every edge with the connection until the vertex->dart-set table
+stabilizes; the connection maps pairs to pairs, so each set is a union of
+pairs.  The halfspace pair of a hyperplane is built by component-side
+assignment (the normal darts 2-coloured in one traversal of L, each
+component of the graph minus L entered by darts of one colour when
+assumption (1) holds).  Each half is
 then checked: the pre-halfspace axioms at the hyperplane's vertices and
 the edges leaving them, the only places where a half built this way can
 break them; its connectedness; the intersection and the cover of the
@@ -37,8 +39,8 @@ from .errors import (
     GkmError,
     Oversized,
 )
-from .graph import GkmGraph, components, pair_decomposition
-from .intlinalg import congruent, vec_sub
+from .graph import GkmGraph, components
+from .intlinalg import congruent
 
 
 class Hyperplane(namedtuple("Hyperplane", "vertices dart_ids name")):
@@ -79,14 +81,13 @@ class Halfspace:
 
 def hyperplane_through(g: GkmGraph, vertex, excluded_pair) -> Hyperplane:
     """The unique hyperplane whose dart set at `vertex` omits the given
-    1-dimensional pair; built by iterated connection closure."""
-    excluded = frozenset(excluded_pair)
-    if len(excluded) != 2 or not excluded <= set(g.darts_at(vertex)):
-        raise GkmError("excluded_pair must be two darts at the seed vertex")
-    a, b = sorted(excluded)
-    if g.axial(a) != vec_sub(g.residual, g.axial(b)):
-        raise GkmError("excluded darts do not form a 1-dimensional pair")
-    table = {vertex: frozenset(g.darts_at(vertex)) - excluded}
+    1-dimensional pair, one of ``g.pairs`` at `vertex`; built by iterated
+    connection closure."""
+    if tuple(sorted(excluded_pair)) not in g.pairs[vertex]:
+        raise GkmError(
+            "excluded darts are not a 1-dimensional pair at the seed vertex"
+        )
+    table = {vertex: frozenset(g.darts_at(vertex)) - set(excluded_pair)}
     stack = [vertex]
     conn = g.connection
     while stack:
@@ -103,24 +104,9 @@ def hyperplane_through(g: GkmGraph, vertex, excluded_pair) -> Hyperplane:
                         f"connection closure is inconsistent at vertex {q!r}"
                     )
                 continue
-            _check_pair_set(g, q, image)
             table[q] = image
             stack.append(q)
-    darts = frozenset().union(*table.values()) if table else frozenset()
-    vertices = frozenset(table)
-    return Hyperplane(vertices, darts, "")
-
-
-def _check_pair_set(g, vertex, dart_ids):
-    x = g.residual
-    values = {d: g.axial(d) for d in dart_ids}
-    for d, a in values.items():
-        want = vec_sub(x, a)
-        if sum(1 for other in dart_ids if values[other] == want) != 1:
-            raise ClosureFailure(
-                f"dart set at {vertex!r} does not split into pairs summing "
-                "to the residual vector"
-            )
+    return Hyperplane(frozenset(table), frozenset().union(*table.values()), "")
 
 
 def _name_key(name):
@@ -145,11 +131,10 @@ def all_hyperplanes(g: GkmGraph):
     the darts at w outside p: by the uniqueness of ``hyperplane_through``
     its closure would rebuild that hyperplane, through the same checks.
     """
-    pairs = pair_decomposition(g)
     seen = {}
     covered = set()  # (vertex, excluded darts) of the hyperplanes found
     for v in g.vertices:
-        for pair in pairs[v]:
+        for pair in g.pairs[v]:
             if (v, frozenset(pair)) in covered:
                 continue
             h = hyperplane_through(g, v, pair)
@@ -263,58 +248,51 @@ def _excluded_pairs(g, hyperplane):
 
 
 def _orientation_classes(g, hyperplane, excluded):
-    """2-color the excluded darts so the connection preserves colors."""
-    color = {}
-    first = sorted(hyperplane.vertices)[0]
-    color[excluded[first][0]] = 0
-    color[excluded[first][1]] = 1
+    """2-colour the normal darts so that the connection preserves colours:
+    once every edge of L carries normal pairs to normal pairs, one
+    traversal of L carries both colours of a pair at each step, and only
+    a dart reached with two colours can break it."""
     conn = g.connection
-    edges_in_l = [
-        d
-        for d in sorted(hyperplane.dart_ids)
-        if not g.darts[d].is_leg and g.darts[d].opposite in hyperplane.dart_ids
-        and g.darts[d].target in hyperplane.vertices
-    ]
-    changed = True
-    while changed:
-        changed = False
-        for eid in edges_in_l:
-            src, tgt = g.darts[eid].source, g.darts[eid].target
-            for d in excluded[src]:
-                img = conn[eid][d]
-                if img not in excluded[tgt]:
+    edges = {}  # vertex of L -> the edge darts of L leaving it
+    for eid in sorted(hyperplane.dart_ids):
+        e = g.darts[eid]
+        if (
+            e.is_leg
+            or e.opposite not in hyperplane.dart_ids
+            or e.target not in hyperplane.vertices
+        ):
+            continue
+        for d in excluded[e.source]:
+            if conn[eid][d] not in excluded[e.target]:
+                raise AssumptionOneViolation(
+                    f"connection image of normal dart {d!r} leaves the "
+                    "normal pair",
+                    check="normal_closure",
+                )
+        edges.setdefault(e.source, []).append(eid)
+    first = min(hyperplane.vertices)
+    color = dict(zip(excluded[first], (0, 1)))
+    reached = {first}
+    stack = [first]
+    while stack:
+        v = stack.pop()
+        for eid in edges.get(v, ()):
+            for d in excluded[v]:
+                if color.setdefault(conn[eid][d], color[d]) != color[d]:
                     raise AssumptionOneViolation(
-                        f"connection image of normal dart {d!r} leaves the "
-                        "normal pair",
-                        check="normal_closure",
+                        "normal darts cannot be oriented consistently",
+                        check="orientation",
                     )
-                if d in color:
-                    if img in color:
-                        if color[img] != color[d]:
-                            raise AssumptionOneViolation(
-                                "normal darts cannot be oriented "
-                                "consistently",
-                                check="orientation",
-                            )
-                    else:
-                        color[img] = color[d]
-                        changed = True
-    missing = [
-        d for v in excluded for d in excluded[v] if d not in color
-    ]
-    if missing:
-        # L is connected, so propagation reaches every boundary vertex
+            t = g.darts[eid].target
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    if len(reached) != len(hyperplane.vertices):
         raise AssumptionOneViolation(
             "normal darts not reached by propagation; hyperplane "
             "is not connected",
             check="connectivity",
         )
-    for v, (d1, d2) in excluded.items():
-        if color[d1] == color[d2]:
-            raise AssumptionOneViolation(
-                f"both normal darts at {v!r} received the same orientation",
-                check="orientation",
-            )
     return color
 
 
@@ -483,10 +461,8 @@ def _validate_pre_halfspace(g, h: Halfspace, at=None):
 
 def opposite_side(g: GkmGraph, h: Halfspace) -> Halfspace:
     """The unique pre-halfspace with H u I = Gamma and tau_H + tau_I = chi."""
-    pairs = pair_decomposition(g)
-
     def partner(v, d):
-        return next(b if a == d else a for a, b in pairs[v] if d in (a, b))
+        return next(b if a == d else a for a, b in g.pairs[v] if d in (a, b))
 
     boundary_planes = []
     normals = {}

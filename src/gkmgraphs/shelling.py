@@ -20,7 +20,8 @@ Algebra*, ch. III).  A ring element is localized once per facet; running
 down the shelling order, the coefficient a_i is the i-th localization
 with the exponents of y^{mu_i} taken off, and a_i * x_{mu_i}, moved into
 the coordinates of each other facet that contains mu_i, is subtracted
-there.
+there.  A shelling is the pair of lists ``ShellingData``, an expansion
+the dict ``{i: a_i}``; the CLI prints both as they are.
 """
 
 from __future__ import annotations
@@ -55,16 +56,9 @@ DEFAULT_SEARCH_BUDGET = 10**6
 SimplicialComplex = namedtuple("SimplicialComplex", "facets facet_vertex")
 
 
-class ShellingData:
-    def __init__(self, order, minimal_faces):
-        self.order = order  # facets sigma_1..sigma_d
-        self.minimal_faces = minimal_faces  # mu_1..mu_d
-
-    def to_dict(self):
-        return {
-            "facet_order": [sorted(f) for f in self.order],
-            "minimal_faces": [sorted(f) for f in self.minimal_faces],
-        }
+# the facets sigma_1..sigma_d in shelling order, and their minimal new
+# faces mu_1..mu_d
+ShellingData = namedtuple("ShellingData", "order minimal_faces")
 
 
 def build_complex(arr: Arrangement) -> SimplicialComplex:
@@ -256,16 +250,6 @@ class ShellingContext:
         # the localization maps of the facet points
         self.localizations = FacetLocalizations(self)
 
-    @property
-    def ngens(self):
-        return len(self.names)
-
-    def gen_index(self, name):
-        return self.names.index(name)
-
-    def facet_point(self, facet):
-        return self.complex.facet_vertex[facet]
-
 
 class FacetLocalizations:
     """Localization at the facet points, in shelling order, each in the
@@ -285,11 +269,10 @@ class FacetLocalizations:
     def __init__(self, ctx: ShellingContext):
         n = ctx.graph.rank
         self.nvars = n
-        self.points = [ctx.facet_point(sigma) for sigma in ctx.shelling.order]
-        self.gens = [
-            tuple(sorted(map(ctx.gen_index, sigma)))
-            for sigma in ctx.shelling.order
-        ]
+        index = {name: i for i, name in enumerate(ctx.names)}
+        order = ctx.shelling.order
+        self.points = [ctx.complex.facet_vertex[sigma] for sigma in order]
+        self.gens = [tuple(sorted(map(index.get, sigma))) for sigma in order]
         self.lambdas = [
             [ctx.lambdas[ctx.names[g]] for g in gens] for gens in self.gens
         ]
@@ -317,7 +300,7 @@ class FacetLocalizations:
             self.taus.append(rows)
         # the facets containing mu_i (in a shelling, i and some later
         # ones), each with the exponents of x_{mu_i} = y^{mu_i} there
-        mus = [set(map(ctx.gen_index, m)) for m in ctx.shelling.minimal_faces]
+        mus = [set(map(index.get, m)) for m in ctx.shelling.minimal_faces]
         self.carriers = [
             {
                 k: tuple(int(g in mu) for g in gens)
@@ -398,38 +381,26 @@ def basis_monomial_name(names_tuple):
     return "*".join(names_tuple) if names_tuple else "1"
 
 
-class BasisExpansion:
-    def __init__(self, coefficients):
-        # basis index -> IntPolynomial in n variables
-        self.coefficients = coefficients
-
-    def to_dict(self, ctx: ShellingContext, varnames):
-        basis = module_basis(ctx)
-        return {
-            basis_monomial_name(basis[i]): c.to_string(varnames)
-            for i, c in sorted(self.coefficients.items())
-            if not c.is_zero()
-        }
-
-
-def express_in_basis(ctx: ShellingContext, poly: IntPolynomial) -> BasisExpansion:
-    """Coefficients a_i with poly = sum a_i * x_{mu_i}.
+def express_in_basis(ctx: ShellingContext, poly: IntPolynomial) -> dict:
+    """Coefficients a_i with poly = sum a_i * x_{mu_i}, ``{i: a_i}`` with
+    each a_i an ``IntPolynomial`` in the n e-coordinates.
 
     The input is localized once at every facet point through the cached
     facet localizations; the Stanley-Reisner ideal vanishes there, as no
     facet holds a non-face.  The expansion then runs on those
     localizations alone (see ``_expand``).
     """
-    if poly.nvars != ctx.ngens:
+    if poly.nvars != len(ctx.names):
         raise GkmError("polynomial is not in the hyperplane generators")
     maps = ctx.localizations
     locs = {k: maps.localize(poly, k) for k in range(len(maps.points))}
     return _expand(maps, {k: loc for k, loc in locs.items() if loc})
 
 
-def _expand(maps: FacetLocalizations, locs) -> BasisExpansion:
-    """Coefficients from the nonzero localizations ``locs`` (facet index ->
-    polynomial in that facet's coordinates) of a ring element; consumed.
+def _expand(maps: FacetLocalizations, locs) -> dict:
+    """Coefficients ``{i: a_i}`` from the nonzero localizations ``locs``
+    (facet index -> polynomial in that facet's coordinates) of a ring
+    element; consumed.
 
     Down the shelling order: at the i-th facet x_{mu_i} is y^{mu_i}, so
     a_i = locs[i] / y^{mu_i} is a shift of exponents, and a term without
@@ -471,7 +442,7 @@ def _expand(maps: FacetLocalizations, locs) -> BasisExpansion:
             "expansion remainder does not localize to zero; the input "
             "is not in the ring or the shelling is invalid"
         )
-    return BasisExpansion(coeffs)
+    return coeffs
 
 
 # -- ordinary cohomology ------------------------------------------------------------
@@ -504,7 +475,7 @@ def ordinary_cohomology(ctx: ShellingContext):
             key = f"{basis_monomial_name(basis[i])}*{basis_monomial_name(basis[j])}"
             eq = {}
             ord_ = {}
-            for idx, c in sorted(expansion.coefficients.items()):
+            for idx, c in sorted(expansion.items()):
                 name = basis_monomial_name(basis[idx])
                 eq[name] = c
                 k = c.constant_term()
@@ -545,8 +516,7 @@ def relation_for_hyperplane(ctx: ShellingContext, facet, name):
         raise GkmError(f"{name!r} is not a vertex of the facet")
     if facet not in ctx.complex.facet_vertex:
         raise GkmError("not a facet of the hyperplane complex")
-    p = ctx.facet_point(facet)
-    u = ctx.taus[name][p]
+    u = ctx.taus[name][ctx.complex.facet_vertex[facet]]
     coeffs = {name: 1}
     for other in ctx.names:
         if other in facet:

@@ -5,7 +5,9 @@ a linear form or inverts a matrix; these are the ring-path versions of
 those steps, kept as oracles to check the fast paths against.  A
 union-find over the dart list checks the graph search of
 ``graph.components``.  A halfspace pair re-validated at every vertex
-checks the pair that ``halfspace_pair`` validates at the hyperplane.  The
+checks the pair that ``halfspace_pair`` validates at the hyperplane, with
+the normal darts coloured by sweeps of the hyperplane's edges repeated
+until nothing changes, where the runtime colours them in one traversal.  The
 hyperplane complex built from the whole family table, every subset of
 the names through each vertex, checks the facets that ``build_complex``
 takes from the names through each vertex alone, and the minimal new faces
@@ -38,7 +40,6 @@ from gkmgraphs.hyperplanes import (
     Halfspace,
     _excluded_pairs,
     _name_key,
-    _orientation_classes,
     _subsets,
     _validate_pre_halfspace,
     nonempty_intersection_table,
@@ -311,12 +312,71 @@ def union_find_components(g, vertices, dart_ids=None):
 # -- halfspace pairs ---------------------------------------------------------
 
 
+def orientation_by_sweeps(g, hyperplane, excluded):
+    """``hyperplanes._orientation_classes`` by repeated sweeps: every edge
+    of L is swept again until no colour changes, checking the normal
+    pair's image on each edge and, at the end, that the two darts at each
+    vertex got different colours."""
+    color = {}
+    first = sorted(hyperplane.vertices)[0]
+    color[excluded[first][0]] = 0
+    color[excluded[first][1]] = 1
+    conn = g.connection
+    edges_in_l = [
+        d
+        for d in sorted(hyperplane.dart_ids)
+        if not g.darts[d].is_leg and g.darts[d].opposite in hyperplane.dart_ids
+        and g.darts[d].target in hyperplane.vertices
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for eid in edges_in_l:
+            src, tgt = g.darts[eid].source, g.darts[eid].target
+            for d in excluded[src]:
+                img = conn[eid][d]
+                if img not in excluded[tgt]:
+                    raise AssumptionOneViolation(
+                        f"connection image of normal dart {d!r} leaves the "
+                        "normal pair",
+                        check="normal_closure",
+                    )
+                if d in color:
+                    if img in color:
+                        if color[img] != color[d]:
+                            raise AssumptionOneViolation(
+                                "normal darts cannot be oriented "
+                                "consistently",
+                                check="orientation",
+                            )
+                    else:
+                        color[img] = color[d]
+                        changed = True
+    missing = [
+        d for v in excluded for d in excluded[v] if d not in color
+    ]
+    if missing:
+        # L is connected, so propagation reaches every boundary vertex
+        raise AssumptionOneViolation(
+            "normal darts not reached by propagation; hyperplane "
+            "is not connected",
+            check="connectivity",
+        )
+    for v, (d1, d2) in excluded.items():
+        if color[d1] == color[d2]:
+            raise AssumptionOneViolation(
+                f"both normal darts at {v!r} received the same orientation",
+                check="orientation",
+            )
+    return color
+
+
 def revalidated_halfspace_pair(g, hyperplane):
     """``hyperplanes.halfspace_pair`` with a full re-validation of each
     half: the pre-halfspace axioms at every vertex and every dart, and one
     scan of the components of Gamma - L per component root."""
     excluded = _excluded_pairs(g, hyperplane)
-    color = _orientation_classes(g, hyperplane, excluded)
+    color = orientation_by_sweeps(g, hyperplane, excluded)
     comp = components(g, set(g.vertices) - hyperplane.vertices)
     side_of_comp = {}
     for v in sorted(excluded):
@@ -517,10 +577,10 @@ def divide_exact(poly: IntPolynomial, linear_factors):
 
 def monomial_poly(ctx, names):
     """The monomial of the named generators in the ring of a context."""
-    mono = [0] * ctx.ngens
+    mono = [0] * len(ctx.names)
     for n in names:
-        mono[ctx.gen_index(n)] += 1
-    return IntPolynomial(ctx.ngens, {tuple(mono): 1})
+        mono[ctx.names.index(n)] += 1
+    return IntPolynomial(len(ctx.names), {tuple(mono): 1})
 
 
 def localize_at(ctx, poly: IntPolynomial, vertex) -> IntPolynomial:
@@ -540,8 +600,8 @@ def lift_coefficient(ctx, coeff: IntPolynomial) -> IntPolynomial:
         for i, name in enumerate(ctx.names):
             c = ctx.lambdas[name][j]
             if c:
-                entries[tuple(int(t == i) for t in range(ctx.ngens))] = c
-        images.append(IntPolynomial(ctx.ngens, entries))
+                entries[tuple(int(t == i) for t in range(len(ctx.names)))] = c
+        images.append(IntPolynomial(len(ctx.names), entries))
     return coeff.substitute(images)
 
 
@@ -549,7 +609,7 @@ def expand_by_division(ctx, poly: IntPolynomial) -> dict:
     """The coefficients a_i of poly = sum a_i x_{mu_i}, found in e: down the
     shelling order, a_i is the exact quotient of the localization at the
     i-th facet point by the Thom values that make up x_{mu_i} there."""
-    points = [ctx.facet_point(sigma) for sigma in ctx.shelling.order]
+    points = [ctx.complex.facet_vertex[sigma] for sigma in ctx.shelling.order]
     mus = ctx.shelling.minimal_faces
     locs = [localize_at(ctx, poly, p) for p in points]
     coeffs = {}

@@ -47,10 +47,10 @@ def report(number, description, t0, budget):
 
 
 def klm_poly(ctx, *names_exps):
-    mono = [0] * ctx.ngens
+    mono = [0] * len(ctx.names)
     for name, e in names_exps:
-        mono[ctx.gen_index(name)] += e
-    return IntPolynomial(ctx.ngens, {tuple(mono): 1})
+        mono[ctx.names.index(name)] += e
+    return IntPolynomial(len(ctx.names), {tuple(mono): 1})
 
 
 def test_criterion_1_module_basis_of_klm_212():
@@ -76,7 +76,7 @@ def test_criterion_2_equivariant_structure_constants_of_klm_212():
         basis = module_basis(ctx)
         return {
             basis_monomial_name(basis[i]): c
-            for i, c in exp.coefficients.items()
+            for i, c in exp.items()
             if not c.is_zero()
         }
 
@@ -161,7 +161,7 @@ def test_criterion_6_property_suites():
         ctx = shelling_context(g)
         basis = module_basis(ctx)
         for i, sigma in enumerate(ctx.shelling.order):
-            p = ctx.facet_point(sigma)
+            p = ctx.complex.facet_vertex[sigma]
             for j, b in enumerate(basis):
                 val = localize_at(ctx, monomial_poly(ctx, b), p)
                 assert val.is_zero() if j > i else True

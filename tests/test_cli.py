@@ -437,6 +437,35 @@ def test_verify_iso_finds_hyperplanes_and_assumptions_once(
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["assumptions"], ["basis"], ["verify-iso", "--max-degree", "2"]],
+    ids=["assumptions", "basis", "verify-iso"],
+)
+def test_each_command_pairs_the_darts_at_each_vertex_once(
+    tmp_path, monkeypatch, capsys, argv
+):
+    """The pair table is built once per graph and read by every closure:
+    on L(3,3,3) ``_pairs_at`` runs once per vertex, however many
+    hyperplanes are found."""
+    import gkmgraphs.graph as graph
+
+    g = gen_klm(KlmSpec(3, 3, 3))
+    path = tmp_path / "L333.json"
+    path.write_text(serialize(g))
+    calls = []
+    real = graph._pairs_at
+
+    def counting(g, v):
+        calls.append(v)
+        return real(g, v)
+
+    monkeypatch.setattr(graph, "_pairs_at", counting)
+    code, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert sorted(calls) == sorted(g.vertices)
+
+
+@pytest.mark.parametrize(
     "command",
     [["structure-constants"], ["express", "--poly", "(X1+Y1+Z1)^3-2*X1*Z2"]],
     ids=["structure-constants", "express"],

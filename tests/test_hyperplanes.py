@@ -38,6 +38,7 @@ from gkmgraphs.hyperplanes import (
 from oracles import (
     forgetful_thom_class,
     intersection,
+    orientation_by_sweeps,
     revalidated_halfspace_pair,
     union_find_components,
 )
@@ -68,11 +69,11 @@ def test_excluded_pair_must_be_a_pair():
         hyperplane_through(g, "p", ("p:e", "p:n"))
 
 
-def test_closure_failure_on_unmodeled_graph():
+def test_a_graph_whose_darts_do_not_pair_up_is_refused_before_any_closure():
     """A labeled graph with a valid connection whose pairs break at one
-    vertex: the closure iteration walks into a dart set that does not
-    split into complementary pairs."""
-    from gkmgraphs.errors import ClosureFailure
+    vertex: ``b:W`` has no partner with complementary axial value at
+    ``b``, so the graph's pair table refuses it before a closure starts."""
+    from gkmgraphs.errors import NoPartner
     from gkmgraphs.graph import Dart, GkmGraph
 
     darts = [
@@ -86,7 +87,11 @@ def test_closure_failure_on_unmodeled_graph():
         Dart("b:s", "b", None, None, (0, -1, 1)),
     ]
     g = GkmGraph(2, darts)
-    with pytest.raises(ClosureFailure):
+    with pytest.raises(
+        NoPartner,
+        match=r"^dart 'b:W' at vertex 'b' has 0 partners with "
+        "complementary axial value$",
+    ):
         hyperplane_through(g, "a", ("a:n", "a:s"))
 
 
@@ -360,6 +365,38 @@ def test_halfspace_pair_agrees_with_the_revalidated_pair():
             checks.add(ours[0])
     # the mutations reach the checks that moved to the hyperplane
     assert {"component_sides", "normal_congruence"} <= checks
+
+
+def test_a_twisted_normal_pair_cannot_be_oriented():
+    """Two edges join u and w inside L; one carries the normal pair of u
+    straight, the other crossed, so no colouring is kept by the
+    connection.  The traversal and the sweeps both refuse it.  (Only the
+    colouring reads the connection and the dart records, so a bare stand-in
+    for the graph will do.)"""
+    from types import SimpleNamespace
+
+    from gkmgraphs.graph import Dart
+
+    darts = {}
+    for v, w in (("u", "w"), ("w", "u")):
+        for i in "12":
+            darts[f"{v}:{i}"] = Dart(f"{v}:{i}", v, w, f"{w}:{i}", (0,))
+        for n in "ab":
+            darts[f"{v}:{n}"] = Dart(f"{v}:{n}", v, None, None, (0,))
+    straight = {"u:a": "w:a", "u:b": "w:b"}
+    crossed = {"u:a": "w:b", "u:b": "w:a"}
+    connection = {"u:1": straight, "u:2": crossed}
+    for eid, m in list(connection.items()):
+        connection["w" + eid[1:]] = {b: a for a, b in m.items()}
+    g = SimpleNamespace(darts=darts, connection=connection)
+    plane = Hyperplane(
+        frozenset("uw"), frozenset(["u:1", "u:2", "w:1", "w:2"]), "T"
+    )
+    excluded = {"u": ("u:a", "u:b"), "w": ("w:a", "w:b")}
+    for colouring in (hyperplanes._orientation_classes, orientation_by_sweeps):
+        with pytest.raises(AssumptionOneViolation) as caught:
+            colouring(g, plane, excluded)
+        assert caught.value.check == "orientation"
 
 
 def test_a_connection_corrupted_across_an_interior_edge_is_refused():
