@@ -8,10 +8,13 @@ vectors, of python ints, so every computation is arbitrary precision.
 Inside, one routine does all the work: integer row echelon form on sparse
 rows (``{column: value}`` dicts with a column -> rows index for the pivot
 search), in the manner of sparse integer elimination (Dumas, Saunders and
-Villard 2001).  The matrices of the solver are mostly zeros, and sparse
-rows never touch them.  The Hermite normal form (with optional unimodular
-transform), kernels, exact rank, solving and lattice comparison are built
-on it.
+Villard 2001); the solver's matrices are mostly zeros, which sparse rows
+never touch.  Each pivot has the smallest absolute value in its column
+and, on a tie, the fewest nonzeros with its transform row (the Markowitz
+criterion; Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*,
+ch. 7), which keeps the kernel transforms sparse and their entries small.
+The Hermite normal form (with optional unimodular transform), kernels,
+exact rank, solving and lattice comparison are built on it.
 """
 
 from __future__ import annotations
@@ -92,25 +95,20 @@ def _subtract(row, q, pivot, i=None, index=None):
 def _echelon(rows, ncols, track=None, reduce=True):
     """Row echelon form of the sparse rows, in place.
 
-    Column by column, the row with the smallest absolute value in the
-    column (the first in the current row order on a tie) is moved up to
-    the pivot position and every other row below the pivots is reduced by
-    it, until only one nonzero is left there: a gcd computation spread
-    over the rows.  Pivots end positive.  With ``reduce``, the entries
-    above each pivot are then reduced into [0, pivot), which makes the
-    result the Hermite normal form.  The rows of ``track`` undergo the
-    same row operations, so the identity becomes the unimodular transform.
+    Column by column, the pivot is the row below the pivots with the
+    smallest absolute value in the column, then the fewest nonzeros in it
+    and its ``track`` row together, then the lowest row number.  Every
+    other row below is reduced by it until only one nonzero is left in the
+    column: a gcd computation spread over the rows.  Pivots end positive.
+    With ``reduce``, the entries above each pivot are then reduced into
+    [0, pivot), which makes the result the Hermite normal form.  The rows
+    of ``track`` undergo the same row operations, so the identity becomes
+    the unimodular transform.
 
-    Returns ``(order, rank)``: ``order`` lists the row numbers in echelon
-    order, and its first ``rank`` rows are the nonzero ones.
+    Returns ``(order, rank)``: the pivot rows in the order they were found,
+    then the other rows, and the number of pivots.
     """
     m = len(rows)
-    # Rows stay where they are stored; their positions are swapped as in
-    # dense elimination and break ties.  So the transform, which is not
-    # unique when the rank is deficient, and the solution that
-    # ``solve_integer`` picks are those of dense elimination.
-    order = list(range(m))  # order[k]: the row at position k
-    place = list(range(m))  # place[i]: the position of row i
     index = {}  # column -> the rows below the pivots nonzero there
     for i, row in enumerate(rows):
         for j in row:
@@ -118,21 +116,20 @@ def _echelon(rows, ncols, track=None, reduce=True):
                 index[j].add(i)
             else:
                 index[j] = {i}
-    rank = 0
+
+    def weight(i):  # the nonzeros of row i and of its transform row
+        return len(rows[i]) + (0 if track is None else len(track[i]))
+
+    order = []
     pivot_cols = []
     for col in range(ncols):
-        if rank == m:
+        if len(order) == m:
             break
         below = index.get(col)
         if not below:
             continue
-        while True:
-            best = min(below, key=lambda i: (abs(rows[i][col]), place[i]))
-            k, other = place[best], order[rank]
-            order[rank], order[k] = best, other
-            place[best], place[other] = rank, k
-            if len(below) == 1:
-                break
+        while len(below) > 1:
+            best = min(below, key=lambda i: (abs(rows[i][col]), weight(i), i))
             pivot = rows[best]
             p = pivot[col]
             for i in [i for i in below if i != best]:
@@ -140,6 +137,8 @@ def _echelon(rows, ncols, track=None, reduce=True):
                 _subtract(rows[i], q, pivot, i, index)
                 if track is not None:
                     _subtract(track[i], q, track[best])
+        # each remainder is smaller than the pivot: the last row left is it
+        (best,) = below
         pivot = rows[best]
         for j in pivot:
             index[j].discard(best)
@@ -150,8 +149,10 @@ def _echelon(rows, ncols, track=None, reduce=True):
                 t = track[best]
                 for j in t:
                     t[j] = -t[j]
+        order.append(best)
         pivot_cols.append(col)
-        rank += 1
+    rank = len(order)
+    order += sorted(set(range(m)).difference(order))
     if reduce:
         # from the last pivot row up, so that each row is reduced by rows
         # that are final already: far fewer row operations than reducing
@@ -173,9 +174,8 @@ def hermite_normal_form(rows, transform=False):
 
     Returns H (list of rows, same shape as the input) such that H = U*M for
     a unimodular U; with ``transform=True`` the pair (H, U) is returned.
-    Pivots are positive, entries above a pivot are reduced into [0, pivot)
-    and pivot selection takes the smallest absolute value in the column to
-    keep intermediate entries small.
+    Pivots are positive and entries above a pivot are reduced into
+    [0, pivot); the pivot rule is that of ``_echelon``.
     """
     _check_rect(rows)
     m = len(rows)

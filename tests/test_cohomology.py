@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gkmgraphs.cohomology as cohomology
+import gkmgraphs.intlinalg as intlinalg
 from gkmgraphs.cohomology import (
     cohomology_basis,
     kernel_forgetful_check,
@@ -250,6 +251,28 @@ def test_solver_check_rejects_a_corrupted_kernel(
     monkeypatch.setattr(cohomology, "kernel_basis", corrupted)
     with pytest.raises(CongruenceFailure, match="solver output"):
         cohomology_basis(graph(), degree, forgetful=forgetful)
+
+
+def test_the_kernel_transform_stays_small_on_L333_degree_7(monkeypatch):
+    """The rows that span the kernel, taken from the transform of the
+    first elimination, keep entries of at most 20 bits.  A pivot rule that
+    breaks ties by row position lets them reach 29 bits here, and the
+    Hermite reduction of the kernel then takes minutes from degree 9 on."""
+    real = intlinalg._echelon
+    bits = []
+
+    def recording(rows, ncols, track=None, reduce=True):
+        order, r = real(rows, ncols, track, reduce)
+        if track is not None and not reduce:
+            bits.extend(
+                abs(a).bit_length() for i in order[r:] for a in track[i].values()
+            )
+        return order, r
+
+    monkeypatch.setattr(intlinalg, "_echelon", recording)
+    classes, _ = cohomology_basis(gen_klm(KlmSpec(3, 3, 3)), 7)
+    assert classes and bits
+    assert max(bits) <= 20
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ answer: the Hermite form is unique, so "H is in Hermite form and H = U*M
 with U unimodular" pins it down completely."""
 
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,26 @@ def rank_ffge(rows) -> int:
         if rank == len(a):
             break
     return rank
+
+
+def det_bareiss(a):
+    """Determinant of a square matrix by fraction-free (Bareiss)
+    elimination, with no code in common with ``intlinalg``."""
+    a = [list(r) for r in a]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * (a[n - 1][n - 1] if n else 1)
 
 
 def kernel_of(m):
@@ -248,8 +270,8 @@ def test_hermite_form_with_transform(m):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices())
-def test_kernel_and_rank_against_the_oracle(m):
+@given(sparse_matrices(), st.randoms(use_true_random=False))
+def test_kernel_and_rank_against_the_oracle(m, rnd):
     ncols = len(m[0])
     r = rank_ffge(m)
     kernel = kernel_of(m)
@@ -257,6 +279,19 @@ def test_kernel_and_rank_against_the_oracle(m):
         assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in m)
     assert len(kernel) == ncols - r
     assert [tuple(row) for row in hnf_nonzero_rows(kernel)] == kernel
+    # the whole integer kernel, not a sublattice of full rank in it: the
+    # maximal minors of the basis have gcd 1
+    g = 0
+    for cols in combinations(range(ncols), len(kernel)):
+        g = gcd(g, det_bareiss([[v[j] for j in cols] for v in kernel]))
+        if g == 1:
+            break
+    assert g == 1
+    # both are unique, so the order of the rows cannot change them
+    shuffled = list(m)
+    rnd.shuffle(shuffled)
+    assert kernel_of(shuffled) == kernel
+    assert il.hermite_normal_form(shuffled) == il.hermite_normal_form(m)
     # sparse rows with their zeros kept, which ``rank`` leaves as they are
     rows = [dict(enumerate(row)) for row in m]
     assert il.rank(rows, ncols) == r
