@@ -27,7 +27,7 @@ import argparse
 import json
 import sys
 
-from .errors import AssumptionViolation, GkmError, Oversized
+from .errors import AssumptionViolation, GkmError, Oversized, ParseError
 
 
 def _write(text):
@@ -63,14 +63,18 @@ def _read_graph(args, parser):
         except GkmError as exc:
             parser.error(str(exc))
     source = getattr(args, "source", None)
-    if source is None or source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(source) as fh:
+    if source is None:
+        source = "-"
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            with open(source, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            parser.error(f"cannot read {source}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the graph is not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        parser.error(f"cannot read {source}: {exc}")
     from .graph import load_graph
 
     return load_graph(text)

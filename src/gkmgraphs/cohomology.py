@@ -8,14 +8,14 @@
   the isomorphism" means at desk scale.
 
 Divisibility by an edge label has one form: the rows of the label's map
-(``_label_map``).  They build the solver's system, and each solved class
-is checked against them again.  The solver's classes are integer
-coefficient vectors: the coefficients of the degree-k monomials in
-``graded_piece_basis`` order, vertex after vertex.  They stay vectors
-through the kernel check of the forgetful map and the printed output.
-The rank comparison reads only ranks, so where no classes are needed it
-takes the rank of the solver's system (``solver_rank``) without solving
-it.
+(``_label_map``).  They build the solver's system, and the solved classes
+are checked against the rows of that system, in one sparse product.  The
+solver's classes are integer coefficient vectors: the coefficients of the
+degree-k monomials in ``graded_piece_basis`` order, vertex after vertex.
+They stay vectors through the kernel check of the forgetful map and the
+printed output.  The rank comparison reads only ranks, so where no
+classes are needed it takes the rank of the solver's system
+(``solver_rank``) without solving it.
 
 The presentation rings' generators are degree-2 classes, each its
 checked ``{vertex: vector}`` of lattice vectors: the Thom classes as
@@ -106,8 +106,8 @@ def _label_map(maps, alpha, degree):
     0) and every other entry is a multiple of the content (modulus c; 1
     asks nothing).  The rows, one per s-monomial whose modulus is not 1,
     are the one form of that test: the system is built from them, and
-    each solved class is checked against them.  A zero label keeps every
-    row at modulus 0, so it divides only 0.
+    the solved classes are checked against the system.  A zero label
+    keeps every row at modulus 0, so it divides only 0.
     """
     key = (alpha, degree)
     lmap = maps.get(key)
@@ -162,34 +162,24 @@ def solver_columns(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
     return comb(nvars + degree - 1, degree) * len(g.vertices)
 
 
-def _edges(g: GkmGraph, nvars: int, degree: int, width: int):
-    """``(source offset, target offset, label map)`` of every edge that is
-    not a loop, for the degree-``degree`` coefficient vectors of
-    ``nvars`` variables, ``width`` coefficients per vertex."""
-    offset = {v: i * width for i, v in enumerate(g.vertices)}
-    out = []
-    for eid in g.canonical_edges():
-        e = g.darts[eid]
-        if e.source != e.target:  # a loop asks nothing
-            lmap = _label_map(g.label_maps, e.axial[:nvars], degree)
-            out.append((offset[e.source], offset[e.target], lmap))
-    return out
-
-
 def _congruence_system(g: GkmGraph, degree: int, forgetful: bool):
     """The congruence system of the degree-``degree`` piece (see
-    ``cohomology_basis``) as ``(rows, ncols, edges, width)``: its sparse
-    rows, its number of unknowns (the phi columns first, then one
-    witness per congruence), and the ``_edges`` and ``width`` of its
-    coefficient vectors."""
+    ``cohomology_basis``) as ``(rows, ncols)``: its sparse rows and its
+    number of unknowns, the phi columns first, then one witness per
+    congruence."""
     if degree < 0:
         raise GkmError("degree must be nonnegative")
     nvars = _nvars(g, forgetful)
     width = comb(nvars + degree - 1, degree)
-    edges = _edges(g, nvars, degree, width)
+    offset = {v: i * width for i, v in enumerate(g.vertices)}
     rows = []
     ncols = len(g.vertices) * width
-    for p, q, lmap in edges:
+    for eid in g.canonical_edges():
+        e = g.darts[eid]
+        if e.source == e.target:  # a loop asks nothing
+            continue
+        p, q = offset[e.source], offset[e.target]
+        lmap = _label_map(g.label_maps, e.axial[:nvars], degree)
         for modulus, row in lmap.rows:
             eq = {p + i: a for i, a in row}
             eq.update((q + i, -a) for i, a in row)
@@ -197,7 +187,36 @@ def _congruence_system(g: GkmGraph, degree: int, forgetful: bool):
                 eq[ncols] = -modulus
                 ncols += 1
             rows.append(eq)
-    return rows, ncols, edges, width
+    return rows, ncols
+
+
+def _satisfy_system(rows, nphi, classes) -> bool:
+    """Do the ``classes``, vectors of the first ``nphi`` columns, satisfy
+    the congruence system ``rows``?  One sparse product: each nonzero
+    coefficient adds its column into the rows it meets.  A row's value must
+    then be a multiple of its modulus, the negated coefficient of its
+    witness, or 0 when it has no witness."""
+    columns = [[] for _ in range(nphi)]
+    moduli = []
+    for i, row in enumerate(rows):
+        modulus = 0
+        for j, a in row.items():
+            if j < nphi:
+                columns[j].append((i, a))
+            else:
+                modulus = -a
+        moduli.append(modulus)
+    for vec in classes:
+        values = {}
+        for j, c in enumerate(vec):
+            if c:
+                for i, a in columns[j]:
+                    values[i] = values.get(i, 0) + c * a
+        for i, value in values.items():
+            modulus = moduli[i]
+            if value % modulus if modulus else value:
+                return False
+    return True
 
 
 def cohomology_basis(g, degree: int, forgetful: bool = False):
@@ -213,19 +232,16 @@ def cohomology_basis(g, degree: int, forgetful: bool = False):
     r (phi(p) - phi(q)) = c y with one extra unknown y.  The extra
     unknowns are determined by phi and their columns come last, so the
     Hermite-reduced kernel, cut to the phi columns, is already the
-    Hermite-reduced basis of the graded piece.  Each class is checked
-    again, edge by edge, against the same label maps.
+    Hermite-reduced basis of the graded piece.  The classes are checked
+    again against the rows of the same system (``_satisfy_system``).
 
     Returns ``(classes, rank)``, each class the tuple of its coefficients.
     """
-    rows, ncols, edges, width = _congruence_system(g, degree, forgetful)
-    nphi = len(g.vertices) * width
+    rows, ncols = _congruence_system(g, degree, forgetful)
+    nphi = solver_columns(g, degree, forgetful)
     classes = [k[:nphi] for k in kernel_basis(rows, ncols)]
-    for vec in classes:
-        if not _vector_satisfies_congruences(vec, edges, width):
-            raise CongruenceFailure(
-                "solver output violates a congruence relation"
-            )
+    if not _satisfy_system(rows, nphi, classes):
+        raise CongruenceFailure("solver output violates a congruence relation")
     return classes, len(classes)
 
 
@@ -234,24 +250,8 @@ def solver_rank(g: GkmGraph, degree: int, forgetful: bool = False) -> int:
     classes: the unknowns of the same system less its rank.  The
     witnesses are determined by phi, so the kernel has as many
     dimensions as the graded piece."""
-    rows, ncols, _, _ = _congruence_system(g, degree, forgetful)
+    rows, ncols = _congruence_system(g, degree, forgetful)
     return ncols - rank(rows, ncols)
-
-
-def _vector_satisfies_congruences(vec, edges, width) -> bool:
-    """Does each edge's label divide the difference of the two chunks of
-    the coefficient vector ``vec``?  ``edges`` and ``width`` are those of
-    ``_edges``; each row of the label's map must send the difference to a
-    multiple of its modulus (to 0 at modulus 0)."""
-    for p, q, lmap in edges:
-        here, there = vec[p : p + width], vec[q : q + width]
-        if here != there:
-            diff = [a - b for a, b in zip(here, there)]
-            for modulus, row in lmap.rows:
-                value = sum(diff[i] * c for i, c in row)
-                if value % modulus if modulus else value:
-                    return False
-    return True
 
 
 # -- presentation rings -----------------------------------------------------------

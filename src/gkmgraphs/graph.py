@@ -327,6 +327,14 @@ def load_graph(text: str) -> GkmGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError(
+            "not valid JSON: arrays or objects nested too deeply"
+        ) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(
+            "not valid JSON: an integer with too many digits"
+        ) from None
     if not isinstance(obj, dict):
         raise ParseError("top level must be a JSON object")
     return graph_from_dict(obj)
@@ -393,6 +401,18 @@ def derive_connection(g: GkmGraph):
 
 
 def _verify_connection(g: GkmGraph, conn):
+    for eid, mapping in conn.items():
+        e = g.darts.get(eid)
+        if e is None or e.is_leg:
+            raise StructuralError(
+                f"stored connection entry {eid!r} is not an edge dart"
+            )
+        for did, img in mapping.items():
+            if not isinstance(img, str):
+                raise StructuralError(
+                    f"stored connection across {eid!r} sends {did!r} to "
+                    "something that is not a dart id"
+                )
     for eid in g.edge_dart_ids():
         e = g.darts[eid]
         mapping = conn.get(eid)

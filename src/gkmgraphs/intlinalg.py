@@ -13,8 +13,9 @@ never touch.  Each pivot has the smallest absolute value in its column
 and, on a tie, the fewest nonzeros with its transform row (the Markowitz
 criterion; Duff, Erisman and Reid, *Direct Methods for Sparse Matrices*,
 ch. 7), which keeps the kernel transforms sparse and their entries small.
-The Hermite normal form (with optional unimodular transform), kernels,
-exact rank, solving and lattice comparison are built on it.
+The Hermite normal form (with optional unimodular transform, which
+inverts a unimodular matrix), kernels, exact rank and lattice comparison
+are built on it.
 """
 
 from __future__ import annotations
@@ -224,36 +225,6 @@ def kernel_basis(rows, ncols):
     kernel = [u[i] for i in order[r:]]
     order, _ = _echelon(kernel, ncols)
     return [tuple(_dense(kernel[i], ncols)) for i in order]
-
-
-def solve_integer(rows, rhs):
-    """One integer solution z of M z = rhs, or None if none exists."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return ()
-    _check_rect(rows)
-    n = len(rows[0])
-    h = _sparse(zip(*rows))
-    u = _identity(n)
-    order, r = _echelon(h, len(rows), u)
-    # M z = rhs with z = U^T y becomes H^T y = rhs; H is in row echelon
-    # form, so H^T is solved by forward substitution on its pivot columns.
-    residual = list(rhs)
-    z = [0] * n
-    for i in order[:r]:
-        row = h[i]
-        col = min(row)
-        y, rem = divmod(residual[col], row[col])
-        if rem:
-            return None
-        if y:
-            for j, a in row.items():
-                residual[j] -= y * a
-            for j, a in u[i].items():
-                z[j] += y * a
-    if any(residual):
-        return None
-    return tuple(z)
 
 
 def same_lattice(rows_a, rows_b) -> bool:

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .graph import GkmGraph
 from .hyperplanes import Arrangement, minimal_empty_families
-from .intlinalg import solve_integer
+from .intlinalg import hermite_normal_form
 from .polynomials import (
     IntPolynomial,
     coords_varnames,
@@ -210,25 +210,29 @@ def characteristic_functions(complex_: SimplicialComplex, taus) -> dict:
     At a vertex p of L, lambda(L) pairs to 0 with the forgetful labels of
     the darts of L and to 1 with the normal of the positive side.  Those
     labels are +-tau_M(p) for the other hyperplanes M through p, and the
-    normal is tau_L(p).  So lambda(L) solves lambda . tau_M(p) = delta_LM,
-    row L of the lift identity; it is solved once, at the first facet that
-    holds L.  ``FacetLocalizations`` checks the lift identity at every
-    facet point, which is every vertex.
+    normal is tau_L(p).  So lambda(L) solves lambda . tau_M(p) = delta_LM:
+    it is the column of L in the inverse of the matrix T_p whose rows are
+    the tau_M(p).  At each facet that holds a name not yet assigned, the
+    transform of the Hermite form H = U T_p is that inverse when H is the
+    identity.  Any other H means T_p is not unimodular, so the lift
+    identity cannot hold there, and the facet is refused.
+    ``FacetLocalizations`` checks the lift identity at every facet point,
+    which is every vertex.
     """
     lambdas = {}
     for facet in complex_.facets:
-        p = complex_.facet_vertex[facet]
         members = sorted(facet)
-        rows = [taus[m][p] for m in members]
-        for name in members:
-            if name in lambdas:
-                continue
-            sol = solve_integer(rows, [int(m == name) for m in members])
-            if sol is None:
-                raise InconsistentLambda(
-                    f"no covector solves the duality system at {p!r}"
-                )
-            lambdas[name] = sol
+        if all(name in lambdas for name in members):
+            continue
+        p = complex_.facet_vertex[facet]
+        n = len(members)
+        h, inverse = hermite_normal_form([taus[m][p] for m in members], transform=True)
+        if h != [[int(i == j) for j in range(n)] for i in range(n)]:
+            raise InconsistentLambda(
+                f"no covector solves the duality system at {p!r}"
+            )
+        for k, name in enumerate(members):
+            lambdas.setdefault(name, tuple(row[k] for row in inverse))
     return lambdas
 
 

@@ -1,9 +1,10 @@
 """Independent reference computations that only the tests use.
 
-The runtime expands in facet coordinates and never substitutes, divides by
-a linear form or inverts a matrix; these are the ring-path versions of
-those steps, kept as oracles to check the fast paths against.  A
-union-find over the dart list checks the graph search of
+The runtime expands in facet coordinates and never substitutes or divides
+by a linear form; these are the ring-path versions of those steps, kept
+as oracles to check the fast paths against.  An integer solver by forward
+substitution (``solve_integer``) checks the residuals that ``gen klm``
+propagates.  A union-find over the dart list checks the graph search of
 ``graph.components``.  A halfspace pair re-validated at every vertex
 checks the pair that ``halfspace_pair`` validates at the hyperplane, with
 the normal darts coloured by sweeps of the hyperplane's edges repeated
@@ -69,6 +70,38 @@ def hnf_nonzero_rows(rows):
     """The nonzero rows of the Hermite form of ``rows``: the Hermite basis
     of the lattice they span."""
     return [r for r in intlinalg.hermite_normal_form(rows) if any(r)]
+
+
+def solve_integer(rows, rhs):
+    """One integer solution z of M z = rhs, or None if none exists.
+
+    The transpose is brought to Hermite form H = U M^T, so M z = rhs with
+    z = U^T y becomes H^T y = rhs; H is in row echelon form, so H^T is
+    solved by forward substitution on its pivot columns."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return ()
+    intlinalg._check_rect(rows)
+    n = len(rows[0])
+    h = intlinalg._sparse(zip(*rows))
+    u = intlinalg._identity(n)
+    order, r = intlinalg._echelon(h, len(rows), u)
+    residual = list(rhs)
+    z = [0] * n
+    for i in order[:r]:
+        row = h[i]
+        col = min(row)
+        y, rem = divmod(residual[col], row[col])
+        if rem:
+            return None
+        if y:
+            for j, a in row.items():
+                residual[j] -= y * a
+            for j, a in u[i].items():
+                z[j] += y * a
+    if any(residual):
+        return None
+    return tuple(z)
 
 
 # -- classes as polynomials ------------------------------------------------

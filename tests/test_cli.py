@@ -313,6 +313,87 @@ def test_names_and_normals_that_name_no_hyperplane_are_refused(
     assert child.stderr == b""
 
 
+def _fig2_left_connection(edit):
+    """fig2_left's document, its stored connection changed by ``edit``."""
+    doc = fixtures.fixture("fig2_left").to_dict()
+    edit(doc["connection"])
+    return json.dumps(doc).encode()
+
+
+# (the bytes of a graph file, the error it is refused with)
+BROKEN_DOCUMENTS = {
+    "latin-1": (
+        lambda: json.dumps(fixtures.fixture("fig2_left").to_dict())
+        .replace('"p"', '"\u00e9"')
+        .encode("latin-1"),
+        "the graph is not UTF-8 text: invalid continuation byte",
+    ),
+    "nested-100000": (
+        lambda: b"[" * 100000 + b"]" * 100000,
+        "not valid JSON: arrays or objects nested too deeply",
+    ),
+    "integer-5000-digits": (
+        lambda: b'{"rank": ' + b"9" * 5000 + b', "vertices": [], "darts": []}',
+        "not valid JSON: an integer with too many digits",
+    ),
+    "image-list": (
+        lambda: _fig2_left_connection(lambda c: c["p:e"].update({"p:n": ["r:s"]})),
+        "stored connection across 'p:e' sends 'p:n' to something that is "
+        "not a dart id",
+    ),
+    "image-object": (
+        lambda: _fig2_left_connection(lambda c: c["p:e"].update({"p:n": {}})),
+        "stored connection across 'p:e' sends 'p:n' to something that is "
+        "not a dart id",
+    ),
+    "key-unknown": (
+        lambda: _fig2_left_connection(lambda c: c.update(zz=dict(c["p:e"]))),
+        "stored connection entry 'zz' is not an edge dart",
+    ),
+    "key-leg": (
+        lambda: _fig2_left_connection(lambda c: c.update({"p:s": dict(c["p:e"])})),
+        "stored connection entry 'p:s' is not an edge dart",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["cohomology", "--max-degree", "2"], ["basis"]],
+    ids=["validate", "cohomology", "basis"],
+)
+@pytest.mark.parametrize("case", sorted(BROKEN_DOCUMENTS))
+def test_broken_graph_documents_are_refused_by_name(tmp_path, command, case):
+    """A graph file that is not UTF-8, JSON nested deeper than the parser
+    recurses, an integer longer than CPython converts, and a stored
+    connection whose entry is no edge dart or whose image is no dart id:
+    exit 1, one document that names the fault without ``internal``, and
+    nothing on stderr."""
+    data, error = BROKEN_DOCUMENTS[case]
+    p = tmp_path / "bad.json"
+    p.write_bytes(data())
+    child = run_child(["-m", "gkmgraphs.cli", command[0], str(p), *command[1:]])
+    assert child.returncode == 1
+    assert json.loads(child.stdout) == {"error": error, "ok": False}
+    assert child.stderr == b""
+
+
+def test_stdin_that_is_not_utf8_is_a_parse_error():
+    """Read strictly as UTF-8, a latin-1 graph on stdin is refused as a
+    parse error, not an internal fault."""
+    data, error = BROKEN_DOCUMENTS["latin-1"]
+    child = subprocess.run(
+        [sys.executable, "-m", "gkmgraphs.cli", "validate"],
+        input=data(),
+        env=child_env(PYTHONIOENCODING="utf-8:strict"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert child.returncode == 1
+    assert json.loads(child.stdout) == {"error": error, "ok": False}
+    assert child.stderr == b""
+
+
 @pytest.mark.parametrize("key", ["positive_normals", "hyperplane_names"])
 def test_null_metadata_is_read_as_absent(tmp_path, capsys, key):
     doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()

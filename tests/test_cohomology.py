@@ -208,22 +208,40 @@ def _label_and_form(draw):
     return alpha, degree, linear_form(alpha) * quotient + noise
 
 
+def _one_edge_system(alpha, degree):
+    """The forgetful congruence system of the degree-``degree`` piece of a
+    graph with one edge, from p to q and labelled alpha; legs fill the
+    valence and ask nothing.  The forgetful labels are alpha itself."""
+    n = len(alpha)
+    darts = [
+        Dart("p:e", "p", "q", "q:e", tuple(alpha) + (0,)),
+        Dart("q:e", "q", "p", "p:e", tuple(-a for a in alpha) + (0,)),
+    ]
+    for v in "pq":
+        darts += [
+            Dart(f"{v}:leg{i}", v, None, None, (0,) * (n + 1))
+            for i in range(2 * n - 1)
+        ]
+    rows, _ = cohomology._congruence_system(GkmGraph(n, darts), degree, True)
+    return rows
+
+
 @settings(max_examples=300, deadline=None)
 @given(_label_and_form())
 def test_the_solver_check_agrees_with_exact_division(case):
-    """The solver's own test, ``_vector_satisfies_congruences`` on one
+    """The solver's own test, ``_satisfy_system`` on the system of one
     edge with f at p and 0 at q, against exact division: the label
-    divides f - 0 exactly when the rows of its map pass.  The zero label
-    divides only 0."""
+    divides f - 0 exactly when the rows of the system pass.  The zero
+    label divides only 0."""
     alpha, degree, f = case
     monos = graded_piece_basis(len(alpha), degree)
     vec = tuple(f.terms.get(m, 0) for m in monos) + (0,) * len(monos)
-    edges = [(0, len(monos), cohomology._label_map({}, alpha, degree))]
+    rows = _one_edge_system(alpha, degree)
     if any(alpha):
         expected = divide_exact_by_linear(f, alpha) is not None
     else:
         expected = f.is_zero()
-    assert cohomology._vector_satisfies_congruences(vec, edges, len(monos)) == expected
+    assert cohomology._satisfy_system(rows, len(vec), [vec]) == expected
 
 
 @pytest.mark.parametrize(
@@ -288,25 +306,22 @@ def test_the_kernel_transform_stays_small_on_L333_degree_7(monkeypatch):
 @pytest.mark.parametrize("forgetful", [False, True], ids=["full", "forgetful"])
 def test_vector_check_agrees_with_the_polynomial_check(graph, forgetful):
     """Each coefficient of each solver class of degrees 0..2, bumped in
-    turn by 1 and by 2: the solver's check on coefficient vectors and
-    ``class_satisfies_congruences`` on the polynomial class agree.  Both
+    turn by 1 and by 2: the solver's check against the rows of its system
+    and ``class_satisfies_congruences`` on the polynomial class agree.  Both
     verdicts occur: some bumps add a multiple of every label at a
     vertex."""
     g = graph()
-    nvars = g.rank if forgetful else g.rank + 1
     verdicts = set()
     for k in range(3):
         classes, _ = cohomology_basis(g, k, forgetful=forgetful)
-        width = len(classes[0]) // len(g.vertices)
-        edges = cohomology._edges(g, nvars, k, width)
+        rows, _ = cohomology._congruence_system(g, k, forgetful)
+        nphi = len(classes[0])
+        assert cohomology._satisfy_system(rows, nphi, classes)
         for vec in classes:
-            assert cohomology._vector_satisfies_congruences(vec, edges, width)
             for i in range(len(vec)):
                 for step in (1, 2):
                     bumped = vec[:i] + (vec[i] + step,) + vec[i + 1 :]
-                    verdict = cohomology._vector_satisfies_congruences(
-                        bumped, edges, width
-                    )
+                    verdict = cohomology._satisfy_system(rows, nphi, [bumped])
                     cls = vector_to_class(g, bumped, k, forgetful)
                     assert verdict == class_satisfies_congruences(g, cls)
                     verdicts.add(verdict)

@@ -8,8 +8,7 @@ import gkmgraphs.fixtures as fixtures
 from gkmgraphs.errors import GkmError, StructuralError
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
 from gkmgraphs.graph import validate_axial
-from oracles import lattice_rank
-from gkmgraphs.intlinalg import solve_integer
+from oracles import lattice_rank, solve_integer
 
 
 def label_preserving_isomorphism(a, b):

@@ -387,6 +387,37 @@ def test_each_covector_is_dual_to_the_thom_values_at_every_vertex():
                 assert dot == int(name_l == name_m), (name_l, name_m, v)
 
 
+@pytest.mark.parametrize(
+    "facets, taus",
+    [
+        ([("A", "B")], {"A": {"p0": (1, 0)}, "B": {"p0": (0, 2)}}),
+        # C alone is new at the second facet, and lambda = (0, 1) solves
+        # its row of the duality system there, but T_p has determinant 2
+        (
+            [("A", "B"), ("A", "C")],
+            {
+                "A": {"p0": (1, 0), "p1": (2, 0)},
+                "B": {"p0": (0, 1), "p1": (0, 0)},
+                "C": {"p0": (0, 0), "p1": (0, 1)},
+            },
+        ),
+    ],
+    ids=["first-facet", "second-facet"],
+)
+def test_a_facet_whose_tau_matrix_is_not_unimodular_is_refused(facets, taus):
+    """The covectors are the columns of T_p^-1, which is integral only
+    when T_p is unimodular; a facet whose Hermite form is not the
+    identity is refused, whichever of its names are new."""
+    facets = [frozenset(f) for f in facets]
+    points = {f: f"p{i}" for i, f in enumerate(facets)}
+    point = points[facets[-1]]
+    with pytest.raises(
+        InconsistentLambda,
+        match=f"no covector solves the duality system at '{point}'",
+    ):
+        characteristic_functions(SimplicialComplex(facets, points), taus)
+
+
 def test_module_basis_examples():
     ctx = klm_ctx(2, 1, 2)
     names = [basis_monomial_name(b) for b in module_basis(ctx)]
@@ -590,6 +621,25 @@ def test_ordinary_cohomology_212():
     assert table["ordinary_products"]["Z1*Z1"] == {"Y1*Z1": 1}
     assert table["ordinary_products"]["Z1*Z2"] == {}
     assert table["ordinary_products"]["Z2*Z2"] == {"Y1*Z2": 1}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[st.integers(1, 5)] * 3))
+def test_betti_numbers_of_a_rung_have_their_closed_form(spec):
+    """On L(k,l,m), N = k + l + m lines with P = kl + km + lm crossings, the
+    minimal new faces of the shelling number (1, N - 2, P - N + 1) by
+    size, the h-vector of the arrangement, and so do the ordinary ranks
+    of the structure-constant table.  The arithmetic shares no code with
+    ``build_complex`` or ``find_shelling``."""
+    k, l, m = spec
+    n, p = k + l + m, k * l + k * m + l * m
+    expected = [1, n - 2, p - n + 1]
+    ctx = klm_ctx(k, l, m)
+    sizes = [len(mu) for mu in ctx.shelling.minimal_faces]
+    assert [sizes.count(d) for d in range(3)] == expected
+    assert len(sizes) == sum(expected)
+    ranks = ordinary_cohomology(ctx)["ordinary_ranks"]
+    assert ranks == {str(d): c for d, c in enumerate(expected)}
 
 
 def test_ordinary_structure_constants_all_one():
