@@ -67,7 +67,15 @@ def _read_graph(args, parser):
         source = "-"
     try:
         if source == "-":
-            text = sys.stdin.read()
+            # a stream with bytes is decoded as a file is, strict UTF-8
+            # whatever error handler the interpreter gave stdin; an
+            # in-memory stream is read as it is
+            stdin = sys.stdin
+            if hasattr(stdin, "buffer"):
+                import io
+
+                stdin = io.TextIOWrapper(stdin.buffer, encoding="utf-8")
+            text = stdin.read()
         else:
             with open(source, encoding="utf-8") as fh:
                 text = fh.read()

@@ -9,8 +9,11 @@ opposite and congruence constraints, pinned at the bottom-left vertex so
 that the (1,1,1) arrangement reproduces the triangle fixture.  Each row has
 at most three unknowns, so the system is solved by propagation, one
 unknown per row from the pinned vertex outwards, and every row is checked
-on the result.  ``local_model(n)`` and the line counts of ``gen_klm`` are
-capped, so an oversized request is refused before anything is built.
+on the result.  The congruence rows match each dart with its image across
+each edge, which is the connection: the graph is built with it, and
+verifies it instead of deriving it.  ``local_model(n)`` and the line
+counts of ``gen_klm`` are capped, so an oversized request is refused
+before anything is built.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
     general position, fully validated."""
     lines = _klm_lines(spec)
     dart_dirs, dart_rows = _klm_darts(lines)
-    rows, rhs = _residual_system(lines, dart_dirs, dart_rows)
+    rows, rhs, conn = _residual_system(lines, dart_dirs, dart_rows)
     residual = solve_by_propagation(rows, rhs)
     darts = []
     for did in sorted(dart_dirs):
@@ -160,8 +163,9 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
         },
         "positive_normals": _positive_normals(lines),
     }
-    g = GkmGraph(2, darts, meta=meta)
-    g.connection  # derive and cache so serialization carries it
+    # the constructor verifies the connection; validate_axial's
+    # three_independence check makes it the only one
+    g = GkmGraph(2, darts, connection=conn, meta=meta)
     report = validate_axial(g)
     if not report.ok:
         raise StructuralError(
@@ -225,7 +229,8 @@ def _positive_normals(lines):
 def _residual_system(lines, dart_dirs, dart_rows):
     """The sparse system of pair, opposite and congruence constraints on
     the residual (x) coefficients of all darts: rows ``{dart id:
-    coefficient}`` and their right-hand sides.
+    coefficient}`` and their right-hand sides, and the connection that
+    the congruence rows assume, ``{edge dart: {dart: image}}``.
 
     Every row has at most three unknowns, and the two pin rows fix the
     bottom-left vertex; from there some row always has one open unknown,
@@ -251,13 +256,17 @@ def _residual_system(lines, dart_dirs, dart_rows):
         if opp is not None:
             row([(did, 1), (opp, 1)], 0)
     forget = {did: _DIRECTIONS[d][1] for did, d in dart_dirs.items()}
+    conn = {}
     for eid, (src, tgt, opp) in dart_rows.items():
         if tgt is None:
             continue
         w = forget[eid]
-        tangent_at_src = {eid, _sibling(eid, src, dart_dirs)}
-        tangent_at_tgt = {opp, _sibling(opp, tgt, dart_dirs)}
-        cross_src = [d for d in darts_at[src] if d not in tangent_at_src]
+        # the edge dart goes to its opposite, its tangent sibling to the
+        # opposite's sibling, and each crossing dart to its congruent image
+        mapping = conn[eid] = {eid: opp}
+        mapping[_sibling(eid, src, dart_dirs)] = _sibling(opp, tgt, dart_dirs)
+        tangent_at_tgt = set(mapping.values())
+        cross_src = [d for d in darts_at[src] if d not in mapping]
         cross_tgt = [d for d in darts_at[tgt] if d not in tangent_at_tgt]
         for d in cross_src:
             images = [
@@ -270,6 +279,7 @@ def _residual_system(lines, dart_dirs, dart_rows):
                     f"forgetful labels leave the connection across {eid} "
                     "ambiguous"
                 )
+            mapping[d] = images[0]
             lam = is_multiple_of(vec_sub(forget[d], forget[images[0]]), w)
             row([(d, 1), (images[0], -1), (eid, -lam)], 0)
     # pin the bottom-left vertex to the standard local model
@@ -277,7 +287,7 @@ def _residual_system(lines, dart_dirs, dart_rows):
     row([(f"{first_x.vertex_ids[0]}:{first_x.plus}", 1)], 0)
     first_y = next(ln for ln in lines if ln.kind == "Y")
     row([(f"{first_y.vertex_ids[0]}:{first_y.plus}", 1)], 0)
-    return rows, rhs
+    return rows, rhs, conn
 
 
 def solve_by_propagation(rows, rhs):

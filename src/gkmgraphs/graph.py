@@ -280,6 +280,12 @@ def graph_from_dict(obj) -> GkmGraph:
     for key in ("vertices", "darts"):
         if not isinstance(obj[key], list):
             raise ParseError(f"{key} must be an array", field=key)
+    # every vertex has 2 * rank darts; refused before a message formats a
+    # rank too long for str()
+    if rank > len(obj["darts"]):
+        raise ParseError(
+            "rank is larger than the number of darts", field="rank"
+        )
     for key, what, leaf in _OBJECT_FIELDS:
         value = obj.get(key)
         if value is not None and not (

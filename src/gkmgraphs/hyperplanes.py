@@ -4,15 +4,18 @@ A hyperplane is found by connection closure from a seed vertex: remove one
 pair of ``GkmGraph.pairs`` from the vertex's dart set and push the rest
 across every edge with the connection until the vertex->dart-set table
 stabilizes; the connection maps pairs to pairs, so each set is a union of
-pairs.  The halfspace pair of a hyperplane is built by component-side
+pairs.  The halfspace pair of a hyperplane L is built by component-side
 assignment (the normal darts 2-coloured in one traversal of L, each
 component of the graph minus L entered by darts of one colour when
-assumption (1) holds).  Each half is
-then checked: the pre-halfspace axioms at the hyperplane's vertices and
-the edges leaving them, the only places where a half built this way can
-break them; its connectedness; the intersection and the cover of the
-pair; and the Thom classes, each checked against every congruence, which
-must sum to x.  So a wrong assignment can only surface as a reported
+assumption (1) holds).  Each half is then checked against the
+pre-halfspace axioms at L's vertices and the edges leaving them, the only
+places where a half built this way can break them; every component must
+have a side, so that the pair covers the graph; and the Thom classes,
+each checked against every congruence, must sum to x on L (off L they
+are x and 0).  Two properties need no check.  Each half is connected: L
+is, and each component joins L by the normal dart that gave it its side.
+The halves meet exactly in L: components, colours and L's darts are
+pairwise disjoint.  So a wrong assignment can only surface as a reported
 violation, never as a silently wrong halfspace.
 
 The x-forgetful Thom class tau_L is a halfspace's checked Thom class with
@@ -301,16 +304,16 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
 
     Each half is the hyperplane L, the normal darts of one orientation,
     and the components of Gamma - L that those darts enter, with all their
-    darts.  The pre-halfspace axioms are checked where they can fail: the
-    valence, the restricted connection and the normal congruence at the
-    vertices of L and the edges leaving them (see
-    ``_validate_pre_halfspace``).  Then each half must be connected, the
-    two must meet in L and cover the graph, and their Thom classes, each
-    checked against every congruence, must sum to x.
+    darts.  The pre-halfspace axioms are checked where they can fail (see
+    ``_validate_pre_halfspace``), every component of Gamma - L must have a
+    side, and the Thom classes, each checked against every congruence,
+    must sum to x on L (off L they are x and 0).  Each half is connected
+    unchecked: L is (``_orientation_classes`` walks it), and the normal
+    dart that gave a component its side joins it to L.  The halves meet
+    exactly in L: components, colours and L's darts are pairwise disjoint.
 
     Raises AssumptionOneViolation whenever existence or uniqueness fails;
-    the returned pair is ordered by sort key, so the result is
-    deterministic.
+    the pair is ordered by sort key, so the result is deterministic.
     """
     excluded = _excluded_pairs(g, hyperplane)
     color = _orientation_classes(g, hyperplane, excluded)
@@ -333,48 +336,30 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
                     check="component_sides",
                 )
             side_of_comp[root] = color[d]
+    normal_of = ({}, {})  # colour -> {vertex of L: its dart of that colour}
+    for v, ds in excluded.items():
+        for d in ds:
+            normal_of[color[d]][v] = d
     halves = []
     for side in (0, 1):
         verts = set(hyperplane.vertices)
-        darts = set(hyperplane.dart_ids)
-        normals = {}
-        for v in excluded:
-            for d in excluded[v]:
-                if color[d] == side:
-                    darts.add(d)
-                else:
-                    normals[v] = d
+        darts = set(hyperplane.dart_ids) | set(normal_of[side].values())
         for root, s in side_of_comp.items():
             if s == side:
-                for v in members[root]:
-                    verts.add(v)
-                    darts.update(g.darts_at(v))
+                verts.update(members[root])
+                darts.update(d for v in members[root] for d in g.darts_at(v))
+        normals = normal_of[1 - side]
         h = Halfspace(hyperplane, frozenset(verts), frozenset(darts), normals)
         _validate_pre_halfspace(g, h, at=hyperplane.vertices)
-        if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
-            raise AssumptionOneViolation(
-                "candidate halfspace is not connected",
-                check="halfspace_connected",
-            )
         halves.append(h)
-    a, b = halves
-    if (a.vertices & b.vertices) != hyperplane.vertices or (
-        a.dart_ids & b.dart_ids
-    ) != hyperplane.dart_ids:
-        raise AssumptionOneViolation(
-            "halfspace pair does not intersect exactly in the hyperplane",
-            check="intersection",
-        )
-    if (a.vertices | b.vertices) != set(g.vertices) or (
-        a.dart_ids | b.dart_ids
-    ) != set(g.darts):
+    if len(side_of_comp) != len(members):
         raise AssumptionOneViolation(
             "halfspace pair does not cover the graph",
             check="cover",
         )
-    ta, tb = thom_class(g, a), thom_class(g, b)
+    ta, tb = (thom_class(g, h) for h in halves)
     x = g.residual
-    for v in g.vertices:
+    for v in sorted(hyperplane.vertices):
         if tuple(p + q for p, q in zip(ta[v], tb[v])) != x:
             raise AssumptionOneViolation(
                 "Thom classes of the pair do not sum to the residual class",

@@ -336,6 +336,14 @@ BROKEN_DOCUMENTS = {
         lambda: b'{"rank": ' + b"9" * 5000 + b', "vertices": [], "darts": []}',
         "not valid JSON: an integer with too many digits",
     ),
+    "rank-4300-digits": (
+        lambda: (
+            b'{"rank": ' + b"9" * 4300 + b', "vertices": ["a"], "darts": '
+            b'[{"id": "a:1", "from": "a", "to": null, "opposite": null, '
+            b'"axial": [1, 0]}]}'
+        ),
+        "rank is larger than the number of darts",
+    ),
     "image-list": (
         lambda: _fig2_left_connection(lambda c: c["p:e"].update({"p:n": ["r:s"]})),
         "stored connection across 'p:e' sends 'p:n' to something that is "
@@ -365,10 +373,10 @@ BROKEN_DOCUMENTS = {
 @pytest.mark.parametrize("case", sorted(BROKEN_DOCUMENTS))
 def test_broken_graph_documents_are_refused_by_name(tmp_path, command, case):
     """A graph file that is not UTF-8, JSON nested deeper than the parser
-    recurses, an integer longer than CPython converts, and a stored
-    connection whose entry is no edge dart or whose image is no dart id:
-    exit 1, one document that names the fault without ``internal``, and
-    nothing on stderr."""
+    recurses, an integer longer than CPython converts, a rank of 4300
+    digits, and a stored connection whose entry is no edge dart or whose
+    image is no dart id: exit 1, one document that names the fault
+    without ``internal``, and nothing on stderr."""
     data, error = BROKEN_DOCUMENTS[case]
     p = tmp_path / "bad.json"
     p.write_bytes(data())
@@ -378,14 +386,29 @@ def test_broken_graph_documents_are_refused_by_name(tmp_path, command, case):
     assert child.stderr == b""
 
 
-def test_stdin_that_is_not_utf8_is_a_parse_error():
-    """Read strictly as UTF-8, a latin-1 graph on stdin is refused as a
-    parse error, not an internal fault."""
-    data, error = BROKEN_DOCUMENTS["latin-1"]
+@pytest.mark.parametrize(
+    "case, env",
+    [
+        ("latin-1", {"PYTHONIOENCODING": "utf-8:strict"}),
+        ("latin-1", {"PYTHONUTF8": "1"}),
+        ("latin-1", {"LC_ALL": "C"}),
+        ("rank-4300-digits", {}),
+    ],
+    ids=[
+        "latin-1-strict-stdin", "latin-1-utf8-mode", "latin-1-c-locale",
+        "rank-4300-digits",
+    ],
+)
+def test_stdin_is_refused_as_the_same_file_is(case, env):
+    """Piped into ``validate``, a latin-1 graph, also under UTF-8 mode
+    (where ``sys.stdin`` would escape the bad bytes), and a graph whose
+    rank has 4300 digits give exit 1 and the document that the file
+    gives, without ``internal``, and nothing on stderr."""
+    data, error = BROKEN_DOCUMENTS[case]
     child = subprocess.run(
         [sys.executable, "-m", "gkmgraphs.cli", "validate"],
         input=data(),
-        env=child_env(PYTHONIOENCODING="utf-8:strict"),
+        env=child_env(**env),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

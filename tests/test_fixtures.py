@@ -119,7 +119,7 @@ def test_fixture_sizes_are_capped():
 def residual_system(spec):
     lines = fixtures._klm_lines(spec)
     dart_dirs, dart_rows = fixtures._klm_darts(lines)
-    rows, rhs = fixtures._residual_system(lines, dart_dirs, dart_rows)
+    rows, rhs, _ = fixtures._residual_system(lines, dart_dirs, dart_rows)
     return sorted(dart_dirs), rows, rhs
 
 

@@ -307,8 +307,9 @@ def _cut(g, eid):
 
 def _moved(g, h):
     """Hyperplane-like dart sets near ``h``: at each vertex one dart of h
-    traded for an excluded one, each vertex dropped with its darts, and
-    each outside neighbour added with its darts but a pair."""
+    traded for an excluded one, each vertex but a lone one dropped with
+    its darts, and each outside neighbour added with its darts but a
+    pair."""
     pairs = pair_decomposition(g)
     out = []
     for v in sorted(h.vertices):
@@ -317,7 +318,8 @@ def _moved(g, h):
             for e in sorted(here - h.dart_ids):
                 darts = h.dart_ids - {d} | {e}
                 out.append(Hyperplane(h.vertices, darts, h.name))
-        out.append(Hyperplane(h.vertices - {v}, h.dart_ids - here, h.name))
+        if len(h.vertices) > 1:
+            out.append(Hyperplane(h.vertices - {v}, h.dart_ids - here, h.name))
     for v in sorted(set(g.vertices) - h.vertices):
         if any(g.darts[d].target in h.vertices for d in g.darts_at(v)):
             for pair in pairs[v]:
@@ -329,7 +331,9 @@ def _moved(g, h):
 def _oracle_cases():
     """(graph, hyperplane) for every hyperplane of the figures, of
     local_model(2..4) and of every ladder rung, and for mutations of
-    fig7_pentagon and L(2,1,2) near a hyperplane."""
+    every figure, local_model(3) and L(2,1,2): near a hyperplane, with an
+    edge cut, and the seed of each closure, one vertex with its darts but
+    a pair, before it spreads."""
     graphs = [fixture(f) for f in FIXTURE_IDS]
     graphs += [local_model(n) for n in (2, 3, 4)]
     graphs += [
@@ -339,13 +343,22 @@ def _oracle_cases():
     for g in graphs:
         for h in all_hyperplanes(g):
             yield g, h
-    for g in (fixture("fig7_pentagon"), gen_klm(KlmSpec(2, 1, 2))):
+    mutated = [fixture(f) for f in FIXTURE_IDS]
+    mutated += [local_model(3), gen_klm(KlmSpec(2, 1, 2))]
+    for g in mutated:
+        for v in g.vertices:
+            for pair in g.pairs[v]:
+                darts = frozenset(g.darts_at(v)) - set(pair)
+                yield g, Hyperplane(frozenset({v}), darts, "")
         planes = all_hyperplanes(g)
         for h in planes:
             for moved in _moved(g, h):
                 yield g, moved
         for eid in g.canonical_edges():
-            cut = _cut(g, eid)
+            try:
+                cut = _cut(g, eid)
+            except GkmError:  # a bridge: the cut graph is not connected
+                continue
             try:
                 own = all_hyperplanes(cut)
             except GkmError:
@@ -363,8 +376,12 @@ def test_halfspace_pair_agrees_with_the_revalidated_pair():
         assert ours == _pair_outcome(revalidated_halfspace_pair, g, h)
         if isinstance(ours, tuple):
             checks.add(ours[0])
-    # the mutations reach the checks that moved to the hyperplane
-    assert {"component_sides", "normal_congruence"} <= checks
+    # the mutations reach the checks that moved to the hyperplane, and the
+    # cover check, which the Thom sum taken on the hyperplane relies on
+    assert {"component_sides", "normal_congruence", "cover"} <= checks
+    # connectedness and the intersection hold by construction, so the
+    # re-validated pair never fails them first either
+    assert not checks & {"halfspace_connected", "intersection"}
 
 
 def test_a_twisted_normal_pair_cannot_be_oriented():
