@@ -91,10 +91,11 @@ def _times_linear(vec, forms, up, nwidth):
 _LabelMap = namedtuple("_LabelMap", "content columns rows")
 
 
-def _label_map(maps, alpha, degree):
+@lru_cache(maxsize=None)
+def _label_map(alpha, degree):
     """The action of the label ``alpha`` on degree-``degree`` coefficient
-    vectors, computed once per (label, degree) and kept in ``maps`` (a
-    graph's ``label_maps``).
+    vectors, computed once per (label, degree) in a process and shared by
+    every caller, which only reads it.
 
     The transform U of the Hermite form of the column alpha is unimodular
     with U alpha = (content, 0, ..., 0), so the substitution
@@ -109,40 +110,36 @@ def _label_map(maps, alpha, degree):
     the solved classes are checked against the system.  A zero label
     keeps every row at modulus 0, so it divides only 0.
     """
-    key = (alpha, degree)
-    lmap = maps.get(key)
-    if lmap is None:
-        n = len(alpha)
-        if degree == 1:
-            h, u = hermite_normal_form([[a] for a in alpha], transform=True)
-            content = h[0][0]
-            columns = [
-                {i: u[i][j] for i in range(n) if u[i][j]} for j in range(n)
-            ]
-        else:
-            linear = _label_map(maps, alpha, 1)
-            content, columns = linear.content, [{0: 1}]
-            if degree > 1:
-                lower = _label_map(maps, alpha, degree - 1).columns
-                up = _raise_table(n, degree - 1)
-                columns = [None] * comb(n + degree - 1, degree)
-                for i, row in enumerate(up):
-                    for j, pos in enumerate(row):
-                        if columns[pos] is None:
-                            columns[pos] = _times_linear(
-                                lower[i], [linear.columns[j].items()], up, len(columns)
-                            )
-        moduli = [
-            content if m[0] and content else 0
-            for m in graded_piece_basis(n, degree)
+    n = len(alpha)
+    if degree == 1:
+        h, u = hermite_normal_form([[a] for a in alpha], transform=True)
+        content = h[0][0]
+        columns = [
+            {i: u[i][j] for i in range(n) if u[i][j]} for j in range(n)
         ]
-        rows = [[] for _ in moduli]
-        for i, column in enumerate(columns):
-            for k, c in column.items():
-                rows[k].append((i, c))
-        rows = [(mod, row) for mod, row in zip(moduli, rows) if mod != 1]
-        lmap = maps[key] = _LabelMap(content, columns, rows)
-    return lmap
+    else:
+        linear = _label_map(alpha, 1)
+        content, columns = linear.content, [{0: 1}]
+        if degree > 1:
+            lower = _label_map(alpha, degree - 1).columns
+            up = _raise_table(n, degree - 1)
+            columns = [None] * comb(n + degree - 1, degree)
+            for i, row in enumerate(up):
+                for j, pos in enumerate(row):
+                    if columns[pos] is None:
+                        columns[pos] = _times_linear(
+                            lower[i], [linear.columns[j].items()], up, len(columns)
+                        )
+    moduli = [
+        content if m[0] and content else 0
+        for m in graded_piece_basis(n, degree)
+    ]
+    rows = [[] for _ in moduli]
+    for i, column in enumerate(columns):
+        for k, c in column.items():
+            rows[k].append((i, c))
+    rows = [(mod, row) for mod, row in zip(moduli, rows) if mod != 1]
+    return _LabelMap(content, columns, rows)
 
 
 # -- the solver -----------------------------------------------------------------
@@ -179,7 +176,7 @@ def _congruence_system(g: GkmGraph, degree: int, forgetful: bool):
         if e.source == e.target:  # a loop asks nothing
             continue
         p, q = offset[e.source], offset[e.target]
-        lmap = _label_map(g.label_maps, e.axial[:nvars], degree)
+        lmap = _label_map(e.axial[:nvars], degree)
         for modulus, row in lmap.rows:
             eq = {p + i: a for i, a in row}
             eq.update((q + i, -a) for i, a in row)

@@ -97,9 +97,6 @@ class GkmGraph:
         self._canonical_edges = [
             d for d in self._edge_dart_ids if d < self.darts[d].opposite
         ]
-        # (label, degree) -> the label's map on coefficient vectors, filled
-        # by the congruence checks of ``cohomology`` (see ``_label_map``)
-        self.label_maps = {}
         self._connection = None
         self._pairs = None
         if connection is not None:
@@ -121,6 +118,8 @@ class GkmGraph:
                     f"dart {d.id!r} must have target and opposite together"
                 )
             if d.opposite is not None:
+                if d.opposite == d.id:
+                    raise StructuralError(f"dart {d.id!r} is its own opposite")
                 opp = self.darts.get(d.opposite)
                 if opp is None:
                     raise StructuralError(

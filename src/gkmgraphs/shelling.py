@@ -7,7 +7,11 @@ is ever listed.  A shelling order of the facets yields minimal new faces
 mu_i, the minimal transversals of the sets sigma_i - sigma_j, j < i, and
 the monomials x_{mu_i} form a free module basis over the polynomial ring
 in n variables (the standard basis of a Stanley-Reisner ring over a
-linear system of parameters).
+linear system of parameters).  Listed lexicographically, by their names'
+generator positions, the facets of a matroid complex are in a shelling
+order (Bjorner, *The homology and shellability of matroids and geometric
+lattices*, 1992, Thm 7.3.4); a graph that names its hyperplanes has that
+order verified, and any other graph, or a failing order, is searched.
 
 Expansion in that basis runs in facet coordinates.  At a facet point p
 the Thom values y_L = tau_L(p) of the n hyperplanes through p are
@@ -120,11 +124,13 @@ def _minimal_new_faces(prior_facets, sigma):
 def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
     """A shelling order with its minimal new faces.
 
-    With ``order`` given, that exact facet order is verified.  Otherwise a
-    backtracking search runs with greedy preference for facets glued along
-    a single ridge, deterministic tie-breaking, and the node budget of
-    ``GKM_SEARCH_BUDGET`` (an integer; ``DEFAULT_SEARCH_BUDGET`` when
-    unset).
+    With ``order`` given, that exact facet order is verified; the order of
+    ``complex_.facets`` is lexicographic, a shelling of every matroid
+    complex (Bjorner 1992, Thm 7.3.4).  Otherwise a backtracking search
+    runs, on a stack of its own rather than by recursion, with greedy
+    preference for facets glued along a single ridge, deterministic
+    tie-breaking, and the node budget of ``GKM_SEARCH_BUDGET`` (an integer;
+    ``DEFAULT_SEARCH_BUDGET`` when unset).
     """
     facets = list(complex_.facets)
     if order is not None:
@@ -149,56 +155,34 @@ def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
             f"GKM_SEARCH_BUDGET must be an integer, not {text!r}"
         ) from None
     nodes = 0
-    dead = set()
-    prefix = []
-    mus = []
-
-    def extend():
-        nonlocal nodes
-        if len(prefix) == len(facets):
-            return True
+    dead = set()  # prefixes, as sets, that no order completes
+    prefix, mus = [], []
+    # per facet of the prefix: the prefix before it, as a set, and its
+    # extensions not yet tried, the next one last
+    stack = []
+    while len(prefix) < len(facets):
         state = frozenset(prefix)
-        if state in dead:
-            return False
-        nodes += 1
-        if nodes > budget:
-            raise NotShellable(f"search budget of {budget} nodes exhausted")
-        candidates = []
-        for f in facets:
-            if f in state:
-                continue
-            minimal = _minimal_new_faces(prefix, f)
-            if len(minimal) == 1:
-                candidates.append((len(minimal[0]), sorted(f), f, minimal[0]))
-        for _, _, f, mu in sorted(candidates, key=lambda c: (c[0], c[1])):
-            prefix.append(f)
-            mus.append(mu)
-            if extend():
-                return True
+        untried = []
+        if state not in dead:
+            nodes += 1
+            if nodes > budget:
+                raise NotShellable(f"search budget of {budget} nodes exhausted")
+            for f in facets:
+                minimal = [] if f in state else _minimal_new_faces(prefix, f)
+                if len(minimal) == 1:
+                    untried.append(((len(minimal[0]), sorted(f)), f, minimal[0]))
+            untried.sort(key=lambda c: c[0], reverse=True)
+        stack.append((state, untried))
+        while not stack[-1][1]:
+            dead.add(stack.pop()[0])
+            if not stack:
+                raise NotShellable("exhaustive search found no shelling order")
             prefix.pop()
             mus.pop()
-        dead.add(state)
-        return False
-
-    if not extend():
-        raise NotShellable("exhaustive search found no shelling order")
-    return ShellingData(list(prefix), list(mus))
-
-
-def klm_canonical_order(names):
-    """The canonical facet order for the three-direction arrangement
-    family (X rows with Y then Z columns, then Y rows with Z columns), from
-    the hyperplane ``names`` in generator order."""
-    xs, ys, zs = ([n for n in names if n.startswith(d)] for d in "XYZ")
-    if not (xs and ys and zs) or len(xs) + len(ys) + len(zs) != len(names):
-        return None
-    order = []
-    for x in xs:
-        order += [frozenset((x, y)) for y in ys]
-        order += [frozenset((x, z)) for z in zs]
-    for y in ys:
-        order += [frozenset((y, z)) for z in zs]
-    return order
+        _, f, mu = stack[-1][1].pop()
+        prefix.append(f)
+        mus.append(mu)
+    return ShellingData(prefix, mus)
 
 
 # -- characteristic functions ---------------------------------------------------
@@ -348,17 +332,21 @@ class FacetLocalizations:
 def shelling_context(g: GkmGraph) -> ShellingContext:
     """Discover hyperplanes, fix orientations, find a shelling.
 
-    Arrangement-generated graphs use the canonical facet order of the
-    family (then verified); anything else goes through the search.
+    A graph that names its hyperplanes gets the lexicographic order of its
+    facets when that order is a shelling (see ``find_shelling``).  The
+    search runs otherwise, and on unnamed graphs, whose shellings are the
+    search's.
     """
     arr = Arrangement(g)
     complex_ = build_complex(arr)
-    order = None
+    shelling = None
     if g.meta.get("hyperplane_names"):
-        order = klm_canonical_order(arr.names)
-        if order is not None and set(order) != set(complex_.facets):
-            order = None
-    shelling = find_shelling(complex_, order=order)
+        try:
+            shelling = find_shelling(complex_, order=complex_.facets)
+        except NotShellable:
+            pass
+    if shelling is None:
+        shelling = find_shelling(complex_)
     taus = {}
     orientation = {}
     for name in arr.names:

@@ -258,7 +258,7 @@ def _divides(lmap, monos, diff) -> bool:
     return True
 
 
-def _label_divides(maps, alpha, terms) -> bool:
+def _label_divides(alpha, terms) -> bool:
     """Does the linear form ``alpha`` divide the polynomial with the given
     ``{monomial: coefficient}`` terms?  It does when it divides each
     homogeneous component."""
@@ -266,7 +266,7 @@ def _label_divides(maps, alpha, terms) -> bool:
     for m, c in terms.items():
         components.setdefault(sum(m), {})[m] = c
     for d, part in components.items():
-        lmap = _label_map(maps, alpha, d)
+        lmap = _label_map(alpha, d)
         monos = graded_piece_basis(len(alpha), d)
         if not _divides(lmap, monos, [part.get(m, 0) for m in monos]):
             return False
@@ -276,9 +276,7 @@ def _label_divides(maps, alpha, terms) -> bool:
 def class_satisfies_congruences(g, cls: CohomologyClass) -> bool:
     """Does every edge label divide the difference of the values across
     the edge?  The labels are cut to the class's ``nvars``, so a forgetful
-    class meets the labels without their residual coordinate.  The label
-    maps are kept in the graph's ``label_maps``."""
-    maps = g.label_maps
+    class meets the labels without their residual coordinate."""
     for eid in g.canonical_edges():
         e = g.darts[eid]
         here, there = cls[e.source].terms, cls[e.target].terms
@@ -287,7 +285,7 @@ def class_satisfies_congruences(g, cls: CohomologyClass) -> bool:
         diff = dict(here)
         for m, c in there.items():
             diff[m] = diff.get(m, 0) - c
-        if not _label_divides(maps, e.axial[: cls.nvars], diff):
+        if not _label_divides(e.axial[: cls.nvars], diff):
             return False
     return True
 

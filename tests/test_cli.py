@@ -320,6 +320,16 @@ def _fig2_left_connection(edit):
     return json.dumps(doc).encode()
 
 
+def _fig2_left_self_opposite():
+    """fig2_left's document without its connection, the leg ``p:s`` made
+    an edge dart from p to p that is its own opposite."""
+    doc = fixtures.fixture("fig2_left").to_dict()
+    del doc["connection"]
+    (leg,) = (d for d in doc["darts"] if d["id"] == "p:s")
+    leg.update({"to": "p", "opposite": "p:s"})
+    return json.dumps(doc).encode()
+
+
 # (the bytes of a graph file, the error it is refused with)
 BROKEN_DOCUMENTS = {
     "latin-1": (
@@ -362,6 +372,10 @@ BROKEN_DOCUMENTS = {
         lambda: _fig2_left_connection(lambda c: c.update({"p:s": dict(c["p:e"])})),
         "stored connection entry 'p:s' is not an edge dart",
     ),
+    "self-opposite": (
+        _fig2_left_self_opposite,
+        "dart 'p:s' is its own opposite",
+    ),
 }
 
 
@@ -374,9 +388,10 @@ BROKEN_DOCUMENTS = {
 def test_broken_graph_documents_are_refused_by_name(tmp_path, command, case):
     """A graph file that is not UTF-8, JSON nested deeper than the parser
     recurses, an integer longer than CPython converts, a rank of 4300
-    digits, and a stored connection whose entry is no edge dart or whose
-    image is no dart id: exit 1, one document that names the fault
-    without ``internal``, and nothing on stderr."""
+    digits, a stored connection whose entry is no edge dart or whose
+    image is no dart id, and a dart that is its own opposite: exit 1, one
+    document that names the fault without ``internal``, and nothing on
+    stderr."""
     data, error = BROKEN_DOCUMENTS[case]
     p = tmp_path / "bad.json"
     p.write_bytes(data())

@@ -180,7 +180,7 @@ def test_label_map_divisibility_agrees_with_exact_division(case):
     """The label-map test against exact division, an independent oracle."""
     alpha, f = case
     expected = divide_exact_by_linear(f, alpha) is not None
-    assert _label_divides({}, alpha, f.terms) == expected
+    assert _label_divides(alpha, f.terms) == expected
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Complex construction, shellings, characteristic covectors, module
 bases, expansion and structure constants."""
 
+import sys
 from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
@@ -41,7 +42,6 @@ from gkmgraphs.shelling import (
     express_in_basis,
     find_shelling,
     hilbert_rank,
-    klm_canonical_order,
     module_basis,
     ordinary_cohomology,
     relation_for_hyperplane,
@@ -288,6 +288,44 @@ def test_klm_canonical_order_verifies_for_other_sizes():
     for spec in ((2, 2, 2), (3, 2, 1), (1, 3, 2)):
         ctx = klm_ctx(*spec)
         assert len(ctx.shelling.order) == len(ctx.complex.facets)
+
+
+def test_the_search_runs_within_a_small_recursion_limit():
+    """The search keeps its own stack: with the recursion limit 40 frames
+    above the caller's depth, it still shells the unnamed L(5,5,5), whose
+    75 facets a search by recursion would take one frame each."""
+    c = build_complex(Arrangement(graph_named("L555-unnamed")))
+    assert len(c.facets) == 75
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        shell = find_shelling(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert find_shelling(c, order=shell.order) == shell
+
+
+def test_a_named_graph_whose_lexicographic_order_fails_is_searched():
+    """fig7_pentagon, its five hyperplanes named so that the lexicographic
+    facet order puts two disjoint edges of the 5-cycle first: the order
+    fails to verify, and the context takes the search's shelling of the
+    same complex."""
+    pentagon = fixture("fig7_pentagon")
+    through = Arrangement(pentagon).through
+    rename = {"L1": "A", "L2": "C", "L3": "E", "L4": "B", "L5": "D"}
+    doc = pentagon.to_dict()
+    doc["hyperplane_names"] = {
+        rename[name]: sorted(v for v, names in through.items() if name in names)
+        for name in rename
+    }
+    g = graph_from_dict(doc)
+    c = build_complex(Arrangement(g))
+    with pytest.raises(NotShellable, match="at position 3 has 2 minimal"):
+        find_shelling(c, order=c.facets)
+    assert shelling_context(g).shelling == find_shelling(c)
 
 
 def test_not_shellable_complex_is_reported():
@@ -623,18 +661,42 @@ def test_ordinary_cohomology_212():
     assert table["ordinary_products"]["Z2*Z2"] == {"Y1*Z2": 1}
 
 
+@st.composite
+def _rung_renamed(draw):
+    """A rung L(k,l,m) with k, l, m <= 5, its spec, and how its hyperplanes
+    are named: as ``gen klm`` names them, each name prefixed, the names
+    permuted across the three directions, or not at all."""
+    spec = draw(st.tuples(*[st.integers(1, 5)] * 3))
+    naming = draw(st.sampled_from(["klm", "prefixed", "permuted", "unnamed"]))
+    doc = gen_klm(KlmSpec(*spec)).to_dict()
+    names = sorted(doc["hyperplane_names"])
+    if naming == "unnamed":
+        del doc["hyperplane_names"], doc["positive_normals"]
+    elif naming != "klm":
+        rename = (
+            {n: "A" + n for n in names}
+            if naming == "prefixed"
+            else dict(zip(names, draw(st.permutations(names))))
+        )
+        for key in ("hyperplane_names", "positive_normals"):
+            doc[key] = {rename[n]: v for n, v in doc[key].items()}
+    return spec, graph_from_dict(doc)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(*[st.integers(1, 5)] * 3))
-def test_betti_numbers_of_a_rung_have_their_closed_form(spec):
+@given(_rung_renamed())
+def test_betti_numbers_of_a_rung_have_their_closed_form(case):
     """On L(k,l,m), N = k + l + m lines with P = kl + km + lm crossings, the
     minimal new faces of the shelling number (1, N - 2, P - N + 1) by
     size, the h-vector of the arrangement, and so do the ordinary ranks
-    of the structure-constant table.  The arithmetic shares no code with
-    ``build_complex`` or ``find_shelling``."""
-    k, l, m = spec
+    of the structure-constant table: on the verified lexicographic order
+    of a named rung, whatever its names, and on the search's order of an
+    unnamed one.  The arithmetic shares no code with ``build_complex`` or
+    ``find_shelling``."""
+    (k, l, m), g = case
     n, p = k + l + m, k * l + k * m + l * m
     expected = [1, n - 2, p - n + 1]
-    ctx = klm_ctx(k, l, m)
+    ctx = shelling_context(g)
     sizes = [len(mu) for mu in ctx.shelling.minimal_faces]
     assert [sizes.count(d) for d in range(3)] == expected
     assert len(sizes) == sum(expected)
@@ -647,7 +709,3 @@ def test_ordinary_structure_constants_all_one():
         table = ordinary_cohomology(klm_ctx(*spec))
         for prods in table["ordinary_products"].values():
             assert all(c == 1 for c in prods.values())
-
-
-def test_klm_canonical_order_rejects_non_klm_names():
-    assert klm_canonical_order(["L1", "L2"]) is None
