@@ -3,17 +3,14 @@ arrangement family.
 
 The five figure fixtures ship as canonical JSON files under ``data/``.  The
 arrangement generator builds the graph from scratch: the direction of a dart
-fixes the non-residual part of its label, and the residual coefficients are
-the unique solution of a sparse integer system collecting the pair,
-opposite and congruence constraints, pinned at the bottom-left vertex so
-that the (1,1,1) arrangement reproduces the triangle fixture.  Each row has
-at most three unknowns, so the system is solved by propagation, one
-unknown per row from the pinned vertex outwards, and every row is checked
-on the result.  The congruence rows match each dart with its image across
-each edge, which is the connection: the graph is built with it, and
-verifies it instead of deriving it.  ``local_model(n)`` and the line
-counts of ``gen_klm`` are capped, so an oversized request is refused
-before anything is built.
+fixes its forgetful label, and those labels fix the connection.  The
+residual coefficients come from the local model at the bottom-left vertex,
+e_i and x - e_i, so that the (1,1,1) arrangement reproduces the triangle
+fixture, carried along a spanning tree by the connection.  The graph is
+built with that connection and checks its congruences across every edge,
+the tree's and the rest.  ``local_model(n)`` and the line counts of
+``gen_klm`` are capped, so an oversized request is refused before anything
+is built.
 """
 
 from __future__ import annotations
@@ -118,7 +115,6 @@ class KlmSpec(namedtuple("KlmSpec", "k l m")):
 class _Line:
     def __init__(self, name, kind, vertex_ids):
         self.name = name
-        self.kind = kind
         self.vertex_ids = vertex_ids  # ordered along the plus direction
         self.plus, self.minus, self.lam = _LINE_KINDS[kind]
 
@@ -147,24 +143,56 @@ def _klm_lines(spec: KlmSpec):
 
 def gen_klm(spec: KlmSpec) -> GkmGraph:
     """GKM graph of k horizontal, l vertical and m diagonal lines in
-    general position, fully validated."""
+    general position, fully validated.
+
+    The base vertex, the first vertex of the first line, carries the local
+    model: residual coefficient 0 on its plus darts and 1 on its minus
+    darts.  A walk along a spanning tree carries it to every vertex with
+    the connection: across an edge e each dart d goes to its image d',
+    labelled alpha(d) - c alpha(e), where the forgetful labels fix the
+    multiple c (Guillemin-Zara, *1-skeleta, Betti numbers, and equivariant
+    cohomology*, 2001).
+    """
     lines = _klm_lines(spec)
-    dart_dirs, dart_rows = _klm_darts(lines)
-    rows, rhs, conn = _residual_system(lines, dart_dirs, dart_rows)
-    residual = solve_by_propagation(rows, rhs)
-    darts = []
-    for did in sorted(dart_dirs):
-        src, tgt, opp = dart_rows[did]
-        f1, f2 = _DIRECTIONS[dart_dirs[did]][1]
-        darts.append(Dart(did, src, tgt, opp, (f1, f2, residual[did])))
+    forget, dart_rows = _klm_darts(lines)
+    conn = _klm_connection(forget, dart_rows)
+    edges_at = {}  # vertex -> its edge dart ids
+    for did, (src, tgt, _) in dart_rows.items():
+        if tgt is not None:
+            edges_at.setdefault(src, []).append(did)
+    base = lines[0].vertex_ids[0]
+    minus = {ln.minus for ln in lines}
+    residual = {
+        did: int(did.rsplit(":", 1)[1] in minus)
+        for did, row in dart_rows.items()
+        if row[0] == base
+    }
+    seen, stack = {base}, [base]
+    while stack:
+        for eid in edges_at[stack.pop()]:
+            tgt = dart_rows[eid][1]
+            if tgt in seen:
+                continue
+            seen.add(tgt)
+            stack.append(tgt)
+            for d, image in conn[eid].items():
+                c = is_multiple_of(vec_sub(forget[d], forget[image]), forget[eid])
+                residual[image] = residual[d] - c * residual[eid]
+    darts = [
+        Dart(did, *dart_rows[did], forget[did] + (residual[did],))
+        for did in sorted(dart_rows)
+    ]
     meta = {
         "hyperplane_names": {
             line.name: sorted(set(line.vertex_ids)) for line in lines
         },
         "positive_normals": _positive_normals(lines),
     }
-    # the constructor verifies the connection; validate_axial's
-    # three_independence check makes it the only one
+    # the tree edges hold their congruences by construction.  The
+    # constructor checks every dart's congruence across every edge, which
+    # covers the edges off the tree; validate_axial checks the pair sums,
+    # the opposite signs and, by three_independence, that this connection
+    # is the only one
     g = GkmGraph(2, darts, connection=conn, meta=meta)
     report = validate_axial(g)
     if not report.ok:
@@ -176,9 +204,9 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
 
 
 def _klm_darts(lines):
-    """Direction suffix and (source, target, opposite) of every dart, both
+    """Forgetful label and (source, target, opposite) of every dart, both
     keyed by dart id."""
-    dart_dirs = {}  # dart id -> direction suffix
+    forget = {}  # dart id -> forgetful label
     dart_rows = {}  # dart id -> (source, target, opposite)
     for line in lines:
         ids = line.vertex_ids
@@ -187,19 +215,19 @@ def _klm_darts(lines):
             minus_id = f"{v}:{line.minus}"
             nxt = ids[i + 1] if i + 1 < len(ids) else None
             prv = ids[i - 1] if i - 1 >= 0 else None
-            dart_dirs[plus_id] = line.plus
+            forget[plus_id] = _DIRECTIONS[line.plus][1]
             dart_rows[plus_id] = (
                 v,
                 nxt,
                 f"{nxt}:{line.minus}" if nxt else None,
             )
-            dart_dirs[minus_id] = line.minus
+            forget[minus_id] = _DIRECTIONS[line.minus][1]
             dart_rows[minus_id] = (
                 v,
                 prv,
                 f"{prv}:{line.plus}" if prv else None,
             )
-    return dart_dirs, dart_rows
+    return forget, dart_rows
 
 
 def _positive_normals(lines):
@@ -226,36 +254,12 @@ def _positive_normals(lines):
     return out
 
 
-def _residual_system(lines, dart_dirs, dart_rows):
-    """The sparse system of pair, opposite and congruence constraints on
-    the residual (x) coefficients of all darts: rows ``{dart id:
-    coefficient}`` and their right-hand sides, and the connection that
-    the congruence rows assume, ``{edge dart: {dart: image}}``.
-
-    Every row has at most three unknowns, and the two pin rows fix the
-    bottom-left vertex; from there some row always has one open unknown,
-    so ``solve_by_propagation`` finds the unique solution one unknown per
-    row, with no dense elimination.
-    """
-    rows, rhs = [], []
-
-    def row(entries, b):
-        r = {}
-        for did, c in entries:
-            r[did] = r.get(did, 0) + c
-        rows.append({did: c for did, c in r.items() if c})
-        rhs.append(b)
-
+def _klm_connection(forget, dart_rows):
+    """The connection ``{edge dart: {dart: image}}`` of the arrangement,
+    read off the forgetful labels."""
     darts_at = {}  # vertex -> its dart ids
     for did, (src, _, _) in dart_rows.items():
         darts_at.setdefault(src, []).append(did)
-    for line in lines:
-        for v in line.vertex_ids:
-            row([(f"{v}:{line.plus}", 1), (f"{v}:{line.minus}", 1)], 1)
-    for did, (_, tgt, opp) in dart_rows.items():
-        if opp is not None:
-            row([(did, 1), (opp, 1)], 0)
-    forget = {did: _DIRECTIONS[d][1] for did, d in dart_dirs.items()}
     conn = {}
     for eid, (src, tgt, opp) in dart_rows.items():
         if tgt is None:
@@ -264,83 +268,25 @@ def _residual_system(lines, dart_dirs, dart_rows):
         # the edge dart goes to its opposite, its tangent sibling to the
         # opposite's sibling, and each crossing dart to its congruent image
         mapping = conn[eid] = {eid: opp}
-        mapping[_sibling(eid, src, dart_dirs)] = _sibling(opp, tgt, dart_dirs)
+        mapping[_sibling(eid, src)] = _sibling(opp, tgt)
         tangent_at_tgt = set(mapping.values())
-        cross_src = [d for d in darts_at[src] if d not in mapping]
         cross_tgt = [d for d in darts_at[tgt] if d not in tangent_at_tgt]
-        for d in cross_src:
-            images = [
-                d2
-                for d2 in cross_tgt
-                if congruent(forget[d], forget[d2], w)
-            ]
+        for d in darts_at[src]:
+            if d in mapping:
+                continue
+            images = [d2 for d2 in cross_tgt if congruent(forget[d], forget[d2], w)]
             if len(images) != 1:
                 raise StructuralError(
                     f"forgetful labels leave the connection across {eid} "
                     "ambiguous"
                 )
             mapping[d] = images[0]
-            lam = is_multiple_of(vec_sub(forget[d], forget[images[0]]), w)
-            row([(d, 1), (images[0], -1), (eid, -lam)], 0)
-    # pin the bottom-left vertex to the standard local model
-    first_x = lines[0]
-    row([(f"{first_x.vertex_ids[0]}:{first_x.plus}", 1)], 0)
-    first_y = next(ln for ln in lines if ln.kind == "Y")
-    row([(f"{first_y.vertex_ids[0]}:{first_y.plus}", 1)], 0)
-    return rows, rhs, conn
+    return conn
 
 
-def solve_by_propagation(rows, rhs):
-    """The unique integer solution of the sparse rows ``{unknown:
-    coefficient}`` = ``rhs``, keyed by unknown.
-
-    A row with exactly one open unknown fixes it by exact division; the
-    rows it appears in lose one open unknown, and the rows left with one
-    go on the stack (a sparse triangular solve; Davis, *Direct Methods for
-    Sparse Linear Systems*, 2006, ch. 3).  When every unknown is fixed
-    this way the pivot rows form a triangular system, so the solution is
-    unique.  Raises StructuralError when a division leaves a remainder,
-    when propagation stalls with an unknown still open, or when any row
-    fails on the solution.
-    """
-    rows_of = {}  # unknown -> indices of the rows it appears in
-    for i, r in enumerate(rows):
-        for u in r:
-            rows_of.setdefault(u, []).append(i)
-    open_count = [len(r) for r in rows]
-    rest = list(rhs)  # right-hand side minus the fixed unknowns' part
-    stack = [i for i, c in enumerate(open_count) if c == 1]
-    sol = {}
-    while stack:
-        i = stack.pop()
-        if open_count[i] != 1:
-            continue  # its last unknown was fixed through another row
-        u = next(u for u in rows[i] if u not in sol)
-        q, r = divmod(rest[i], rows[i][u])
-        if r:
-            raise StructuralError(
-                f"residual coefficient system has no integer solution at {u}"
-            )
-        sol[u] = q
-        for j in rows_of[u]:
-            rest[j] -= rows[j][u] * q
-            open_count[j] -= 1
-            if open_count[j] == 1:
-                stack.append(j)
-    if len(sol) != len(rows_of):
-        raise StructuralError(
-            "residual coefficient system is not determined by propagation "
-            f"({len(rows_of) - len(sol)} unknowns left open)"
-        )
-    for r, b in zip(rows, rhs):
-        if sum(c * sol[u] for u, c in r.items()) != b:
-            raise StructuralError("residual coefficient system has no solution")
-    return sol
-
-
-def _sibling(dart_id, vertex, dart_dirs):
+def _sibling(dart_id, vertex):
     """The other dart at `vertex` tangent to the same line."""
-    v, suffix = dart_id.rsplit(":", 1)
+    suffix = dart_id.rsplit(":", 1)[1]
     for plus, minus, _ in _LINE_KINDS.values():
         if suffix == plus:
             return f"{vertex}:{minus}"

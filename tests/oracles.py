@@ -3,8 +3,10 @@
 The runtime expands in facet coordinates and never substitutes or divides
 by a linear form; these are the ring-path versions of those steps, kept
 as oracles to check the fast paths against.  An integer solver by forward
-substitution (``solve_integer``) checks the residuals that ``gen klm``
-propagates.  A union-find over the dart list checks the graph search of
+substitution (``solve_integer``) solves the pair, opposite and congruence
+conditions on the residual coefficients, rebuilt from a generated graph
+(``residual_system``), and so checks the residuals that ``gen klm``
+transports along its connection.  A union-find over the dart list checks the graph search of
 ``graph.components``.  A halfspace pair re-validated at every vertex
 checks the pair that ``halfspace_pair`` validates at the hyperplane, with
 the normal darts coloured by sweeps of the hyperplane's edges repeated
@@ -13,7 +15,10 @@ hyperplane complex built from the whole family table, every subset of
 the names through each vertex, checks the facets that ``build_complex``
 takes from the names through each vertex alone, and the minimal new faces
 of a shelling found among every subset of a facet check the minimal
-transversals of ``_minimal_new_faces``.  Divisibility by a label is
+transversals of ``_minimal_new_faces``.  The faces of that complex,
+counted by size from the names through each vertex (``f_vector``), give
+the graded ranks of its Stanley-Reisner ring in closed form
+(``stanley_reisner_rank``).  Divisibility by a label is
 decided here by the columns of its map, with a modulus per image
 coefficient (``_divides``), where the solver reads the map's rows.
 
@@ -25,6 +30,10 @@ products, checked against the congruences by
 ``class_satisfies_congruences``; the solver's vectors and the rings'
 generators turn into such classes and back.
 """
+
+from collections import Counter
+from itertools import combinations
+from math import comb
 
 from gkmgraphs import intlinalg
 from gkmgraphs.cohomology import _label_map
@@ -38,6 +47,7 @@ from gkmgraphs.errors import (
 )
 from gkmgraphs.graph import components
 from gkmgraphs.hyperplanes import (
+    Arrangement,
     Halfspace,
     _excluded_pairs,
     _name_key,
@@ -102,6 +112,49 @@ def solve_integer(rows, rhs):
     if any(residual):
         return None
     return tuple(z)
+
+
+def residual_system(g, base):
+    """The conditions on the residual (last) coefficients of the labels of
+    ``g``, read from the graph alone, as rows ``{dart id: coefficient}``
+    and their right-hand sides:
+
+    - each pair of ``g.pairs`` sums to 1;
+    - each edge dart and its opposite sum to 0;
+    - across each edge e, each dart d and its image d' under
+      ``g.connection`` differ by c times e, where the forgetful labels
+      give c;
+    - the darts at ``base`` whose forgetful labels are unit vectors are
+      0, the local model e_i, x - e_i.
+    """
+    n = g.rank
+    rows, rhs = [], []
+
+    def row(entries, b):
+        r = Counter()
+        for did, c in entries:
+            r[did] += c
+        rows.append({did: c for did, c in r.items() if c})
+        rhs.append(b)
+
+    def forget(did):
+        return g.axial(did)[:n]
+
+    for pairs in g.pairs.values():
+        for a, b in pairs:
+            row([(a, 1), (b, 1)], 1)
+    for eid in g.edge_dart_ids():
+        row([(eid, 1), (g.darts[eid].opposite, 1)], 0)
+        for d, image in g.connection[eid].items():
+            c = intlinalg.is_multiple_of(
+                intlinalg.vec_sub(forget(d), forget(image)), forget(eid)
+            )
+            row([(d, 1), (image, -1), (eid, -c)], 0)
+    units = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    for did in g.darts_at(base):
+        if forget(did) in units:
+            row([(did, 1)], 0)
+    return rows, rhs
 
 
 # -- classes as polynomials ------------------------------------------------
@@ -492,6 +545,28 @@ def complex_faces(arr):
     """Every face of the hyperplane complex, the empty face included: the
     families of names with a common vertex, from the whole family table."""
     return set(nonempty_intersection_table(arr.through)) | {frozenset()}
+
+
+def f_vector(g):
+    """``[f_-1, f_0, f_1, ...]``: the number of faces of the hyperplane
+    complex of each size, the families of names with a common vertex,
+    every subset of the names through each vertex."""
+    faces = set()
+    for names in Arrangement(g).through.values():
+        for size in range(len(names) + 1):
+            faces.update(map(frozenset, combinations(sorted(names), size)))
+    sizes = Counter(map(len, faces))
+    return [sizes[i] for i in range(max(sizes) + 1)]
+
+
+def stanley_reisner_rank(f, k):
+    """The rank of the degree-k piece of the Stanley-Reisner ring of a
+    complex with f-vector ``f``: 1 at k = 0, and the sum of f_{i-1}
+    C(k-1, i-1) over i for k >= 1 (Stanley, *Combinatorics and Commutative
+    Algebra*, ch. II, Thm 1.4)."""
+    if k == 0:
+        return 1
+    return sum(f[i] * comb(k - 1, i - 1) for i in range(1, len(f)))
 
 
 def maximal_faces(faces):

@@ -811,7 +811,7 @@ FRONT_KEYS = sorted(
 def test_front_output_matches_the_benchmark_reference(
     tmp_path, capsys, monkeypatch, key
 ):
-    """The generator's propagated residual coefficients, the hyperplanes
+    """The generator's transported residual coefficients, the hyperplanes
     found with one closure each and labeled where they are printed, and
     the validation and assumption reports reproduce the recorded output
     byte for byte."""

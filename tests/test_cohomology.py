@@ -6,7 +6,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gkmgraphs.cohomology as cohomology
@@ -43,10 +43,12 @@ from oracles import (
     constant_class,
     divide_exact_by_linear,
     evaluate_generator,
+    f_vector,
     forgetful_thom_class,
     hnf_nonzero_rows,
     linear_form,
     reduced_relations,
+    stanley_reisner_rank,
     vector_class,
     vector_to_class,
 )
@@ -577,6 +579,32 @@ def test_standard_monomials_count_the_presentation(g, forgetful):
     for k, row in rep["degrees"].items():
         macaulay = cohomology._ideal_rank_full(rels, len(names), k)
         assert row["presentation_rank"] == row["monomials"] - macaulay
+
+
+@settings(max_examples=15, deadline=None)
+@given(_renamed_rung())
+@example(fixture("fig2_left"))
+@example(fixture("fig7_pentagon"))
+@example(fixture("fig8_line5"))
+@example(local_model(4))
+def test_graded_ranks_follow_the_f_vector(g):
+    """In the forgetful theory the ring is the Stanley-Reisner ring of the
+    hyperplane complex, so its degree-k rank is the sum of f_{i-1}
+    C(k-1, i-1) over i, from the faces counted by size; the full theory is
+    free over Z[x], so its rank at k is the sum of those up to k.  The
+    solver, presentation and image ranks of ``verify_iso`` all equal these
+    counts to degree 5 on renamed rungs and on the figures that meet both
+    assumptions.  The count shares no code with the standard-monomial
+    walk, the kernel or the shelling."""
+    f = f_vector(g)
+    forgetful = [stanley_reisner_rank(f, k) for k in range(6)]
+    full = [sum(forgetful[: k + 1]) for k in range(6)]
+    for theory, expected in ((True, forgetful), (False, full)):
+        rep = verify_iso(g, max_degree=5, forgetful=theory)
+        assert [
+            (row["solver_rank"], row["presentation_rank"], row["image_rank"])
+            for row in rep["degrees"].values()
+        ] == [(r, r, r) for r in expected]
 
 
 @pytest.mark.parametrize("source", [["--fixture", "fig7_pentagon"], ["@222"]])

@@ -5,10 +5,10 @@ from itertools import permutations, product
 import pytest
 
 import gkmgraphs.fixtures as fixtures
-from gkmgraphs.errors import GkmError, StructuralError
+from gkmgraphs.errors import GkmError
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm, local_model
 from gkmgraphs.graph import validate_axial
-from oracles import lattice_rank, solve_integer
+from oracles import lattice_rank, residual_system, solve_integer
 
 
 def label_preserving_isomorphism(a, b):
@@ -116,40 +116,28 @@ def test_fixture_sizes_are_capped():
             KlmSpec(*spec)
 
 
-def residual_system(spec):
-    lines = fixtures._klm_lines(spec)
-    dart_dirs, dart_rows = fixtures._klm_darts(lines)
-    rows, rhs, _ = fixtures._residual_system(lines, dart_dirs, dart_rows)
-    return sorted(dart_dirs), rows, rhs
-
-
-def dense(unknowns, rows):
-    return [[r.get(u, 0) for u in unknowns] for r in rows]
-
-
-def test_propagation_matches_the_dense_solve():
-    """On every L(k,l,m) with k, l, m <= 4 the propagated residual
-    coefficients are the integer solution of the dense system."""
+def test_transported_residuals_solve_the_system_of_the_graph():
+    """On every L(k,l,m) with k, l, m <= 4 the residual coefficients that
+    the generator transports from the local model are the one integer
+    solution of the pair, opposite and congruence conditions rebuilt from
+    the graph and pinned to the local model at the base vertex."""
     for spec in product(range(1, 5), repeat=3):
-        unknowns, rows, rhs = residual_system(KlmSpec(*spec))
-        sol = fixtures.solve_by_propagation(rows, rhs)
-        assert tuple(sol[u] for u in unknowns) == solve_integer(
-            dense(unknowns, rows), rhs
+        g = gen_klm(KlmSpec(*spec))
+        rows, rhs = residual_system(g, "X1.Y1")
+        unknowns = sorted(g.darts)
+        dense = [[r.get(u, 0) for u in unknowns] for r in rows]
+        assert lattice_rank(dense) == len(unknowns), spec
+        assert solve_integer(dense, rhs) == tuple(
+            g.axial(u)[-1] for u in unknowns
         ), spec
 
 
-def test_propagation_refuses_a_system_without_a_unique_solution():
-    unknowns, rows, rhs = residual_system(KlmSpec(2, 1, 2))
-    # inconsistent: the first pair row asks for a residual sum of 2
-    bumped = [rhs[0] + 1] + rhs[1:]
-    assert solve_integer(dense(unknowns, rows), bumped) is None
-    with pytest.raises(StructuralError):
-        fixtures.solve_by_propagation(rows, bumped)
-    # underdetermined: without the two pin rows the kernel is nonzero
-    free, free_rhs = rows[:-2], rhs[:-2]
-    assert lattice_rank(dense(unknowns, free)) < len(unknowns)
-    with pytest.raises(StructuralError, match="not determined"):
-        fixtures.solve_by_propagation(free, free_rhs)
-    # no integer solution: a division with a remainder
-    with pytest.raises(StructuralError, match="no integer solution"):
-        fixtures.solve_by_propagation([{"a": 2}], [1])
+@pytest.mark.parametrize("spec", [(1, 1, 1), (2, 1, 2), (2, 2, 2)])
+def test_an_edge_off_the_spanning_tree_is_checked(monkeypatch, spec):
+    """With the diagonal lines' forgetful labels bent to +-(1, 1), the
+    transport labels every dart, but an edge off its spanning tree fails
+    its congruence: the generator raises and returns no graph."""
+    monkeypatch.setitem(fixtures._DIRECTIONS, "se", ((1, -1), (1, 1)))
+    monkeypatch.setitem(fixtures._DIRECTIONS, "nw", ((-1, 1), (-1, -1)))
+    with pytest.raises(GkmError):
+        gen_klm(KlmSpec(*spec))
