@@ -80,14 +80,14 @@ def local_model(n: int) -> GkmGraph:
 
 # -- the L_{k,l,m} family ------------------------------------------------------
 
-# direction suffix -> (unit step in the plane, forgetful label (e1, e2))
+# direction suffix -> forgetful label (e1, e2)
 _DIRECTIONS = {
-    "e": ((1, 0), (0, 1)),
-    "w": ((-1, 0), (0, -1)),
-    "n": ((0, 1), (1, 0)),
-    "s": ((0, -1), (-1, 0)),
-    "se": ((1, -1), (-1, 1)),
-    "nw": ((-1, 1), (1, -1)),
+    "e": (0, 1),
+    "w": (0, -1),
+    "n": (1, 0),
+    "s": (-1, 0),
+    "se": (-1, 1),
+    "nw": (1, -1),
 }
 
 _LINE_KINDS = {
@@ -215,13 +215,13 @@ def _klm_darts(lines):
             minus_id = f"{v}:{line.minus}"
             nxt = ids[i + 1] if i + 1 < len(ids) else None
             prv = ids[i - 1] if i - 1 >= 0 else None
-            forget[plus_id] = _DIRECTIONS[line.plus][1]
+            forget[plus_id] = _DIRECTIONS[line.plus]
             dart_rows[plus_id] = (
                 v,
                 nxt,
                 f"{nxt}:{line.minus}" if nxt else None,
             )
-            forget[minus_id] = _DIRECTIONS[line.minus][1]
+            forget[minus_id] = _DIRECTIONS[line.minus]
             dart_rows[minus_id] = (
                 v,
                 prv,
@@ -245,7 +245,7 @@ def _positive_normals(lines):
         v0 = line.vertex_ids[0]
         other = next(ln for ln in by_vertex[v0] if ln.name != line.name)
         for suffix in (other.plus, other.minus):
-            f = _DIRECTIONS[suffix][1]
+            f = _DIRECTIONS[suffix]
             if f[0] * line.lam[0] + f[1] * line.lam[1] == 1:
                 out[line.name] = f"{v0}:{suffix}"
                 break

@@ -26,8 +26,9 @@ An ``Arrangement`` holds what the assumption check, the presentation
 rings and the shelling read of the hyperplanes, each built once.  Only the
 assumption report lists the families with a common vertex, the subsets of
 the names through each vertex.  The shelling's facets are the maximal sets
-of names through a vertex, and its minimal new faces, like the rings'
-relations, are minimal transversals (``minimal_empty_families``).
+of names through a vertex.  The rings' relations, the minimal families
+with no common vertex, are minimal transversals
+(``minimal_empty_families``).
 """
 
 from __future__ import annotations

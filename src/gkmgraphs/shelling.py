@@ -4,13 +4,14 @@ The hyperplane complex has one vertex per hyperplane and a face for every
 family with a common vertex; its facets biject with the graph vertices.
 They are the maximal sets among the names through each vertex, so no face
 is ever listed.  A shelling order of the facets yields minimal new faces
-mu_i, the minimal transversals of the sets sigma_i - sigma_j, j < i, and
-the monomials x_{mu_i} form a free module basis over the polynomial ring
-in n variables (the standard basis of a Stanley-Reisner ring over a
-linear system of parameters).  Listed lexicographically, by their names'
-generator positions, the facets of a matroid complex are in a shelling
-order (Bjorner, *The homology and shellability of matroids and geometric
-lattices*, 1992, Thm 7.3.4); a graph that names its hyperplanes has that
+mu_i, the restrictions R(sigma_i), the names v of sigma_i with sigma_i - v
+in an earlier facet (Bjorner, *The homology and shellability of matroids
+and geometric lattices*, 1992, section 7.2), and the monomials x_{mu_i}
+form a free module basis over the polynomial ring in n variables (the
+standard basis of a Stanley-Reisner ring over a linear system of
+parameters).  Listed lexicographically, by their names' generator
+positions, the facets of a matroid complex are in a shelling order
+(Bjorner 1992, Thm 7.3.4); a graph that names its hyperplanes has that
 order verified, and any other graph, or a failing order, is searched.
 
 Expansion in that basis runs in facet coordinates.  At a facet point p
@@ -43,7 +44,7 @@ from .errors import (
     PurityFailure,
 )
 from .graph import GkmGraph
-from .hyperplanes import Arrangement, minimal_empty_families
+from .hyperplanes import Arrangement
 from .intlinalg import hermite_normal_form
 from .polynomials import (
     IntPolynomial,
@@ -107,22 +108,19 @@ def build_complex(arr: Arrangement) -> SimplicialComplex:
     return SimplicialComplex(facets, facet_vertex)
 
 
-def _minimal_new_faces(prior_facets, sigma):
-    """The minimal faces of ``sigma`` in no prior facet: the empty face when
-    there is none, else the minimal families of its names that no prior
-    facet holds, the minimal transversals of the sets ``sigma - tau``."""
-    if not prior_facets:
-        return [frozenset()]
-    return minimal_empty_families(
-        {
-            name: {j for j, tau in enumerate(prior_facets) if name in tau}
-            for name in sigma
-        }
+def _restriction(prior_facets, sigma):
+    """Bjorner's restriction R(sigma), the v in ``sigma`` with sigma - v in a
+    prior facet, if R(sigma) lies in no prior facet; else None.  Every new
+    face holds R(sigma), so a new R(sigma) is the one minimal new face, and
+    a unique one, mu, is R(sigma): sigma - v is old exactly for v in mu."""
+    mu = frozenset(
+        v for v in sigma if any(sigma - {v} <= tau for tau in prior_facets)
     )
+    return None if any(mu <= tau for tau in prior_facets) else mu
 
 
 def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
-    """A shelling order with its minimal new faces.
+    """A shelling order with its minimal new faces, the restrictions.
 
     With ``order`` given, that exact facet order is verified; the order of
     ``complex_.facets`` is lexicographic, a shelling of every matroid
@@ -139,13 +137,13 @@ def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
             raise GkmError("proposed order is not a permutation of the facets")
         mus = []
         for j, sigma in enumerate(order):
-            minimal = _minimal_new_faces(order[:j], sigma)
-            if len(minimal) != 1:
+            mu = _restriction(order[:j], sigma)
+            if mu is None:
                 raise NotShellable(
-                    f"facet {sorted(sigma)} at position {j + 1} has "
-                    f"{len(minimal)} minimal new faces"
+                    f"facet {sorted(sigma)} at position {j + 1} has no "
+                    "unique minimal new face"
                 )
-            mus.append(minimal[0])
+            mus.append(mu)
         return ShellingData(order, mus)
     text = os.environ.get("GKM_SEARCH_BUDGET")
     try:
@@ -168,9 +166,9 @@ def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
             if nodes > budget:
                 raise NotShellable(f"search budget of {budget} nodes exhausted")
             for f in facets:
-                minimal = [] if f in state else _minimal_new_faces(prefix, f)
-                if len(minimal) == 1:
-                    untried.append(((len(minimal[0]), sorted(f)), f, minimal[0]))
+                mu = None if f in state else _restriction(prefix, f)
+                if mu is not None:
+                    untried.append(((len(mu), sorted(f)), f, mu))
             untried.sort(key=lambda c: c[0], reverse=True)
         stack.append((state, untried))
         while not stack[-1][1]:

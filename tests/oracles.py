@@ -14,8 +14,8 @@ until nothing changes, where the runtime colours them in one traversal.  The
 hyperplane complex built from the whole family table, every subset of
 the names through each vertex, checks the facets that ``build_complex``
 takes from the names through each vertex alone, and the minimal new faces
-of a shelling found among every subset of a facet check the minimal
-transversals of ``_minimal_new_faces``.  The faces of that complex,
+of a shelling found among every subset of a facet check the restrictions
+of ``_restriction``.  The faces of that complex,
 counted by size from the names through each vertex (``f_vector``), give
 the graded ranks of its Stanley-Reisner ring in closed form
 (``stanley_reisner_rank``).  Divisibility by a label is

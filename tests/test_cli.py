@@ -8,8 +8,11 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gkmgraphs
 import gkmgraphs.cli as cli
@@ -20,6 +23,7 @@ from gkmgraphs.cli import main
 from gkmgraphs.errors import ParseError
 from gkmgraphs.fixtures import KlmSpec, gen_klm
 from gkmgraphs.graph import load_graph, serialize
+from gkmgraphs.hyperplanes import Arrangement
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
 # exit codes and stdout hashes of ``basis``, ``structure-constants`` and
@@ -1520,3 +1524,114 @@ def test_output_is_byte_stable(capsys):
     _, g1 = run(capsys, "gen", "klm", "--k", "2", "--l", "2", "--m", "1")
     _, g2 = run(capsys, "gen", "klm", "--k", "2", "--l", "2", "--m", "1")
     assert g1 == g2
+
+
+# -- invariance of the printed answers ----------------------------------------
+
+
+def _cli_on(doc, *argv):
+    """Exit code and stdout of ``main`` with the graph document on stdin."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+        with mock.patch.object(sys, "stdout", out):
+            code = main(list(argv))
+    return code, out.getvalue()
+
+
+_rung_specs = st.tuples(*(st.integers(1, 3) for _ in range(3)))
+
+# ``basis`` prints ``positive_normals`` with each printed normal taken from
+# the halfspace; the other commands print nothing that names an id
+_ID_FREE = (
+    ("verify-iso", "--max-degree", "3"),
+    ("structure-constants",),
+    ("express", "--poly", "X1*Y1+Z1^2"),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_rung_specs, st.randoms(use_true_random=False))
+def test_answers_do_not_depend_on_the_vertex_and_dart_ids(spec, rng):
+    """A named rung with its vertex and dart ids replaced by a random
+    bijection, through its darts, connection, hyperplane names and
+    positive normals, prints the same ``verify-iso``, ``structure-constants``
+    and ``express`` documents and the same ``basis`` but for its positive
+    normals.  Those are the halfspace's first normal in id order, so each
+    one, mapped back, need only be a normal of the same positive half."""
+    g = gen_klm(KlmSpec(*spec))
+    doc = json.loads(serialize(g))
+    ids = doc["vertices"] + [d["id"] for d in doc["darts"]]
+    new = dict(zip(ids, rng.sample(ids, len(ids))))
+    back = {b: a for a, b in new.items()}
+    renamed = {
+        "rank": doc["rank"],
+        "vertices": sorted(new[v] for v in doc["vertices"]),
+        "darts": [
+            {
+                "id": new[d["id"]],
+                "from": new[d["from"]],
+                "to": new.get(d["to"]),
+                "opposite": new.get(d["opposite"]),
+                "axial": d["axial"],
+            }
+            for d in doc["darts"]
+        ],
+        "connection": {
+            new[e]: {new[a]: new[b] for a, b in images.items()}
+            for e, images in doc["connection"].items()
+        },
+        "hyperplane_names": {
+            name: sorted(new[v] for v in vertices)
+            for name, vertices in doc["hyperplane_names"].items()
+        },
+        "positive_normals": {
+            name: new[d] for name, d in doc["positive_normals"].items()
+        },
+    }
+    for argv in _ID_FREE:
+        assert _cli_on(renamed, *argv) == _cli_on(doc, *argv), argv
+    code, out = _cli_on(doc, "basis")
+    code_renamed, out_renamed = _cli_on(renamed, "basis")
+    assert code == code_renamed == 0
+    printed, want = json.loads(out_renamed), json.loads(out)
+    normals = printed.pop("positive_normals")
+    del want["positive_normals"]
+    assert printed == want
+    arr = Arrangement(g)
+    assert set(normals) == set(arr.names)
+    for name, dart in normals.items():
+        assert back[dart] in arr.oriented(name)[0].normals.values(), name
+
+
+_UNIMODULAR = ([[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 0]])
+
+
+@settings(max_examples=10, deadline=None)
+@given(_rung_specs, st.sampled_from(_UNIMODULAR))
+def test_a_unimodular_change_of_the_e_coordinates_keeps_the_ordinary_answers(
+    spec, m
+):
+    """With a matrix M of GL(2, Z) applied to the e-coordinates of every
+    axial value, a named rung still validates, prints the same
+    ``verify-iso`` document to degree 3, the same facet order and minimal
+    new faces, and the same ordinary ranks and products; its equivariant
+    products, polynomials in the e_j, change."""
+    doc = json.loads(serialize(gen_klm(KlmSpec(*spec))))
+    moved = json.loads(json.dumps(doc))
+    for d in moved["darts"]:
+        e, x = d["axial"][:2], d["axial"][2]
+        d["axial"] = [sum(a * b for a, b in zip(row, e)) for row in m] + [x]
+    assert _cli_on(moved, "validate")[0] == 0
+    argv = ("verify-iso", "--max-degree", "3")
+    assert _cli_on(moved, *argv) == _cli_on(doc, *argv)
+    basis, basis_moved = (
+        json.loads(_cli_on(d, "basis")[1]) for d in (doc, moved)
+    )
+    for key in ("facet_order", "minimal_faces"):
+        assert basis_moved[key] == basis[key], key
+    table, table_moved = (
+        json.loads(_cli_on(d, "structure-constants")[1]) for d in (doc, moved)
+    )
+    for key in ("ordinary_ranks", "ordinary_products"):
+        assert table_moved[key] == table[key], key
+    assert table_moved["equivariant_products"] != table["equivariant_products"]

@@ -137,7 +137,7 @@ def test_an_edge_off_the_spanning_tree_is_checked(monkeypatch, spec):
     """With the diagonal lines' forgetful labels bent to +-(1, 1), the
     transport labels every dart, but an edge off its spanning tree fails
     its congruence: the generator raises and returns no graph."""
-    monkeypatch.setitem(fixtures._DIRECTIONS, "se", ((1, -1), (1, 1)))
-    monkeypatch.setitem(fixtures._DIRECTIONS, "nw", ((-1, 1), (-1, -1)))
+    monkeypatch.setitem(fixtures._DIRECTIONS, "se", (1, 1))
+    monkeypatch.setitem(fixtures._DIRECTIONS, "nw", (-1, -1))
     with pytest.raises(GkmError):
         gen_klm(KlmSpec(*spec))
