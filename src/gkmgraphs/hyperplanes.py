@@ -68,8 +68,7 @@ class Hyperplane(namedtuple("Hyperplane", "vertices dart_ids name")):
 
 
 class Halfspace:
-    def __init__(self, hyperplane, vertices, dart_ids, normals):
-        self.hyperplane = hyperplane
+    def __init__(self, vertices, dart_ids, normals):
         self.vertices = vertices
         self.dart_ids = dart_ids
         self.normals = normals  # boundary vertex -> dart id
@@ -134,6 +133,8 @@ def all_hyperplanes(g: GkmGraph):
     seed (w, p) is skipped when a hyperplane already found keeps exactly
     the darts at w outside p: by the uniqueness of ``hyperplane_through``
     its closure would rebuild that hyperplane, through the same checks.
+    Each ``positive_normals`` entry must name a hyperplane and record one
+    of its normal darts, so every command refuses the same documents.
     """
     seen = {}
     covered = set()  # (vertex, excluded darts) of the hyperplanes found
@@ -156,18 +157,24 @@ def all_hyperplanes(g: GkmGraph):
             )
         if frozenset(vs) not in planes:
             raise GkmError(f"hyperplane_names entry {name!r} names no hyperplane")
-    out = []
-    taken = set()
+    by_name = {}
     for i, h in enumerate(ordered):
         name = by_vertexset.get(h.vertices, f"L{i + 1}")
-        if name in taken:
+        if name in by_name:
             raise GkmError(f"two hyperplanes are named {name!r}")
-        taken.add(name)
-        out.append(h._replace(name=name))
-    for name in g.meta.get("positive_normals") or {}:
-        if name not in taken:
+        by_name[name] = h._replace(name=name)
+    for name, normal in (g.meta.get("positive_normals") or {}).items():
+        h = by_name.get(name)
+        if h is None:
             raise GkmError(f"positive_normals entry {name!r} names no hyperplane")
-    return out
+        # the darts at L's vertices off L are the normals of its two halves
+        d = g.darts.get(normal)
+        if d is None or d.source not in h.vertices or normal in h.dart_ids:
+            raise GkmError(
+                f"recorded normal {normal!r} is not a normal of either "
+                f"halfspace of {name}"
+            )
+    return list(by_name.values())
 
 
 # -- families with a common vertex ------------------------------------------------
@@ -350,7 +357,7 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
                 verts.update(members[root])
                 darts.update(d for v in members[root] for d in g.darts_at(v))
         normals = normal_of[1 - side]
-        h = Halfspace(hyperplane, frozenset(verts), frozenset(darts), normals)
+        h = Halfspace(frozenset(verts), frozenset(darts), normals)
         _validate_pre_halfspace(g, h, at=hyperplane.vertices)
         halves.append(h)
     if len(side_of_comp) != len(members):
@@ -370,28 +377,27 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     return halves[0], halves[1]
 
 
-def _validate_pre_halfspace(g, h: Halfspace, at=None):
-    """Raise AssumptionOneViolation unless ``h`` is a pre-halfspace: every
-    vertex keeps 2n - 1 or 2n of its darts, every dart starts inside, some
-    vertex is a boundary vertex, and across each edge inside, the
-    connection restricted to the kept darts is a bijection (c1) or, from
-    a boundary vertex to an interior one, an injection, with the boundary
-    vertex's normal label congruent to x modulo the edge's label (c2).
+def _validate_pre_halfspace(g, h: Halfspace, at):
+    """Raise AssumptionOneViolation unless ``h`` is a pre-halfspace at the
+    vertices ``at`` and the edges leaving them: each keeps 2n - 1 or 2n of
+    its darts, every dart starts inside, one of them is a boundary vertex,
+    and across each edge, the connection restricted to the kept darts is a
+    bijection (c1) or, from a boundary vertex to an interior one, an
+    injection, with the boundary vertex's normal label congruent to x
+    modulo the edge's label (c2).
 
-    With ``at``, the valence and the edges are checked only at the
-    vertices ``at`` and the edges leaving them, in the same order, so the
-    first violation is the same.  ``halfspace_pair`` passes the
-    hyperplane L: its other vertices are those of whole components of
-    Gamma - L, each with all 2n darts, so their valence holds.  Across an
-    edge between two of them, c1 asks that the connection be a bijection
-    between the full dart sets, which ``GkmGraph`` established when it
-    verified the stored connection (``_verify_connection``) or derived
-    one (``derive_connection``).  An edge from such a vertex to L goes
-    from 2n darts to 2n - 1 and asks nothing.
+    ``halfspace_pair`` passes the hyperplane L: its other vertices are
+    those of whole components of Gamma - L, each with all 2n darts, so
+    their valence holds.  Across an edge between two of them, c1 asks
+    that the connection be a bijection between the full dart sets, which
+    ``GkmGraph`` established when it verified the stored connection
+    (``_verify_connection``) or derived one (``derive_connection``).  An
+    edge from such a vertex to L goes from 2n darts to 2n - 1 and asks
+    nothing.
     """
     n = g.rank
     darts = h.dart_ids
-    vertices = sorted(h.vertices if at is None else at)
+    vertices = sorted(at)
     inside = {v: {d for d in g.darts_at(v) if d in darts} for v in vertices}
     for v in vertices:
         size = len(inside[v])
@@ -443,26 +449,6 @@ def _validate_pre_halfspace(g, h: Halfspace, at=None):
                     f"normal congruence fails across {eid!r}",
                     check="normal_congruence",
                 )
-
-
-def opposite_side(g: GkmGraph, h: Halfspace) -> Halfspace:
-    """The unique pre-halfspace with H u I = Gamma and tau_H + tau_I = chi."""
-    def partner(v, d):
-        return next(b if a == d else a for a, b in g.pairs[v] if d in (a, b))
-
-    boundary_planes = []
-    normals = {}
-    for v, nd in sorted(h.normals.items()):
-        normals[v] = partner(v, nd)
-        boundary_planes.append(hyperplane_through(g, v, (nd, normals[v])))
-    verts = set(g.vertices) - set(h.vertices)
-    darts = set(g.darts) - set(h.dart_ids)
-    for plane in boundary_planes:
-        verts |= plane.vertices
-        darts |= plane.dart_ids
-    out = Halfspace(h.hyperplane, frozenset(verts), frozenset(darts), normals)
-    _validate_pre_halfspace(g, out)
-    return out
 
 
 # -- Thom classes ----------------------------------------------------------------
@@ -536,20 +522,15 @@ class Arrangement:
         """The halfspace pair of ``name``, positive side first.
 
         Graphs generated from arrangements carry the choice in their
-        metadata; otherwise the sort-order first halfspace is the positive
-        one.  The Thom class of the hyperplane flips sign with this choice,
-        so reports record which convention was used.
+        metadata, a normal dart that ``all_hyperplanes`` checked; otherwise
+        the sort-order first halfspace is the positive one.  The Thom class
+        of the hyperplane flips sign with this choice, so reports record
+        which convention was used.
         """
         pos, neg = self.pair(name)
         recorded = (self.graph.meta.get("positive_normals") or {}).get(name)
-        if recorded is not None:
-            if recorded in neg.normals.values():
-                pos, neg = neg, pos
-            elif recorded not in pos.normals.values():
-                raise GkmError(
-                    f"recorded normal {recorded!r} is not a normal of either "
-                    f"halfspace of {name}"
-                )
+        if recorded in neg.normals.values():
+            pos, neg = neg, pos
         return pos, neg
 
     def tau(self, name):

@@ -11,8 +11,8 @@ form a free module basis over the polynomial ring in n variables (the
 standard basis of a Stanley-Reisner ring over a linear system of
 parameters).  Listed lexicographically, by their names' generator
 positions, the facets of a matroid complex are in a shelling order
-(Bjorner 1992, Thm 7.3.4); a graph that names its hyperplanes has that
-order verified, and any other graph, or a failing order, is searched.
+(Bjorner 1992, Thm 7.3.4); that order is verified on every graph, and
+only a failing order is searched.
 
 Expansion in that basis runs in facet coordinates.  At a facet point p
 the Thom values y_L = tau_L(p) of the n hyperplanes through p are
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from math import comb
 
 from .errors import (
     AssumptionViolation,
@@ -328,22 +327,14 @@ class FacetLocalizations:
 
 
 def shelling_context(g: GkmGraph) -> ShellingContext:
-    """Discover hyperplanes, fix orientations, find a shelling.
-
-    A graph that names its hyperplanes gets the lexicographic order of its
-    facets when that order is a shelling (see ``find_shelling``).  The
-    search runs otherwise, and on unnamed graphs, whose shellings are the
-    search's.
-    """
+    """Discover hyperplanes, fix orientations, find a shelling: the
+    lexicographic order of the facets when it is one (see
+    ``find_shelling``), and the search's otherwise."""
     arr = Arrangement(g)
     complex_ = build_complex(arr)
-    shelling = None
-    if g.meta.get("hyperplane_names"):
-        try:
-            shelling = find_shelling(complex_, order=complex_.facets)
-        except NotShellable:
-            pass
-    if shelling is None:
+    try:
+        shelling = find_shelling(complex_, order=complex_.facets)
+    except NotShellable:
         shelling = find_shelling(complex_)
     taus = {}
     orientation = {}
@@ -480,38 +471,3 @@ def ordinary_cohomology(ctx: ShellingContext):
         "equivariant_products": equivariant,
         "ordinary_products": ordinary,
     }
-
-
-def hilbert_rank(ctx: ShellingContext, k: int) -> int:
-    """Predicted rank of the degree-2k forgetful piece from the free
-    module structure with basis degrees |mu_i|."""
-    n = ctx.graph.rank
-    total = 0
-    for mu in ctx.shelling.minimal_faces:
-        d = k - len(mu)
-        if d >= 0:
-            total += comb(d + n - 1, n - 1)
-    return total
-
-
-def relation_for_hyperplane(ctx: ShellingContext, facet, name):
-    """The linear relation rewriting a facet hyperplane in terms of the
-    hyperplanes off the facet plus a polynomial-ring element.
-
-    Returns ``(coeffs, u)`` with sum coeffs[L] * L = u in the ring, where
-    coeffs[name] == 1 and the other hyperplanes of the facet are absent.
-    """
-    facet = frozenset(facet)
-    if name not in facet:
-        raise GkmError(f"{name!r} is not a vertex of the facet")
-    if facet not in ctx.complex.facet_vertex:
-        raise GkmError("not a facet of the hyperplane complex")
-    u = ctx.taus[name][ctx.complex.facet_vertex[facet]]
-    coeffs = {name: 1}
-    for other in ctx.names:
-        if other in facet:
-            continue
-        c = sum(a * b for a, b in zip(u, ctx.lambdas[other]))
-        if c:
-            coeffs[other] = c
-    return coeffs, u

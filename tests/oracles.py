@@ -10,17 +10,21 @@ transports along its connection.  A union-find over the dart list checks the gra
 ``graph.components``.  A halfspace pair re-validated at every vertex
 checks the pair that ``halfspace_pair`` validates at the hyperplane, with
 the normal darts coloured by sweeps of the hyperplane's edges repeated
-until nothing changes, where the runtime colours them in one traversal.  The
-hyperplane complex built from the whole family table, every subset of
-the names through each vertex, checks the facets that ``build_complex``
-takes from the names through each vertex alone, and the minimal new faces
-of a shelling found among every subset of a facet check the restrictions
-of ``_restriction``.  The faces of that complex,
-counted by size from the names through each vertex (``f_vector``), give
-the graded ranks of its Stanley-Reisner ring in closed form
-(``stanley_reisner_rank``).  Divisibility by a label is
-decided here by the columns of its map, with a modulus per image
-coefficient (``_divides``), where the solver reads the map's rows.
+until nothing changes, where the runtime colours them in one traversal;
+the paper's opposite pre-halfspace is built directly from one half
+(``opposite_side``).  The hyperplane complex built from the whole family
+table, every subset of the names through each vertex, checks the facets
+that ``build_complex`` takes from the names through each vertex alone,
+and the minimal new faces of a shelling found among every subset of a
+facet check the restrictions of ``_restriction``.  The faces of that
+complex, counted by size from the names through each vertex
+(``f_vector``), give the graded ranks of its Stanley-Reisner ring in
+closed form (``stanley_reisner_rank``); the degrees of a shelling's
+minimal new faces give the ranks of the free module it spans
+(``hilbert_rank``), and ``relation_for_hyperplane`` writes a facet
+hyperplane by the others.  Divisibility by a label is decided here by
+the columns of its map, with a modulus per image coefficient
+(``_divides``), where the solver reads the map's rows.
 
 The runtime holds a class as a coefficient vector (the solver) or as its
 ``{vertex: vector}`` of lattice vectors (the degree-2 generators of the
@@ -42,6 +46,7 @@ from gkmgraphs.errors import (
     AssumptionViolation,
     CongruenceFailure,
     DimensionError,
+    GkmError,
     InexactDivision,
     PurityFailure,
 )
@@ -53,6 +58,7 @@ from gkmgraphs.hyperplanes import (
     _name_key,
     _subsets,
     _validate_pre_halfspace,
+    hyperplane_through,
     nonempty_intersection_table,
     thom_class,
 )
@@ -495,8 +501,8 @@ def revalidated_halfspace_pair(g, hyperplane):
                 if r == root:
                     verts.add(v)
                     darts.update(g.darts_at(v))
-        h = Halfspace(hyperplane, frozenset(verts), frozenset(darts), normals)
-        _validate_pre_halfspace(g, h)
+        h = Halfspace(frozenset(verts), frozenset(darts), normals)
+        _validate_pre_halfspace(g, h, h.vertices)
         if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
             raise AssumptionOneViolation(
                 "candidate halfspace is not connected",
@@ -528,6 +534,27 @@ def revalidated_halfspace_pair(g, hyperplane):
             )
     halves.sort(key=Halfspace.sort_key)
     return halves[0], halves[1]
+
+
+def opposite_side(g, h: Halfspace) -> Halfspace:
+    """The unique pre-halfspace I with H u I = Gamma and tau_H + tau_I =
+    chi, built directly from H."""
+    def partner(v, d):
+        return next(b if a == d else a for a, b in g.pairs[v] if d in (a, b))
+
+    boundary_planes = []
+    normals = {}
+    for v, nd in sorted(h.normals.items()):
+        normals[v] = partner(v, nd)
+        boundary_planes.append(hyperplane_through(g, v, (nd, normals[v])))
+    verts = set(g.vertices) - set(h.vertices)
+    darts = set(g.darts) - set(h.dart_ids)
+    for plane in boundary_planes:
+        verts |= plane.vertices
+        darts |= plane.dart_ids
+    out = Halfspace(frozenset(verts), frozenset(darts), normals)
+    _validate_pre_halfspace(g, out, out.vertices)
+    return out
 
 
 # -- the hyperplane complex by subset enumeration -----------------------------
@@ -676,6 +703,44 @@ def divide_exact(poly: IntPolynomial, linear_factors):
             )
         out = nxt
     return out
+
+
+# -- the free module of a shelling context -----------------------------------
+
+
+def hilbert_rank(ctx, k: int) -> int:
+    """Predicted rank of the degree-2k forgetful piece from the free
+    module structure with basis degrees |mu_i|."""
+    n = ctx.graph.rank
+    total = 0
+    for mu in ctx.shelling.minimal_faces:
+        d = k - len(mu)
+        if d >= 0:
+            total += comb(d + n - 1, n - 1)
+    return total
+
+
+def relation_for_hyperplane(ctx, facet, name):
+    """The linear relation rewriting a facet hyperplane in terms of the
+    hyperplanes off the facet plus a polynomial-ring element.
+
+    Returns ``(coeffs, u)`` with sum coeffs[L] * L = u in the ring, where
+    coeffs[name] == 1 and the other hyperplanes of the facet are absent.
+    """
+    facet = frozenset(facet)
+    if name not in facet:
+        raise GkmError(f"{name!r} is not a vertex of the facet")
+    if facet not in ctx.complex.facet_vertex:
+        raise GkmError("not a facet of the hyperplane complex")
+    u = ctx.taus[name][ctx.complex.facet_vertex[facet]]
+    coeffs = {name: 1}
+    for other in ctx.names:
+        if other in facet:
+            continue
+        c = sum(a * b for a, b in zip(u, ctx.lambdas[other]))
+        if c:
+            coeffs[other] = c
+    return coeffs, u
 
 
 # -- the ring path of a shelling context --------------------------------------

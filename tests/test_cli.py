@@ -285,6 +285,13 @@ def _l212_unnamed():
     return doc
 
 
+def _l212_normal_of_x1(normal):
+    """L(2,1,2) with the positive normal of X1 recorded as ``normal``."""
+    doc = gen_klm(KlmSpec(2, 1, 2)).to_dict()
+    doc["positive_normals"]["X1"] = normal
+    return doc
+
+
 @pytest.mark.parametrize(
     "command",
     [["hyperplanes"], ["assumptions"], ["basis"],
@@ -299,16 +306,26 @@ def _l212_unnamed():
         (lambda: _fig2_left_with(positive_normals={"ZZ": "p:e"}),
          "positive_normals entry 'ZZ' names no hyperplane"),
         (_l212_unnamed, "positive_normals entry 'X1' names no hyperplane"),
+        (lambda: _l212_normal_of_x1("nope"),
+         "recorded normal 'nope' is not a normal of either halfspace of X1"),
+        (lambda: _l212_normal_of_x1("X1.Y1:e"),
+         "recorded normal 'X1.Y1:e' is not a normal of either halfspace "
+         "of X1"),
     ],
-    ids=["name-of-no-vertex-set", "normal-of-no-name", "normals-of-dropped-names"],
+    ids=["name-of-no-vertex-set", "normal-of-no-name",
+         "normals-of-dropped-names", "normal-of-no-dart",
+         "normal-in-its-hyperplane"],
 )
 def test_names_and_normals_that_name_no_hyperplane_are_refused(
     tmp_path, command, doc, error
 ):
-    """A ``hyperplane_names`` entry whose vertex set is no hyperplane's, or
-    a ``positive_normals`` entry under a name that no hyperplane has, is
-    an input error that names the entry: exit 1 and one document without
-    ``internal``, not an entry silently ignored."""
+    """A ``hyperplane_names`` entry whose vertex set is no hyperplane's, a
+    ``positive_normals`` entry under a name that no hyperplane has, or one
+    whose dart is no normal of its hyperplane (no dart at all, or a dart
+    of the hyperplane itself), is an input error that names the entry:
+    exit 1 and one document without ``internal``, not an entry silently
+    ignored, on the commands that orient halfspaces and on those that do
+    not."""
     p = tmp_path / "named.json"
     p.write_text(json.dumps(doc()))
     child = run_child(["-m", "gkmgraphs.cli", command[0], str(p), *command[1:]])
@@ -1391,13 +1408,25 @@ def test_express_refuses_a_coefficient_past_its_digit_cap(capsys):
     ids=["not-an-integer", "one-node"],
 )
 def test_the_search_budget_comes_from_its_variable(
-    monkeypatch, capsys, value, error
+    monkeypatch, capsys, tmp_path, value, error
 ):
     """``GKM_SEARCH_BUDGET`` is the one way to set the shelling search's
     budget; a value that is not an integer is an input error, not an
-    internal fault."""
+    internal fault.  The input is fig7_pentagon with its hyperplanes
+    renamed so that its lexicographic facet order is no shelling, which
+    is when the search runs."""
+    pentagon = fixtures.fixture("fig7_pentagon")
+    through = Arrangement(pentagon).through
+    rename = {"L1": "A", "L2": "C", "L3": "E", "L4": "B", "L5": "D"}
+    doc = pentagon.to_dict()
+    doc["hyperplane_names"] = {
+        rename[name]: sorted(v for v, names in through.items() if name in names)
+        for name in rename
+    }
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(doc))
     monkeypatch.setenv("GKM_SEARCH_BUDGET", value)
-    code = main(["basis", "--fixture", "fig7_pentagon"])
+    code = main(["basis", str(path)])
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out) == {"ok": False, "error": error}

@@ -45,6 +45,7 @@ from oracles import (
     evaluate_generator,
     f_vector,
     forgetful_thom_class,
+    hilbert_rank,
     hnf_nonzero_rows,
     linear_form,
     reduced_relations,
@@ -528,7 +529,7 @@ def test_verify_iso_positive_fixtures_small():
 
 
 def test_verify_iso_hilbert_cross_check_klm111():
-    from gkmgraphs.shelling import hilbert_rank, shelling_context
+    from gkmgraphs.shelling import shelling_context
 
     g = gen_klm(KlmSpec(1, 1, 1))
     ctx = shelling_context(g)

@@ -31,13 +31,13 @@ from gkmgraphs.hyperplanes import (
     hyperplane_through,
     minimal_empty_families,
     nonempty_intersection_table,
-    opposite_side,
     thom_class,
     _validate_pre_halfspace,
 )
 from oracles import (
     forgetful_thom_class,
     intersection,
+    opposite_side,
     orientation_by_sweeps,
     revalidated_halfspace_pair,
     union_find_components,
@@ -441,14 +441,9 @@ def test_a_connection_corrupted_across_an_interior_edge_is_refused():
 
 def test_whole_graph_is_not_a_pre_halfspace():
     g = fixture("fig2_left")
-    h = Halfspace(
-        by_name(g)["L2"],
-        frozenset(g.vertices),
-        frozenset(g.darts),
-        {},
-    )
+    h = Halfspace(frozenset(g.vertices), frozenset(g.darts), {})
     with pytest.raises((AssumptionOneViolation, GkmError)):
-        _validate_pre_halfspace(g, h)
+        _validate_pre_halfspace(g, h, h.vertices)
         thom_class(g, h)
 
 
@@ -463,10 +458,8 @@ def test_middle_segment_pre_halfspace_is_not_a_halfspace():
     darts = frozenset(
         {"p2:e", "p3:e", "p3:w", "p4:w", "p2:w", "p4:e"}
     ) - {"p2:w", "p4:e"}
-    h = Halfspace(
-        by_name(g)["L2"], verts, darts, {"p2": "p2:w", "p4": "p4:e"}
-    )
-    _validate_pre_halfspace(g, h)  # a genuine pre-halfspace
+    h = Halfspace(verts, darts, {"p2": "p2:w", "p4": "p4:e"})
+    _validate_pre_halfspace(g, h, h.vertices)  # a genuine pre-halfspace
     opp = opposite_side(g, h)
     assert opp.vertices == {"p1", "p2", "p4", "p5"}
     assert len(set(components(g, opp.vertices, opp.dart_ids).values())) == 2
@@ -482,10 +475,8 @@ def test_pre_halfspace_with_interior_vertex_on_triangle():
     g = fixture("fig2_left")
     verts = frozenset({"p", "q", "r"})
     darts = frozenset(g.darts) - {"p:w", "r:nw"}
-    h = Halfspace(
-        by_name(g)["L2"], verts, darts, {"p": "p:w", "r": "r:nw"}
-    )
-    _validate_pre_halfspace(g, h)
+    h = Halfspace(verts, darts, {"p": "p:w", "r": "r:nw"})
+    _validate_pre_halfspace(g, h, h.vertices)
     tc = thom_class(g, h)
     assert tc["p"] == (0, -1, 1)   # x - e2*
     assert tc["q"] == (0, 0, 1)    # x

@@ -17,9 +17,6 @@ SRC = Path(gkmgraphs.__file__).resolve().parent
 
 # name -> why it may stay without a caller in the package
 ALLOWED = {
-    "hilbert_rank": "the free-module Hilbert series of the shelling basis",
-    "opposite_side": "the paper's unique opposite pre-halfspace, built directly",
-    "relation_for_hyperplane": "the linear relation of a facet hyperplane",
     "IntPolynomial.substitute": "the benchmark's tracer times it by name",
 }
 

@@ -3,7 +3,7 @@ bases, expansion and structure constants."""
 
 import sys
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
@@ -25,11 +25,13 @@ from oracles import (
     complex_by_table,
     complex_faces,
     expand_by_division,
+    hilbert_rank,
     lift_coefficient,
     localize_at,
     maximal_faces,
     minimal_new_faces_by_subsets,
     monomial_poly,
+    relation_for_hyperplane,
 )
 from gkmgraphs.shelling import (
     FacetLocalizations,
@@ -41,10 +43,8 @@ from gkmgraphs.shelling import (
     characteristic_functions,
     express_in_basis,
     find_shelling,
-    hilbert_rank,
     module_basis,
     ordinary_cohomology,
-    relation_for_hyperplane,
     shelling_context,
 )
 
@@ -347,6 +347,33 @@ def test_a_named_graph_whose_lexicographic_order_fails_is_searched():
     ):
         find_shelling(c, order=c.facets)
     assert shelling_context(g).shelling == find_shelling(c)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"L{k}{l}{m}-unnamed" for k, l, m in product(range(1, 5), repeat=3)]
+    + [f"local_model({n})" for n in range(2, 6)],
+)
+def test_an_unnamed_graph_gets_its_built_order_without_a_search(
+    monkeypatch, name
+):
+    """On every unnamed rung in [1..4]^3 and on local_model(2..5), the
+    context verifies the built facet order and never runs the search,
+    and each minimal new face it keeps is the one minimal subset of its
+    facet that lies in no earlier facet of that order."""
+    calls = []
+
+    def spy(complex_, order=None):
+        calls.append(order)
+        return find_shelling(complex_, order=order)
+
+    monkeypatch.setattr(shelling, "find_shelling", spy)
+    ctx = shelling_context(graph_named(name))
+    order = ctx.complex.facets
+    assert calls == [order]
+    assert ctx.shelling.order == order
+    for j, (sigma, mu) in enumerate(zip(order, ctx.shelling.minimal_faces)):
+        assert minimal_new_faces_by_subsets(order[:j], sigma) == [mu]
 
 
 def test_not_shellable_complex_is_reported():
