@@ -34,8 +34,9 @@ FIXTURE_IDS = (
 _LOCAL_MODEL_RE = re.compile(r"^local_model\((\d+)\)$")
 
 # Size caps, refused up front: far above every test and benchmark input
-# (local_model(6), L(5,5,5)), and low enough that validating the largest
-# accepted graph takes seconds, not hours.
+# (local_model(6), L(5,5,5)).  CI times the largest accepted graphs:
+# ``gen klm`` on L(30,30,30), and ``validate`` and the shelling commands
+# on local_model(32), each within 10 s.
 LOCAL_MODEL_MAX_N = 32
 KLM_MAX_LINES = 30
 

@@ -7,7 +7,10 @@ substitution (``solve_integer``) solves the pair, opposite and congruence
 conditions on the residual coefficients, rebuilt from a generated graph
 (``residual_system``), and so checks the residuals that ``gen klm``
 transports along its connection.  A union-find over the dart list checks the graph search of
-``graph.components``.  A halfspace pair re-validated at every vertex
+``graph.components``.  The 2 x 2 and 3 x 3 minors of the labels at every
+vertex (``independence_offenders``) check the independence axioms that
+``validate_axial`` proves at the vertices modeled on T*C^n and decides by
+rank at the others.  A halfspace pair re-validated at every vertex
 checks the pair that ``halfspace_pair`` validates at the hyperplane, with
 the normal darts coloured by sweeps of the hyperplane's edges repeated
 until nothing changes, where the runtime colours them in one traversal;
@@ -371,6 +374,54 @@ def class_to_vector(cls, vertex_order, monos):
     """The coefficient vector of a class, the inverse of
     ``vector_to_class``."""
     return [cls.values[v].terms.get(m, 0) for v in vertex_order for m in monos]
+
+
+# -- independence of labels ------------------------------------------------
+
+
+def _first_nonzero(vector):
+    return next((i for i, a in enumerate(vector) if a), None)
+
+
+def independent_by_minors(u, *rest) -> bool:
+    """Are two or three integer vectors linearly independent?
+
+    Decided by 2 x 2 and 3 x 3 minors through pivot columns, which is
+    fraction-free elimination: with p the first nonzero column of u, the
+    entries u_p v_j - v_p u_j are the 2 x 2 minors through column p, and
+    v is independent of u when one of them is nonzero.  For three
+    vectors, the same entries of v and of w form two rows whose 2 x 2
+    minors through the pivot column q of the first are u_p times the
+    3 x 3 minors through columns p and q.
+    """
+    p = _first_nonzero(u)
+    if p is None:
+        return False
+    a = u[p]
+    if len(rest) == 1:
+        (v,) = rest
+        return any(a * y != v[p] * x for x, y in zip(u, v))
+    v, w = ([a * y - r[p] * x for x, y in zip(u, r)] for r in rest)
+    q = _first_nonzero(v)
+    return q is not None and any(v[q] * z != w[q] * y for y, z in zip(v, w))
+
+
+def independence_offenders(g):
+    """``{check: offenders}`` of ``pairwise_independence`` and
+    ``three_independence``, every pair and triple of darts at every
+    vertex tested by its minors, with no vertex taken as modeled."""
+    return {
+        name: [
+            f"{v}:{','.join(subset)}"
+            for v in g.vertices
+            for subset in combinations(g.darts_at(v), size)
+            if not independent_by_minors(*(g.axial(d) for d in subset))
+        ]
+        for name, size in (
+            ("pairwise_independence", 2),
+            ("three_independence", 3),
+        )
+    }
 
 
 # -- connected components --------------------------------------------------

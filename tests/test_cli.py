@@ -22,7 +22,7 @@ import gkmgraphs.hyperplanes as hyperplanes
 from gkmgraphs.cli import main
 from gkmgraphs.errors import ParseError
 from gkmgraphs.fixtures import KlmSpec, gen_klm
-from gkmgraphs.graph import load_graph, serialize
+from gkmgraphs.graph import META_KEYS, load_graph, serialize
 from gkmgraphs.hyperplanes import Arrangement
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
@@ -1664,3 +1664,102 @@ def test_a_unimodular_change_of_the_e_coordinates_keeps_the_ordinary_answers(
     for key in ("ordinary_ranks", "ordinary_products"):
         assert table_moved[key] == table[key], key
     assert table_moved["equivariant_products"] != table["equivariant_products"]
+
+
+# the documents of the structural fuzzer: the figures and the named L(2,1,2)
+_FUZZ_DOCUMENTS = [
+    *(fixtures.fixture(fid).to_dict() for fid in fixtures.FIXTURE_IDS),
+    gen_klm(KlmSpec(2, 1, 2)).to_dict(),
+]
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2),
+)
+_TOP_FIELDS = ("rank", "vertices", "darts", "connection", *META_KEYS)
+_DART_FIELDS = ("id", "from", "to", "opposite", "axial")
+
+
+def _fuzz_step(draw, doc):
+    """One structural mutation of ``doc``, in place: a field of the
+    document or of a dart replaced by a value of any JSON type, or
+    dropped; an axial entry replaced; a dart dropped; two labels swapped;
+    a connection image that is no dart; or metadata naming anything."""
+
+    def entries(key, kind):
+        value = doc.get(key)
+        if not isinstance(value, list):
+            return []
+        return [r for r in value if isinstance(r, kind)]
+
+    darts = entries("darts", dict)
+    kinds = ["field", "metadata"]
+    if darts:
+        kinds += ["dart_field", "axial_entry", "drop_dart", "swap_labels"]
+    if isinstance(doc.get("connection"), dict) and doc["connection"]:
+        kinds.append("image")
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("field", "dart_field"):
+        record, keys = (
+            (doc, _TOP_FIELDS)
+            if kind == "field"
+            else (draw(st.sampled_from(darts)), _DART_FIELDS)
+        )
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            record.pop(key, None)
+        else:
+            record[key] = draw(_JUNK)
+    elif kind == "axial_entry":
+        axial = draw(st.sampled_from(darts)).get("axial")
+        if isinstance(axial, list) and axial:
+            i = draw(st.integers(0, len(axial) - 1))
+            axial[i] = draw(st.one_of(_JUNK, st.integers()))
+    elif kind == "drop_dart":
+        doc["darts"].remove(draw(st.sampled_from(darts)))
+    elif kind == "swap_labels":
+        a, b = draw(st.sampled_from(darts)), draw(st.sampled_from(darts))
+        a["axial"], b["axial"] = b.get("axial"), a.get("axial")
+    elif kind == "image":
+        edge = draw(st.sampled_from(sorted(doc["connection"])))
+        images = doc["connection"][edge]
+        if isinstance(images, dict) and images:
+            vertices = entries("vertices", str) or ["?"]
+            images[draw(st.sampled_from(sorted(images)))] = draw(
+                st.one_of(_JUNK, st.sampled_from(vertices))
+            )
+    else:
+        names = st.sampled_from(["L1", "X1", "Q", ""])
+        ids = [d["id"] for d in darts if isinstance(d.get("id"), str)]
+        value = st.one_of(_JUNK, st.sampled_from(ids or ["?"]))
+        key = draw(st.sampled_from(META_KEYS))
+        if key == "comment":
+            doc[key] = draw(_JUNK)
+        elif key == "hyperplane_names":
+            vertex_lists = st.one_of(_JUNK, st.lists(value))
+            doc[key] = draw(st.dictionaries(names, vertex_lists))
+        else:
+            doc[key] = draw(st.dictionaries(names, value))
+
+
+@st.composite
+def _fuzzed_documents(draw):
+    """A fuzzer document with one to three structural mutations."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        _fuzz_step(draw, doc)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fuzzed_documents(), st.sampled_from(GRAPH_COMMANDS))
+def test_structurally_broken_documents_get_one_json_answer(doc, command):
+    """A fuzzer document on any graph subcommand: stdout is exactly one
+    JSON document, the exit status is 0, 1 or 2, and no fault of the
+    program is reported."""
+    code, out = _cli_on(doc, *command)
+    assert code in (0, 1, 2)
+    assert "internal" not in json.loads(out)

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gkmgraphs.errors import (
     AmbiguousConnection,
@@ -28,7 +30,7 @@ from gkmgraphs.graph import (
     validate_axial,
 )
 from gkmgraphs.hyperplanes import Arrangement, check_assumptions
-from oracles import union_find_components
+from oracles import independence_offenders, union_find_components
 
 
 def replace_axial(g, dart_id, axial, keep_connection=False):
@@ -145,12 +147,111 @@ def test_derived_connection_is_checked_on_its_edge_darts():
     assert congruence["offenders"] == ["p1:e:p1:e"]
 
 
-def test_three_independence_check_fires():
-    g = fixture("fig11_sphere")
-    # send one leg into the plane spanned by the two edge labels
-    mutated = replace_axial(g, "top:lgL", (1, 1, 0))
-    failed = validate_axial(mutated).failed_checks()
-    assert "three_independence" in failed
+# the inputs of the independence differential test: the figures, the local
+# models up to n = 4 and L(2,1,2)
+_MUTATION_BASES = {
+    **{fid: fixture(fid) for fid in FIXTURE_IDS},
+    **{f"local_model({n})": local_model(n) for n in range(1, 5)},
+    "L212": gen_klm(KlmSpec(2, 1, 2)),
+}
+
+
+def _independence_matches_the_oracle(g):
+    """``validate_axial``'s two independence checks on g against the
+    minors at every vertex, offenders in order; returns the oracle's."""
+    expected = independence_offenders(g)
+    for r in validate_axial(g).results:
+        if r.name in expected:
+            assert r.offenders == expected[r.name], r.name
+            assert r.ok == (not expected[r.name]), r.name
+    return expected
+
+
+@st.composite
+def _mutated_labels(draw):
+    """A mutation input with one to three labels changed: a coordinate
+    negated or bumped by +-1 or +-2, or two labels swapped; as the input
+    and the new ``{dart: axial}``."""
+    g = _MUTATION_BASES[draw(st.sampled_from(sorted(_MUTATION_BASES)))]
+    axial = {d: list(g.axial(d)) for d in g.darts}
+    ids = sorted(axial)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("negate", "bump", "swap")))
+        d = draw(st.sampled_from(ids))
+        if kind == "swap":
+            e = draw(st.sampled_from(ids))
+            axial[d], axial[e] = axial[e], axial[d]
+            continue
+        i = draw(st.integers(0, g.rank))
+        if kind == "negate":
+            axial[d][i] = -axial[d][i]
+        else:
+            axial[d][i] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return g, axial
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_labels())
+def test_independence_checks_match_the_minors_oracle(mutation):
+    """With a few labels mutated, ``validate_axial`` names the same
+    pairwise and 3-independence offenders as the minors at every vertex,
+    whether it proves the axioms at a vertex modeled on T*C^n or scans its
+    subsets; with the connection derived, and with the input's connection
+    stored when its congruences still hold."""
+    g, axial = mutation
+    darts = [d._replace(axial=tuple(axial[d.id])) for d in g.darts.values()]
+    _independence_matches_the_oracle(GkmGraph(g.rank, darts, meta=g.meta))
+    try:
+        stored = GkmGraph(g.rank, darts, connection=g.connection, meta=g.meta)
+    except NoValidConnection:
+        return
+    _independence_matches_the_oracle(stored)
+
+
+@pytest.mark.parametrize(
+    "base, labels, pairwise, three",
+    [
+        # proportional labels: no pairs, so the vertex is scanned
+        (
+            "local_model(2)",
+            {"o:m1": (-2, 0, 0)},
+            ["o:o:m1,o:p1"],
+            ["o:o:m1,o:m2,o:p1", "o:o:m1,o:p1,o:p2"],
+        ),
+        # a zero label paired with x itself: the pairs sum to x, but their
+        # representatives fail to span, so the vertex is scanned
+        (
+            "local_model(2)",
+            {"o:p1": (0, 0, 0), "o:m1": (0, 0, 1)},
+            ["o:o:m1,o:p1", "o:o:m2,o:p1", "o:o:p1,o:p2"],
+            [
+                "o:o:m1,o:m2,o:p1",
+                "o:o:m1,o:m2,o:p2",
+                "o:o:m1,o:p1,o:p2",
+                "o:o:m2,o:p1,o:p2",
+            ],
+        ),
+        # fig11_sphere with one leg sent into the plane of the two edge
+        # labels
+        (
+            "fig11_sphere",
+            {"top:lgL": (1, 1, 0)},
+            [],
+            ["top:top:eL,top:eR,top:lgL"],
+        ),
+    ],
+    ids=["proportional", "zero_paired_with_x", "leg_in_edge_plane"],
+)
+def test_independence_offenders_are_reached(base, labels, pairwise, three):
+    """Fixed mutations that reach each independence failure, so that the
+    differential test above is never vacuous."""
+    g = _MUTATION_BASES[base]
+    for dart_id, axial in labels.items():
+        g = replace_axial(g, dart_id, axial)
+    assert _independence_matches_the_oracle(g) == {
+        "pairwise_independence": pairwise,
+        "three_independence": three,
+    }
 
 
 def test_derive_connection_matches_stored():
