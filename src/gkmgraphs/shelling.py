@@ -9,10 +9,9 @@ in an earlier facet (Bjorner, *The homology and shellability of matroids
 and geometric lattices*, 1992, section 7.2), and the monomials x_{mu_i}
 form a free module basis over the polynomial ring in n variables (the
 standard basis of a Stanley-Reisner ring over a linear system of
-parameters).  Listed lexicographically, by their names' generator
-positions, the facets of a matroid complex are in a shelling order
-(Bjorner 1992, Thm 7.3.4); that order is verified on every graph, and
-only a failing order is searched.
+parameters).  The facets are listed lexicographically, by their names'
+generator positions, a shelling order of every matroid complex (Bjorner
+1992, Thm 7.3.4), and the search tries them in that order.
 
 Expansion in that basis runs in facet coordinates.  At a facet point p
 the Thom values y_L = tau_L(p) of the n hyperplanes through p are
@@ -31,7 +30,6 @@ the dict ``{i: a_i}``; the CLI prints both as they are.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 
 from .errors import (
@@ -53,7 +51,7 @@ from .polynomials import (
     substitute_terms,
 )
 
-DEFAULT_SEARCH_BUDGET = 10**6
+SEARCH_BUDGET = 10**6  # the restriction tests of one shelling search
 
 
 # the maximal faces in canonical order, and each one's graph vertex
@@ -107,79 +105,71 @@ def build_complex(arr: Arrangement) -> SimplicialComplex:
     return SimplicialComplex(facets, facet_vertex)
 
 
-def _restriction(prior_facets, sigma):
+def _restriction(holders, prefix, sigma):
     """Bjorner's restriction R(sigma), the v in ``sigma`` with sigma - v in a
     prior facet, if R(sigma) lies in no prior facet; else None.  Every new
     face holds R(sigma), so a new R(sigma) is the one minimal new face, and
-    a unique one, mu, is R(sigma): sigma - v is old exactly for v in mu."""
-    mu = frozenset(
-        v for v in sigma if any(sigma - {v} <= tau for tau in prior_facets)
-    )
-    return None if any(mu <= tau for tau in prior_facets) else mu
+    a unique one, mu, is R(sigma): sigma - v is old exactly for v in mu.
+    The prior facets are the bits of ``prefix``, and a set of names lies in
+    one when the AND of its names' masks of ``holders`` meets ``prefix``."""
+
+    def old(names):
+        mask = prefix
+        for v in names:
+            mask &= holders[v]
+        return mask
+
+    mu = frozenset(v for v in sigma if old(sigma - {v}))
+    return None if old(mu) else mu
 
 
-def find_shelling(complex_: SimplicialComplex, order=None) -> ShellingData:
+def find_shelling(complex_: SimplicialComplex) -> ShellingData:
     """A shelling order with its minimal new faces, the restrictions.
 
-    With ``order`` given, that exact facet order is verified; the order of
-    ``complex_.facets`` is lexicographic, a shelling of every matroid
-    complex (Bjorner 1992, Thm 7.3.4).  Otherwise a backtracking search
-    runs, on a stack of its own rather than by recursion, with greedy
-    preference for facets glued along a single ridge, deterministic
-    tie-breaking, and the node budget of ``GKM_SEARCH_BUDGET`` (an integer;
-    ``DEFAULT_SEARCH_BUDGET`` when unset).
+    A depth-first search, on a stack of its own rather than by recursion:
+    each prefix tries the unused facets in the built (lexicographic) order
+    and extends by the first whose R(sigma) lies in no facet of the prefix,
+    and a backtrack resumes after the facet it drops.  So on a matroid
+    complex the first descent is the built order.  Dead prefixes are kept
+    by mask, and at most ``SEARCH_BUDGET`` restriction tests run.
     """
-    facets = list(complex_.facets)
-    if order is not None:
-        order = [frozenset(f) for f in order]
-        if sorted(map(sorted, order)) != sorted(map(sorted, facets)):
-            raise GkmError("proposed order is not a permutation of the facets")
-        mus = []
-        for j, sigma in enumerate(order):
-            mu = _restriction(order[:j], sigma)
-            if mu is None:
+    facets = complex_.facets
+    holders = {}  # name -> the mask of the facets that hold it
+    for i, f in enumerate(facets):
+        for v in f:
+            holders[v] = holders.get(v, 0) | 1 << i
+    everything = (1 << len(facets)) - 1
+    tests = 0
+    dead = set()  # prefix masks that no order completes
+    taken, mus = [], []  # the stack: the prefix's indices and restrictions
+    prefix = start = 0  # the prefix mask, and the lowest index to try next
+    while prefix != everything:
+        untried = 0 if prefix in dead else everything & ~prefix & -(1 << start)
+        mu = None
+        while untried and mu is None:
+            i = (untried & -untried).bit_length() - 1
+            untried ^= 1 << i
+            tests += 1
+            if tests > SEARCH_BUDGET:
                 raise NotShellable(
-                    f"facet {sorted(sigma)} at position {j + 1} has no "
-                    "unique minimal new face"
+                    f"search budget of {SEARCH_BUDGET} restriction tests "
+                    "exhausted"
                 )
+            mu = _restriction(holders, prefix, facets[i])
+        if mu is not None:
+            taken.append(i)
             mus.append(mu)
-        return ShellingData(order, mus)
-    text = os.environ.get("GKM_SEARCH_BUDGET")
-    try:
-        budget = DEFAULT_SEARCH_BUDGET if text is None else int(text)
-    except ValueError:
-        raise GkmError(
-            f"GKM_SEARCH_BUDGET must be an integer, not {text!r}"
-        ) from None
-    nodes = 0
-    dead = set()  # prefixes, as sets, that no order completes
-    prefix, mus = [], []
-    # per facet of the prefix: the prefix before it, as a set, and its
-    # extensions not yet tried, the next one last
-    stack = []
-    while len(prefix) < len(facets):
-        state = frozenset(prefix)
-        untried = []
-        if state not in dead:
-            nodes += 1
-            if nodes > budget:
-                raise NotShellable(f"search budget of {budget} nodes exhausted")
-            for f in facets:
-                mu = None if f in state else _restriction(prefix, f)
-                if mu is not None:
-                    untried.append(((len(mu), sorted(f)), f, mu))
-            untried.sort(key=lambda c: c[0], reverse=True)
-        stack.append((state, untried))
-        while not stack[-1][1]:
-            dead.add(stack.pop()[0])
-            if not stack:
+            prefix |= 1 << i
+            start = 0
+        else:
+            dead.add(prefix)
+            if not taken:
                 raise NotShellable("exhaustive search found no shelling order")
-            prefix.pop()
+            i = taken.pop()
             mus.pop()
-        _, f, mu = stack[-1][1].pop()
-        prefix.append(f)
-        mus.append(mu)
-    return ShellingData(prefix, mus)
+            prefix ^= 1 << i
+            start = i + 1
+    return ShellingData([facets[i] for i in taken], mus)
 
 
 # -- characteristic functions ---------------------------------------------------
@@ -327,15 +317,10 @@ class FacetLocalizations:
 
 
 def shelling_context(g: GkmGraph) -> ShellingContext:
-    """Discover hyperplanes, fix orientations, find a shelling: the
-    lexicographic order of the facets when it is one (see
-    ``find_shelling``), and the search's otherwise."""
+    """Discover hyperplanes, fix orientations, find a shelling."""
     arr = Arrangement(g)
     complex_ = build_complex(arr)
-    try:
-        shelling = find_shelling(complex_, order=complex_.facets)
-    except NotShellable:
-        shelling = find_shelling(complex_)
+    shelling = find_shelling(complex_)
     taus = {}
     orientation = {}
     for name in arr.names:

@@ -18,8 +18,9 @@ the paper's opposite pre-halfspace is built directly from one half
 (``opposite_side``).  The hyperplane complex built from the whole family
 table, every subset of the names through each vertex, checks the facets
 that ``build_complex`` takes from the names through each vertex alone,
-and the minimal new faces of a shelling found among every subset of a
-facet check the restrictions of ``_restriction``.  The faces of that
+and the minimal new faces found among every subset of a facet, along a
+whole order (``shelling_by_subsets``), check the restrictions that
+``find_shelling`` tests by bitmasks.  The faces of that
 complex, counted by size from the names through each vertex
 (``f_vector``), give the graded ranks of its Stanley-Reisner ring in
 closed form (``stanley_reisner_rank``); the degrees of a shelling's
@@ -696,6 +697,19 @@ def minimal_new_faces_by_subsets(prior_facets, sigma):
         if not any(f <= tau for tau in prior_facets)
     ]
     return [f for f in new if not any(other < f for other in new)]
+
+
+def shelling_by_subsets(order):
+    """The minimal new face of each facet of ``order``, found among every
+    subset of the facet, or None when some facet has not exactly one, so
+    that ``order`` is no shelling."""
+    mus = []
+    for j, sigma in enumerate(order):
+        new = minimal_new_faces_by_subsets(order[:j], sigma)
+        if len(new) != 1:
+            return None
+        mus.append(new[0])
+    return mus
 
 
 # -- exact division and unimodular inverses -----------------------------------

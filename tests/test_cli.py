@@ -1399,22 +1399,14 @@ def test_express_refuses_a_coefficient_past_its_digit_cap(capsys):
     assert "digits" in _express_refusal(capsys, "1" + "0" * cap)
 
 
-@pytest.mark.parametrize(
-    "value, error",
-    [
-        ("abc", "GKM_SEARCH_BUDGET must be an integer, not 'abc'"),
-        ("1", "search budget of 1 nodes exhausted"),
-    ],
-    ids=["not-an-integer", "one-node"],
-)
-def test_the_search_budget_comes_from_its_variable(
-    monkeypatch, capsys, tmp_path, value, error
+@pytest.mark.parametrize("budget", [5, 6])
+def test_the_search_budget_counts_restriction_tests(
+    monkeypatch, capsys, tmp_path, budget
 ):
-    """``GKM_SEARCH_BUDGET`` is the one way to set the shelling search's
-    budget; a value that is not an integer is an input error, not an
-    internal fault.  The input is fig7_pentagon with its hyperplanes
-    renamed so that its lexicographic facet order is no shelling, which
-    is when the search runs."""
+    """The search on fig7_pentagon with its hyperplanes renamed A, C, E,
+    B, D (whose lexicographic facet order is no shelling) runs six
+    restriction tests: with ``SEARCH_BUDGET`` at 6 ``basis`` prints the
+    shelling, and at 5 it is one input error, not an internal fault."""
     pentagon = fixtures.fixture("fig7_pentagon")
     through = Arrangement(pentagon).through
     rename = {"L1": "A", "L2": "C", "L3": "E", "L4": "B", "L5": "D"}
@@ -1425,12 +1417,23 @@ def test_the_search_budget_comes_from_its_variable(
     }
     path = tmp_path / "pentagon.json"
     path.write_text(json.dumps(doc))
-    monkeypatch.setenv("GKM_SEARCH_BUDGET", value)
+    import gkmgraphs.shelling as shelling
+
+    monkeypatch.setattr(shelling, "SEARCH_BUDGET", budget)
     code = main(["basis", str(path)])
     captured = capsys.readouterr()
-    assert code == 1
-    assert json.loads(captured.out) == {"ok": False, "error": error}
     assert captured.err == ""
+    if budget == 6:
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "e41ffde62615ea3f50f348c72e654fbe24d63b603e1c3f0f3f01c59a81ff76d0"
+        )
+    else:
+        assert code == 1
+        assert json.loads(captured.out) == {
+            "ok": False,
+            "error": "search budget of 5 restriction tests exhausted",
+        }
 
 
 def test_the_largest_accepted_express_request_fits_its_budget(tmp_path):

@@ -3,7 +3,7 @@ bases, expansion and structure constants."""
 
 import sys
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
@@ -32,6 +32,7 @@ from oracles import (
     minimal_new_faces_by_subsets,
     monomial_poly,
     relation_for_hyperplane,
+    shelling_by_subsets,
 )
 from gkmgraphs.shelling import (
     FacetLocalizations,
@@ -98,10 +99,28 @@ def test_the_complex_from_one_table_matches_the_search_of_all_families(sets):
     assert len(maximal) == len(by_pairs) and set(maximal) == by_pairs
 
 
+def renamed_pentagon():
+    """fig7_pentagon with its hyperplanes named A, C, E, B, D: the third
+    facet of the lexicographic order, {B, D}, meets neither of the first
+    two, so that order is no shelling."""
+    pentagon = fixture("fig7_pentagon")
+    through = Arrangement(pentagon).through
+    rename = {"L1": "A", "L2": "C", "L3": "E", "L4": "B", "L5": "D"}
+    doc = pentagon.to_dict()
+    doc["hyperplane_names"] = {
+        rename[name]: sorted(v for v, names in through.items() if name in names)
+        for name in rename
+    }
+    return graph_from_dict(doc)
+
+
 def graph_named(name):
-    """A figure, ``local_model(n)``, the rung ``Lklm``, or the rung without
-    its hyperplane names (``Lklm-unnamed``: L1, L2, ..., past L9 on the
-    larger rungs)."""
+    """A figure, ``local_model(n)``, the renamed pentagon
+    (``pentagon-ACEBD``), the rung ``Lklm``, or the rung without its
+    hyperplane names (``Lklm-unnamed``: L1, L2, ..., past L9 on the larger
+    rungs)."""
+    if name == "pentagon-ACEBD":
+        return renamed_pentagon()
     if name.endswith("-unnamed"):
         doc = graph_named(name[: -len("-unnamed")]).to_dict()
         del doc["hyperplane_names"], doc["positive_normals"]
@@ -164,11 +183,14 @@ def test_the_facets_of_any_names_through_the_vertices_match_the_whole_table(
     assert _outcome(build_complex, arr) == _outcome(complex_by_table, arr)
 
 
-def _restriction_by_subsets(prior_facets, sigma):
-    """The one minimal new face of sigma from the list of every subset, or
-    None, as ``_restriction`` returns it."""
-    want = minimal_new_faces_by_subsets(prior_facets, sigma)
-    return want[0] if len(want) == 1 else None
+def _restriction_after(prior, sigma):
+    """``_restriction`` of ``sigma`` after the facets ``prior``, with each
+    name's mask taken over ``prior`` and ``sigma``."""
+    holders = {}
+    for i, f in enumerate(prior + [sigma]):
+        for v in f:
+            holders[v] = holders.get(v, 0) | 1 << i
+    return _restriction(holders, (1 << len(prior)) - 1, sigma)
 
 
 facet_families = st.lists(st.frozensets(st.sampled_from("abcdef")), max_size=6)
@@ -186,36 +208,75 @@ def test_minimal_new_faces_are_the_minimal_subsets_in_no_prior_facet(
     there is exactly one, and None when there are several or none: the
     empty face with no prior facet, and None when sigma lies in a prior
     facet.  This holds for any prior family, not only for complexes."""
-    assert _restriction(prior, sigma) == _restriction_by_subsets(prior, sigma)
+    want = minimal_new_faces_by_subsets(prior, sigma)
+    assert _restriction_after(prior, sigma) == (
+        want[0] if len(want) == 1 else None
+    )
 
 
 @pytest.mark.parametrize(
     "name",
     [
+        "fig2_left",
         "fig2_right",
         "fig7_pentagon",
         "fig8_line5",
+        "pentagon-ACEBD",
         "L212",
         "L322",
+        "L333",
+        "L212-unnamed",
         "L333-unnamed",
         "L433-unnamed",
     ],
 )
-def test_the_shelling_matches_the_subset_enumeration(monkeypatch, name):
-    """The searches of the figures and of unnamed rungs, and the verified
-    lexicographic order of the named rungs, give the same facet order and
-    the same minimal new faces with the minimal new faces found among every
-    subset of a facet.  fig2_right fails assumption (1), so its complex is
-    shelled without a context; its search order is not its lexicographic
-    one."""
-    g = graph_named(name)
-    c = build_complex(Arrangement(g))
-    order = c.facets if g.meta.get("hyperplane_names") else None
-    fast = find_shelling(c, order=order)
-    monkeypatch.setattr(shelling, "_restriction", _restriction_by_subsets)
-    brute = find_shelling(c, order=order)
-    assert fast.order == brute.order
-    assert fast.minimal_faces == brute.minimal_faces
+def test_the_shelling_matches_the_subset_enumeration(name):
+    """Along the order that ``find_shelling`` returns, each minimal new
+    face it keeps is the one minimal subset of its facet in no earlier
+    facet: on the figures that shell, on the renamed pentagon, whose
+    search backtracks, and on named and unnamed rungs.  fig2_right fails
+    assumption (1), so its complex is shelled without a context."""
+    shell = find_shelling(build_complex(Arrangement(graph_named(name))))
+    assert shelling_by_subsets(shell.order) == shell.minimal_faces
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([2, 3]).flatmap(
+        lambda size: st.lists(
+            st.frozensets(st.integers(0, 6), min_size=size, max_size=size),
+            min_size=1,
+            max_size=7,
+            unique=True,
+        )
+    )
+)
+@example([frozenset("ab"), frozenset("cd")])
+@example([frozenset("ab"), frozenset("cd"), frozenset("bc")])
+def test_the_search_shells_exactly_the_shellable_complexes(facets):
+    """On a random pure complex, facets of size 2 or 3 on at most 7 names,
+    ``find_shelling`` returns an order whose minimal new faces are those
+    of the subset enumeration, and raises ``NotShellable`` exactly when no
+    permutation of the facets is a shelling.  The brute force grows the
+    sets of facets that some shelling order starts with, one facet at a
+    time, each test by the subset enumeration."""
+    starts = {frozenset()}
+    for _ in facets:
+        starts = {
+            prior | {f}
+            for prior in starts
+            for f in facets
+            if f not in prior
+            and len(minimal_new_faces_by_subsets(list(prior), f)) == 1
+        }
+    c = SimplicialComplex(facets, {})
+    if starts:
+        shell = find_shelling(c)
+        assert sorted(map(sorted, shell.order)) == sorted(map(sorted, facets))
+        assert shelling_by_subsets(shell.order) == shell.minimal_faces
+    else:
+        with pytest.raises(NotShellable, match="no shelling order"):
+            find_shelling(c)
 
 
 def test_complex_of_pentagon_is_five_cycle():
@@ -273,8 +334,7 @@ def test_pentagon_shelling_follows_the_cyclic_pattern():
         ]
         order.append(nxt[0])
         seen.add(nxt[0])
-    shell = find_shelling(c, order=order)
-    mus = shell.minimal_faces
+    mus = shelling_by_subsets(order)
     assert mus[0] == frozenset()
     assert [len(mu) for mu in mus] == [0, 1, 1, 1, 2]
     assert mus[4] == order[4]
@@ -283,10 +343,8 @@ def test_pentagon_shelling_follows_the_cyclic_pattern():
 def test_line_points_shellable_in_any_order():
     g = fixture("fig8_line5")
     c = build_complex(Arrangement(g))
-    order = list(reversed(c.facets))
-    shell = find_shelling(c, order=order)
-    assert shell.minimal_faces[0] == frozenset()
-    assert shell.minimal_faces[1:] == order[1:]
+    for order in permutations(c.facets):
+        assert shelling_by_subsets(order) == [frozenset(), *order[1:]]
 
 
 def test_klm_212_canonical_shelling_mu_sequence():
@@ -324,29 +382,20 @@ def test_the_search_runs_within_a_small_recursion_limit():
         shell = find_shelling(c)
     finally:
         sys.setrecursionlimit(limit)
-    assert find_shelling(c, order=shell.order) == shell
+    assert shelling_by_subsets(shell.order) == shell.minimal_faces
 
 
 def test_a_named_graph_whose_lexicographic_order_fails_is_searched():
-    """fig7_pentagon, its five hyperplanes named so that the lexicographic
-    facet order puts two disjoint edges of the 5-cycle first: the order
-    fails to verify, and the context takes the search's shelling of the
-    same complex."""
-    pentagon = fixture("fig7_pentagon")
-    through = Arrangement(pentagon).through
-    rename = {"L1": "A", "L2": "C", "L3": "E", "L4": "B", "L5": "D"}
-    doc = pentagon.to_dict()
-    doc["hyperplane_names"] = {
-        rename[name]: sorted(v for v, names in through.items() if name in names)
-        for name in rename
-    }
-    g = graph_from_dict(doc)
+    """On the renamed pentagon, the third facet of the lexicographic order
+    has two minimal new faces, so the search backtracks; the context
+    takes the shelling it finds."""
+    g = renamed_pentagon()
     c = build_complex(Arrangement(g))
-    with pytest.raises(
-        NotShellable, match="at position 3 has no unique minimal new face"
-    ):
-        find_shelling(c, order=c.facets)
-    assert shelling_context(g).shelling == find_shelling(c)
+    assert shelling_by_subsets(c.facets[:2]) is not None
+    assert len(minimal_new_faces_by_subsets(c.facets[:2], c.facets[2])) == 2
+    shell = find_shelling(c)
+    assert shell.order[:2] == c.facets[:2] and shell.order != c.facets
+    assert shelling_context(g).shelling == shell
 
 
 @pytest.mark.parametrize(
@@ -358,22 +407,28 @@ def test_an_unnamed_graph_gets_its_built_order_without_a_search(
     monkeypatch, name
 ):
     """On every unnamed rung in [1..4]^3 and on local_model(2..5), the
-    context verifies the built facet order and never runs the search,
-    and each minimal new face it keeps is the one minimal subset of its
-    facet that lies in no earlier facet of that order."""
-    calls = []
+    context runs the search once, and its first descent takes the built
+    facet order with one restriction test per facet and no backtracking.
+    Each minimal new face it keeps is the one minimal subset of its facet
+    that lies in no earlier facet of that order."""
+    calls, tests = [], []
 
-    def spy(complex_, order=None):
-        calls.append(order)
-        return find_shelling(complex_, order=order)
+    def spy(complex_):
+        calls.append(complex_)
+        return find_shelling(complex_)
+
+    def counted(*args):
+        tests.append(args)
+        return _restriction(*args)
 
     monkeypatch.setattr(shelling, "find_shelling", spy)
+    monkeypatch.setattr(shelling, "_restriction", counted)
     ctx = shelling_context(graph_named(name))
     order = ctx.complex.facets
-    assert calls == [order]
+    assert calls == [ctx.complex]
+    assert len(tests) == len(order)
     assert ctx.shelling.order == order
-    for j, (sigma, mu) in enumerate(zip(order, ctx.shelling.minimal_faces)):
-        assert minimal_new_faces_by_subsets(order[:j], sigma) == [mu]
+    assert shelling_by_subsets(order) == ctx.shelling.minimal_faces
 
 
 def test_not_shellable_complex_is_reported():
@@ -383,10 +438,29 @@ def test_not_shellable_complex_is_reported():
         facets=[frozenset(("a", "b")), frozenset(("c", "d"))],
         facet_vertex={},
     )
-    with pytest.raises(NotShellable):
+    with pytest.raises(NotShellable, match="no shelling order"):
         find_shelling(c)
-    with pytest.raises(NotShellable):
-        find_shelling(c, order=list(c.facets))
+    assert shelling_by_subsets(c.facets) is None
+    assert shelling_by_subsets(c.facets[::-1]) is None
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (117, "exhaustive search found no shelling order"),
+        (116, "search budget of 116 restriction tests exhausted"),
+    ],
+)
+def test_a_dead_prefix_is_searched_once(monkeypatch, budget, message):
+    """Five edges on one vertex and an edge apart: every order of the
+    star's edges extends, and the sixth edge extends no prefix.  The
+    search learns each set of star edges dead once, in 117 restriction
+    tests; without the memo of dead prefixes it would run 656."""
+    star = [frozenset({0, k}) for k in range(1, 6)]
+    c = SimplicialComplex(star + [frozenset({8, 9})], {})
+    monkeypatch.setattr(shelling, "SEARCH_BUDGET", budget)
+    with pytest.raises(NotShellable, match=f"^{message}$"):
+        find_shelling(c)
 
 
 def test_shelling_interval_partition_and_ordering_facts():
@@ -750,6 +824,53 @@ def test_betti_numbers_of_a_rung_have_their_closed_form(case):
     assert len(sizes) == sum(expected)
     ranks = ordinary_cohomology(ctx)["ordinary_ranks"]
     assert ranks == {str(d): c for d, c in enumerate(expected)}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fig2_left", "fig7_pentagon", "fig8_line5"]
+    + [f"local_model({n})" for n in range(2, 5)]
+    + ["L111", "L212", "L222", "L333"],
+)
+def test_every_pair_of_basis_elements_has_its_own_product_key(name):
+    """A key ``"A*B"`` joins two basis names that may hold ``*``
+    themselves, so two pairs could share one key and the later would
+    overwrite the earlier.  On the figures that shell, local_model(2..4)
+    and four rungs, both product tables have one key per unordered pair:
+    N(N + 1)/2 for N basis elements (378 on L333)."""
+    table = ordinary_cohomology(shelling_context(graph_named(name)))
+    n = len(table["basis"])
+    assert len(table["equivariant_products"]) == n * (n + 1) // 2
+    assert len(table["ordinary_products"]) == n * (n + 1) // 2
+
+
+def test_the_pentagon_pairing_into_the_top_class_is_unimodular():
+    """fig7_pentagon is the cotangent bundle of a toric surface, whose
+    zero section is compact, so Poincare duality makes the ordinary
+    pairing of degree 1 with degree 1 into the top class unimodular.  In
+    basis order L3, L5, L4, into L4*L5, it is [[0, 0, 1], [0, -1, 1],
+    [1, 1, 0]], of determinant 1 by Leibniz's formula."""
+    table = ordinary_cohomology(shelling_context(fixture("fig7_pentagon")))
+    basis, degrees = table["basis"], table["degrees"]
+    ones = [b for b, d in zip(basis, degrees) if d == 1]
+    (top,) = [b for b, d in zip(basis, degrees) if d == 2]
+    assert (ones, top) == (["L3", "L5", "L4"], "L4*L5")
+    products = table["ordinary_products"]
+
+    def pair(a, b):
+        a, b = sorted((a, b), key=basis.index)
+        return products[f"{a}*{b}"].get(top, 0)
+
+    pairing = [[pair(a, b) for b in ones] for a in ones]
+    assert pairing == [[0, 0, 1], [0, -1, 1], [1, 1, 0]]
+    det = 0
+    for perm in permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(3), 2))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= pairing[i][j]
+        det += term
+    assert det in (1, -1)
 
 
 def test_ordinary_structure_constants_all_one():
