@@ -3,14 +3,14 @@ arrangement family.
 
 The five figure fixtures ship as canonical JSON files under ``data/``.  The
 arrangement generator builds the graph from scratch: the direction of a dart
-fixes its forgetful label, and those labels fix the connection.  The
-residual coefficients come from the local model at the bottom-left vertex,
-e_i and x - e_i, so that the (1,1,1) arrangement reproduces the triangle
-fixture, carried along a spanning tree by the connection.  The graph is
-built with that connection and checks its congruences across every edge,
-the tree's and the rest.  ``local_model(n)`` and the line counts of
-``gen_klm`` are capped, so an oversized request is refused before anything
-is built.
+fixes its forgetful label, and ``derive_connection`` finds the connection of
+the plane graph that carries those labels.  The residual coefficients come
+from the local model at the bottom-left vertex, e_i and x - e_i, so that
+the (1,1,1) arrangement reproduces the triangle fixture, carried along a
+spanning tree by the connection.  The graph is built with that connection
+and checks its congruences across every edge, the tree's and the rest.
+``local_model(n)`` and the line counts of ``gen_klm`` are capped, so an
+oversized request is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import namedtuple
 
 from .errors import GkmError, StructuralError
 from .graph import Dart, GkmGraph, load_graph, validate_axial
-from .intlinalg import congruent, is_multiple_of, vec_sub
+from .intlinalg import is_multiple_of, vec_sub
 
 FIXTURE_IDS = (
     "fig2_left",
@@ -152,42 +152,42 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
     the connection: across an edge e each dart d goes to its image d',
     labelled alpha(d) - c alpha(e), where the forgetful labels fix the
     multiple c (Guillemin-Zara, *1-skeleta, Betti numbers, and equivariant
-    cohomology*, 2001).
+    cohomology*, 2001).  The connection is the one ``derive_connection``
+    finds on the plane graph, whose labels are the forgetful ones with a
+    residual coefficient of 0: across an edge, the tangent darts are the
+    multiples of its label, and each crossing dart has one congruent
+    image.
     """
     lines = _klm_lines(spec)
-    forget, dart_rows = _klm_darts(lines)
-    conn = _klm_connection(forget, dart_rows)
-    edges_at = {}  # vertex -> its edge dart ids
-    for did, (src, tgt, _) in dart_rows.items():
-        if tgt is not None:
-            edges_at.setdefault(src, []).append(did)
+    plane = GkmGraph(2, _klm_darts(lines))
+    conn = plane.connection
     base = lines[0].vertex_ids[0]
     minus = {ln.minus for ln in lines}
     residual = {
-        did: int(did.rsplit(":", 1)[1] in minus)
-        for did, row in dart_rows.items()
-        if row[0] == base
+        did: int(did.rsplit(":", 1)[1] in minus) for did in plane.darts_at(base)
     }
     seen, stack = {base}, [base]
     while stack:
-        for eid in edges_at[stack.pop()]:
-            tgt = dart_rows[eid][1]
-            if tgt in seen:
+        for eid in plane.darts_at(stack.pop()):
+            tgt = plane.darts[eid].target
+            if tgt is None or tgt in seen:
                 continue
             seen.add(tgt)
             stack.append(tgt)
             for d, image in conn[eid].items():
-                c = is_multiple_of(vec_sub(forget[d], forget[image]), forget[eid])
+                c = is_multiple_of(
+                    vec_sub(plane.axial(d), plane.axial(image)), plane.axial(eid)
+                )
                 residual[image] = residual[d] - c * residual[eid]
     darts = [
-        Dart(did, *dart_rows[did], forget[did] + (residual[did],))
-        for did in sorted(dart_rows)
+        d._replace(axial=d.axial[:2] + (residual[did],))
+        for did, d in sorted(plane.darts.items())
     ]
     meta = {
         "hyperplane_names": {
             line.name: sorted(set(line.vertex_ids)) for line in lines
         },
-        "positive_normals": _positive_normals(lines),
+        "positive_normals": _positive_normals(plane, lines),
     }
     # the tree edges hold their congruences by construction.  The
     # constructor checks every dart's congruence across every edge, which
@@ -205,92 +205,39 @@ def gen_klm(spec: KlmSpec) -> GkmGraph:
 
 
 def _klm_darts(lines):
-    """Forgetful label and (source, target, opposite) of every dart, both
-    keyed by dart id."""
-    forget = {}  # dart id -> forgetful label
-    dart_rows = {}  # dart id -> (source, target, opposite)
+    """Every dart of the arrangement, labelled with its forgetful label and
+    a residual coefficient of 0."""
+    darts = []
     for line in lines:
         ids = line.vertex_ids
         for i, v in enumerate(ids):
-            plus_id = f"{v}:{line.plus}"
-            minus_id = f"{v}:{line.minus}"
-            nxt = ids[i + 1] if i + 1 < len(ids) else None
-            prv = ids[i - 1] if i - 1 >= 0 else None
-            forget[plus_id] = _DIRECTIONS[line.plus]
-            dart_rows[plus_id] = (
-                v,
-                nxt,
-                f"{nxt}:{line.minus}" if nxt else None,
-            )
-            forget[minus_id] = _DIRECTIONS[line.minus]
-            dart_rows[minus_id] = (
-                v,
-                prv,
-                f"{prv}:{line.plus}" if prv else None,
-            )
-    return forget, dart_rows
+            for suffix, back, j in (
+                (line.plus, line.minus, i + 1),
+                (line.minus, line.plus, i - 1),
+            ):
+                to = ids[j] if 0 <= j < len(ids) else None
+                darts.append(Dart(
+                    f"{v}:{suffix}",
+                    v,
+                    to,
+                    f"{to}:{back}" if to else None,
+                    _DIRECTIONS[suffix] + (0,),
+                ))
+    return darts
 
 
-def _positive_normals(lines):
+def _positive_normals(plane, lines):
     """Pick the normal dart fixing each line's halfspace orientation.
 
     At the line's first vertex, the recorded dart is the one whose
-    forgetful label pairs to +1 with the line's characteristic covector.
+    forgetful label pairs to +1 with the line's characteristic covector;
+    the line's own darts pair to 0.
     """
-    by_vertex = {}
-    for line in lines:
-        for v in line.vertex_ids:
-            by_vertex.setdefault(v, []).append(line)
-    out = {}
-    for line in lines:
-        v0 = line.vertex_ids[0]
-        other = next(ln for ln in by_vertex[v0] if ln.name != line.name)
-        for suffix in (other.plus, other.minus):
-            f = _DIRECTIONS[suffix]
-            if f[0] * line.lam[0] + f[1] * line.lam[1] == 1:
-                out[line.name] = f"{v0}:{suffix}"
-                break
-        else:
-            raise StructuralError(f"no normal candidate for line {line.name}")
-    return out
-
-
-def _klm_connection(forget, dart_rows):
-    """The connection ``{edge dart: {dart: image}}`` of the arrangement,
-    read off the forgetful labels."""
-    darts_at = {}  # vertex -> its dart ids
-    for did, (src, _, _) in dart_rows.items():
-        darts_at.setdefault(src, []).append(did)
-    conn = {}
-    for eid, (src, tgt, opp) in dart_rows.items():
-        if tgt is None:
-            continue
-        w = forget[eid]
-        # the edge dart goes to its opposite, its tangent sibling to the
-        # opposite's sibling, and each crossing dart to its congruent image
-        mapping = conn[eid] = {eid: opp}
-        mapping[_sibling(eid, src)] = _sibling(opp, tgt)
-        tangent_at_tgt = set(mapping.values())
-        cross_tgt = [d for d in darts_at[tgt] if d not in tangent_at_tgt]
-        for d in darts_at[src]:
-            if d in mapping:
-                continue
-            images = [d2 for d2 in cross_tgt if congruent(forget[d], forget[d2], w)]
-            if len(images) != 1:
-                raise StructuralError(
-                    f"forgetful labels leave the connection across {eid} "
-                    "ambiguous"
-                )
-            mapping[d] = images[0]
-    return conn
-
-
-def _sibling(dart_id, vertex):
-    """The other dart at `vertex` tangent to the same line."""
-    suffix = dart_id.rsplit(":", 1)[1]
-    for plus, minus, _ in _LINE_KINDS.values():
-        if suffix == plus:
-            return f"{vertex}:{minus}"
-        if suffix == minus:
-            return f"{vertex}:{plus}"
-    raise KeyError(dart_id)
+    return {
+        line.name: next(
+            d
+            for d in plane.darts_at(line.vertex_ids[0])
+            if sum(a * b for a, b in zip(plane.axial(d), line.lam)) == 1
+        )
+        for line in lines
+    }

@@ -348,35 +348,42 @@ def load_graph(text: str) -> GkmGraph:
 # -- connection ---------------------------------------------------------------
 
 
-def _congruent_images(g: GkmGraph, edge_dart: Dart, source_dart_id: str):
-    """Darts at t(edge) congruent to the given dart modulo the edge label."""
-    alpha_e = edge_dart.axial
-    a = g.axial(source_dart_id)
-    return [
-        cand
-        for cand in g.darts_at(edge_dart.target)
-        if congruent(a, g.axial(cand), alpha_e)
-    ]
-
-
 def derive_connection(g: GkmGraph):
     """The unique connection satisfying the congruence relations.
 
-    Works dart by dart: for a 3-independent axial function each dart has at
-    most one congruent partner across an edge, which is how uniqueness in
-    the small is detected (two candidates raise AmbiguousConnection).
+    Across an edge dart e, a dart d at its source is paired with a dart d'
+    at its target, other than the opposite dart, whose label is congruent
+    to d's modulo alpha(e) and modulo alpha(opposite).  The two moduli
+    agree when alpha(opposite) = +-alpha(e), as ``opposite_sign`` asks;
+    asking for both makes d and d' partners across the opposite dart as
+    well.  For a 3-independent axial function each dart has at most one
+    partner, which is how uniqueness in the small is detected (two
+    partners raise AmbiguousConnection).
+
+    The maps across e and across its opposite are inverse, with no pass
+    to check it: d' is d's only partner across e, and d is a partner of d'
+    across the opposite dart, so it is d''s only one.  Modulo alpha(e)
+    alone that fails: where alpha(opposite) is no multiple of alpha(e),
+    nor alpha(e) of it, the two maps found that way need not be inverse.
     """
     conn = {}
     for eid in g.edge_dart_ids():
         e = g.darts[eid]
+        w, w_opp = e.axial, g.axial(e.opposite)
+        # nothing but the edge dart itself may map to the opposite dart
+        candidates = [
+            (c, g.axial(c)) for c in g._darts_at[e.target] if c != e.opposite
+        ]
         mapping = {eid: e.opposite}
-        used = {e.opposite}
-        for did in g.darts_at(e.source):
+        used = set()
+        for did in g._darts_at[e.source]:
             if did == eid:
                 continue
-            # nothing but the edge dart itself may map to the opposite dart
+            a = g.axial(did)
             images = [
-                i for i in _congruent_images(g, e, did) if i != e.opposite
+                c
+                for c, b in candidates
+                if congruent(a, b, w) and congruent(a, b, w_opp)
             ]
             if not images:
                 raise NoValidConnection(
@@ -395,13 +402,6 @@ def derive_connection(g: GkmGraph):
             used.add(img)
             mapping[did] = img
         conn[eid] = mapping
-    for eid, mapping in conn.items():
-        opp = g.darts[eid].opposite
-        inverse = {v: k for k, v in conn[opp].items()}
-        if mapping != inverse:
-            raise NoValidConnection(
-                f"connection across {eid!r} is not inverse to {opp!r}"
-            )
     return conn
 
 

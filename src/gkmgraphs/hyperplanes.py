@@ -75,8 +75,7 @@ class Halfspace:
         # the checked Thom class, set by the first ``thom_class`` call
         self.thom = None
 
-    def sort_key(self):
-        return (sorted(self.vertices), sorted(self.dart_ids))
+    sort_key = Hyperplane.sort_key
 
 
 # -- hyperplane discovery ------------------------------------------------------

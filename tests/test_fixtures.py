@@ -139,5 +139,7 @@ def test_an_edge_off_the_spanning_tree_is_checked(monkeypatch, spec):
     its congruence: the generator raises and returns no graph."""
     monkeypatch.setitem(fixtures._DIRECTIONS, "se", (1, 1))
     monkeypatch.setitem(fixtures._DIRECTIONS, "nw", (-1, -1))
-    with pytest.raises(GkmError):
+    with pytest.raises(
+        GkmError, match="stored connection violates the congruence relation"
+    ):
         gen_klm(KlmSpec(*spec))

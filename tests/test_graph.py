@@ -255,12 +255,62 @@ def test_independence_offenders_are_reached(base, labels, pairwise, three):
 
 
 def test_derive_connection_matches_stored():
-    for fid in FIXTURE_IDS:
-        g = fixture(fid)
+    """Derived from the full labels, the connection is the one each figure
+    stores, and the one ``gen_klm`` derived from the forgetful labels; its
+    maps across the two darts of an edge are inverse."""
+    graphs = [fixture(fid) for fid in FIXTURE_IDS] + [
+        gen_klm(KlmSpec(*spec))
+        for spec in ((1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 3, 3))
+    ]
+    for g in graphs:
         assert g._connection is not None
         forgotten = GkmGraph(g.rank, list(g.darts.values()), meta=g.meta)
         assert forgotten._connection is None
-        assert derive_connection(forgotten) == g.connection
+        conn = derive_connection(forgotten)
+        assert conn == g.connection
+        _assert_inverse(conn, g)
+
+
+def _assert_inverse(conn, g):
+    for eid in g.edge_dart_ids():
+        opposite = g.darts[eid].opposite
+        assert conn[opposite] == {v: k for k, v in conn[eid].items()}, eid
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_labels())
+def test_derived_maps_stay_inverse_under_mutation(mutation):
+    """``derive_connection`` does not check that the maps across an edge
+    and its opposite are inverse; whenever it returns, they are."""
+    g, axial = mutation
+    darts = [d._replace(axial=tuple(axial[d.id])) for d in g.darts.values()]
+    mutated = GkmGraph(g.rank, darts, meta=g.meta)
+    try:
+        conn = derive_connection(mutated)
+    except (NoValidConnection, AmbiguousConnection):
+        return
+    _assert_inverse(conn, mutated)
+
+
+def test_partners_are_congruent_modulo_both_labels_of_an_edge():
+    """Across a:e, labelled (1, 0, 0), the legs a:p and a:q have the
+    partners b:p and b:q modulo (1, 0, 0) alone; across b:w, labelled
+    (0, 1, 0), b:p and b:q have a:q and a:p.  Those two maps are not
+    inverse, so no connection exists: modulo both labels a:p has no
+    partner."""
+    leg = (None, None)
+    darts = [
+        Dart("a:e", "a", "b", "b:w", (1, 0, 0)),
+        Dart("a:p", "a", *leg, (1, 0, 1)),
+        Dart("a:q", "a", *leg, (0, 1, 1)),
+        Dart("a:r", "a", *leg, (5, 7, 11)),
+        Dart("b:w", "b", "a", "a:e", (0, 1, 0)),
+        Dart("b:p", "b", *leg, (0, 0, 1)),
+        Dart("b:q", "b", *leg, (1, 1, 1)),
+        Dart("b:r", "b", *leg, (5, 7, 11)),
+    ]
+    with pytest.raises(NoValidConnection, match="'a:p' has no congruent"):
+        derive_connection(GkmGraph(2, darts))
 
 
 def test_edge_lists_are_kept_per_graph():
