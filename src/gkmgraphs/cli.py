@@ -501,7 +501,12 @@ def _degree_options(p):
 
 
 def _poly_option(p):
-    p.add_argument("--poly", required=True, help='e.g. "Z1^2"')
+    p.add_argument(
+        "--poly",
+        required=True,
+        help='e.g. "Z1^2"; one that starts with "-" takes the = form, '
+        "--poly=-L1",
+    )
 
 
 def _gen_families(p):

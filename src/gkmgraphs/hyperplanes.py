@@ -4,17 +4,31 @@ A hyperplane is found by connection closure from a seed vertex: remove one
 pair of ``GkmGraph.pairs`` from the vertex's dart set and push the rest
 across every edge with the connection until the vertex->dart-set table
 stabilizes; the connection maps pairs to pairs, so each set is a union of
-pairs.  The halfspace pair of a hyperplane L is built by component-side
-assignment (the normal darts 2-coloured in one traversal of L, each
-component of the graph minus L entered by darts of one colour when
-assumption (1) holds).  Each half is then checked against the
-pre-halfspace axioms at L's vertices and the edges leaving them, the only
-places where a half built this way can break them; every component must
-have a side, so that the pair covers the graph; and the Thom classes,
-each checked against every congruence, must sum to x on L (off L they
-are x and 0).  Two properties need no check.  Each half is connected: L
-is, and each component joins L by the normal dart that gave it its side.
-The halves meet exactly in L: components, colours and L's darts are
+pairs.  The halfspace pair of a hyperplane L is built from what that
+closure proved.  Across each edge of L the connection is a bijection of
+dart sets that carries L's darts onto L's darts, so the two darts that L
+leaves out at each vertex, its normal pair, are the image of the seed's
+pair: a pair of ``g.pairs``, whose labels sum to x.  L is connected, as
+the closure reached it by a traversal, and since the graph is connected
+and no dart of L leaves L, a normal dart enters every component of the
+graph minus L.
+
+Three checks remain, the ones that can fail on a closure: the normal
+darts are 2-coloured in one traversal of L (``orientation``); each
+component of the graph minus L must be entered by darts of one colour
+(``component_sides``); and each half's Thom class is checked against
+every congruence, the one guard for a normal edge whose two ends on L
+take different colours.  The pre-halfspace axioms hold unchecked.  Each
+vertex of L keeps its 2n - 2 darts of L and one normal dart, and is a
+boundary vertex; every other vertex of a half keeps all its darts, and
+every dart starts inside.  Across an edge of L the connection keeps the
+kept darts by the colouring.  Across a normal dart whose target is on L
+it maps that dart's pair onto its opposite's pair, so L's darts onto L's
+darts.  From L to a vertex off it, the injection and the normal
+congruence follow from the pair summing to x, as does the Thom sum x on
+L (off L the classes are x and 0).  Each half is connected: L is, and
+each component joins L by the normal dart that gave it its side.  The
+halves meet exactly in L: components, colours and L's darts are
 pairwise disjoint.  So a wrong assignment can only surface as a reported
 violation, never as a silently wrong halfspace.
 
@@ -245,41 +259,26 @@ def minimal_empty_families(named_vertex_sets):
 
 
 def _excluded_pairs(g, hyperplane):
-    out = {}
-    for v in sorted(hyperplane.vertices):
-        extra = [d for d in g.darts_at(v) if d not in hyperplane.dart_ids]
-        if len(extra) != 2:
-            raise AssumptionOneViolation(
-                f"vertex {v!r} misses {len(extra)} darts from the hyperplane",
-                check="excluded_pair",
-            )
-        out[v] = tuple(sorted(extra))
-    return out
+    """The normal pair at each vertex of L: the two darts that L leaves
+    out there, the image of the seed's pair, so a pair of ``g.pairs``."""
+    return {
+        v: tuple(d for d in g.darts_at(v) if d not in hyperplane.dart_ids)
+        for v in sorted(hyperplane.vertices)
+    }
 
 
 def _orientation_classes(g, hyperplane, excluded):
-    """2-colour the normal darts so that the connection preserves colours:
-    once every edge of L carries normal pairs to normal pairs, one
-    traversal of L carries both colours of a pair at each step, and only
-    a dart reached with two colours can break it."""
+    """2-colour the normal darts so that the connection preserves colours.
+    Across each edge of L the connection carries the normal pair onto the
+    normal pair, so one traversal of L, which reaches every vertex, carries
+    both colours of a pair at each step, and only a dart reached with two
+    colours can break it."""
     conn = g.connection
     edges = {}  # vertex of L -> the edge darts of L leaving it
     for eid in sorted(hyperplane.dart_ids):
         e = g.darts[eid]
-        if (
-            e.is_leg
-            or e.opposite not in hyperplane.dart_ids
-            or e.target not in hyperplane.vertices
-        ):
-            continue
-        for d in excluded[e.source]:
-            if conn[eid][d] not in excluded[e.target]:
-                raise AssumptionOneViolation(
-                    f"connection image of normal dart {d!r} leaves the "
-                    "normal pair",
-                    check="normal_closure",
-                )
-        edges.setdefault(e.source, []).append(eid)
+        if not e.is_leg:
+            edges.setdefault(e.source, []).append(eid)
     first = min(hyperplane.vertices)
     color = dict(zip(excluded[first], (0, 1)))
     reached = {first}
@@ -297,27 +296,18 @@ def _orientation_classes(g, hyperplane, excluded):
             if t not in reached:
                 reached.add(t)
                 stack.append(t)
-    if len(reached) != len(hyperplane.vertices):
-        raise AssumptionOneViolation(
-            "normal darts not reached by propagation; hyperplane "
-            "is not connected",
-            check="connectivity",
-        )
     return color
 
 
 def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
-    """The unique (halfspace, opposite side) pair meeting in the hyperplane.
+    """The unique (halfspace, opposite side) pair meeting in the
+    hyperplane L, an ``all_hyperplanes`` closure.
 
-    Each half is the hyperplane L, the normal darts of one orientation,
-    and the components of Gamma - L that those darts enter, with all their
-    darts.  The pre-halfspace axioms are checked where they can fail (see
-    ``_validate_pre_halfspace``), every component of Gamma - L must have a
-    side, and the Thom classes, each checked against every congruence,
-    must sum to x on L (off L they are x and 0).  Each half is connected
-    unchecked: L is (``_orientation_classes`` walks it), and the normal
-    dart that gave a component its side joins it to L.  The halves meet
-    exactly in L: components, colours and L's darts are pairwise disjoint.
+    Each half is L, the normal darts of one colour, and the components of
+    Gamma - L that those darts enter, with all their darts.  Three checks
+    can fail: the colouring (``orientation``), a component entered by both
+    colours (``component_sides``), and the Thom classes' congruences.  The
+    closure proves the rest (see the module docstring).
 
     Raises AssumptionOneViolation whenever existence or uniqueness fails;
     the pair is ordered by sort key, so the result is deterministic.
@@ -329,8 +319,8 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     for v, root in comp.items():
         members.setdefault(root, []).append(v)
     side_of_comp = {}
-    for v in sorted(excluded):
-        for d in excluded[v]:
+    for ds in excluded.values():
+        for d in ds:
             t = g.darts[d].target
             if t is None or t in hyperplane.vertices:
                 continue
@@ -355,99 +345,12 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
             if s == side:
                 verts.update(members[root])
                 darts.update(d for v in members[root] for d in g.darts_at(v))
-        normals = normal_of[1 - side]
-        h = Halfspace(frozenset(verts), frozenset(darts), normals)
-        _validate_pre_halfspace(g, h, at=hyperplane.vertices)
+        h = Halfspace(frozenset(verts), frozenset(darts), normal_of[1 - side])
+        # the one guard for a normal edge whose ends on L differ in colour
+        thom_class(g, h)
         halves.append(h)
-    if len(side_of_comp) != len(members):
-        raise AssumptionOneViolation(
-            "halfspace pair does not cover the graph",
-            check="cover",
-        )
-    ta, tb = (thom_class(g, h) for h in halves)
-    x = g.residual
-    for v in sorted(hyperplane.vertices):
-        if tuple(p + q for p, q in zip(ta[v], tb[v])) != x:
-            raise AssumptionOneViolation(
-                "Thom classes of the pair do not sum to the residual class",
-                check="thom_sum",
-            )
     halves.sort(key=Halfspace.sort_key)
     return halves[0], halves[1]
-
-
-def _validate_pre_halfspace(g, h: Halfspace, at):
-    """Raise AssumptionOneViolation unless ``h`` is a pre-halfspace at the
-    vertices ``at`` and the edges leaving them: each keeps 2n - 1 or 2n of
-    its darts, every dart starts inside, one of them is a boundary vertex,
-    and across each edge, the connection restricted to the kept darts is a
-    bijection (c1) or, from a boundary vertex to an interior one, an
-    injection, with the boundary vertex's normal label congruent to x
-    modulo the edge's label (c2).
-
-    ``halfspace_pair`` passes the hyperplane L: its other vertices are
-    those of whole components of Gamma - L, each with all 2n darts, so
-    their valence holds.  Across an edge between two of them, c1 asks
-    that the connection be a bijection between the full dart sets, which
-    ``GkmGraph`` established when it verified the stored connection
-    (``_verify_connection``) or derived one (``derive_connection``).  An
-    edge from such a vertex to L goes from 2n darts to 2n - 1 and asks
-    nothing.
-    """
-    n = g.rank
-    darts = h.dart_ids
-    vertices = sorted(at)
-    inside = {v: {d for d in g.darts_at(v) if d in darts} for v in vertices}
-    for v in vertices:
-        size = len(inside[v])
-        if size not in (2 * n - 1, 2 * n):
-            raise AssumptionOneViolation(
-                f"vertex {v!r} keeps {size} darts, expected "
-                f"{2 * n - 1} or {2 * n}",
-                check="valence",
-            )
-    for did in darts:
-        if g.darts[did].source not in h.vertices:
-            raise AssumptionOneViolation(
-                f"dart {did!r} has source outside the halfspace",
-                check="dart_source",
-            )
-    if all(len(kept) == 2 * n for kept in inside.values()):
-        raise AssumptionOneViolation(
-            "pre-halfspace needs at least one boundary vertex",
-            check="boundary_exists",
-        )
-    conn = g.connection
-    x = g.residual
-    for eid in sorted(d for v in vertices for d in inside[v]):
-        e = g.darts[eid]
-        t = e.target
-        if e.is_leg or e.opposite not in darts or t not in h.vertices:
-            continue
-        src_set, tgt_set = inside[e.source], inside.get(t)
-        if tgt_set is None:
-            tgt_set = inside[t] = {d for d in g.darts_at(t) if d in darts}
-        image = {conn[eid][d] for d in src_set}
-        if len(src_set) == len(tgt_set):
-            if image != tgt_set:
-                raise AssumptionOneViolation(
-                    f"restricted connection across {eid!r} is not a "
-                    "bijection",
-                    check="closure_c1",
-                )
-        elif len(src_set) < len(tgt_set):
-            if not image <= tgt_set:
-                raise AssumptionOneViolation(
-                    f"restricted connection across {eid!r} is not "
-                    "injective into the target darts",
-                    check="closure_c2",
-                )
-            normal = h.normals.get(e.source)
-            if normal is None or not congruent(g.axial(normal), x, e.axial):
-                raise AssumptionOneViolation(
-                    f"normal congruence fails across {eid!r}",
-                    check="normal_congruence",
-                )
 
 
 # -- Thom classes ----------------------------------------------------------------
@@ -463,14 +366,11 @@ def thom_class(g: GkmGraph, h: Halfspace) -> dict:
     n = g.rank
     x = g.residual
     zero = (0,) * (n + 1)
-    boundary = set(h.normals)
-    if not boundary:
-        raise GkmError("a pre-halfspace needs a boundary vertex")
     values = {}
     for v in g.vertices:
         if v not in h.vertices:
             values[v] = zero
-        elif v in boundary:
+        elif v in h.normals:
             values[v] = g.axial(h.normals[v])
         else:
             values[v] = x

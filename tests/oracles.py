@@ -10,10 +10,13 @@ transports along its connection.  A union-find over the dart list checks the gra
 ``graph.components``.  The 2 x 2 and 3 x 3 minors of the labels at every
 vertex (``independence_offenders``) check the independence axioms that
 ``validate_axial`` proves at the vertices modeled on T*C^n and decides by
-rank at the others.  A halfspace pair re-validated at every vertex
-checks the pair that ``halfspace_pair`` validates at the hyperplane, with
-the normal darts coloured by sweeps of the hyperplane's edges repeated
-until nothing changes, where the runtime colours them in one traversal;
+rank at the others.  A halfspace pair re-validated at every vertex,
+against the paper's pre-halfspace definition
+(``validate_pre_halfspace``), checks the pair that ``halfspace_pair``
+builds from what the hyperplane closure proved, with the normal pair at
+each vertex looked up in the graph's pair table and the normal darts
+coloured by sweeps of the hyperplane's edges repeated until nothing
+changes, where the runtime colours them in one traversal;
 the paper's opposite pre-halfspace is built directly from one half
 (``opposite_side``).  The hyperplane complex built from the whole family
 table, every subset of the names through each vertex, checks the facets
@@ -58,14 +61,13 @@ from gkmgraphs.graph import components
 from gkmgraphs.hyperplanes import (
     Arrangement,
     Halfspace,
-    _excluded_pairs,
     _name_key,
     _subsets,
-    _validate_pre_halfspace,
     hyperplane_through,
     nonempty_intersection_table,
     thom_class,
 )
+from gkmgraphs.intlinalg import congruent
 from gkmgraphs.polynomials import (
     IntPolynomial,
     graded_piece_basis,
@@ -454,6 +456,67 @@ def union_find_components(g, vertices, dart_ids=None):
 # -- halfspace pairs ---------------------------------------------------------
 
 
+def validate_pre_halfspace(g, h: Halfspace):
+    """Raise AssumptionOneViolation unless ``h`` is a pre-halfspace, the
+    paper's definition checked at every vertex and edge: each vertex keeps
+    2n - 1 or 2n of its darts, every dart starts inside, one vertex is a
+    boundary vertex, and across each edge, the connection restricted to
+    the kept darts is a bijection (c1) or, from a boundary vertex to an
+    interior one, an injection, with the boundary vertex's normal label
+    congruent to x modulo the edge's label (c2)."""
+    n = g.rank
+    darts = h.dart_ids
+    inside = {
+        v: {d for d in g.darts_at(v) if d in darts} for v in sorted(h.vertices)
+    }
+    for v, kept in inside.items():
+        if len(kept) not in (2 * n - 1, 2 * n):
+            raise AssumptionOneViolation(
+                f"vertex {v!r} keeps {len(kept)} darts, expected "
+                f"{2 * n - 1} or {2 * n}",
+                check="valence",
+            )
+    for did in darts:
+        if g.darts[did].source not in h.vertices:
+            raise AssumptionOneViolation(
+                f"dart {did!r} has source outside the halfspace",
+                check="dart_source",
+            )
+    if all(len(kept) == 2 * n for kept in inside.values()):
+        raise AssumptionOneViolation(
+            "pre-halfspace needs at least one boundary vertex",
+            check="boundary_exists",
+        )
+    conn = g.connection
+    x = g.residual
+    for eid in sorted(darts):
+        e = g.darts[eid]
+        if e.is_leg or e.opposite not in darts:
+            continue
+        src_set, tgt_set = inside[e.source], inside[e.target]
+        image = {conn[eid][d] for d in src_set}
+        if len(src_set) == len(tgt_set):
+            if image != tgt_set:
+                raise AssumptionOneViolation(
+                    f"restricted connection across {eid!r} is not a "
+                    "bijection",
+                    check="closure_c1",
+                )
+        elif len(src_set) < len(tgt_set):
+            if not image <= tgt_set:
+                raise AssumptionOneViolation(
+                    f"restricted connection across {eid!r} is not "
+                    "injective into the target darts",
+                    check="closure_c2",
+                )
+            normal = h.normals.get(e.source)
+            if normal is None or not congruent(g.axial(normal), x, e.axial):
+                raise AssumptionOneViolation(
+                    f"normal congruence fails across {eid!r}",
+                    check="normal_congruence",
+                )
+
+
 def orientation_by_sweeps(g, hyperplane, excluded):
     """``hyperplanes._orientation_classes`` by repeated sweeps: every edge
     of L is swept again until no colour changes, checking the normal
@@ -517,7 +580,15 @@ def revalidated_halfspace_pair(g, hyperplane):
     """``hyperplanes.halfspace_pair`` with a full re-validation of each
     half: the pre-halfspace axioms at every vertex and every dart, and one
     scan of the components of Gamma - L per component root."""
-    excluded = _excluded_pairs(g, hyperplane)
+    excluded = {}
+    for v in sorted(hyperplane.vertices):
+        extra = tuple(d for d in g.darts_at(v) if d not in hyperplane.dart_ids)
+        if extra not in g.pairs[v]:
+            raise AssumptionOneViolation(
+                f"the darts at {v!r} off the hyperplane are not a pair",
+                check="excluded_pair",
+            )
+        excluded[v] = extra
     color = orientation_by_sweeps(g, hyperplane, excluded)
     comp = components(g, set(g.vertices) - hyperplane.vertices)
     side_of_comp = {}
@@ -554,7 +625,7 @@ def revalidated_halfspace_pair(g, hyperplane):
                     verts.add(v)
                     darts.update(g.darts_at(v))
         h = Halfspace(frozenset(verts), frozenset(darts), normals)
-        _validate_pre_halfspace(g, h, h.vertices)
+        validate_pre_halfspace(g, h)
         if len(set(components(g, h.vertices, h.dart_ids).values())) > 1:
             raise AssumptionOneViolation(
                 "candidate halfspace is not connected",
@@ -605,7 +676,7 @@ def opposite_side(g, h: Halfspace) -> Halfspace:
         verts |= plane.vertices
         darts |= plane.dart_ids
     out = Halfspace(frozenset(verts), frozenset(darts), normals)
-    _validate_pre_halfspace(g, out, out.vertices)
+    validate_pre_halfspace(g, out)
     return out
 
 

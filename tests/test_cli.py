@@ -1301,6 +1301,23 @@ def test_express(tmp_path, capsys):
     assert "unknown generator" in json.loads(out)["error"]
 
 
+def test_express_takes_a_leading_minus_in_the_equals_form(capsys):
+    """A value after a space that starts with "-" reads as an option, an
+    argparse usage error; ``--poly=-L1`` passes it whole."""
+    with pytest.raises(SystemExit) as caught:
+        main(["express", "--fixture", "fig7_pentagon", "--poly", "-L1"])
+    assert caught.value.code == 2
+    assert "argument --poly: expected one argument" in capsys.readouterr().err
+    code, out = run(capsys, "express", "--fixture", "fig7_pentagon", "--poly=-L1")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == {
+        "1": "-e2",
+        "L3": "-1",
+        "L4": "1",
+        "L5": "1",
+    }
+
+
 @pytest.mark.parametrize(
     "poly",
     [
