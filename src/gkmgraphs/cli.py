@@ -2,7 +2,10 @@
 built-in fixture) and writes one JSON document to stdout.
 
 Exit status: 0 on success, 1 when a validation / assumption / verification
-check fails (the JSON names the failing check), 2 on usage errors.  Any
+check fails (the JSON names the failing check), 2 on usage errors.  Every
+command that reads a graph runs ``validate`` on it first (``cohomology``
+and ``verify-iso`` after their size cap), and refuses a graph that fails
+with ``validate``'s own document and status 1.  Any
 other exception is reported as ``{"ok": false, "error": ..., "internal":
 true}`` with exit status 1 (its traceback goes to stderr).  A reader of
 stdout that went away gives exit status 1 and nothing on stderr.  The
@@ -86,6 +89,21 @@ def _read_graph(args, parser):
     from .graph import load_graph
 
     return load_graph(text)
+
+
+class _Invalid(GkmError):
+    """A graph that fails ``validate``; its one argument is the report."""
+
+
+def _validated(g):
+    """``g`` once it passes ``validate_axial``, whose axioms everything
+    past this gate takes as given."""
+    from .graph import validate_axial
+
+    report = validate_axial(g)
+    if not report.ok:
+        raise _Invalid(report)
+    return g
 
 
 def _add_source(sub):
@@ -301,7 +319,7 @@ def cmd_validate(args, parser):
 def cmd_hyperplanes(args, parser):
     from .hyperplanes import all_hyperplanes
 
-    hps = all_hyperplanes(_read_graph(args, parser))
+    hps = all_hyperplanes(_validated(_read_graph(args, parser)))
     return _emit(
         {
             "count": len(hps),
@@ -321,7 +339,8 @@ def cmd_hyperplanes(args, parser):
 def cmd_assumptions(args, parser):
     from .hyperplanes import Arrangement, check_assumptions
 
-    report = check_assumptions(Arrangement(_read_graph(args, parser)))
+    g = _validated(_read_graph(args, parser))
+    report = check_assumptions(Arrangement(g))
     out = report.to_dict()
     failed = []
     if not report.ok1:
@@ -348,7 +367,6 @@ def _refuse_oversized_solver(g, args):
 
 def cmd_cohomology(args, parser):
     from .cohomology import cohomology_basis
-    from .graph import validate_axial
     from .polynomials import (
         coords_varnames,
         format_coefficients,
@@ -358,9 +376,7 @@ def cmd_cohomology(args, parser):
 
     g = _read_graph(args, parser)
     _refuse_oversized_solver(g, args)
-    report = validate_axial(g)
-    if not report.ok:
-        return _emit(report.to_dict(), 1)
+    _validated(g)
     varnames = coords_varnames(g.rank, not args.forgetful)
     degrees = {}
     for k in range(args.max_degree + 1):
@@ -396,6 +412,7 @@ def cmd_verify_iso(args, parser):
 
     g = _read_graph(args, parser)
     _refuse_oversized_solver(g, args)
+    _validated(g)
     # only the kernel check of the full theory reads classes, up to degree
     # 3; ``verify_iso`` takes every other solver rank without classes
     checked = min(args.max_degree, 3)
@@ -420,7 +437,7 @@ def cmd_verify_iso(args, parser):
 def cmd_basis(args, parser):
     from .shelling import basis_monomial_name, module_basis, shelling_context
 
-    ctx = shelling_context(_read_graph(args, parser))
+    ctx = shelling_context(_validated(_read_graph(args, parser)))
     return _emit(
         {
             "facet_order": [sorted(f) for f in ctx.shelling.order],
@@ -437,7 +454,7 @@ def cmd_basis(args, parser):
 def cmd_structure_constants(args, parser):
     from .shelling import ordinary_cohomology, shelling_context
 
-    g = _read_graph(args, parser)
+    g = _validated(_read_graph(args, parser))
     table = ordinary_cohomology(shelling_context(g))
     varnames = _poly_varnames(g)
     table["equivariant_products"] = {
@@ -457,7 +474,7 @@ def cmd_express(args, parser):
         shelling_context,
     )
 
-    g = _read_graph(args, parser)
+    g = _validated(_read_graph(args, parser))
     ctx = shelling_context(g)
     poly = _PolyParser(args.poly, ctx.names).parse()
     basis = module_basis(ctx)
@@ -623,6 +640,8 @@ def _run(args, parser):
         raise
     except Oversized as exc:
         return _emit({"ok": False, "check": exc.check, "error": str(exc)}, 1)
+    except _Invalid as exc:
+        return _emit(exc.args[0].to_dict(), 1)
     except GkmError as exc:
         return _emit({"ok": False, "error": str(exc)}, 1)
     except Exception as exc:

@@ -33,10 +33,6 @@ class NoPartner(GkmError):
     """A dart has no pair partner summing to the residual vector."""
 
 
-class ClosureFailure(GkmError):
-    """Connection closure left the candidate hyperplane dart set."""
-
-
 class AssumptionOneViolation(GkmError):
     """No unique halfspace pair exists for a hyperplane."""
 
@@ -64,10 +60,6 @@ class AssumptionViolation(GkmError):
 
 class CongruenceFailure(GkmError):
     """A class that should satisfy the congruence relations does not."""
-
-
-class PurityFailure(GkmError):
-    """The hyperplane complex is not pure of the expected dimension."""
 
 
 class NotShellable(GkmError):

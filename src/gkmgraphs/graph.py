@@ -5,6 +5,25 @@ opposite darts, a leg contributes a single dart with no opposite and no
 target.  Every dart carries an axial value in Z^(n+1) whose last coordinate
 is the residual (x) direction.  All iteration is in sorted id order so that
 derived data and serializations are reproducible bit for bit.
+
+``validate_axial`` checks the axioms of the paper, and every command but
+``validate`` refuses a graph that fails it, with its report, before any
+work but a size cap.  So the code past that gate takes them as given: the
+darts at each vertex pair up to x, the pair representatives and x form a
+basis of Z^(n+1), the labels at each vertex are pairwise and
+3-independent, alpha(opposite) = +-alpha(dart) on every edge, and the
+connection is the one the congruence relations allow (Guillemin-Zara,
+*1-skeleta, Betti numbers, and equivariant cohomology*, 2001).  The pair
+table that the check builds is kept as ``GkmGraph.pairs``.
+
+The connection maps pairs to pairs.  Let {a, b} be a pair at the source
+of an edge dart e with opposite dart o, a' and b' the images of a and b
+across e, and c the partner of a'.  Modulo alpha(e) = +-alpha(o),
+alpha(c) = x - alpha(a') is congruent to x - alpha(a) = alpha(b), so to
+alpha(b').  Were c not b', two or three labels would be dependent: those
+of c, b' and o if the three differ, of c and o if b' is o, and of b and e
+at the source if c is o (b is not e, as b' is not o).  The independence
+axioms forbid each, so c is b'.
 """
 
 from __future__ import annotations
@@ -177,9 +196,11 @@ class GkmGraph:
 
     @property
     def pairs(self):
-        """The ``pair_decomposition`` of the graph, built on first use."""
+        """The pair table ``{vertex: [(a, b), ...]}`` of darts whose labels
+        sum to x: the one a passing ``validate_axial`` built, else built
+        on first use."""
         if self._pairs is None:
-            self._pairs = pair_decomposition(self)
+            self._pairs = {v: _pairs_at(self, v) for v in self.vertices}
         return self._pairs
 
     # -- equality / serialization -------------------------------------------
@@ -496,6 +517,8 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
             pair_table[v] = _pairs_at(g, v)
         except NoPartner as exc:
             pair_bad.append(f"{v}: {exc}")
+    if not pair_bad:
+        g._pairs = pair_table
 
     span_bad = []
     identity = [[int(i == j) for j in range(g.rank + 1)] for i in range(g.rank + 1)]
@@ -582,26 +605,3 @@ def validate_axial(g: GkmGraph) -> ValidationReport:
     return ValidationReport(
         [CheckResult(name, not bad, bad, message) for name, bad, message in checks]
     )
-
-
-# -- pair decompositions -------------------------------------------------------
-
-
-def pair_decomposition(g: GkmGraph):
-    """Pair up every vertex's darts, ``{vertex: [(a, b), ...]}`` with axial
-    sums x, and assert the connection maps pairs to pairs across every
-    edge, so it carries unions of pairs to unions of pairs (kept as
-    ``GkmGraph.pairs``)."""
-    table = {v: _pairs_at(g, v) for v in g.vertices}
-    conn = g.connection
-    for eid in g.edge_dart_ids():
-        e = g.darts[eid]
-        target_pairs = {frozenset(p) for p in table[e.target]}
-        for a, b in table[e.source]:
-            image = frozenset((conn[eid][a], conn[eid][b]))
-            if image not in target_pairs:
-                raise NoPartner(
-                    f"connection across {eid!r} does not map the pair "
-                    f"({a!r}, {b!r}) to a pair"
-                )
-    return table

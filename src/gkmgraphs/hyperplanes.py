@@ -2,35 +2,45 @@
 
 A hyperplane is found by connection closure from a seed vertex: remove one
 pair of ``GkmGraph.pairs`` from the vertex's dart set and push the rest
-across every edge with the connection until the vertex->dart-set table
-stabilizes; the connection maps pairs to pairs, so each set is a union of
-pairs.  The halfspace pair of a hyperplane L is built from what that
-closure proved.  Across each edge of L the connection is a bijection of
-dart sets that carries L's darts onto L's darts, so the two darts that L
-leaves out at each vertex, its normal pair, are the image of the seed's
-pair: a pair of ``g.pairs``, whose labels sum to x.  L is connected, as
-the closure reached it by a traversal, and since the graph is connected
-and no dart of L leaves L, a normal dart enters every component of the
-graph minus L.
+across the edges with the connection, each vertex taking its set from the
+first edge that reaches it.  On a graph that passes ``validate_axial``
+(see ``graph``) any other edge would give the same set.  Let W be the
+span of the labels kept at the seed, n - 1 pairs, so W holds x; as the
+pair representatives and x form a basis, Z^(n+1) = W + Z nu for the
+representative nu of the removed pair, whose labels are +-nu modulo W.
+Across a kept edge dart e, alpha(e) lies in W and the connection keeps
+labels modulo alpha(e), so it carries darts labelled in W onto darts
+labelled in W, and darts labelled +-nu modulo W onto such darts.  So at
+every vertex it reaches, whatever the path, the closure keeps exactly the
+darts labelled in W.  As the connection maps pairs to pairs, the two
+darts left out at each vertex of L, its normal pair, are a pair of
+``g.pairs``: one is +nu and one -nu modulo W, and that sign is their
+colour.  The connection keeps it across every edge of L, so one traversal
+of L colours every normal dart.
 
-Three checks remain, the ones that can fail on a closure: the normal
-darts are 2-coloured in one traversal of L (``orientation``); each
-component of the graph minus L must be entered by darts of one colour
-(``component_sides``); and each half's Thom class is checked against
-every congruence, the one guard for a normal edge whose two ends on L
-take different colours.  The pre-halfspace axioms hold unchecked.  Each
-vertex of L keeps its 2n - 2 darts of L and one normal dart, and is a
-boundary vertex; every other vertex of a half keeps all its darts, and
-every dart starts inside.  Across an edge of L the connection keeps the
-kept darts by the colouring.  Across a normal dart whose target is on L
-it maps that dart's pair onto its opposite's pair, so L's darts onto L's
-darts.  From L to a vertex off it, the injection and the normal
-congruence follow from the pair summing to x, as does the Thom sum x on
-L (off L the classes are x and 0).  Each half is connected: L is, and
-each component joins L by the normal dart that gave it its side.  The
-halves meet exactly in L: components, colours and L's darts are
-pairwise disjoint.  So a wrong assignment can only surface as a reported
-violation, never as a silently wrong halfspace.
+The halfspace pair of a hyperplane L is built from what that closure
+proved.  L is connected, as the closure reached it by a traversal, and
+since the graph is connected and no dart of L leaves L, a normal dart
+enters every component of the graph minus L.  Two checks remain, the
+ones that can fail on a validated graph: each component of the graph
+minus L must be entered by darts of one colour (``component_sides``,
+which fig2_right fails), and each half's Thom class is checked against
+every congruence.  That guard can fire only at a normal dart d from L to
+L whose opposite has the label -alpha(d), and so the other colour; with
++alpha(d), as on fig11_sphere, the two ends agree.
+
+The pre-halfspace axioms hold unchecked.  Each vertex of L keeps its
+2n - 2 darts of L and one normal dart, and is a boundary vertex; every
+other vertex of a half keeps all its darts, and every dart starts inside.
+Across an edge of L the connection keeps the kept darts by the colouring.
+Across a normal dart whose target is on L it maps that dart's pair onto
+its opposite's pair, so L's darts onto L's darts.  From L to a vertex off
+it, the injection and the normal congruence follow from the pair summing
+to x, as does the Thom sum x on L (off L the classes are x and 0).  Each
+half is connected: L is, and each component joins L by the normal dart
+that gave it its side.  The halves meet exactly in L: components, colours
+and L's darts are pairwise disjoint.  So a wrong assignment can only
+surface as a reported violation, never as a silently wrong halfspace.
 
 The x-forgetful Thom class tau_L is a halfspace's checked Thom class with
 the residual coordinate cut off (both halves label every vertex of L, and
@@ -39,8 +49,8 @@ x is 0 elsewhere), still checked: a - b = c alpha survives the cut.
 An ``Arrangement`` holds what the assumption check, the presentation
 rings and the shelling read of the hyperplanes, each built once.  Only the
 assumption report lists the families with a common vertex, the subsets of
-the names through each vertex.  The shelling's facets are the maximal sets
-of names through a vertex.  The rings' relations, the minimal families
+the names through each vertex.  The shelling's facets are the sets of
+names through each vertex.  The rings' relations, the minimal families
 with no common vertex, are minimal transversals
 (``minimal_empty_families``).
 """
@@ -52,7 +62,6 @@ from collections import namedtuple
 
 from .errors import (
     AssumptionOneViolation,
-    ClosureFailure,
     CongruenceFailure,
     GkmError,
     Oversized,
@@ -97,8 +106,8 @@ class Halfspace:
 
 def hyperplane_through(g: GkmGraph, vertex, excluded_pair) -> Hyperplane:
     """The unique hyperplane whose dart set at `vertex` omits the given
-    1-dimensional pair, one of ``g.pairs`` at `vertex`; built by iterated
-    connection closure."""
+    1-dimensional pair, one of ``g.pairs`` at `vertex`; built by connection
+    closure (see the module docstring)."""
     if tuple(sorted(excluded_pair)) not in g.pairs[vertex]:
         raise GkmError(
             "excluded darts are not a 1-dimensional pair at the seed vertex"
@@ -109,19 +118,10 @@ def hyperplane_through(g: GkmGraph, vertex, excluded_pair) -> Hyperplane:
     while stack:
         v = stack.pop()
         for eid in sorted(table[v]):
-            dart = g.darts[eid]
-            if dart.is_leg:
-                continue
-            image = frozenset(conn[eid][d] for d in table[v])
-            q = dart.target
-            if q in table:
-                if table[q] != image:
-                    raise ClosureFailure(
-                        f"connection closure is inconsistent at vertex {q!r}"
-                    )
-                continue
-            table[q] = image
-            stack.append(q)
+            q = g.darts[eid].target
+            if q is not None and q not in table:
+                table[q] = frozenset(conn[eid][d] for d in table[v])
+                stack.append(q)
     return Hyperplane(frozenset(table), frozenset().union(*table.values()), "")
 
 
@@ -145,7 +145,7 @@ def all_hyperplanes(g: GkmGraph):
     Seeds are every (vertex, pair); one closure runs per hyperplane.  A
     seed (w, p) is skipped when a hyperplane already found keeps exactly
     the darts at w outside p: by the uniqueness of ``hyperplane_through``
-    its closure would rebuild that hyperplane, through the same checks.
+    its closure would rebuild that hyperplane.
     Each ``positive_normals`` entry must name a hyperplane and record one
     of its normal darts, so every command refuses the same documents.
     """
@@ -258,21 +258,9 @@ def minimal_empty_families(named_vertex_sets):
 # -- halfspaces -----------------------------------------------------------------
 
 
-def _excluded_pairs(g, hyperplane):
-    """The normal pair at each vertex of L: the two darts that L leaves
-    out there, the image of the seed's pair, so a pair of ``g.pairs``."""
-    return {
-        v: tuple(d for d in g.darts_at(v) if d not in hyperplane.dart_ids)
-        for v in sorted(hyperplane.vertices)
-    }
-
-
 def _orientation_classes(g, hyperplane, excluded):
-    """2-colour the normal darts so that the connection preserves colours.
-    Across each edge of L the connection carries the normal pair onto the
-    normal pair, so one traversal of L, which reaches every vertex, carries
-    both colours of a pair at each step, and only a dart reached with two
-    colours can break it."""
+    """2-colour the normal darts as the module docstring does: the pair
+    of the first vertex, then across one edge of L into each vertex."""
     conn = g.connection
     edges = {}  # vertex of L -> the edge darts of L leaving it
     for eid in sorted(hyperplane.dart_ids):
@@ -286,16 +274,12 @@ def _orientation_classes(g, hyperplane, excluded):
     while stack:
         v = stack.pop()
         for eid in edges.get(v, ()):
-            for d in excluded[v]:
-                if color.setdefault(conn[eid][d], color[d]) != color[d]:
-                    raise AssumptionOneViolation(
-                        "normal darts cannot be oriented consistently",
-                        check="orientation",
-                    )
             t = g.darts[eid].target
             if t not in reached:
                 reached.add(t)
                 stack.append(t)
+                for d in excluded[v]:
+                    color[conn[eid][d]] = color[d]
     return color
 
 
@@ -304,15 +288,18 @@ def halfspace_pair(g: GkmGraph, hyperplane: Hyperplane):
     hyperplane L, an ``all_hyperplanes`` closure.
 
     Each half is L, the normal darts of one colour, and the components of
-    Gamma - L that those darts enter, with all their darts.  Three checks
-    can fail: the colouring (``orientation``), a component entered by both
-    colours (``component_sides``), and the Thom classes' congruences.  The
-    closure proves the rest (see the module docstring).
+    Gamma - L that those darts enter, with all their darts.  Two checks
+    can fail: a component entered by both colours (``component_sides``),
+    and the Thom classes' congruences.  The closure proves the rest (see
+    the module docstring).
 
     Raises AssumptionOneViolation whenever existence or uniqueness fails;
     the pair is ordered by sort key, so the result is deterministic.
     """
-    excluded = _excluded_pairs(g, hyperplane)
+    excluded = {  # the normal pair at each vertex of L
+        v: tuple(d for d in g.darts_at(v) if d not in hyperplane.dart_ids)
+        for v in sorted(hyperplane.vertices)
+    }
     color = _orientation_classes(g, hyperplane, excluded)
     comp = components(g, set(g.vertices) - hyperplane.vertices)
     members = {}  # root of a component of Gamma - L -> its vertices

@@ -2,8 +2,15 @@
 
 The hyperplane complex has one vertex per hyperplane and a face for every
 family with a common vertex; its facets biject with the graph vertices.
-They are the maximal sets among the names through each vertex, so no face
-is ever listed.  A shelling order of the facets yields minimal new faces
+They are the sets of names through each vertex, so no face is ever
+listed.  On a graph that passes ``validate_axial`` each such set has n
+names, so none holds another and the complex is pure: a hyperplane
+through v leaves out one pair of ``GkmGraph.pairs`` at v, its normal
+pair, and is the closure seeded by that pair, and the n pairs at v leave
+out different darts.  A set of names through two vertices is refused
+(assumption (2)); otherwise the sets biject with the vertices.
+
+A shelling order of the facets yields minimal new faces
 mu_i, the restrictions R(sigma_i), the names v of sigma_i with sigma_i - v
 in an earlier facet (Bjorner, *The homology and shellability of matroids
 and geometric lattices*, 1992, section 7.2), and the monomials x_{mu_i}
@@ -17,7 +24,11 @@ Expansion in that basis runs in facet coordinates.  At a facet point p
 the Thom values y_L = tau_L(p) of the n hyperplanes through p are
 coordinates of H^*(BT^n): the lift identity sum_L lambda(L)_j tau_L(p) =
 e_j, checked at every facet point, says that the change of variables is
-unimodular and that e_j = sum_L lambda(L)_j y_L inverts it.  In these
+unimodular and that e_j = sum_L lambda(L)_j y_L inverts it.  It is the
+one check of the covectors and of the Thom values at p: a matrix T_p of
+the tau_L(p) that is not unimodular fails it whatever the covectors, and
+tau_L(p) is 0 for every L not through p (0 or x off L, and x cut to 0).
+In these
 coordinates a generator localizes to a variable or to 0, and x_{mu_i}(p)
 is the monomial y^{mu_i} (Stanley, *Combinatorics and Commutative
 Algebra*, ch. III).  A ring element is localized once per facet; running
@@ -38,7 +49,6 @@ from .errors import (
     InconsistentLambda,
     InexactDivision,
     NotShellable,
-    PurityFailure,
 )
 from .graph import GkmGraph
 from .hyperplanes import Arrangement
@@ -65,28 +75,14 @@ ShellingData = namedtuple("ShellingData", "order minimal_faces")
 
 def build_complex(arr: Arrangement) -> SimplicialComplex:
     """Facets of the hyperplane complex, whose faces are the families of
-    hyperplanes with a common vertex: the maximal sets among the names
-    through each vertex, ordered by their names in generator order."""
-    n = arr.graph.rank
+    hyperplanes with a common vertex: the sets of names through each
+    vertex, n each (see the module docstring), ordered by their names in
+    generator order."""
     vertices_of = {}  # the names through a vertex -> the vertices they pass
-    holders = {}  # name -> the sets of vertices_of that hold it
     for v, names in arr.through.items():
-        if names not in vertices_of:
-            for name in names:
-                holders.setdefault(name, []).append(names)
         vertices_of.setdefault(names, []).append(v)
-    maximal = [
-        f for f in vertices_of if not any(f < o for o in holders[min(f)])
-    ] or [frozenset()]  # with no hyperplane, the empty face
-    short = [f for f in maximal if len(f) != n]
-    if short:
-        raise PurityFailure(
-            "maximal faces of sizes "
-            f"{sorted({len(f) for f in short})} found, expected {n}; the "
-            "graph is not modeled on the expected local chart"
-        )
     position = {name: i for i, name in enumerate(arr.names)}
-    facets = sorted(maximal, key=lambda f: sorted(map(position.get, f)))
+    facets = sorted(vertices_of, key=lambda f: sorted(map(position.get, f)))
     facet_vertex = {}
     for f in facets:
         verts = vertices_of[f]
@@ -97,11 +93,6 @@ def build_complex(arr: Arrangement) -> SimplicialComplex:
                 assumption=2,
             )
         (facet_vertex[f],) = verts
-    if len(facets) != len(arr.graph.vertices):
-        raise AssumptionViolation(
-            f"{len(facets)} facets for {len(arr.graph.vertices)} graph vertices",
-            assumption=2,
-        )
     return SimplicialComplex(facets, facet_vertex)
 
 
@@ -185,10 +176,9 @@ def characteristic_functions(complex_: SimplicialComplex, taus) -> dict:
     it is the column of L in the inverse of the matrix T_p whose rows are
     the tau_M(p).  At each facet that holds a name not yet assigned, the
     transform of the Hermite form H = U T_p is that inverse when H is the
-    identity.  Any other H means T_p is not unimodular, so the lift
-    identity cannot hold there, and the facet is refused.
-    ``FacetLocalizations`` checks the lift identity at every facet point,
-    which is every vertex.
+    identity, as it is when T_p is unimodular.  Any other T_p fails the
+    lift identity, which ``FacetLocalizations`` checks at every facet
+    point, which is every vertex.
     """
     lambdas = {}
     for facet in complex_.facets:
@@ -196,12 +186,9 @@ def characteristic_functions(complex_: SimplicialComplex, taus) -> dict:
         if all(name in lambdas for name in members):
             continue
         p = complex_.facet_vertex[facet]
-        n = len(members)
-        h, inverse = hermite_normal_form([taus[m][p] for m in members], transform=True)
-        if h != [[int(i == j) for j in range(n)] for i in range(n)]:
-            raise InconsistentLambda(
-                f"no covector solves the duality system at {p!r}"
-            )
+        _, inverse = hermite_normal_form(
+            [taus[m][p] for m in members], transform=True
+        )
         for k, name in enumerate(members):
             lambdas.setdefault(name, tuple(row[k] for row in inverse))
     return lambdas
@@ -253,14 +240,7 @@ class FacetLocalizations:
         ]
         self.taus = []  # the rows of T_p
         for p, gens, lams in zip(self.points, self.gens, self.lambdas):
-            values = [ctx.taus[name][p] for name in ctx.names]
-            support = tuple(g for g, v in enumerate(values) if any(v))
-            if support != gens:
-                raise GkmError(
-                    f"the Thom classes nonzero at {p!r} are not those of the "
-                    "hyperplanes through it"
-                )
-            rows = [values[g] for g in gens]
+            rows = [ctx.taus[ctx.names[g]][p] for g in gens]
             for j in range(n):
                 total = [
                     sum(lam[j] * row[i] for lam, row in zip(lams, rows))

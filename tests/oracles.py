@@ -33,6 +33,17 @@ hyperplane by the others.  Divisibility by a label is decided here by
 the columns of its map, with a modulus per image coefficient
 (``_divides``), where the solver reads the map's rows.
 
+Some checks the runtime no longer makes, as the axioms that
+``validate_axial`` checks at the door prove them; they are kept here, to
+show that they hold on every valid graph the tests generate.  The
+connection maps pairs to pairs (``pairs_to_pairs``); a closure pushed
+across every edge reaches each vertex with one dart set
+(``closure_across_every_edge``); the maximal faces of the hyperplane
+complex all have n names (``complex_by_table``); and the matrix T_p of
+the forgetful Thom values at a vertex is unimodular
+(``tau_matrix_is_unimodular``).  Each raises ``OracleFailure`` or returns
+False where its statement fails.
+
 The runtime holds a class as a coefficient vector (the solver) or as its
 ``{vertex: vector}`` of lattice vectors (the degree-2 generators of the
 presentation rings).  Here a class is a :class:`CohomologyClass`, a
@@ -55,12 +66,12 @@ from gkmgraphs.errors import (
     DimensionError,
     GkmError,
     InexactDivision,
-    PurityFailure,
 )
 from gkmgraphs.graph import components
 from gkmgraphs.hyperplanes import (
     Arrangement,
     Halfspace,
+    Hyperplane,
     _name_key,
     _subsets,
     hyperplane_through,
@@ -73,6 +84,11 @@ from gkmgraphs.polynomials import (
     graded_piece_basis,
     linear_terms,
 )
+
+
+class OracleFailure(GkmError):
+    """A statement that the runtime proves from the axioms of
+    ``validate_axial``, found false by an oracle here."""
 
 
 def linear_form(coeffs) -> IntPolynomial:
@@ -453,6 +469,60 @@ def union_find_components(g, vertices, dart_ids=None):
     return {v: find(v) for v in vertices}
 
 
+# -- what the axioms prove ---------------------------------------------------
+
+
+def pairs_to_pairs(g):
+    """Raise OracleFailure unless the connection maps every pair of
+    ``g.pairs`` at the source of an edge onto a pair at its target, which
+    the ``graph`` module docstring proves from the independence axioms."""
+    conn = g.connection
+    for eid in g.edge_dart_ids():
+        e = g.darts[eid]
+        target_pairs = {frozenset(p) for p in g.pairs[e.target]}
+        for a, b in g.pairs[e.source]:
+            if frozenset((conn[eid][a], conn[eid][b])) not in target_pairs:
+                raise OracleFailure(
+                    f"connection across {eid!r} does not map the pair "
+                    f"({a!r}, {b!r}) to a pair"
+                )
+
+
+def closure_across_every_edge(g, vertex, excluded_pair):
+    """``hyperplanes.hyperplane_through`` with the dart set of each vertex
+    pushed across every edge of the closure, not only the first that
+    reaches its target, and raising OracleFailure when two edges bring a
+    vertex two sets (the ``hyperplanes`` module docstring proves that they
+    never do)."""
+    table = {vertex: frozenset(g.darts_at(vertex)) - set(excluded_pair)}
+    stack = [vertex]
+    while stack:
+        v = stack.pop()
+        for eid in sorted(table[v]):
+            q = g.darts[eid].target
+            if q is None:
+                continue
+            image = frozenset(g.connection[eid][d] for d in table[v])
+            if q not in table:
+                table[q] = image
+                stack.append(q)
+            elif table[q] != image:
+                raise OracleFailure(
+                    f"connection closure is inconsistent at vertex {q!r}"
+                )
+    return Hyperplane(frozenset(table), frozenset().union(*table.values()), "")
+
+
+def tau_matrix_is_unimodular(taus, names, p):
+    """Is T_p, the matrix whose rows are the forgetful Thom values
+    tau_L(p) of the hyperplanes ``names``, unimodular: is its Hermite
+    form the identity?"""
+    rows = [list(taus[name][p]) for name in sorted(names)]
+    n = len(rows)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    return intlinalg.hermite_normal_form(rows) == identity
+
+
 # -- halfspace pairs ---------------------------------------------------------
 
 
@@ -729,13 +799,16 @@ def maximal_faces(faces):
 def complex_by_table(arr):
     """``shelling.build_complex`` from the whole family table: its facets,
     in canonical order, and their vertices, as ``(facets,
-    facet_vertex)``, with the same errors in the same order."""
+    facet_vertex)``, with the same error where two vertices share a
+    facet.  It also checks what the runtime takes from the pair table:
+    that every maximal face has n names (purity) and that the facets are
+    as many as the vertices, raising OracleFailure where either fails."""
     n = arr.graph.rank
     table = nonempty_intersection_table(arr.through)
     maximal = maximal_faces(set(table) | {frozenset()})
     short = [f for f in maximal if len(f) != n]
     if short:
-        raise PurityFailure(
+        raise OracleFailure(
             "maximal faces of sizes "
             f"{sorted({len(f) for f in short})} found, expected {n}; the "
             "graph is not modeled on the expected local chart"
@@ -752,9 +825,8 @@ def complex_by_table(arr):
             )
         (facet_vertex[f],) = verts
     if len(facets) != len(arr.graph.vertices):
-        raise AssumptionViolation(
-            f"{len(facets)} facets for {len(arr.graph.vertices)} graph vertices",
-            assumption=2,
+        raise OracleFailure(
+            f"{len(facets)} facets for {len(arr.graph.vertices)} graph vertices"
         )
     return facets, facet_vertex
 

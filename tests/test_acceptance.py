@@ -12,7 +12,6 @@ from gkmgraphs.cohomology import (
     verify_iso,
 )
 from gkmgraphs.fixtures import KlmSpec, fixture, gen_klm
-from gkmgraphs.graph import pair_decomposition
 from gkmgraphs.hyperplanes import (
     Arrangement,
     all_hyperplanes,
@@ -25,6 +24,7 @@ from oracles import (
     chi_class,
     localize_at,
     monomial_poly,
+    pairs_to_pairs,
     shelling_by_subsets,
     vector_class,
 )
@@ -159,7 +159,7 @@ def test_criterion_6_property_suites():
                 assert tuple(p + q for p, q in zip(ta[v], tb[v])) == x
             assert vector_class(ta) + vector_class(tb) == chi
         # connection maps 1-dimensional pairs to pairs (raises if not)
-        pair_decomposition(g)
+        pairs_to_pairs(g)
         # Ker(forgetful) = (chi), degreewise
         pieces = [cohomology_basis(g, k) for k in range(4)]
         assert kernel_forgetful_check(g, 3, pieces), name

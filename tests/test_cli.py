@@ -177,6 +177,43 @@ def test_a_zero_label_is_reported_not_a_traceback(
         assert check["offenders"] == ["p:e"]
 
 
+# two rank-2 graphs on p and q that fail ``validate``: on ``swap`` the
+# connection crosses the normal pair of the hyperplane {p, q} across one
+# edge and keeps it across the other; on ``twist`` the stored connection
+# crosses it across one edge, so a Thom class breaks a congruence
+INVALID_GRAPHS = ["swap", "twist"]
+
+
+@pytest.mark.parametrize("graph", INVALID_GRAPHS)
+@pytest.mark.parametrize(
+    "command", GRAPH_COMMANDS, ids=[c[0] for c in GRAPH_COMMANDS]
+)
+def test_a_graph_that_fails_validate_gets_its_document_from_every_command(
+    capsys, graph, command
+):
+    """Every graph subcommand runs ``validate`` first and refuses a graph
+    that fails it with ``validate``'s own document, byte for byte, and
+    exit status 1: no later check, such as the orientation of the normal
+    darts that ``swap`` would break, or the Thom class congruence that
+    ``twist`` would break, is reached."""
+    path = str(Path(__file__).resolve().parent / "data" / f"{graph}.json")
+    code, out = run(capsys, "validate", path)
+    assert code == 1
+    assert json.loads(out)["ok"] is False
+    assert run(capsys, command[0], path, *command[1:]) == (code, out)
+
+
+@pytest.mark.parametrize("command", ["cohomology", "verify-iso"])
+def test_the_solver_size_cap_comes_before_validate(capsys, command):
+    """``cohomology`` and ``verify-iso`` refuse an oversized request before
+    they validate the graph, so the cap answers even on a graph that
+    fails ``validate``."""
+    path = str(Path(__file__).resolve().parent / "data" / "swap.json")
+    code, out = run(capsys, command, path, "--max-degree", "1000")
+    assert code == 1
+    assert json.loads(out)["check"] == "solver_size"
+
+
 @pytest.mark.parametrize(
     "name", ["X\u00b2", "X" + "1" * 5000], ids=["superscript", "long-number"]
 )
@@ -616,7 +653,8 @@ def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
     """No Hermite form, elimination or substitution runs inside the
     expansion; each halfspace's Thom class is built and checked once, by
     the vector check, and the forgetful class is its cut, checked no more:
-    no label map (and so no Hermite form) is built at all."""
+    no label map is built at all, and the only Hermite forms outside the
+    expansion are the span checks of ``validate``, one per vertex."""
     import gkmgraphs.intlinalg as intlinalg
     import gkmgraphs.polynomials as polynomials
     import gkmgraphs.shelling as shelling
@@ -659,7 +697,7 @@ def test_shelling_commands_divide_by_shifts_and_check_each_thom_class_once(
     assert ("substitute", False) not in calls
     nplanes = len(hyperplanes.all_hyperplanes(g))
     assert calls.count(("assert_class_congruences", False)) == 2 * nplanes
-    assert ("hermite_normal_form", False) not in calls
+    assert calls.count(("hermite_normal_form", False)) == len(g.vertices)
 
 
 @pytest.mark.parametrize("command", ["basis", "structure-constants"])

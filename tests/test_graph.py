@@ -25,12 +25,15 @@ from gkmgraphs.graph import (
     components,
     derive_connection,
     load_graph,
-    pair_decomposition,
     serialize,
     validate_axial,
 )
 from gkmgraphs.hyperplanes import Arrangement, check_assumptions
-from oracles import independence_offenders, union_find_components
+from oracles import (
+    independence_offenders,
+    pairs_to_pairs,
+    union_find_components,
+)
 
 
 def replace_axial(g, dart_id, axial, keep_connection=False):
@@ -364,23 +367,22 @@ def test_stored_connection_is_verified_not_trusted():
 
 def test_pair_decomposition_local_model():
     g = local_model(2)
-    dec = pair_decomposition(g)
-    assert sorted(dec["o"]) == [("o:m1", "o:p1"), ("o:m2", "o:p2")]
+    assert sorted(g.pairs["o"]) == [("o:m1", "o:p1"), ("o:m2", "o:p2")]
 
 
 def test_pair_decomposition_fig2_left_bottom_vertex():
     g = fixture("fig2_left")
-    dec = pair_decomposition(g)
-    pairs = {frozenset(p) for p in dec["p"]}
+    pairs = {frozenset(p) for p in g.pairs["p"]}
     assert frozenset({"p:e", "p:w"}) in pairs  # e2*, x - e2*
     assert frozenset({"p:n", "p:s"}) in pairs  # e1*, x - e1*
 
 
 def test_pair_decomposition_asserts_connection_preserves_pairs():
-    # fig7: two pairs per vertex, and the check runs across all 5 edges
+    # fig7: two pairs per vertex, and the oracle runs across all 5 edges
     g = fixture("fig7_pentagon")
-    dec = pair_decomposition(g)
-    assert all(len(ps) == 2 for ps in dec.values())
+    pairs_to_pairs(g)
+    assert all(len(ps) == 2 for ps in g.pairs.values())
+
 
 
 def test_serialization_is_byte_stable():

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import gkmgraphs.hyperplanes as hyperplanes
 from gkmgraphs.errors import (
     AssumptionOneViolation,
+    AssumptionViolation,
     GkmError,
     NoValidConnection,
 )
@@ -24,7 +26,8 @@ from gkmgraphs.graph import (
     GkmGraph,
     components,
     graph_from_dict,
-    pair_decomposition,
+    load_graph,
+    validate_axial,
 )
 from gkmgraphs.hyperplanes import (
     Arrangement,
@@ -40,14 +43,20 @@ from gkmgraphs.hyperplanes import (
     thom_class,
 )
 from oracles import (
+    closure_across_every_edge,
+    complex_by_table,
     forgetful_thom_class,
     intersection,
     opposite_side,
     orientation_by_sweeps,
+    pairs_to_pairs,
     revalidated_halfspace_pair,
+    tau_matrix_is_unimodular,
     union_find_components,
     validate_pre_halfspace,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def by_name(g):
@@ -112,10 +121,9 @@ def test_hyperplane_counts():
 
 def test_hyperplane_uniqueness_from_any_seed():
     g = fixture("fig7_pentagon")
-    dec = pair_decomposition(g)
     seen = {}
     for v in g.vertices:
-        for pair in dec[v]:
+        for pair in g.pairs[v]:
             h = hyperplane_through(g, v, pair)
             seen.setdefault(h.label, set()).add((h.vertices, h.dart_ids))
     assert len(seen) == 5
@@ -133,10 +141,9 @@ def test_all_hyperplanes_runs_one_closure_per_hyperplane(monkeypatch, source):
         g = gen_klm(KlmSpec(*map(int, source)))
     else:
         g = fixture(source)
-    dec = pair_decomposition(g)
     exhaustive = {}
     for v in g.vertices:
-        for pair in dec[v]:
+        for pair in g.pairs[v]:
             h = hyperplane_through(g, v, pair)
             exhaustive.setdefault(h.label, h)
     calls = []
@@ -312,15 +319,15 @@ def _cut(g, eid):
 
 
 def _mutants(g, rng, tries):
-    """The pair-preserving mutations of ``g``, out of ``tries``, whose pair
-    table still builds.  Each adds delta in {+-1, +-2} to one coordinate
-    of a dart and subtracts it from the dart's pair partner; it usually
-    gives the opposite dart the negated label, and its partner the rest
-    of x, and drops the stored connection 70% of the time.  Off
-    local_model(3), which has no edges, few keep a connection: of 400
-    tries, about ten on fig7_pentagon and on fig8_line5, two on
-    fig11_sphere, and none on fig2_left, fig2_right, L(2,1,2) or
-    L(2,2,2)."""
+    """The pair-preserving mutations of ``g``, out of ``tries``, that pass
+    ``validate_axial``, as the CLI asks of every graph before it builds a
+    halfspace.  Each adds delta in {+-1, +-2} to one coordinate of a dart
+    and subtracts it from the dart's pair partner; it usually gives the
+    opposite dart the negated label, and its partner the rest of x, and
+    drops the stored connection 70% of the time.  Of 400 tries, 316 pass
+    on local_model(3), which has no edges, 12 on fig7_pentagon, 9 on
+    fig8_line5, and none on fig2_left, fig2_right, fig11_sphere, L(2,1,2)
+    or L(2,2,2)."""
     x = g.residual
     partner = {}
     for pairs in g.pairs.values():
@@ -342,10 +349,10 @@ def _mutants(g, rng, tries):
         keep = g.connection if rng.random() < 0.3 else None
         try:
             mutant = GkmGraph(g.rank, darts, connection=keep, meta=g.meta)
-            mutant.pairs
         except GkmError:
             continue
-        out.append(mutant)
+        if validate_axial(mutant).ok:
+            out.append(mutant)
     return out
 
 
@@ -353,9 +360,9 @@ def _oracle_cases():
     """(graph, hyperplane) for every hyperplane of the figures, of
     local_model(2..4), of every ladder rung and of pair-preserving
     mutations of every figure, local_model(3), L(2,1,2) and L(2,2,2); and
-    of each figure, mutant and of those two rungs with one edge cut.  Each
-    graph gets its own hyperplanes, the only inputs ``halfspace_pair`` can
-    be given."""
+    of each figure, mutant and of those two rungs with one edge cut, where
+    the cut graph passes ``validate_axial``.  Each graph gets its own
+    hyperplanes, the only inputs ``halfspace_pair`` can be given."""
     graphs = [fixture(f) for f in FIXTURE_IDS]
     graphs += [local_model(n) for n in (2, 3, 4)]
     graphs += [
@@ -369,13 +376,15 @@ def _oracle_cases():
     for g in bases + mutants:
         for eid in g.canonical_edges():
             try:
-                graphs.append(_cut(g, eid))
+                cut = _cut(g, eid)
             except GkmError:  # a bridge: the cut graph is not connected
                 continue
+            if validate_axial(cut).ok:
+                graphs.append(cut)
     for g in graphs + mutants:
         try:
             planes = all_hyperplanes(g)
-        except GkmError:  # no consistent closure
+        except GkmError:  # a hyperplane name that the cut left behind
             continue
         for h in planes:
             yield g, h
@@ -391,9 +400,9 @@ def test_halfspace_pair_agrees_with_the_revalidated_pair():
         assert ours == _pair_outcome(revalidated_halfspace_pair, g, h)
         if isinstance(ours, tuple):
             checks.append(ours[0])
-    # only the colouring and the component sides can refuse a closure;
-    # the broken grid of fig2_right reaches the second four times
-    assert set(checks) <= {"orientation", "component_sides"}
+    # on a validated graph only the component sides can refuse a closure,
+    # and the broken grid of fig2_right reaches them four times
+    assert set(checks) == {"component_sides"}
     assert checks.count("component_sides") >= 4
 
 
@@ -402,7 +411,9 @@ def test_normal_darts_ending_on_their_own_hyperplane_keep_its_darts():
     and the other edge is a normal dart at both ends.  The connection maps
     that dart's pair onto its opposite's pair, so it carries L's darts at
     the source onto L's darts at the target: the restricted bijection of
-    a pre-halfspace, which ``halfspace_pair`` does not check there."""
+    a pre-halfspace, which ``halfspace_pair`` does not check there.  Each
+    such dart's opposite carries the same label, +alpha(d), so the Thom
+    guard, which fires only at -alpha(d), holds on fig11_sphere."""
     g = fixture("fig11_sphere")
     planes = by_name(g)
     found = {
@@ -423,38 +434,105 @@ def test_normal_darts_ending_on_their_own_hyperplane_keep_its_darts():
         at_source = {c for c in g.darts_at(e.source) if c in h.dart_ids}
         at_target = {c for c in g.darts_at(e.target) if c in h.dart_ids}
         assert {g.connection[d][c] for c in at_source} == at_target
+        # the Thom guard can fire only where the opposite's label is
+        # -alpha(d), which gives the two ends on L different colours
+        assert g.axial(e.opposite) == g.axial(d)
 
 
 def test_a_twisted_normal_pair_cannot_be_oriented():
-    """Two edges join u and w inside L; one carries the normal pair of u
-    straight, the other crossed, so no colouring is kept by the
-    connection.  The traversal and the sweeps both refuse it.  (Only the
-    colouring reads the connection and the dart records, so a bare stand-in
-    for the graph will do.)"""
-    from types import SimpleNamespace
+    """The swap graph of ``tests/data``: two edges join p and q inside the
+    hyperplane {p, q}, and the derived connection carries the leg pair
+    crossed across a and straight across c, so no colouring is kept by
+    the connection, and the sweeps refuse it.  All its labels lie in the
+    plane of e1 and x, so it fails ``validate_axial``, and the CLI never
+    hands it to the traversal, which colours by the class of a normal
+    label modulo the labels of L."""
+    g = load_graph((DATA / "swap.json").read_text())
+    assert validate_axial(g).failed_checks() == [
+        "pairwise_independence", "three_independence", "span"
+    ]
+    conn = g.connection
+    assert (conn["p:a"]["p:u"], conn["p:c"]["p:u"]) == ("q:v", "q:u")
+    (plane,) = [h for h in all_hyperplanes(g) if h.vertices == {"p", "q"}]
+    excluded = {v: (f"{v}:u", f"{v}:v") for v in "pq"}
+    with pytest.raises(AssumptionOneViolation) as caught:
+        orientation_by_sweeps(g, plane, excluded)
+    assert caught.value.check == "orientation"
 
-    from gkmgraphs.graph import Dart
 
-    darts = {}
-    for v, w in (("u", "w"), ("w", "u")):
-        for i in "12":
-            darts[f"{v}:{i}"] = Dart(f"{v}:{i}", v, w, f"{w}:{i}", (0,))
-        for n in "ab":
-            darts[f"{v}:{n}"] = Dart(f"{v}:{n}", v, None, None, (0,))
-    straight = {"u:a": "w:a", "u:b": "w:b"}
-    crossed = {"u:a": "w:b", "u:b": "w:a"}
-    connection = {"u:1": straight, "u:2": crossed}
-    for eid, m in list(connection.items()):
-        connection["w" + eid[1:]] = {b: a for a, b in m.items()}
-    g = SimpleNamespace(darts=darts, connection=connection)
-    plane = Hyperplane(
-        frozenset("uw"), frozenset(["u:1", "u:2", "w:1", "w:2"]), "T"
-    )
-    excluded = {"u": ("u:a", "u:b"), "w": ("w:a", "w:b")}
-    for colouring in (hyperplanes._orientation_classes, orientation_by_sweeps):
-        with pytest.raises(AssumptionOneViolation) as caught:
-            colouring(g, plane, excluded)
-        assert caught.value.check == "orientation"
+_GL2Z = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 1], [1, 1]], [[0, -1], [1, 0]])
+
+
+@st.composite
+def _valid_graphs(draw):
+    """A graph that passes ``validate_axial``: a figure, local_model(1..5),
+    or a rung L(k,l,m) with k, l, m <= 3 whose hyperplanes are renamed
+    (names permuted or prefixed) or left unnamed, whose e-coordinates a
+    matrix of GL(2, Z) moves, and whose connection is stored or derived."""
+    kind = draw(st.sampled_from(["figure", "local model", "rung"]))
+    if kind == "figure":
+        return fixture(draw(st.sampled_from(FIXTURE_IDS)))
+    if kind == "local model":
+        return local_model(draw(st.integers(1, 5)))
+    doc = gen_klm(KlmSpec(*draw(st.tuples(*[st.integers(1, 3)] * 3)))).to_dict()
+    names = sorted(doc["hyperplane_names"])
+    naming = draw(st.sampled_from(["permuted", "prefixed", "unnamed"]))
+    if naming == "unnamed":
+        del doc["hyperplane_names"], doc["positive_normals"]
+    else:
+        rename = (
+            dict(zip(names, draw(st.permutations(names))))
+            if naming == "permuted"
+            else {n: "A" + n for n in names}
+        )
+        for key in ("hyperplane_names", "positive_normals"):
+            doc[key] = {rename[n]: v for n, v in doc[key].items()}
+    m = draw(st.sampled_from(_GL2Z))
+    for d in doc["darts"]:
+        e, x = d["axial"][:2], d["axial"][2]
+        d["axial"] = [sum(a * b for a, b in zip(row, e)) for row in m] + [x]
+    if draw(st.booleans()):
+        del doc["connection"]
+    return graph_from_dict(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_graphs())
+def test_the_checks_that_the_axioms_prove_never_fire_on_a_valid_graph(g):
+    """The runtime dropped the checks that the axioms of ``validate_axial``
+    prove; as oracles, none of them fires on a valid graph.  The
+    connection maps pairs to pairs; a closure pushed across every edge
+    reaches each vertex with one dart set, the one the runtime's closure
+    takes; the sweeps colour every normal pair; each vertex is on n
+    hyperplanes, so the complex is pure; and where every halfspace pair
+    exists, the matrix T_p of the Thom values at each vertex is
+    unimodular, and only the hyperplanes through it have a Thom value
+    there that is not 0."""
+    assert validate_axial(g).ok
+    pairs_to_pairs(g)
+    for v in g.vertices:
+        for pair in g.pairs[v]:
+            assert closure_across_every_edge(g, v, pair) == hyperplane_through(
+                g, v, pair
+            )
+    arr = Arrangement(g)
+    for h in arr.hyperplanes:
+        excluded = {
+            v: tuple(d for d in g.darts_at(v) if d not in h.dart_ids)
+            for v in sorted(h.vertices)
+        }
+        orientation_by_sweeps(g, h, excluded)
+    assert {len(names) for names in arr.through.values()} == {g.rank}
+    try:
+        complex_by_table(arr)
+    except AssumptionViolation:  # two vertices on one facet: fig11_sphere
+        pass
+    if not check_assumptions(arr).ok1:  # fig2_right
+        return
+    taus = {name: arr.tau(name) for name in arr.names}
+    for v, names in arr.through.items():
+        assert tau_matrix_is_unimodular(taus, names, v)
+        assert {name for name in arr.names if any(taus[name][v])} == names
 
 
 def test_a_connection_corrupted_across_an_interior_edge_is_refused():
